@@ -469,30 +469,23 @@ func (s *Server) Promote(ctx context.Context, advertise string) (PromoteResponse
 	}
 	s.fenceMu.Unlock()
 	start := p.log.NextLSN()
-	rec := &Record{T: RecEpoch, Epoch: newEpoch, StartLSN: uint64(start)}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		p.freeze.Unlock()
-		return PromoteResponse{}, fmt.Errorf("server: promote encode: %w", err)
+	// Journaled and durable before it is applied, like a replicated
+	// frame, and never quorum-gated: there are no followers yet.
+	payload, err := p.encode(ctx, &Record{T: RecEpoch, Epoch: newEpoch, StartLSN: uint64(start)})
+	var pend *wal.Pending
+	if err == nil {
+		pend, err = p.append(ctx, payload)
 	}
-	pend, err := p.log.Begin(payload)
-	if err != nil {
-		p.freeze.Unlock()
-		s.metrics.WALError()
-		s.enterDegraded(err)
-		return PromoteResponse{}, fmt.Errorf("server: promote journal: %w: %w", ErrDegraded, err)
+	if err == nil {
+		err = p.wait(ctx, pend)
 	}
-	if err := pend.Wait(); err != nil {
-		p.freeze.Unlock()
-		s.metrics.WALError()
-		s.enterDegraded(err)
-		return PromoteResponse{}, fmt.Errorf("server: promote flush: %w: %w", ErrDegraded, err)
-	}
-	if err := s.epochs.add(newEpoch, start); err != nil {
-		p.freeze.Unlock()
-		return PromoteResponse{}, err
+	if err == nil {
+		err = s.epochs.add(newEpoch, start)
 	}
 	p.freeze.Unlock()
+	if err != nil {
+		return PromoteResponse{}, fmt.Errorf("server: promote: %w", err)
+	}
 	oldPrimary := rs.primaryURL()
 	// Order matters: the epoch record is durable before the node starts
 	// acknowledging writes under it.

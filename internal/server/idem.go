@@ -25,9 +25,10 @@ func newIdemTable() *idemTable {
 // has reports whether key was seen (and not yet evicted).
 func (t *idemTable) has(key string) bool { return t.keys[key] }
 
-// add records key, evicting the oldest entry beyond capacity.
+// add records key, evicting the oldest entry beyond capacity. The empty
+// key of an unkeyed ingest is not recorded.
 func (t *idemTable) add(key string) {
-	if t.keys[key] {
+	if key == "" || t.keys[key] {
 		return
 	}
 	t.keys[key] = true

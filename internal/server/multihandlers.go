@@ -24,7 +24,6 @@ func (s *Server) handleMultiCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	defer s.mutationGuard()()
 	sig, err := s.multi.CreatePool(r.Context(), req.Name, req.Labels, req.Workers, s.cfg.PriorStrength)
 	if err != nil {
 		writeError(w, r, err)
@@ -51,7 +50,6 @@ func (s *Server) handleMultiGetPool(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMultiDropPool(w http.ResponseWriter, r *http.Request) {
-	defer s.mutationGuard()()
 	if err := s.multi.DropPool(r.Context(), r.PathValue("pool")); err != nil {
 		writeError(w, r, err)
 		return
@@ -65,7 +63,6 @@ func (s *Server) handleMultiRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	defer s.mutationGuard()()
 	sig, size, err := s.multi.Register(r.Context(), r.PathValue("pool"), req.Workers, s.cfg.PriorStrength)
 	if err != nil {
 		writeError(w, r, err)
@@ -84,7 +81,6 @@ func (s *Server) handleMultiIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	defer s.mutationGuard()()
 	updated, sig, dup, err := s.multi.IngestKeyed(r.Context(), r.PathValue("pool"), req.Events, idempotencyKey(r))
 	if err != nil {
 		writeError(w, r, err)
@@ -333,7 +329,6 @@ func (s *Server) handleMultiJQ(w http.ResponseWriter, r *http.Request) {
 // ErrPoolExists, which the daemon treats as "already recovered" and
 // skips.
 func (s *Server) PreloadMulti(req MultiCreateRequest) error {
-	defer s.mutationGuard()()
 	_, err := s.multi.CreatePool(context.Background(), req.Name, req.Labels, req.Workers, s.cfg.PriorStrength)
 	return err
 }

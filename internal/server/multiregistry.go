@@ -8,11 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/multichoice"
-	"repro/internal/obs"
 )
 
 // MaxLabels bounds a pool's label count. Confusion matrices are dense
@@ -90,15 +89,8 @@ type MultiRegistry struct {
 	pools map[string]*multiPool
 	order []string // creation order, for deterministic listings/snapshots
 	gen   uint64
-	// journal follows the binary Registry's contract: every mutation is
-	// reserved under the write lock after validation, before it is
-	// applied in memory, and the returned commit — which blocks until the
-	// record is durable — runs after the lock is released (the context
-	// carries the request trace).
-	journal func(context.Context, *Record) (func() error, error)
-	// barrier follows Registry.barrier: the duplicate-ack durability
-	// wait, called without r.mu held.
-	barrier func() error
+	// j journals every mutation (nil: in memory only).
+	j *journal
 	// idem remembers applied ingest idempotency keys registry-wide (one
 	// table across pools; keys are client-unique regardless of target).
 	// Guarded by mu, like the binary Registry's — see that field's note
@@ -109,13 +101,6 @@ type MultiRegistry struct {
 // NewMultiRegistry returns an empty multi-choice registry.
 func NewMultiRegistry() *MultiRegistry {
 	return &MultiRegistry{pools: make(map[string]*multiPool), idem: newIdemTable()}
-}
-
-func (r *MultiRegistry) logLocked(ctx context.Context, rec *Record) (func() error, error) {
-	if r.journal == nil {
-		return commitNoop, nil
-	}
-	return r.journal(ctx, rec)
 }
 
 // resolveLabels determines the pool's label count from the request:
@@ -236,56 +221,24 @@ func (r *MultiRegistry) CreatePool(ctx context.Context, name string, labels int,
 	if name == "" {
 		return "", ErrEmptyPoolName
 	}
-	if defaultStrength <= 0 {
-		defaultStrength = DefaultPriorStrength
-	}
 	l, err := resolveLabels(labels, specs)
 	if err != nil {
 		return "", err
 	}
-	matrices, err := validateMultiSpecs(specs, l)
-	if err != nil {
-		return "", err
-	}
-	sig, commit, err := func() (string, func() error, error) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if _, ok := r.pools[name]; ok {
-			return "", nil, fmt.Errorf("%w: %q", ErrPoolExists, name)
+	rec := &Record{T: RecMultiCreate, Multi: &MultiRecord{
+		Pool: name, Labels: l, Specs: specs, Strength: resolvedStrength(defaultStrength),
+	}}
+	var sig string
+	if err := r.j.mutate(ctx, &r.mu, func(tx *txn) error {
+		if err := tx.run(rec, r.prepareLocked); err != nil {
+			return err
 		}
-		rec := &Record{T: RecMultiCreate, Multi: &MultiRecord{
-			Pool: name, Labels: l, Specs: specs, Strength: defaultStrength,
-		}}
-		commit, err := r.logLocked(ctx, rec)
-		if err != nil {
-			return "", nil, err
-		}
-		defer obs.TraceFrom(ctx).Begin(obs.StageApply).End()
-		return r.applyCreateLocked(name, l, specs, matrices, defaultStrength), commit, nil
-	}()
-	if err != nil {
-		return "", err
-	}
-	if err := commit(); err != nil {
+		sig = r.pools[name].sig
+		return nil
+	}); err != nil {
 		return "", err
 	}
 	return sig, nil
-}
-
-// applyCreateLocked performs a validated pool creation; shared by the
-// live path and WAL replay. Callers hold r.mu and pass the matrices
-// validateMultiSpecs materialized.
-func (r *MultiRegistry) applyCreateLocked(name string, labels int, specs []MultiWorkerSpec, matrices []multichoice.ConfusionMatrix, strength float64) string {
-	p := &multiPool{name: name, labels: labels, workers: make(map[string]*multiWorkerState, len(specs))}
-	for i, spec := range specs {
-		p.workers[spec.ID] = newMultiState(spec, matrices[i], strength)
-		p.order = append(p.order, spec.ID)
-	}
-	r.pools[name] = p
-	r.order = append(r.order, name)
-	r.gen++
-	p.sig = p.signature()
-	return p.sig
 }
 
 // Register adds new workers to an existing pool atomically.
@@ -293,90 +246,28 @@ func (r *MultiRegistry) Register(ctx context.Context, pool string, specs []Multi
 	if len(specs) == 0 {
 		return "", 0, fmt.Errorf("%w: no workers in request", ErrBadSpec)
 	}
-	if defaultStrength <= 0 {
-		defaultStrength = DefaultPriorStrength
-	}
-	sig, workers, commit, err := func() (string, int, func() error, error) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		p, ok := r.pools[pool]
-		if !ok {
-			return "", 0, nil, fmt.Errorf("%w: %q", ErrPoolUnknown, pool)
+	rec := &Record{T: RecMultiRegister, Multi: &MultiRecord{
+		Pool: pool, Specs: specs, Strength: resolvedStrength(defaultStrength),
+	}}
+	var sig string
+	var size int
+	if err := r.j.mutate(ctx, &r.mu, func(tx *txn) error {
+		if err := tx.run(rec, r.prepareLocked); err != nil {
+			return err
 		}
-		matrices, err := validateMultiSpecs(specs, p.labels)
-		if err != nil {
-			return "", 0, nil, err
-		}
-		for _, spec := range specs {
-			if _, ok := p.workers[spec.ID]; ok {
-				return "", 0, nil, fmt.Errorf("%w: %q", ErrWorkerExists, spec.ID)
-			}
-		}
-		rec := &Record{T: RecMultiRegister, Multi: &MultiRecord{
-			Pool: pool, Specs: specs, Strength: defaultStrength,
-		}}
-		commit, err := r.logLocked(ctx, rec)
-		if err != nil {
-			return "", 0, nil, err
-		}
-		applySpan := obs.TraceFrom(ctx).Begin(obs.StageApply)
-		r.applyRegisterLocked(p, specs, matrices, defaultStrength)
-		applySpan.End()
-		return p.sig, len(p.order), commit, nil
-	}()
-	if err != nil {
+		p := r.pools[pool]
+		sig, size = p.sig, len(p.order)
+		return nil
+	}); err != nil {
 		return "", 0, err
 	}
-	if err := commit(); err != nil {
-		return "", 0, err
-	}
-	return sig, workers, nil
-}
-
-// applyRegisterLocked performs a validated registration into an existing
-// pool; shared by the live path and WAL replay. Callers hold r.mu and
-// pass the matrices validateMultiSpecs materialized.
-func (r *MultiRegistry) applyRegisterLocked(p *multiPool, specs []MultiWorkerSpec, matrices []multichoice.ConfusionMatrix, strength float64) {
-	for i, spec := range specs {
-		p.workers[spec.ID] = newMultiState(spec, matrices[i], strength)
-		p.order = append(p.order, spec.ID)
-	}
-	r.gen++
-	p.sig = p.signature()
+	return sig, size, nil
 }
 
 // DropPool deletes a pool and all its workers.
 func (r *MultiRegistry) DropPool(ctx context.Context, name string) error {
-	commit, err := func() (func() error, error) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if _, ok := r.pools[name]; !ok {
-			return nil, fmt.Errorf("%w: %q", ErrPoolUnknown, name)
-		}
-		commit, err := r.logLocked(ctx, &Record{T: RecMultiDrop, Multi: &MultiRecord{Pool: name}})
-		if err != nil {
-			return nil, err
-		}
-		r.applyDropLocked(name)
-		return commit, nil
-	}()
-	if err != nil {
-		return err
-	}
-	return commit()
-}
-
-// applyDropLocked deletes a known pool; shared by the live path and WAL
-// replay. Callers hold r.mu.
-func (r *MultiRegistry) applyDropLocked(name string) {
-	delete(r.pools, name)
-	for i, n := range r.order {
-		if n == name {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	r.gen++
+	rec := &Record{T: RecMultiDrop, Multi: &MultiRecord{Pool: name}}
+	return r.j.mutate(ctx, &r.mu, func(tx *txn) error { return tx.run(rec, r.prepareLocked) })
 }
 
 // validateEvents checks an ingest batch against a pool.
@@ -412,92 +303,125 @@ func (r *MultiRegistry) IngestKeyed(ctx context.Context, pool string, events []M
 	if len(events) == 0 {
 		return nil, "", false, fmt.Errorf("%w: no events in request", ErrBadEvent)
 	}
-	tr := obs.TraceFrom(ctx)
-	updated, sig, duplicate, commit, err := func() ([]MultiWorkerInfo, string, bool, func() error, error) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if key != "" {
-			idemSpan := tr.Begin(obs.StageIdem)
-			dup := r.idem.has(key)
-			idemSpan.End()
-			if dup {
-				sig := ""
-				if p, ok := r.pools[pool]; ok {
-					sig = p.sig
-				}
-				return nil, sig, true, commitNoop, nil
+	rec := &Record{T: RecMultiIngest, Key: key, Multi: &MultiRecord{Pool: pool, Events: events}}
+	if err := r.j.mutate(ctx, &r.mu, func(tx *txn) error {
+		if duplicate = tx.duplicate(r.idem, key); !duplicate {
+			if err := tx.run(rec, r.prepareLocked); err != nil {
+				return err
+			}
+			p := r.pools[pool]
+			for _, id := range firstTouch(events, func(ev MultiVoteEvent) string { return ev.WorkerID }) {
+				updated = append(updated, p.workers[id].info())
 			}
 		}
-		p, ok := r.pools[pool]
-		if !ok {
-			return nil, "", false, nil, fmt.Errorf("%w: %q", ErrPoolUnknown, pool)
+		if p, ok := r.pools[pool]; ok {
+			sig = p.sig
 		}
-		if err := validateEvents(p, events); err != nil {
-			return nil, "", false, nil, err
-		}
-		rec := &Record{T: RecMultiIngest, Key: key, Multi: &MultiRecord{Pool: pool, Events: events}}
-		commit, err := r.logLocked(ctx, rec)
-		if err != nil {
-			return nil, "", false, nil, err
-		}
-		if key != "" {
-			r.idem.add(key)
-		}
-		applySpan := tr.Begin(obs.StageApply)
-		touchOrder := r.applyIngestLocked(p, events)
-		applySpan.End()
-		out := make([]MultiWorkerInfo, len(touchOrder))
-		for i, id := range touchOrder {
-			out[i] = p.workers[id].info()
-		}
-		return out, p.sig, false, commit, nil
-	}()
-	if err != nil {
+		return nil
+	}); err != nil {
 		return nil, "", false, err
 	}
-	if duplicate {
-		// Same duplicate-ack rule as the binary registry: the original
-		// record may still be in an unflushed batch, so wait out the
-		// durability watermark before re-acknowledging it.
-		if r.barrier != nil {
-			if err := r.barrier(); err != nil {
-				return nil, "", false, err
-			}
-		}
-		return nil, sig, true, nil
-	}
-	if err := commit(); err != nil {
-		return nil, "", false, err
-	}
-	return updated, sig, false, nil
+	return updated, sig, duplicate, nil
 }
 
-// applyIngestLocked performs a validated ingest and returns the touched
-// worker ids in first-touch order; shared by the live path and WAL
-// replay. Callers hold r.mu and have validated every event.
-func (r *MultiRegistry) applyIngestLocked(p *multiPool, events []MultiVoteEvent) []string {
-	touched := make(map[string]bool, len(events))
-	var touchOrder []string
-	for _, ev := range events {
-		w := p.workers[ev.WorkerID]
-		w.counts[ev.Truth][ev.Vote]++
-		var rowSum float64
-		for _, c := range w.counts[ev.Truth] {
-			rowSum += c
+// Apply replays one journaled multi-registry record without
+// re-journaling it — the recovery path.
+func (r *MultiRegistry) Apply(rec *Record) error {
+	return replay(&r.mu, rec, r.prepareLocked)
+}
+
+// prepareLocked validates one multi-registry record against the current
+// state and returns the step that applies it — the one validation the
+// live mutators and replay share. Callers hold r.mu.
+func (r *MultiRegistry) prepareLocked(rec *Record) (func(), error) {
+	mr := rec.Multi
+	if mr == nil {
+		return nil, fmt.Errorf("server: %s record without multi payload", rec.T)
+	}
+	switch rec.T {
+	case RecMultiCreate:
+		if mr.Pool == "" {
+			return nil, ErrEmptyPoolName
 		}
-		for k, c := range w.counts[ev.Truth] {
-			w.confusion[ev.Truth][k] = c / rowSum
+		if err := checkLabels(mr.Labels); err != nil {
+			return nil, err
 		}
-		w.votes++
-		w.version++
-		if !touched[ev.WorkerID] {
-			touched[ev.WorkerID] = true
-			touchOrder = append(touchOrder, ev.WorkerID)
+		matrices, err := validateMultiSpecs(mr.Specs, mr.Labels)
+		if err != nil {
+			return nil, err
 		}
+		if _, ok := r.pools[mr.Pool]; ok {
+			return nil, fmt.Errorf("%w: %q", ErrPoolExists, mr.Pool)
+		}
+		return func() {
+			p := &multiPool{name: mr.Pool, labels: mr.Labels, workers: make(map[string]*multiWorkerState, len(mr.Specs))}
+			r.pools[mr.Pool] = p
+			r.order = append(r.order, mr.Pool)
+			r.addWorkersLocked(p, mr, matrices)
+		}, nil
+	case RecMultiRegister:
+		p, ok := r.pools[mr.Pool]
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", ErrPoolUnknown, mr.Pool)
+		}
+		matrices, err := validateMultiSpecs(mr.Specs, p.labels)
+		if err != nil {
+			return nil, err
+		}
+		for _, spec := range mr.Specs {
+			if _, ok := p.workers[spec.ID]; ok {
+				return nil, fmt.Errorf("%w: %q", ErrWorkerExists, spec.ID)
+			}
+		}
+		return func() { r.addWorkersLocked(p, mr, matrices) }, nil
+	case RecMultiIngest:
+		p, ok := r.pools[mr.Pool]
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", ErrPoolUnknown, mr.Pool)
+		}
+		if err := validateEvents(p, mr.Events); err != nil {
+			return nil, err
+		}
+		return func() {
+			r.idem.add(rec.Key)
+			for _, ev := range mr.Events {
+				w := p.workers[ev.WorkerID]
+				w.counts[ev.Truth][ev.Vote]++
+				var rowSum float64
+				for _, c := range w.counts[ev.Truth] {
+					rowSum += c
+				}
+				for k, c := range w.counts[ev.Truth] {
+					w.confusion[ev.Truth][k] = c / rowSum
+				}
+				w.votes++
+				w.version++
+			}
+			r.gen++
+			p.sig = p.signature()
+		}, nil
+	case RecMultiDrop:
+		if _, ok := r.pools[mr.Pool]; !ok {
+			return nil, fmt.Errorf("%w: %q", ErrPoolUnknown, mr.Pool)
+		}
+		return func() {
+			delete(r.pools, mr.Pool)
+			r.order = slices.DeleteFunc(r.order, func(n string) bool { return n == mr.Pool })
+			r.gen++
+		}, nil
+	}
+	return nil, fmt.Errorf("server: record type %q is not a multi-registry record", rec.T)
+}
+
+// addWorkersLocked seeds the validated specs of a create or register
+// record into p, with the matrices validateMultiSpecs materialized.
+func (r *MultiRegistry) addWorkersLocked(p *multiPool, mr *MultiRecord, matrices []multichoice.ConfusionMatrix) {
+	for i, spec := range mr.Specs {
+		p.workers[spec.ID] = newMultiState(spec, matrices[i], resolvedStrength(mr.Strength))
+		p.order = append(p.order, spec.ID)
 	}
 	r.gen++
 	p.sig = p.signature()
-	return touchOrder
 }
 
 // List returns every pool's summary in creation order.
@@ -560,16 +484,7 @@ func (r *MultiRegistry) Snapshot(pool string, ids []string) (multichoice.Pool, [
 				return nil, nil, "", 0, fmt.Errorf("%w: %q", ErrWorkerUnknown, id)
 			}
 		}
-		uniq := make([]string, 0, len(ids))
-		seen := make(map[string]bool, len(ids))
-		for _, id := range ids {
-			if !seen[id] {
-				seen[id] = true
-				uniq = append(uniq, id)
-			}
-		}
-		sort.Strings(uniq)
-		ids = uniq
+		ids = canonicalIDs(ids)
 	}
 	out := make(multichoice.Pool, len(ids))
 	outIDs := make([]string, len(ids))
@@ -582,78 +497,6 @@ func (r *MultiRegistry) Snapshot(pool string, ids []string) (multichoice.Pool, [
 		sig = p.signatureOf(ids)
 	}
 	return out, outIDs, sig, p.labels, nil
-}
-
-// Apply replays one journaled multi-registry record without
-// re-journaling it — the recovery path. It revalidates like the live
-// mutators so a logically corrupt log fails recovery instead of
-// silently diverging.
-func (r *MultiRegistry) Apply(rec *Record) error {
-	mr := rec.Multi
-	if mr == nil {
-		return fmt.Errorf("server: %s record without multi payload", rec.T)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch rec.T {
-	case RecMultiCreate:
-		if mr.Pool == "" {
-			return ErrEmptyPoolName
-		}
-		if _, ok := r.pools[mr.Pool]; ok {
-			return fmt.Errorf("%w: %q", ErrPoolExists, mr.Pool)
-		}
-		if err := checkLabels(mr.Labels); err != nil {
-			return err
-		}
-		matrices, err := validateMultiSpecs(mr.Specs, mr.Labels)
-		if err != nil {
-			return err
-		}
-		r.applyCreateLocked(mr.Pool, mr.Labels, mr.Specs, matrices, resolvedStrength(mr.Strength))
-	case RecMultiRegister:
-		p, ok := r.pools[mr.Pool]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrPoolUnknown, mr.Pool)
-		}
-		matrices, err := validateMultiSpecs(mr.Specs, p.labels)
-		if err != nil {
-			return err
-		}
-		for _, spec := range mr.Specs {
-			if _, ok := p.workers[spec.ID]; ok {
-				return fmt.Errorf("%w: %q", ErrWorkerExists, spec.ID)
-			}
-		}
-		r.applyRegisterLocked(p, mr.Specs, matrices, resolvedStrength(mr.Strength))
-	case RecMultiIngest:
-		p, ok := r.pools[mr.Pool]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrPoolUnknown, mr.Pool)
-		}
-		if err := validateEvents(p, mr.Events); err != nil {
-			return err
-		}
-		if rec.Key != "" {
-			r.idem.add(rec.Key)
-		}
-		r.applyIngestLocked(p, mr.Events)
-	case RecMultiDrop:
-		if _, ok := r.pools[mr.Pool]; !ok {
-			return fmt.Errorf("%w: %q", ErrPoolUnknown, mr.Pool)
-		}
-		r.applyDropLocked(mr.Pool)
-	default:
-		return fmt.Errorf("server: record type %q is not a multi-registry record", rec.T)
-	}
-	return nil
-}
-
-func resolvedStrength(s float64) float64 {
-	if s <= 0 {
-		return DefaultPriorStrength
-	}
-	return s
 }
 
 // persistState serializes the full multi registry (Dirichlet posteriors

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -10,31 +9,33 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/wal"
 )
 
-// Durability. With Config.DataDir set, every registry and session
-// mutation is journaled to a write-ahead log (internal/wal) before it is
-// applied in memory — validation runs first, then the record reserves its
-// LSN under the same lock that orders the mutation, then the mutation is
-// applied, so the WAL order and the in-memory order are identical. The
-// journal is two-phase: the append (LSN reservation) happens under the
-// registry lock and returns a commit, and the handler acknowledges only
-// after the commit reports the record durable — under group commit the
-// commit waits on the shared flush watermark with the registry lock
-// released, so independent registries, sessions and pools share one
-// fsync. A failed reservation changes nothing; a failed commit leaves the
-// mutation applied but unacknowledged and flips the server into degraded
-// read-only mode (the record never reached stable storage, so a restart
-// recovers exactly the acknowledged prefix). Recovery (Open) loads the
-// newest snapshot, replays the WAL tail through the same Apply code paths
-// the snapshot state was built from, and resumes journaling; because
-// replay is deterministic, a recovered registry carries bit-identical
-// posteriors and therefore produces bit-identical pool signatures — the
-// selection cache (which starts empty after a restart) refills under
-// exactly the keys the pre-crash process was using.
+// Durability. With Config.DataDir set, every registry, multi-registry
+// and session mutation takes one journaled path (journal.go). Under the
+// shared snapshot freeze and the store's own lock, the store's
+// prepareLocked validates the record and returns its apply step; the
+// record then reserves its LSN, so the WAL order and the in-memory order
+// are identical, and only then is it applied. The store lock is released
+// before the commit waits for durability — under group commit that is
+// what lets independent registries, sessions and pools share one fsync —
+// and the handler acknowledges only after the commit (and, with a
+// quorum, the followers) confirm the record. A failed reservation changes
+// nothing; a failed commit leaves the mutation applied but
+// unacknowledged and flips the server into degraded read-only mode (the
+// record never reached stable storage, so a restart recovers exactly the
+// acknowledged prefix). The freeze is held until the commit, and a
+// snapshot captures under it exclusively and then waits for the log to
+// be durable: every LSN a snapshot covers must be durable, or recovery
+// would find the snapshot ahead of the log. Recovery (Open) loads the
+// newest snapshot and replays the WAL tail through the same
+// prepareLocked steps, then resumes journaling; because replay is
+// deterministic, a recovered registry carries bit-identical posteriors
+// and therefore produces bit-identical pool signatures — the selection
+// cache (which starts empty after a restart) refills under exactly the
+// keys the pre-crash process was using.
 
 // RecordType tags one WAL record.
 type RecordType string
@@ -202,13 +203,7 @@ type sessionPersist struct {
 type Persistence struct {
 	dir string
 	fs  wal.FS
-	log *wal.Log
-	// freeze orders mutations against snapshot capture: every mutating
-	// request path holds it shared for the whole journal-then-apply
-	// critical section (Server.mutationGuard), and snapshot capture holds
-	// it exclusively, so a snapshot sees either all or none of each
-	// mutation and its LSN watermark is exact.
-	freeze sync.RWMutex
+	*journal
 
 	mu           sync.Mutex // guards the fields below
 	fsync        bool
@@ -296,102 +291,12 @@ func Open(cfg Config) (*Server, error) {
 		log.Close()
 		return nil, fmt.Errorf("server: replay: %w", replayErr)
 	}
-	p.log = log
+	p.journal = &journal{s: s, log: log}
+	s.registry.j, s.multi.j, s.sessions.j = p.journal, p.journal, p.journal
 	p.recovery.WorkersRestored = s.registry.Len()
 	p.recovery.SessionsRestored = s.sessions.Len()
 	p.recovery.MultiPoolsRestored = s.multi.Len()
 	p.recoveredAt = time.Now()
-	journal := func(ctx context.Context, rec *Record) (func() error, error) {
-		tr := obs.TraceFrom(ctx)
-		encSpan := tr.Begin(obs.StageWALEncode)
-		payload, err := json.Marshal(rec)
-		encSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("server: journal encode: %w", err)
-		}
-		appendStart := time.Now()
-		pend, err := log.Begin(payload)
-		appendDur := time.Since(appendStart)
-		if err != nil {
-			// The record is not durable and the mutation must not be
-			// applied; the log is now poisoned (wal.ErrFailed is sticky),
-			// so the server transitions to degraded read-only mode: this
-			// and every later mutation answers 503 while reads keep
-			// serving. The span is error-tagged so the exact request that
-			// poisoned the log stays visible in /debug/traces.
-			tr.AddErr(obs.StageWALAppend, appendStart, appendDur)
-			s.metrics.WALError()
-			s.enterDegraded(err)
-			return nil, fmt.Errorf("%w: %w", ErrDegraded, err)
-		}
-		// Quorum gating rides on the commit: it runs after the mutator
-		// releases its ordering lock, so waiting for follower
-		// confirmations there blocks only the acknowledging request.
-		lsn := pend.LSN()
-		if pend.Done() {
-			// Per-record path: the append (and under -fsync, its flush)
-			// completed inside Begin. The fsync runs at the tail of the
-			// append interval, so its span starts where the write ends.
-			fsync := pend.FsyncDuration()
-			tr.Add(obs.StageWALAppend, appendStart, appendDur-fsync)
-			if fsync > 0 {
-				tr.Add(obs.StageWALFsync, appendStart.Add(appendDur-fsync), fsync)
-			}
-			if cfg.Quorum > 1 {
-				return func() error { return s.quorumWait(lsn) }, nil
-			}
-			return commitNoop, nil
-		}
-		// Group commit: the LSN is reserved and the record staged. The
-		// commit — run by the mutator after it releases its ordering lock —
-		// blocks until the shared flush watermark covers the record.
-		tr.Add(obs.StageWALAppend, appendStart, appendDur)
-		commit := func() error {
-			flushStart := time.Now()
-			err := pend.Wait()
-			flushDur := time.Since(flushStart)
-			if err != nil {
-				// Applied in memory but not durable: degrade. The record
-				// never reached stable storage, so recovery serves exactly
-				// the acknowledged prefix.
-				tr.AddErr(obs.StageWALFlush, flushStart, flushDur)
-				s.metrics.WALError()
-				s.enterDegraded(err)
-				return fmt.Errorf("%w: %w", ErrDegraded, err)
-			}
-			tr.Add(obs.StageWALFlush, flushStart, flushDur)
-			if fsync := pend.FsyncDuration(); fsync > 0 {
-				tr.Add(obs.StageWALFsync, flushStart, fsync)
-			}
-			if cfg.Quorum > 1 {
-				return s.quorumWait(lsn)
-			}
-			return nil
-		}
-		return commit, nil
-	}
-	// barrier is the duplicate-ack durability wait: a keyed-ingest retry
-	// may only re-acknowledge once the original record it dedups against
-	// is itself on stable storage.
-	barrier := func() error {
-		if err := log.WaitDurable(); err != nil {
-			s.metrics.WALError()
-			s.enterDegraded(err)
-			return fmt.Errorf("%w: %w", ErrDegraded, err)
-		}
-		if cfg.Quorum > 1 {
-			// A duplicate re-ack vouches for the original record, so it too
-			// must be quorum-confirmed. The whole-log watermark is a
-			// conservative stand-in for the original's LSN.
-			return s.quorumWait(log.NextLSN() - 1)
-		}
-		return nil
-	}
-	s.registry.journal = journal
-	s.registry.barrier = barrier
-	s.sessions.journal = journal
-	s.multi.journal = journal
-	s.multi.barrier = barrier
 	// A durable fence outlives the process: a fenced ex-primary that
 	// restarts is still fenced until it rejoins and replays the epoch
 	// that outranks the fence.
@@ -407,10 +312,6 @@ func Open(cfg Config) (*Server, error) {
 	s.persist = p
 	return s, nil
 }
-
-// commitNoop is the commit of a journaled mutation that is already
-// durable when its reservation returns (the per-record WAL path).
-func commitNoop() error { return nil }
 
 // applyRecord replays one journaled record — the recovery path shared by
 // WAL replay and (via the walltest harness) reference replays.
@@ -429,25 +330,14 @@ func (s *Server) applyRecord(rec *Record) error {
 	}
 }
 
-// mutationGuard blocks snapshot capture for the duration of one mutation
-// (journal append plus in-memory apply). Mutating request paths call it
-// before touching the registry or sessions and release afterward; with
-// persistence disabled it is free.
-func (s *Server) mutationGuard() func() {
-	if s.persist == nil {
-		return func() {}
-	}
-	s.persist.freeze.RLock()
-	return s.persist.freeze.RUnlock
-}
-
 // SnapshotNow captures a consistent snapshot of the full server state,
 // installs it atomically, and truncates WAL segments the snapshot covers.
 // It is a no-op without persistence or when nothing changed since the
 // last snapshot. A failure is counted in juryd_snapshot_errors_total
 // but is NOT degrading: the WAL still holds every mutation, the
 // previous snapshot (if any) is still installed, and a later attempt
-// can succeed — the caller should log and keep serving.
+// can succeed — the caller should log and keep serving. On a degraded
+// server whose log lost its unsynced tail it fails with ErrDegraded.
 func (s *Server) SnapshotNow() error {
 	err := s.snapshotNow()
 	if err != nil {
@@ -461,11 +351,10 @@ func (s *Server) snapshotNow() error {
 	if p == nil {
 		return nil
 	}
-	p.freeze.Lock()
-	state := s.captureState()
-	upTo := p.log.NextLSN() - 1
-	p.freeze.Unlock()
-
+	state, upTo, err := s.captureDurable()
+	if err != nil {
+		return err
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.haveSnapshot && upTo == p.lastSnapshot {
@@ -534,9 +423,28 @@ func (s *Server) PersistenceStatus() PersistenceStatus {
 	}
 }
 
+// captureDurable is the capture step snapshots and follower bootstraps
+// share: the state document and the LSN it covers, taken under the
+// exclusive freeze — which waits out every mutation between reservation
+// and commit, so the watermark is exact — followed by a durability wait.
+// A poisoned log refuses with ErrDegraded: its applied tail may never
+// have reached the disk, and every LSN a snapshot covers must be
+// durable.
+func (s *Server) captureDurable() (serverState, wal.LSN, error) {
+	p := s.persist
+	p.freeze.Lock()
+	state := s.captureState()
+	upTo := p.log.NextLSN() - 1
+	p.freeze.Unlock()
+	if err := p.log.WaitDurable(); err != nil {
+		return serverState{}, 0, fmt.Errorf("%w: %w", ErrDegraded, err)
+	}
+	return state, upTo, nil
+}
+
 // captureState assembles the full durable state (the snapshot document).
-// Callers that need an exact LSN watermark hold p.freeze exclusively
-// around it; read-only diagnostics may call it bare.
+// Callers that need an exact LSN watermark go through captureDurable;
+// read-only diagnostics may call it bare.
 func (s *Server) captureState() serverState {
 	return serverState{
 		Registry: s.registry.persistState(),

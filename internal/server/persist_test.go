@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/online"
 	"repro/internal/voting"
+	"repro/internal/wal"
+	"repro/internal/wal/errfs"
 )
 
 // durable opens a durable server rooted in a fresh temp dir.
@@ -55,12 +58,16 @@ func TestOpenWithoutDataDirIsInMemory(t *testing.T) {
 // TestJournalFailureAbortsMutation: a failed WAL append must leave the
 // in-memory registry untouched (write-ahead, not write-behind).
 func TestJournalFailureAbortsMutation(t *testing.T) {
-	s, _ := durable(t)
+	// Every WAL write after the first fails.
+	boom := errors.New("disk full")
+	s, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(),
+		FS: errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpWrite, Path: "wal-", After: 1, Err: boom})})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.registry.Register(context.Background(), []WorkerSpec{{ID: "ok", Quality: 0.8, Cost: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("disk full")
-	s.registry.journal = func(context.Context, *Record) (func() error, error) { return nil, boom }
 	if _, err := s.registry.Register(context.Background(), []WorkerSpec{{ID: "lost", Quality: 0.7, Cost: 1}}, 0); !errors.Is(err, boom) {
 		t.Fatalf("Register with failing journal: %v, want %v", err, boom)
 	}
@@ -342,5 +349,93 @@ func TestPreloadIsJournaled(t *testing.T) {
 	// Re-preloading the same pool file into recovered state conflicts.
 	if err := s2.Preload([]WorkerSpec{{ID: "p", Quality: 0.9, Cost: 2}}); !errors.Is(err, ErrWorkerExists) {
 		t.Fatalf("re-preload: %v, want ErrWorkerExists", err)
+	}
+}
+
+// TestSnapshotsRaceMutations takes snapshots while every store mutates
+// concurrently through its own API — no HTTP handler in between — under
+// group commit, where commits wait outside the store locks. Each
+// snapshot must cover exactly the records its LSN names, so recovery
+// from the last snapshot plus the tail reproduces the live state
+// bit-exactly.
+func TestSnapshotsRaceMutations(t *testing.T) {
+	cfg := Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(), Fsync: true, GroupCommit: true}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := 0.8
+	if _, err := s.registry.Register(ctx, []WorkerSpec{{ID: "a", Quality: 0.8, Cost: 1}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.multi.CreatePool(ctx, "p", 3, []MultiWorkerSpec{{ID: "m", Quality: &q, Cost: 1}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	const writers, rounds = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				key := fmt.Sprintf("k%d-%d", w, i)
+				if _, _, _, err := s.registry.IngestKeyed(ctx, []VoteEvent{{WorkerID: "a", Correct: i%2 == 0}}, key); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, _, err := s.multi.IngestKeyed(ctx, "p", []MultiVoteEvent{{WorkerID: "m", Truth: i % 3, Vote: w % 3}}, key); err != nil {
+					t.Error(err)
+					return
+				}
+				st, err := s.sessions.Open(ctx, online.Config{Alpha: 0.5, Confidence: 0.999})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := s.sessions.Observe(ctx, st.ID, 0.6, 1, voting.Yes); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 0 {
+					if err := s.sessions.Close(ctx, st.ID); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	snapErr := make(chan error, 1)
+	go func() {
+		defer close(snapErr)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := s.SnapshotNow(); err != nil {
+				snapErr <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	if err := <-snapErr; err != nil {
+		t.Fatalf("SnapshotNow: %v", err)
+	}
+	want, err := s.DebugState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := reopen(t, s, cfg).DebugState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("recovered state differs\nwant %s\ngot  %s", want, got)
 	}
 }

@@ -8,10 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/worker"
 )
 
@@ -73,36 +72,13 @@ type Registry struct {
 	// mutating method under the write lock, so the hot read paths
 	// (selection cache lookups, listings) never re-hash the pool.
 	fullSig string
-	// journal, when set, reserves a WAL record for every mutation under
-	// the write lock after validation but before the mutation is applied:
-	// a failed reservation aborts the mutation with memory untouched, and
-	// the log order always matches the lock (application) order. The
-	// returned commit blocks until the record is durable and MUST be
-	// called after the write lock is released — under group commit that
-	// is what lets independent mutations share one fsync — and the
-	// mutation acknowledged only if it returns nil. The context carries
-	// the request trace, so the journal can attribute its encode, append,
-	// flush and fsync time to the request that paid for it.
-	journal func(context.Context, *Record) (func() error, error)
-	// barrier, when set, blocks until every WAL record reserved so far is
-	// durable — the duplicate-ack wait: a keyed-ingest retry may only be
-	// re-acknowledged once the original record it dedups against is
-	// itself on stable storage. Called without r.mu held.
-	barrier func() error
+	// j journals every mutation (nil: in memory only).
+	j *journal
 	// idem remembers applied ingest idempotency keys. Guarded by mu, so
 	// its insertion order is the WAL order and replay rebuilds it
 	// bit-exactly; dedup runs BEFORE journaling, so the log itself never
 	// carries a duplicate key.
 	idem *idemTable
-}
-
-// logLocked reserves a WAL record for rec if a journal is attached,
-// returning the commit to run once r.mu is released. Callers hold r.mu.
-func (r *Registry) logLocked(ctx context.Context, rec *Record) (func() error, error) {
-	if r.journal == nil {
-		return commitNoop, nil
-	}
-	return r.journal(ctx, rec)
 }
 
 // NewRegistry returns an empty registry.
@@ -138,148 +114,54 @@ func newState(spec WorkerSpec, defaultStrength float64) *workerState {
 	}
 }
 
+// resolvedStrength is the default prior strength a record carries: the
+// configured one, or DefaultPriorStrength when that is unset.
+func resolvedStrength(s float64) float64 {
+	if s <= 0 {
+		return DefaultPriorStrength
+	}
+	return s
+}
+
 // Register adds a batch of new workers atomically: either every spec is
 // registered or none is. defaultStrength seeds the posterior of specs
 // without an explicit PriorStrength. The returned signature identifies
 // the pool state after registration, computed under the same lock.
 func (r *Registry) Register(ctx context.Context, specs []WorkerSpec, defaultStrength float64) (string, error) {
-	if defaultStrength <= 0 {
-		defaultStrength = DefaultPriorStrength
-	}
-	seen := make(map[string]bool, len(specs))
-	for _, spec := range specs {
-		if err := validateSpec(spec); err != nil {
-			return "", err
-		}
-		if seen[spec.ID] {
-			return "", fmt.Errorf("%w: %q", ErrDuplicateBatch, spec.ID)
-		}
-		seen[spec.ID] = true
-	}
-	sig, commit, err := func() (string, func() error, error) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		for _, spec := range specs {
-			if _, ok := r.workers[spec.ID]; ok {
-				return "", nil, fmt.Errorf("%w: %q", ErrWorkerExists, spec.ID)
-			}
-		}
-		commit, err := r.logLocked(ctx, &Record{T: RecRegister, Specs: specs, Strength: defaultStrength})
-		if err != nil {
-			return "", nil, err
-		}
-		defer obs.TraceFrom(ctx).Begin(obs.StageApply).End()
-		return r.applyRegisterLocked(specs, defaultStrength), commit, nil
-	}()
-	if err != nil {
-		return "", err
-	}
-	if err := commit(); err != nil {
+	rec := &Record{T: RecRegister, Specs: specs, Strength: resolvedStrength(defaultStrength)}
+	var sig string
+	if err := r.j.mutate(ctx, &r.mu, func(tx *txn) error {
+		err := tx.run(rec, r.prepareLocked)
+		sig = r.fullSig
+		return err
+	}); err != nil {
 		return "", err
 	}
 	return sig, nil
-}
-
-// applyRegisterLocked performs a validated registration; shared by the
-// live path and WAL replay. Callers hold r.mu.
-func (r *Registry) applyRegisterLocked(specs []WorkerSpec, defaultStrength float64) string {
-	for _, spec := range specs {
-		r.workers[spec.ID] = newState(spec, defaultStrength)
-		r.order = append(r.order, spec.ID)
-	}
-	r.gen++
-	return r.refreshFullSigLocked()
-}
-
-// refreshFullSigLocked recomputes the memoized full-pool signature; every
-// mutating method calls it before releasing the write lock.
-func (r *Registry) refreshFullSigLocked() string {
-	if len(r.order) == 0 {
-		r.fullSig = ""
-	} else {
-		r.fullSig = r.signatureLocked(r.order)
-	}
-	return r.fullSig
 }
 
 // Update replaces a worker's quality and cost, re-seeding its posterior
 // from the new quality (an operator override discards accumulated vote
 // evidence by design).
 func (r *Registry) Update(ctx context.Context, spec WorkerSpec, defaultStrength float64) (WorkerInfo, error) {
-	if defaultStrength <= 0 {
-		defaultStrength = DefaultPriorStrength
-	}
-	if err := validateSpec(spec); err != nil {
-		return WorkerInfo{}, err
-	}
-	info, commit, err := func() (WorkerInfo, func() error, error) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if _, ok := r.workers[spec.ID]; !ok {
-			return WorkerInfo{}, nil, fmt.Errorf("%w: %q", ErrWorkerUnknown, spec.ID)
+	rec := &Record{T: RecUpdate, Specs: []WorkerSpec{spec}, Strength: resolvedStrength(defaultStrength)}
+	var info WorkerInfo
+	if err := r.j.mutate(ctx, &r.mu, func(tx *txn) error {
+		if err := tx.run(rec, r.prepareLocked); err != nil {
+			return err
 		}
-		commit, err := r.logLocked(ctx, &Record{T: RecUpdate, Specs: []WorkerSpec{spec}, Strength: defaultStrength})
-		if err != nil {
-			return WorkerInfo{}, nil, err
-		}
-		defer obs.TraceFrom(ctx).Begin(obs.StageApply).End()
-		return r.applyUpdateLocked(spec, defaultStrength), commit, nil
-	}()
-	if err != nil {
-		return WorkerInfo{}, err
-	}
-	if err := commit(); err != nil {
+		info = r.workers[spec.ID].info()
+		return nil
+	}); err != nil {
 		return WorkerInfo{}, err
 	}
 	return info, nil
 }
 
-// applyUpdateLocked performs a validated update; shared by the live path
-// and WAL replay. Callers hold r.mu and have checked existence.
-func (r *Registry) applyUpdateLocked(spec WorkerSpec, defaultStrength float64) WorkerInfo {
-	w := r.workers[spec.ID]
-	fresh := newState(spec, defaultStrength)
-	fresh.version = w.version + 1
-	*w = *fresh
-	r.gen++
-	r.refreshFullSigLocked()
-	return w.info()
-}
-
 // Remove deletes a worker.
 func (r *Registry) Remove(ctx context.Context, id string) error {
-	commit, err := func() (func() error, error) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if _, ok := r.workers[id]; !ok {
-			return nil, fmt.Errorf("%w: %q", ErrWorkerUnknown, id)
-		}
-		commit, err := r.logLocked(ctx, &Record{T: RecRemove, WorkerID: id})
-		if err != nil {
-			return nil, err
-		}
-		defer obs.TraceFrom(ctx).Begin(obs.StageApply).End()
-		r.applyRemoveLocked(id)
-		return commit, nil
-	}()
-	if err != nil {
-		return err
-	}
-	return commit()
-}
-
-// applyRemoveLocked deletes a known worker; shared by the live path and
-// WAL replay. Callers hold r.mu and have checked existence.
-func (r *Registry) applyRemoveLocked(id string) {
-	delete(r.workers, id)
-	for i, oid := range r.order {
-		if oid == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	r.gen++
-	r.refreshFullSigLocked()
+	rec := &Record{T: RecRemove, WorkerID: id}
+	return r.j.mutate(ctx, &r.mu, func(tx *txn) error { return tx.run(rec, r.prepareLocked) })
 }
 
 // Get returns one worker's state.
@@ -340,155 +222,129 @@ func (r *Registry) Ingest(ctx context.Context, events []VoteEvent) ([]WorkerInfo
 // through crash recovery: a retry that lands after a replayed restart
 // still deduplicates.
 func (r *Registry) IngestKeyed(ctx context.Context, events []VoteEvent, key string) (updated []WorkerInfo, sig string, duplicate bool, err error) {
-	tr := obs.TraceFrom(ctx)
-	updated, sig, duplicate, commit, err := func() ([]WorkerInfo, string, bool, func() error, error) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if key != "" {
-			idemSpan := tr.Begin(obs.StageIdem)
-			dup := r.idem.has(key)
-			idemSpan.End()
-			if dup {
-				return nil, r.fullSig, true, commitNoop, nil
+	rec := &Record{T: RecIngest, Events: events, Key: key}
+	if err := r.j.mutate(ctx, &r.mu, func(tx *txn) error {
+		if duplicate = tx.duplicate(r.idem, key); !duplicate {
+			if err := tx.run(rec, r.prepareLocked); err != nil {
+				return err
+			}
+			updated = make([]WorkerInfo, 0, len(events))
+			for _, id := range firstTouch(events, func(ev VoteEvent) string { return ev.WorkerID }) {
+				updated = append(updated, r.workers[id].info())
 			}
 		}
-		for _, ev := range events {
-			if _, ok := r.workers[ev.WorkerID]; !ok {
-				return nil, "", false, nil, fmt.Errorf("%w: %q", ErrWorkerUnknown, ev.WorkerID)
-			}
-		}
-		commit := commitNoop
-		if len(events) > 0 {
-			var err error
-			commit, err = r.logLocked(ctx, &Record{T: RecIngest, Events: events, Key: key})
-			if err != nil {
-				return nil, "", false, nil, err
-			}
-			if key != "" {
-				r.idem.add(key)
-			}
-		}
-		applySpan := tr.Begin(obs.StageApply)
-		touchOrder := r.applyIngestLocked(events)
-		applySpan.End()
-		out := make([]WorkerInfo, len(touchOrder))
-		for i, id := range touchOrder {
-			out[i] = r.workers[id].info()
-		}
-		return out, r.fullSig, false, commit, nil
-	}()
-	if err != nil {
+		sig = r.fullSig
+		return nil
+	}); err != nil {
 		return nil, "", false, err
 	}
-	if duplicate {
-		// A duplicate ack promises the original ingest is durable. The
-		// original's record is already in the WAL (dedup runs after
-		// replay-visible state), but under group commit it may still be
-		// waiting for its fsync — hold this retry until the watermark
-		// passes so a crash cannot eat a mutation the retry acked.
-		if r.barrier != nil {
-			if err := r.barrier(); err != nil {
-				return nil, "", false, err
-			}
-		}
-		return nil, sig, true, nil
-	}
-	if err := commit(); err != nil {
-		return nil, "", false, err
-	}
-	return updated, sig, false, nil
-}
-
-// applyIngestLocked performs a validated ingest and returns the touched
-// worker ids in first-touch order; shared by the live path and WAL
-// replay. Callers hold r.mu and have checked that every worker exists.
-func (r *Registry) applyIngestLocked(events []VoteEvent) []string {
-	touched := make(map[string]bool, len(events))
-	var touchOrder []string
-	for _, ev := range events {
-		w := r.workers[ev.WorkerID]
-		if ev.Correct {
-			w.a++
-			w.correct++
-		} else {
-			w.b++
-		}
-		w.votes++
-		w.quality = w.a / (w.a + w.b)
-		w.version++
-		if !touched[ev.WorkerID] {
-			touched[ev.WorkerID] = true
-			touchOrder = append(touchOrder, ev.WorkerID)
-		}
-	}
-	if len(events) > 0 {
-		r.gen++
-		r.refreshFullSigLocked()
-	}
-	return touchOrder
+	return updated, sig, duplicate, nil
 }
 
 // Apply replays one journaled registry record without re-journaling it —
-// the recovery path. It revalidates like the live mutators so a
-// logically corrupt log fails recovery instead of silently diverging.
+// the recovery path.
 func (r *Registry) Apply(rec *Record) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	return replay(&r.mu, rec, r.prepareLocked)
+}
+
+// prepareLocked validates one registry record against the current state
+// and returns the step that applies it — the one validation the live
+// mutators and replay share. Callers hold r.mu.
+func (r *Registry) prepareLocked(rec *Record) (func(), error) {
 	switch rec.T {
 	case RecRegister:
 		seen := make(map[string]bool, len(rec.Specs))
 		for _, spec := range rec.Specs {
 			if err := validateSpec(spec); err != nil {
-				return err
+				return nil, err
 			}
 			if seen[spec.ID] {
-				return fmt.Errorf("%w: %q", ErrDuplicateBatch, spec.ID)
+				return nil, fmt.Errorf("%w: %q", ErrDuplicateBatch, spec.ID)
 			}
 			seen[spec.ID] = true
+		}
+		for _, spec := range rec.Specs {
 			if _, ok := r.workers[spec.ID]; ok {
-				return fmt.Errorf("%w: %q", ErrWorkerExists, spec.ID)
+				return nil, fmt.Errorf("%w: %q", ErrWorkerExists, spec.ID)
 			}
 		}
-		strength := rec.Strength
-		if strength <= 0 {
-			strength = DefaultPriorStrength
-		}
-		r.applyRegisterLocked(rec.Specs, strength)
+		return func() {
+			for _, spec := range rec.Specs {
+				r.workers[spec.ID] = newState(spec, resolvedStrength(rec.Strength))
+				r.order = append(r.order, spec.ID)
+			}
+			r.changedLocked()
+		}, nil
 	case RecUpdate:
 		if len(rec.Specs) != 1 {
-			return fmt.Errorf("server: update record carries %d specs", len(rec.Specs))
+			return nil, fmt.Errorf("server: update record carries %d specs", len(rec.Specs))
 		}
 		spec := rec.Specs[0]
 		if err := validateSpec(spec); err != nil {
-			return err
+			return nil, err
 		}
-		if _, ok := r.workers[spec.ID]; !ok {
-			return fmt.Errorf("%w: %q", ErrWorkerUnknown, spec.ID)
+		w, ok := r.workers[spec.ID]
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", ErrWorkerUnknown, spec.ID)
 		}
-		strength := rec.Strength
-		if strength <= 0 {
-			strength = DefaultPriorStrength
-		}
-		r.applyUpdateLocked(spec, strength)
+		return func() {
+			fresh := newState(spec, resolvedStrength(rec.Strength))
+			fresh.version = w.version + 1
+			*w = *fresh
+			r.changedLocked()
+		}, nil
 	case RecRemove:
 		if _, ok := r.workers[rec.WorkerID]; !ok {
-			return fmt.Errorf("%w: %q", ErrWorkerUnknown, rec.WorkerID)
+			return nil, fmt.Errorf("%w: %q", ErrWorkerUnknown, rec.WorkerID)
 		}
-		r.applyRemoveLocked(rec.WorkerID)
+		return func() {
+			delete(r.workers, rec.WorkerID)
+			r.order = slices.DeleteFunc(r.order, func(id string) bool { return id == rec.WorkerID })
+			r.changedLocked()
+		}, nil
 	case RecIngest:
 		for _, ev := range rec.Events {
 			if _, ok := r.workers[ev.WorkerID]; !ok {
-				return fmt.Errorf("%w: %q", ErrWorkerUnknown, ev.WorkerID)
+				return nil, fmt.Errorf("%w: %q", ErrWorkerUnknown, ev.WorkerID)
 			}
 		}
-		if rec.Key != "" {
-			r.idem.add(rec.Key)
+		if len(rec.Events) == 0 {
+			return nil, nil
 		}
-		r.applyIngestLocked(rec.Events)
-	default:
-		return fmt.Errorf("server: record type %q is not a registry record", rec.T)
+		return func() {
+			r.idem.add(rec.Key)
+			for _, ev := range rec.Events {
+				w := r.workers[ev.WorkerID]
+				if ev.Correct {
+					w.a++
+					w.correct++
+				} else {
+					w.b++
+				}
+				w.votes++
+				w.quality = w.a / (w.a + w.b)
+				w.version++
+			}
+			r.changedLocked()
+		}, nil
 	}
-	return nil
+	return nil, fmt.Errorf("server: record type %q is not a registry record", rec.T)
+}
+
+// changedLocked closes every mutation: bump the generation and refresh
+// the memoized full-pool signature. Callers hold r.mu.
+func (r *Registry) changedLocked() {
+	r.gen++
+	r.refreshFullSigLocked()
+}
+
+// refreshFullSigLocked recomputes the memoized full-pool signature.
+func (r *Registry) refreshFullSigLocked() {
+	if len(r.order) == 0 {
+		r.fullSig = ""
+	} else {
+		r.fullSig = r.signatureLocked(r.order)
+	}
 }
 
 // persistState serializes the full registry (posteriors included) for a
@@ -584,19 +440,7 @@ func (r *Registry) Snapshot(ids []string) (worker.Pool, []string, string, error)
 				return nil, nil, "", fmt.Errorf("%w: %q", ErrWorkerUnknown, id)
 			}
 		}
-		// Canonicalize: selection treats the pool as a set, so a subset
-		// request is ordered by id and deduplicated to make equivalent
-		// requests share one signature (and one cache entry).
-		uniq := make([]string, 0, len(ids))
-		seen := make(map[string]bool, len(ids))
-		for _, id := range ids {
-			if !seen[id] {
-				seen[id] = true
-				uniq = append(uniq, id)
-			}
-		}
-		sort.Strings(uniq)
-		ids = uniq
+		ids = canonicalIDs(ids)
 	}
 	pool := make(worker.Pool, len(ids))
 	outIDs := make([]string, len(ids))
@@ -619,6 +463,29 @@ func (r *Registry) Signature() (string, error) {
 		return "", ErrEmptyRegistry
 	}
 	return r.fullSig, nil
+}
+
+// canonicalIDs orders a subset request by id and drops repeats:
+// selection treats the pool as a set, so equivalent requests share one
+// signature (and one cache entry).
+func canonicalIDs(ids []string) []string {
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// firstTouch lists the distinct worker ids of an ingest batch in
+// first-touch order — the order ingest responses report updates in.
+func firstTouch[E any](events []E, id func(E) string) []string {
+	seen := make(map[string]bool, len(events))
+	var out []string
+	for _, ev := range events {
+		if w := id(ev); !seen[w] {
+			seen[w] = true
+			out = append(out, w)
+		}
+	}
+	return out
 }
 
 // signatureLocked hashes the (id, quality, cost) triples of the given

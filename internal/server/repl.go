@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -54,12 +55,12 @@ const (
 
 // Stream request bounds.
 const (
-	defaultStreamWait     = 10 * time.Second
-	maxStreamWait         = 60 * time.Second
+	defaultStreamWait = 10 * time.Second
+	maxStreamWait     = 60 * time.Second
 	// streamWaitSlice chunks the long poll so a vanished follower (closed
 	// request context) releases its handler quickly instead of pinning
 	// graceful shutdown for the full wait.
-	streamWaitSlice = 250 * time.Millisecond
+	streamWaitSlice       = 250 * time.Millisecond
 	defaultStreamMaxBytes = 1 << 20
 	maxStreamMaxBytes     = 8 << 20
 )
@@ -205,23 +206,24 @@ func (s *Server) ApplyReplicated(lsn wal.LSN, payload []byte) error {
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return fmt.Errorf("server: replicated record at lsn %d: %w", lsn, err)
 	}
-	defer s.mutationGuard()()
+	// The shipped record is journaled verbatim and applied only once it
+	// is durable, under the freeze like any mutation; the apply is replay,
+	// which never takes the freeze itself.
+	p.freeze.RLock()
+	defer p.freeze.RUnlock()
 	if next := p.log.NextLSN(); lsn != next {
 		return fmt.Errorf("server: replication gap: shipped lsn %d, local log expects %d", lsn, next)
 	}
-	pend, err := p.log.Begin(payload)
+	ctx := context.TODO() // the stream loop carries no request trace
+	pend, err := p.append(ctx, payload)
 	if err != nil {
-		s.metrics.WALError()
-		s.enterDegraded(err)
-		return fmt.Errorf("%w: %w", ErrDegraded, err)
+		return err
 	}
 	if got := pend.LSN(); got != lsn {
 		return fmt.Errorf("server: replication lsn skew: reserved %d, want %d", got, lsn)
 	}
-	if err := pend.Wait(); err != nil {
-		s.metrics.WALError()
-		s.enterDegraded(err)
-		return fmt.Errorf("%w: %w", ErrDegraded, err)
+	if err := p.wait(ctx, pend); err != nil {
+		return err
 	}
 	if err := s.applyRecord(&rec); err != nil {
 		// The record is in the local log but not in memory: terminal
@@ -440,15 +442,11 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 			ErrorResponse{Error: "server: replication requires a durable primary (start it with -data-dir)"})
 		return
 	}
-	p.freeze.Lock()
-	state := s.captureState()
-	upTo := p.log.NextLSN() - 1
-	p.freeze.Unlock()
-	if err := p.log.WaitDurable(); err != nil {
-		// The captured state may include applied-but-unsynced records
-		// (group commit); shipping it would violate the durable-prefix
-		// invariant, so a poisoned primary refuses bootstraps.
-		writeError(w, r, fmt.Errorf("%w: %w", ErrDegraded, err))
+	state, upTo, err := s.captureDurable()
+	if err != nil {
+		// A follower must never receive a record a primary power loss
+		// could revoke, so a poisoned primary refuses bootstraps.
+		writeError(w, r, err)
 		return
 	}
 	if upTo == 0 {

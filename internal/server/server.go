@@ -518,7 +518,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, errors.New("server: no workers in request"))
 		return
 	}
-	defer s.mutationGuard()()
 	sig, err := s.registry.Register(r.Context(), req.Workers, s.cfg.PriorStrength)
 	if err != nil {
 		writeError(w, r, err)
@@ -557,7 +556,6 @@ func (s *Server) handleUpdateWorker(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec.ID = id
-	defer s.mutationGuard()()
 	info, err := s.registry.Update(r.Context(), spec, s.cfg.PriorStrength)
 	if err != nil {
 		writeError(w, r, err)
@@ -567,7 +565,6 @@ func (s *Server) handleUpdateWorker(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRemoveWorker(w http.ResponseWriter, r *http.Request) {
-	defer s.mutationGuard()()
 	if err := s.registry.Remove(r.Context(), r.PathValue("id")); err != nil {
 		writeError(w, r, err)
 		return
@@ -608,7 +605,6 @@ func idempotencyKey(r *http.Request) string {
 }
 
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request, events []VoteEvent, key string) {
-	defer s.mutationGuard()()
 	updated, sig, dup, err := s.registry.IngestKeyed(r.Context(), events, key)
 	if err != nil {
 		writeError(w, r, err)
@@ -773,7 +769,6 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	if req.Alpha != nil {
 		alpha = *req.Alpha
 	}
-	defer s.mutationGuard()()
 	state, err := s.sessions.Open(r.Context(), online.Config{
 		Alpha:      alpha,
 		Confidence: req.Confidence,
@@ -813,7 +808,6 @@ func (s *Server) handleSessionVote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	defer s.mutationGuard()()
 	state, err := s.sessions.Observe(r.Context(), id, info.Quality, info.Cost, req.Vote)
 	if errors.Is(err, online.ErrOverBudget) {
 		// The vote does not fit. If no registered worker fits the
@@ -841,7 +835,6 @@ func (s *Server) handleSessionVote(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
-	defer s.mutationGuard()()
 	if err := s.sessions.Close(r.Context(), r.PathValue("id")); err != nil {
 		writeError(w, r, err)
 		return
@@ -858,7 +851,6 @@ func (s *Server) Preload(specs []WorkerSpec) error {
 	if len(specs) == 0 {
 		return nil
 	}
-	defer s.mutationGuard()()
 	_, err := s.registry.Register(context.Background(), specs, s.cfg.PriorStrength)
 	return err
 }

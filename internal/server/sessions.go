@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/voting"
 )
@@ -35,13 +34,8 @@ type sessionStore struct {
 	cap  int
 	now  func() time.Time // injectable clock for tests
 	live map[string]*liveSession
-	// journal, when set, reserves a WAL record for every session mutation
-	// under the lock that orders it, after validation but before the
-	// mutation is applied; the returned commit blocks until the record is
-	// durable and must run after that lock is released (see
-	// Registry.journal for the contract; the context carries the request
-	// trace).
-	journal func(context.Context, *Record) (func() error, error)
+	// j journals every session mutation (nil: in memory only).
+	j *journal
 }
 
 type liveSession struct {
@@ -69,49 +63,31 @@ func newSessionStore() *sessionStore {
 
 // Open starts a session and returns its id and initial state.
 func (st *sessionStore) Open(ctx context.Context, cfg online.Config) (SessionState, error) {
-	sess, err := online.NewSession(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return SessionState{}, err
 	}
-	state, commits, err := func() (SessionState, []func() error, error) {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		var commits []func() error
+	var state SessionState
+	err := st.j.mutate(ctx, &st.mu, func(tx *txn) error {
 		if len(st.live) >= st.cap {
-			reapCommit, err := st.reapLocked(ctx)
-			if err != nil {
-				return SessionState{}, nil, err
+			if err := st.reapLocked(tx); err != nil {
+				return err
 			}
-			commits = append(commits, reapCommit)
 		}
 		if len(st.live) >= st.cap {
 			// The reap (if any) is already journaled; its commit still
-			// runs below even though the open itself fails.
-			return SessionState{}, commits, fmt.Errorf("server: session limit (%d) reached", st.cap)
+			// runs even though the open itself fails.
+			return fmt.Errorf("server: session limit (%d) reached", st.cap)
 		}
 		n := st.next + 1
 		id := "s" + strconv.FormatUint(n, 10)
-		commit := commitNoop
-		if st.journal != nil {
-			cfgCopy := cfg
-			var err error
-			commit, err = st.journal(ctx, &Record{T: RecSessionOpen, Session: &SessionRecord{
-				ID: id, Next: n, Config: &cfgCopy,
-			}})
-			if err != nil {
-				return SessionState{}, commits, err
-			}
+		cfgCopy := cfg
+		rec := &Record{T: RecSessionOpen, Session: &SessionRecord{ID: id, Next: n, Config: &cfgCopy}}
+		if err := tx.run(rec, st.prepareLocked); err != nil {
+			return err
 		}
-		st.next = n
-		ls := &liveSession{id: id, sess: sess, lastTouch: st.now()}
-		st.live[id] = ls
-		return sessionState(id, sess.State()), append(commits, commit), nil
-	}()
-	for _, commit := range commits {
-		if cerr := commit(); cerr != nil {
-			return SessionState{}, cerr
-		}
-	}
+		state = sessionState(id, st.live[id].sess.State())
+		return nil
+	})
 	if err != nil {
 		return SessionState{}, err
 	}
@@ -126,11 +102,10 @@ func (st *sessionStore) Open(ctx context.Context, cfg online.Config) (SessionSta
 // session's lock is held from the liveness check through the journal
 // reservation and the closed-mark, so no concurrent voter can slip a
 // vote record behind the reap record (see liveSession.closed). Callers
-// hold st.mu, run the returned commit after releasing it, and hold
-// several ls.mu at once safely because reap and Close (the only
-// deletion paths) are serialized by st.mu, and voters never hold more
-// than one.
-func (st *sessionStore) reapLocked(ctx context.Context) (func() error, error) {
+// hold st.mu, and hold several ls.mu at once safely because reap and
+// Close (the only deletion paths) are serialized by st.mu, and voters
+// never hold more than one.
+func (st *sessionStore) reapLocked(tx *txn) error {
 	cutoff := st.now().Add(-sessionIdleTTL)
 	var dead []*liveSession
 	for _, ls := range st.live {
@@ -141,31 +116,26 @@ func (st *sessionStore) reapLocked(ctx context.Context) (func() error, error) {
 			ls.mu.Unlock()
 		}
 	}
+	defer func() {
+		for _, ls := range dead {
+			ls.mu.Unlock()
+		}
+	}()
 	if len(dead) == 0 {
-		return commitNoop, nil
+		return nil
 	}
 	sort.Slice(dead, func(i, j int) bool { return sessionIDLess(dead[i].id, dead[j].id) })
 	ids := make([]string, len(dead))
 	for i, ls := range dead {
 		ids[i] = ls.id
 	}
-	commit := commitNoop
-	if st.journal != nil {
-		var err error
-		commit, err = st.journal(ctx, &Record{T: RecSessionReap, Session: &SessionRecord{Reaped: ids}})
-		if err != nil {
-			for _, ls := range dead {
-				ls.mu.Unlock()
-			}
-			return nil, err
-		}
+	if err := tx.run(&Record{T: RecSessionReap, Session: &SessionRecord{Reaped: ids}}, st.prepareLocked); err != nil {
+		return err
 	}
 	for _, ls := range dead {
 		ls.closed = true
-		ls.mu.Unlock()
-		delete(st.live, ls.id)
 	}
-	return commit, nil
+	return nil
 }
 
 // Get returns a session's current state.
@@ -184,47 +154,13 @@ func (st *sessionStore) Get(id string) (SessionState, error) {
 }
 
 // Observe feeds one vote (weighted by the worker's quality and cost) into
-// a session.
+// a session. The worker's quality and cost at ingest time travel in the
+// record, so replaying the vote is exact whatever the registry looked
+// like.
 func (st *sessionStore) Observe(ctx context.Context, id string, quality, cost float64, v voting.Vote) (SessionState, error) {
-	ls, err := st.lookup(id)
-	if err != nil {
-		return SessionState{}, err
-	}
-	state, commit, err := func() (SessionState, func() error, error) {
-		ls.mu.Lock()
-		defer ls.mu.Unlock()
-		if ls.closed {
-			return SessionState{}, nil, fmt.Errorf("%w: %q", ErrSessionUnknown, id)
-		}
-		ls.lastTouch = st.now()
-		if err := ls.sess.Check(quality, cost); err != nil {
-			return sessionState(id, ls.sess.State()), nil, err
-		}
-		commit := commitNoop
-		if st.journal != nil {
-			// The worker's quality and cost at ingest time travel in the
-			// record, so replaying the vote is exact whatever the registry
-			// looked like.
-			var err error
-			commit, err = st.journal(ctx, &Record{T: RecSessionVote, Session: &SessionRecord{
-				ID: id, Quality: quality, Cost: cost, Vote: int(v),
-			}})
-			if err != nil {
-				return sessionState(id, ls.sess.State()), nil, err
-			}
-		}
-		applySpan := obs.TraceFrom(ctx).Begin(obs.StageApply)
-		state, err := ls.sess.Observe(quality, cost, v)
-		applySpan.End()
-		return sessionState(id, state), commit, err
-	}()
-	if err != nil {
-		return state, err
-	}
-	if err := commit(); err != nil {
-		return state, err
-	}
-	return state, nil
+	return st.mutateSession(ctx, id, &Record{T: RecSessionVote, Session: &SessionRecord{
+		ID: id, Quality: quality, Cost: cost, Vote: int(v),
+	}})
 }
 
 // BudgetRemaining returns how much of the session's budget is unspent,
@@ -248,33 +184,28 @@ func (st *sessionStore) BudgetRemaining(id string) (float64, bool, error) {
 
 // MarkBudgetExhausted finalizes a session with the "budget" stop reason.
 func (st *sessionStore) MarkBudgetExhausted(ctx context.Context, id string) (SessionState, error) {
+	return st.mutateSession(ctx, id, &Record{T: RecSessionBudget, Session: &SessionRecord{ID: id}})
+}
+
+// mutateSession journals and applies one vote or budget-stop record
+// under the session's own lock, returning the session's state after it
+// (also when the record is refused).
+func (st *sessionStore) mutateSession(ctx context.Context, id string, rec *Record) (SessionState, error) {
 	ls, err := st.lookup(id)
 	if err != nil {
 		return SessionState{}, err
 	}
-	state, commit, err := func() (SessionState, func() error, error) {
-		ls.mu.Lock()
-		defer ls.mu.Unlock()
+	var state SessionState
+	err = st.j.mutate(ctx, &ls.mu, func(tx *txn) error {
 		if ls.closed {
-			return SessionState{}, nil, fmt.Errorf("%w: %q", ErrSessionUnknown, id)
+			return fmt.Errorf("%w: %q", ErrSessionUnknown, id)
 		}
-		commit := commitNoop
-		if !ls.sess.State().Done && st.journal != nil {
-			var err error
-			commit, err = st.journal(ctx, &Record{T: RecSessionBudget, Session: &SessionRecord{ID: id}})
-			if err != nil {
-				return sessionState(id, ls.sess.State()), nil, err
-			}
-		}
-		return sessionState(id, ls.sess.MarkBudgetExhausted()), commit, nil
-	}()
-	if err != nil {
-		return state, err
-	}
-	if err := commit(); err != nil {
-		return state, err
-	}
-	return state, nil
+		ls.lastTouch = st.now()
+		err := tx.run(rec, ls.prepareLocked)
+		state = sessionState(id, ls.sess.State())
+		return err
+	})
+	return state, err
 }
 
 // Close removes a session. The close record is journaled while holding
@@ -282,32 +213,20 @@ func (st *sessionStore) MarkBudgetExhausted(ctx context.Context, id string) (Ses
 // vote record before the close record (and replay applies both, in
 // order) or observes the closed mark and journals nothing.
 func (st *sessionStore) Close(ctx context.Context, id string) error {
-	commit, err := func() (func() error, error) {
-		st.mu.Lock()
-		defer st.mu.Unlock()
+	rec := &Record{T: RecSessionClose, Session: &SessionRecord{ID: id}}
+	return st.j.mutate(ctx, &st.mu, func(tx *txn) error {
 		ls, ok := st.live[id]
 		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrSessionUnknown, id)
+			return fmt.Errorf("%w: %q", ErrSessionUnknown, id)
 		}
 		ls.mu.Lock()
-		commit := commitNoop
-		if st.journal != nil {
-			var err error
-			commit, err = st.journal(ctx, &Record{T: RecSessionClose, Session: &SessionRecord{ID: id}})
-			if err != nil {
-				ls.mu.Unlock()
-				return nil, err
-			}
+		defer ls.mu.Unlock()
+		if err := tx.run(rec, st.prepareLocked); err != nil {
+			return err
 		}
 		ls.closed = true
-		ls.mu.Unlock()
-		delete(st.live, id)
-		return commit, nil
-	}()
-	if err != nil {
-		return err
-	}
-	return commit()
+		return nil
+	})
 }
 
 // Len returns the number of live sessions.
@@ -331,66 +250,79 @@ func (st *sessionStore) lookup(id string) (*liveSession, error) {
 // the recovery path. Replay bypasses the session cap and the reaper:
 // which sessions exist is decided by the log, not remade from the clock.
 func (st *sessionStore) Apply(rec *Record) error {
-	sr := rec.Session
-	if sr == nil {
+	if rec.Session == nil {
 		return fmt.Errorf("server: %s record without session payload", rec.T)
 	}
+	if rec.T != RecSessionVote && rec.T != RecSessionBudget {
+		return replay(&st.mu, rec, st.prepareLocked)
+	}
+	ls, err := st.lookup(rec.Session.ID)
+	if err != nil {
+		return err
+	}
+	return replay(&ls.mu, rec, ls.prepareLocked)
+}
+
+// prepareLocked validates a session open, close or reap record and
+// returns the step that applies it — shared by the live path and replay.
+// Callers hold st.mu. The live-only policy (the cap, the reaper's
+// choice, the closed marks) stays with the live mutators.
+func (st *sessionStore) prepareLocked(rec *Record) (func(), error) {
+	sr := rec.Session
 	switch rec.T {
 	case RecSessionOpen:
 		if sr.Config == nil {
-			return fmt.Errorf("server: session-open record without config")
+			return nil, fmt.Errorf("server: session-open record without config")
 		}
 		sess, err := online.NewSession(*sr.Config)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		st.mu.Lock()
-		defer st.mu.Unlock()
 		if _, ok := st.live[sr.ID]; ok {
-			return fmt.Errorf("server: replayed duplicate session %q", sr.ID)
+			return nil, fmt.Errorf("server: duplicate session %q", sr.ID)
 		}
-		if sr.Next > st.next {
-			st.next = sr.Next
+		return func() {
+			st.next = max(st.next, sr.Next)
+			st.live[sr.ID] = &liveSession{id: sr.ID, sess: sess, lastTouch: st.now()}
+		}, nil
+	case RecSessionClose, RecSessionReap:
+		ids := sr.Reaped
+		if rec.T == RecSessionClose {
+			ids = []string{sr.ID}
 		}
-		st.live[sr.ID] = &liveSession{id: sr.ID, sess: sess, lastTouch: st.now()}
-	case RecSessionVote:
-		ls, err := st.lookup(sr.ID)
-		if err != nil {
-			return err
-		}
-		ls.mu.Lock()
-		defer ls.mu.Unlock()
-		if _, err := ls.sess.Observe(sr.Quality, sr.Cost, voting.Vote(sr.Vote)); err != nil {
-			return fmt.Errorf("server: replay vote on %q: %w", sr.ID, err)
-		}
-	case RecSessionBudget:
-		ls, err := st.lookup(sr.ID)
-		if err != nil {
-			return err
-		}
-		ls.mu.Lock()
-		defer ls.mu.Unlock()
-		ls.sess.MarkBudgetExhausted()
-	case RecSessionClose:
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if _, ok := st.live[sr.ID]; !ok {
-			return fmt.Errorf("%w: %q", ErrSessionUnknown, sr.ID)
-		}
-		delete(st.live, sr.ID)
-	case RecSessionReap:
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		for _, id := range sr.Reaped {
+		for _, id := range ids {
 			if _, ok := st.live[id]; !ok {
-				return fmt.Errorf("%w: reaped %q", ErrSessionUnknown, id)
+				return nil, fmt.Errorf("%w: %q", ErrSessionUnknown, id)
 			}
-			delete(st.live, id)
 		}
-	default:
-		return fmt.Errorf("server: record type %q is not a session record", rec.T)
+		return func() {
+			for _, id := range ids {
+				delete(st.live, id)
+			}
+		}, nil
 	}
-	return nil
+	return nil, fmt.Errorf("server: record type %q is not a session record", rec.T)
+}
+
+// prepareLocked validates a vote or budget-stop record against the
+// session and returns the step that applies it. Callers hold ls.mu.
+func (ls *liveSession) prepareLocked(rec *Record) (func(), error) {
+	sr := rec.Session
+	switch rec.T {
+	case RecSessionVote:
+		if err := ls.sess.Check(sr.Quality, sr.Cost); err != nil {
+			return nil, err
+		}
+		return func() {
+			_, _ = ls.sess.Observe(sr.Quality, sr.Cost, voting.Vote(sr.Vote)) // Check admitted it
+		}, nil
+	case RecSessionBudget:
+		if ls.sess.State().Done {
+			return nil, nil // already stopped: nothing to journal
+		}
+		return func() { ls.sess.MarkBudgetExhausted() }, nil
+	}
+	return nil, fmt.Errorf("server: record type %q is not a session record", rec.T)
 }
 
 // persistState serializes the live sessions for a snapshot, ordered by

@@ -288,3 +288,35 @@ func TestChaosGroupCommitConcurrentLoadRecovers(t *testing.T) {
 		t.Fatalf("recovered %d votes, want the %d acked", w.Votes, acked)
 	}
 }
+
+// TestChaosGroupCommitSnapshotWhileDegraded: under group commit a refused
+// ingest is applied in memory before its flush fails, so a snapshot taken
+// afterwards would cover an LSN the power loss dropped. The snapshot must
+// be refused with ErrDegraded (and counted), and recovery must land on
+// exactly the acked prefix instead of failing on a snapshot that runs
+// past the end of the log.
+func TestChaosGroupCommitSnapshotWhileDegraded(t *testing.T) {
+	dir := t.TempDir()
+	env, _ := StartFaulty(t, groupConfig(dir), errfs.Fault{
+		Op: errfs.OpSync, Path: "wal-", After: 1, Times: 1, DropUnsynced: true,
+	})
+	register := Register(
+		serve.WorkerSpec{ID: "ann", Quality: 0.9, Cost: 4},
+		serve.WorkerSpec{ID: "bob", Quality: 0.7, Cost: 2},
+	)
+	script := []Step{register, Ingest(serve.VoteEvent{WorkerID: "ann", Correct: true})}
+	if acked := env.DriveToFailure(script); acked != 1 {
+		t.Fatalf("acked %d steps, want 1 (the registration)", acked)
+	}
+	if err := env.Srv.SnapshotNow(); !errors.Is(err, server.ErrDegraded) {
+		t.Errorf("SnapshotNow on a degraded server = %v, want ErrDegraded", err)
+	}
+	if got := env.Srv.Metrics().SnapshotErrors(); got != 1 {
+		t.Errorf("snapshot errors = %d, want 1", got)
+	}
+	env.CrashDirty()
+
+	recovered := Start(t, BaseConfig(dir))
+	reference := Reference(t, BaseConfig(dir), script, 1)
+	AssertSameState(t, reference, recovered)
+}
