@@ -67,7 +67,7 @@ func run(args []string, out io.Writer) error {
 			"send mutations (pool registration, vote ingests) to this primary URL while -load names a read-only follower serving the measured selects")
 		chaosFailover = fs.Bool("chaos-failover", false,
 			"self-host a primary plus two followers, kill the primary mid-run, promote a follower, and report the client-observed recovery time")
-		benchOut     = fs.String("bench-out", "",
+		benchOut = fs.String("bench-out", "",
 			"write the load phase's baseline report to this JSON file (empty = stdout)")
 		validate = fs.String("validate", "",
 			"validate an existing juryd-bench JSON document and exit")

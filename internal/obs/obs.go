@@ -1,8 +1,9 @@
 // Package obs is the observability layer behind the juryd daemon:
 // per-request traces with stage-level span timings, a lock-free bounded
 // ring buffer of recent traces, a small board of the slowest requests
-// seen, and per-stage latency histograms rendered in Prometheus text
-// exposition format.
+// seen, and the lock-free Histogram type behind every histogram on
+// /metrics (per-stage and per-route latencies, WAL batch sizes),
+// rendered in Prometheus text exposition format.
 //
 // Design constraints, in order:
 //
@@ -37,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand/v2"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -285,40 +287,101 @@ func (t *Trace) snapshot() TraceSnapshot {
 // than whole requests (a cache probe is nanoseconds, an fsync is
 // hundreds of microseconds to milliseconds, an annealing search tens of
 // milliseconds). Observations above the last bound land in +Inf.
-var StageBuckets = [...]float64{
+var StageBuckets = []float64{
 	0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1,
 }
 
-// hist is one lock-free latency histogram: per-bucket atomic counters
-// (the last slot is +Inf) plus an atomic nanosecond sum.
-type hist struct {
-	counts   [len(StageBuckets) + 1]atomic.Uint64
-	sumNanos atomic.Int64
+// Histogram is the one histogram type behind /metrics: a lock-free
+// count per fixed upper bound (plus the +Inf overflow) and an integer
+// sum. A latency histogram (NewLatencyHistogram) sums nanoseconds and
+// renders bounds and sum in seconds; a plain one (NewHistogram) counts
+// integer observations such as records per WAL flush.
+type Histogram struct {
+	bounds  []float64
+	seconds bool            // latency histogram: sum is nanoseconds, rendered in seconds
+	counts  []atomic.Uint64 // per bound, the last slot +Inf
+	sum     atomic.Int64
 }
 
-func (h *hist) observe(d time.Duration) {
-	secs := d.Seconds()
-	idx := len(StageBuckets)
-	for i, le := range StageBuckets {
-		if secs <= le {
-			idx = i
-			break
-		}
-	}
-	h.counts[idx].Add(1)
-	h.sumNanos.Add(int64(d))
+// NewHistogram returns a histogram of integer observations over the
+// given ascending upper bounds.
+func NewHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
 }
 
-// snapshot returns the non-cumulative bucket counts, total count and sum
-// in seconds.
-func (h *hist) snapshot() (buckets [len(StageBuckets) + 1]uint64, count uint64, sum float64) {
+// NewLatencyHistogram returns a histogram of durations over the given
+// ascending upper bounds in seconds.
+func NewLatencyHistogram(bounds []float64) *Histogram {
+	h := NewHistogram(bounds)
+	h.seconds = true
+	return h
+}
+
+// Observe records one integer observation.
+func (h *Histogram) Observe(n int64) { h.observe(float64(n), n) }
+
+// ObserveDuration records one duration in a latency histogram.
+func (h *Histogram) ObserveDuration(d time.Duration) { h.observe(d.Seconds(), int64(d)) }
+
+// observe counts v in the first bucket whose bound is >= v and adds
+// sum to the running total.
+func (h *Histogram) observe(v float64, sum int64) {
+	i, _ := slices.BinarySearch(h.bounds, v)
+	h.counts[i].Add(1)
+	h.sum.Add(sum)
+}
+
+// HistogramSnapshot is one read of a Histogram: every bucket loaded
+// exactly once and Count derived from those loads, so its rendering is
+// internally consistent however many observations race the read.
+type HistogramSnapshot struct {
+	h      *Histogram
+	counts []uint64
+	sum    int64
+	Count  uint64
+}
+
+// Snapshot reads the histogram.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	s := HistogramSnapshot{h: h, counts: make([]uint64, len(h.counts))}
 	for i := range h.counts {
-		buckets[i] = h.counts[i].Load()
-		count += buckets[i]
+		s.counts[i] = h.counts[i].Load()
+		s.Count += s.counts[i]
 	}
-	return buckets, count, time.Duration(h.sumNanos.Load()).Seconds()
+	s.sum = h.sum.Load()
+	return s
+}
+
+// WriteText renders the snapshot as one Prometheus histogram series with
+// cumulative buckets; labels is "" or `k="v"` pairs placed before le. An
+// empty snapshot renders nothing, so the exposition carries no dead
+// series.
+func (s HistogramSnapshot) WriteText(w io.Writer, name, labels string) {
+	if s.Count == 0 {
+		return
+	}
+	sep := ""
+	if labels != "" {
+		sep = ","
+	}
+	var cum uint64
+	for i, le := range s.h.bounds {
+		cum += s.counts[i]
+		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep,
+			strconv.FormatFloat(le, 'g', -1, 64), cum)
+	}
+	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.Count)
+	if labels != "" {
+		labels = "{" + labels + "}"
+	}
+	if s.h.seconds {
+		fmt.Fprintf(w, "%s_sum%s %g\n", name, labels, time.Duration(s.sum).Seconds())
+	} else {
+		fmt.Fprintf(w, "%s_sum%s %d\n", name, labels, s.sum)
+	}
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, s.Count)
 }
 
 // DefaultRingSize is the trace ring capacity when NewRecorder is given 0.
@@ -334,7 +397,7 @@ type Recorder struct {
 	ring []atomic.Pointer[Trace]
 	next atomic.Uint64 // total finished traces; next.Add(1)-1 is the slot index
 
-	stages [numStages]hist
+	stages [numStages]*Histogram
 
 	// The slow board: the slowCap slowest finished traces, gated by an
 	// atomic threshold so the common case (not slow) never locks.
@@ -350,7 +413,11 @@ func NewRecorder(size int) *Recorder {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	return &Recorder{ring: make([]atomic.Pointer[Trace], size)}
+	r := &Recorder{ring: make([]atomic.Pointer[Trace], size)}
+	for i := range r.stages {
+		r.stages[i] = NewLatencyHistogram(StageBuckets)
+	}
+	return r
 }
 
 // Finish seals the trace with its response status, publishes it into
@@ -368,7 +435,7 @@ func (r *Recorder) Finish(t *Trace, status int) {
 	spans := t.spans // sealed: no writer appends once done is set
 	t.mu.Unlock()
 	for _, sp := range spans {
-		r.stages[sp.Stage].observe(sp.Dur)
+		r.stages[sp.Stage].ObserveDuration(sp.Dur)
 	}
 	slot := (r.next.Add(1) - 1) % uint64(len(r.ring))
 	r.ring[slot].Store(t)
@@ -455,40 +522,10 @@ func (r *Recorder) WriteMetrics(w io.Writer) {
 	if r == nil {
 		return
 	}
-	for s := Stage(0); s < numStages; s++ {
-		buckets, count, sum := r.stages[s].snapshot()
-		if count == 0 {
-			continue
-		}
-		writeHist(w, "juryd_stage_duration_seconds",
-			fmt.Sprintf("stage=%q", s.String()), buckets, count, sum)
+	for s, h := range r.stages {
+		h.Snapshot().WriteText(w, "juryd_stage_duration_seconds", fmt.Sprintf("stage=%q", Stage(s).String()))
 	}
-	if buckets, count, sum := r.stages[StageWALFsync].snapshot(); count > 0 {
-		writeHist(w, "juryd_wal_fsync_seconds", "", buckets, count, sum)
-	}
-}
-
-// writeHist renders one histogram family with cumulative buckets.
-func writeHist(w io.Writer, name, labels string, buckets [len(StageBuckets) + 1]uint64, count uint64, sum float64) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	var cum uint64
-	for i, le := range StageBuckets {
-		cum += buckets[i]
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep,
-			strconv.FormatFloat(le, 'g', -1, 64), cum)
-	}
-	cum += buckets[len(StageBuckets)]
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, sum)
-		fmt.Fprintf(w, "%s_count %d\n", name, count)
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, sum)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, count)
-	}
+	r.stages[StageWALFsync].Snapshot().WriteText(w, "juryd_wal_fsync_seconds", "")
 }
 
 // ---------------------------------------------------------------------------

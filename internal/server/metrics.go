@@ -6,10 +6,10 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // LatencyBuckets are the upper bounds (seconds) of the per-route request
@@ -24,11 +24,13 @@ var LatencyBuckets = []float64{
 
 // Metrics collects the daemon's operational counters. All methods are safe
 // for concurrent use; rendering is Prometheus-style text exposition so the
-// /metrics endpoint can be scraped or eyeballed with curl.
+// /metrics endpoint can be scraped or eyeballed with curl. Every histogram
+// is an obs.Histogram, rendered by its one renderer.
 type Metrics struct {
-	mu     sync.Mutex
-	routes map[string]*routeMetrics // per-route counters and histograms
-	errors uint64                   // non-2xx replies
+	// routes holds one entry per route pattern, added while the server
+	// registers its routes and read-only once it serves, so recording and
+	// scraping take no lock.
+	routes map[string]*routeStats
 
 	votesIngested    atomic.Uint64
 	selections       atomic.Uint64 // selections computed (cache misses)
@@ -43,63 +45,47 @@ type Metrics struct {
 	quorumTimeouts   atomic.Uint64 // mutations durable locally but unconfirmed by the follower quorum
 	fenceErrors      atomic.Uint64 // fence marker persist failures (fence held in memory only)
 
-	// walBatch is a histogram of records-per-flush under group commit:
-	// bucket i counts flushes with at most walBatchBuckets[i] records,
-	// the last element the overflow; walBatchSum totals the records.
-	walBatch    [len(walBatchBuckets) + 1]atomic.Uint64
-	walBatchSum atomic.Uint64
+	// walBatch counts records per group-commit flush: how many journal
+	// records one fsync absorbed. Powers of two up to 256 cover
+	// everything a sane MaxBatchBytes allows.
+	walBatch *obs.Histogram
 }
 
-// walBatchBuckets are the upper bounds of the juryd_wal_batch_records
-// histogram: how many journal records one fsync absorbed. Powers of two
-// up to 256 cover everything a sane MaxBatchBytes allows.
-var walBatchBuckets = [...]uint64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
-// routeMetrics is one route's completed-request count, its non-2xx
-// count, and its latency histogram: buckets holds non-cumulative counts
-// per LatencyBuckets bound, with the final element the +Inf overflow;
-// sum is total observed seconds.
-type routeMetrics struct {
-	requests uint64
-	errors   uint64
-	buckets  []uint64
-	sum      float64
+// routeStats is one route's latency histogram (whose count is the
+// route's completed requests) and its count of replies with status >= 400.
+type routeStats struct {
+	latency *obs.Histogram
+	errors  atomic.Uint64
 }
 
 // NewMetrics returns zeroed metrics.
 func NewMetrics() *Metrics {
-	return &Metrics{routes: make(map[string]*routeMetrics)}
+	return &Metrics{
+		routes:   make(map[string]*routeStats),
+		walBatch: obs.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
+	}
 }
 
-// Request records one completed request for a route pattern: the
-// counter, the error counter for non-2xx statuses, and the latency
-// histogram observation.
-func (m *Metrics) Request(route string, status int, d time.Duration) {
-	secs := d.Seconds()
-	m.mu.Lock()
-	rm := m.routes[route]
-	if rm == nil {
-		rm = &routeMetrics{buckets: make([]uint64, len(LatencyBuckets)+1)}
-		m.routes[route] = rm
-	}
-	rm.requests++
-	rm.sum += secs
-	idx := len(LatencyBuckets) // +Inf
-	for i, le := range LatencyBuckets {
-		if secs <= le {
-			idx = i
-			break
-		}
-	}
-	rm.buckets[idx]++
+// route registers a route pattern and returns its stats. It is called
+// only while the server is being built, before any request or scrape.
+func (m *Metrics) route(pattern string) *routeStats {
+	rs := &routeStats{latency: obs.NewLatencyHistogram(LatencyBuckets)}
+	m.routes[pattern] = rs
+	return rs
+}
+
+// observe records one completed request: the latency observation and,
+// for a status >= 400, the error count. The error is counted after the
+// observation, so a scrape that reads errors first never shows more
+// errors than requests.
+func (rs *routeStats) observe(status int, d time.Duration) {
+	rs.latency.ObserveDuration(d)
 	if status >= 400 {
-		rm.errors++
-		m.errors++
+		rs.errors.Add(1)
 	}
-	m.mu.Unlock()
 }
 
-// VoteIngested adds n ingested vote events.
+// VotesIngested adds n ingested vote events.
 func (m *Metrics) VotesIngested(n int) { m.votesIngested.Add(uint64(n)) }
 
 // SelectionComputed records one cache-missing selection and its latency.
@@ -136,18 +122,9 @@ func (m *Metrics) FenceError() { m.fenceErrors.Add(1) }
 // WALBatch records one group-commit flush that made n records durable
 // with a single fsync.
 func (m *Metrics) WALBatch(n int) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		m.walBatch.Observe(int64(n))
 	}
-	idx := len(walBatchBuckets) // +Inf
-	for i, le := range walBatchBuckets {
-		if uint64(n) <= le {
-			idx = i
-			break
-		}
-	}
-	m.walBatch[idx].Add(1)
-	m.walBatchSum.Add(uint64(n))
 }
 
 // SnapshotErrors exposes the failed-snapshot counter (for tests and the
@@ -158,49 +135,38 @@ func (m *Metrics) SnapshotErrors() uint64 { return m.snapshotErrors.Load() }
 // in Prometheus text exposition format, including one
 // juryd_request_duration_seconds histogram per route.
 func (m *Metrics) WriteText(w io.Writer, cache CacheStats, poolSize int, generation uint64, multiPools int, degraded bool) {
-	m.mu.Lock()
 	routes := make([]string, 0, len(m.routes))
 	for r := range m.routes {
 		routes = append(routes, r)
 	}
 	sort.Strings(routes)
-	stats := make([]routeMetrics, len(routes))
+	// Errors are read before the histograms (see routeStats.observe).
+	errors := make([]uint64, len(routes))
+	latency := make([]obs.HistogramSnapshot, len(routes))
 	for i, r := range routes {
-		rm := m.routes[r]
-		stats[i] = routeMetrics{
-			requests: rm.requests,
-			errors:   rm.errors,
-			buckets:  append([]uint64(nil), rm.buckets...),
-			sum:      rm.sum,
-		}
+		errors[i] = m.routes[r].errors.Load()
+		latency[i] = m.routes[r].latency.Snapshot()
 	}
-	errs := m.errors
-	m.mu.Unlock()
 
 	for i, r := range routes {
-		fmt.Fprintf(w, "juryd_requests_total{route=%q} %d\n", r, stats[i].requests)
+		if latency[i].Count > 0 {
+			fmt.Fprintf(w, "juryd_requests_total{route=%q} %d\n", r, latency[i].Count)
+		}
 	}
 	for i, r := range routes {
-		var cum uint64
-		for b, le := range LatencyBuckets {
-			cum += stats[i].buckets[b]
-			fmt.Fprintf(w, "juryd_request_duration_seconds_bucket{route=%q,le=%q} %d\n",
-				r, strconv.FormatFloat(le, 'g', -1, 64), cum)
-		}
-		cum += stats[i].buckets[len(LatencyBuckets)]
-		fmt.Fprintf(w, "juryd_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", r, cum)
-		fmt.Fprintf(w, "juryd_request_duration_seconds_sum{route=%q} %g\n", r, stats[i].sum)
-		fmt.Fprintf(w, "juryd_request_duration_seconds_count{route=%q} %d\n", r, cum)
+		latency[i].WriteText(w, "juryd_request_duration_seconds", fmt.Sprintf("route=%q", r))
 	}
 	// Per-route error series first, then the pre-existing global line —
 	// the same family, so scrapes that only knew the unlabeled series
 	// keep working.
+	var errorsTotal uint64
 	for i, r := range routes {
-		if stats[i].errors > 0 {
-			fmt.Fprintf(w, "juryd_request_errors_total{route=%q} %d\n", r, stats[i].errors)
+		if errors[i] > 0 {
+			fmt.Fprintf(w, "juryd_request_errors_total{route=%q} %d\n", r, errors[i])
+			errorsTotal += errors[i]
 		}
 	}
-	fmt.Fprintf(w, "juryd_request_errors_total %d\n", errs)
+	fmt.Fprintf(w, "juryd_request_errors_total %d\n", errorsTotal)
 	fmt.Fprintf(w, "juryd_votes_ingested_total %d\n", m.votesIngested.Load())
 	fmt.Fprintf(w, "juryd_selections_computed_total %d\n", m.selections.Load())
 	fmt.Fprintf(w, "juryd_selection_seconds_total %g\n",
@@ -223,37 +189,12 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats, poolSize int, generat
 	fmt.Fprintf(w, "juryd_wal_errors_total %d\n", m.walErrors.Load())
 	// The batch histogram only appears once group commit has flushed
 	// something, so per-record deployments keep their scrape unchanged.
-	var batchFlushes uint64
-	for i := range m.walBatch {
-		batchFlushes += m.walBatch[i].Load()
-	}
-	if batchFlushes > 0 {
-		var cum uint64
-		for i, le := range walBatchBuckets {
-			cum += m.walBatch[i].Load()
-			fmt.Fprintf(w, "juryd_wal_batch_records_bucket{le=\"%d\"} %d\n", le, cum)
-		}
-		fmt.Fprintf(w, "juryd_wal_batch_records_bucket{le=\"+Inf\"} %d\n", batchFlushes)
-		fmt.Fprintf(w, "juryd_wal_batch_records_sum %d\n", m.walBatchSum.Load())
-		fmt.Fprintf(w, "juryd_wal_batch_records_count %d\n", batchFlushes)
-	}
+	m.walBatch.Snapshot().WriteText(w, "juryd_wal_batch_records", "")
 	fmt.Fprintf(w, "juryd_snapshot_errors_total %d\n", m.snapshotErrors.Load())
 	fmt.Fprintf(w, "juryd_load_shed_total %d\n", m.loadShed.Load())
 	fmt.Fprintf(w, "juryd_ingest_duplicates_total %d\n", m.ingestDuplicates.Load())
 	fmt.Fprintf(w, "juryd_quorum_timeouts_total %d\n", m.quorumTimeouts.Load())
 	fmt.Fprintf(w, "juryd_fence_errors_total %d\n", m.fenceErrors.Load())
-}
-
-// Snapshot returns the counters used by tests.
-func (m *Metrics) Snapshot() (requests map[string]uint64, errors, votes, selections uint64) {
-	m.mu.Lock()
-	requests = make(map[string]uint64, len(m.routes))
-	for r, rm := range m.routes {
-		requests[r] = rm.requests
-	}
-	errors = m.errors
-	m.mu.Unlock()
-	return requests, errors, m.votesIngested.Load(), m.selections.Load()
 }
 
 // writeRuntimeMetrics renders process-level gauges: build identity,

@@ -141,6 +141,16 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		seen[key] = true
 	}
 
+	for _, e := range histogramViolations(samples) {
+		t.Error(e)
+	}
+}
+
+// histogramViolations checks every histogram in one scrape: it has a
+// +Inf bucket, its cumulative buckets never decrease, and its _count
+// equals the +Inf bucket. It returns one message per violation, and
+// one for a scrape that carries no histogram at all.
+func histogramViolations(samples []metricSample) []string {
 	// Group histogram buckets by (base name, non-le labels).
 	type histKey struct{ name, labels string }
 	buckets := make(map[histKey][]struct {
@@ -148,6 +158,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		count float64
 	})
 	counts := make(map[histKey]float64)
+	var errs []string
 	for _, s := range samples {
 		if strings.HasSuffix(s.name, "_bucket") {
 			base := strings.TrimSuffix(s.name, "_bucket")
@@ -158,11 +169,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 					v = strings.TrimSuffix(v, `"`)
 					if v == "+Inf" {
 						le = math.Inf(1)
-					} else {
-						f, err := strconv.ParseFloat(v, 64)
-						if err != nil {
-							t.Fatalf("bad le label %q: %v", p, err)
-						}
+					} else if f, err := strconv.ParseFloat(v, 64); err == nil {
 						le = f
 					}
 				} else if p != "" {
@@ -170,7 +177,8 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 				}
 			}
 			if math.IsNaN(le) {
-				t.Fatalf("bucket series %s{%s} has no le label", s.name, s.labels)
+				errs = append(errs, fmt.Sprintf("bucket series %s{%s} has no valid le label", s.name, s.labels))
+				continue
 			}
 			k := histKey{base, strings.Join(rest, ",")}
 			buckets[k] = append(buckets[k], struct{ le, count float64 }{le, s.value})
@@ -180,29 +188,30 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		}
 	}
 	if len(buckets) == 0 {
-		t.Fatal("no histogram buckets found on /metrics")
+		return append(errs, "no histogram buckets found on /metrics")
 	}
 	for k, bs := range buckets {
 		sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
 		if !math.IsInf(bs[len(bs)-1].le, 1) {
-			t.Errorf("%s{%s}: missing +Inf bucket", k.name, k.labels)
+			errs = append(errs, fmt.Sprintf("%s{%s}: missing +Inf bucket", k.name, k.labels))
 			continue
 		}
 		prev := -1.0
 		for _, b := range bs {
 			if b.count < prev {
-				t.Errorf("%s{%s}: bucket le=%g count %g < previous %g (not cumulative)",
-					k.name, k.labels, b.le, b.count, prev)
+				errs = append(errs, fmt.Sprintf("%s{%s}: bucket le=%g count %g < previous %g (not cumulative)",
+					k.name, k.labels, b.le, b.count, prev))
 			}
 			prev = b.count
 		}
 		c, ok := counts[k]
 		if !ok {
-			t.Errorf("%s{%s}: histogram has buckets but no _count series", k.name, k.labels)
+			errs = append(errs, fmt.Sprintf("%s{%s}: histogram has buckets but no _count series", k.name, k.labels))
 		} else if c != bs[len(bs)-1].count {
-			t.Errorf("%s{%s}: _count %g != +Inf bucket %g", k.name, k.labels, c, bs[len(bs)-1].count)
+			errs = append(errs, fmt.Sprintf("%s{%s}: _count %g != +Inf bucket %g", k.name, k.labels, c, bs[len(bs)-1].count))
 		}
 	}
+	return errs
 }
 
 // TestMetricsPerRouteErrorsAndRuntime covers the satellite additions: the
@@ -220,6 +229,28 @@ func TestMetricsPerRouteErrorsAndRuntime(t *testing.T) {
 	}
 	if v, ok := byKey["juryd_request_errors_total{}"]; !ok || v < 1 {
 		t.Errorf("global juryd_request_errors_total missing or zero: got %v ok=%v", v, ok)
+	}
+	// The request and error counters are derived from the per-route
+	// histograms and error counts, so they must agree on every scrape.
+	var routes int
+	var labeledErrors float64
+	for _, s := range samples {
+		switch {
+		case s.name == "juryd_requests_total":
+			routes++
+			if c, ok := byKey["juryd_request_duration_seconds_count{"+s.labels+"}"]; !ok || c != s.value {
+				t.Errorf("juryd_requests_total{%s} = %g, but its juryd_request_duration_seconds_count = %g (present %v)",
+					s.labels, s.value, c, ok)
+			}
+		case s.name == "juryd_request_errors_total" && s.labels != "":
+			labeledErrors += s.value
+		}
+	}
+	if routes == 0 {
+		t.Error("no juryd_requests_total series on /metrics")
+	}
+	if v := byKey["juryd_request_errors_total{}"]; v != labeledErrors {
+		t.Errorf("juryd_request_errors_total = %g, want the sum of the per-route series %g", v, labeledErrors)
 	}
 
 	wantPresent := []string{

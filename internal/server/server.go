@@ -296,6 +296,7 @@ const timeoutBody = `{"error":"server: request deadline exceeded"}`
 // and refused requests are counted like any other response.
 func (s *Server) route(pattern string, kind routeKind, h func(http.ResponseWriter, *http.Request)) {
 	s.routes = append(s.routes, pattern)
+	stats := s.metrics.route(pattern)
 	inner := h
 	if kind == routeMut {
 		inner = func(w http.ResponseWriter, r *http.Request) {
@@ -337,21 +338,21 @@ func (s *Server) route(pattern string, kind routeKind, h func(http.ResponseWrite
 				sw.Header().Set("Retry-After", "1")
 				writeJSON(sw, r, http.StatusTooManyRequests,
 					ErrorResponse{Error: "server: overloaded: in-flight request limit reached"})
-				s.finishRequest(pattern, id, tr, sw.status, start)
+				s.finishRequest(stats, pattern, id, tr, sw.status, start)
 				return
 			}
 		}
 		handler.ServeHTTP(sw, r)
-		s.finishRequest(pattern, id, tr, sw.status, start)
+		s.finishRequest(stats, pattern, id, tr, sw.status, start)
 	})
 }
 
 // finishRequest settles one request's observability: the per-route
 // metrics, the trace (published to the ring and the stage histograms),
 // and a structured log line carrying the trace ID.
-func (s *Server) finishRequest(pattern, id string, tr *obs.Trace, status int, start time.Time) {
+func (s *Server) finishRequest(stats *routeStats, pattern, id string, tr *obs.Trace, status int, start time.Time) {
 	d := time.Since(start)
-	s.metrics.Request(pattern, status, d)
+	stats.observe(status, d)
 	s.recorder.Finish(tr, status)
 	level := slog.LevelDebug
 	if status >= 500 {

@@ -340,40 +340,14 @@ func (l *Log) rotateLocked() error {
 // one fails with an error wrapping ErrFailed and the original cause.
 // Callers must treat any append error as "this record is not durable".
 func (l *Log) Append(payload []byte) (LSN, error) {
-	lsn, _, err := l.AppendTimed(payload)
-	return lsn, err
-}
-
-// AppendTiming breaks one append's latency into its durability phases.
-// The fsync is the dominant (and tunable: Options.Fsync, future group
-// commit) cost, so it is reported separately from the framing + write.
-type AppendTiming struct {
-	// Total is the whole append under the log's lock: framing, rotation
-	// if due, the segment write, and the fsync.
-	Total time.Duration
-	// Fsync is the portion spent in the post-write flush to stable
-	// storage; zero when Options.Fsync is off.
-	Fsync time.Duration
-}
-
-// AppendTimed is Append, also reporting where the time went — the
-// instrumentation point behind the juryd_wal_fsync_seconds histogram.
-// It is Begin followed by Wait, so in group-commit mode sequential
-// callers still flush once per record while concurrent ones share.
-func (l *Log) AppendTimed(payload []byte) (lsn LSN, timing AppendTiming, err error) {
-	start := time.Now()
 	p, err := l.Begin(payload)
 	if err != nil {
-		timing.Total = time.Since(start)
-		return 0, timing, err
+		return 0, err
 	}
-	err = p.Wait()
-	timing.Total = time.Since(start)
-	timing.Fsync = p.FsyncDuration()
-	if err != nil {
-		return 0, timing, err
+	if err := p.Wait(); err != nil {
+		return 0, err
 	}
-	return p.lsn, timing, nil
+	return p.lsn, nil
 }
 
 // Pending is one record accepted by Begin: an LSN reservation awaiting
@@ -588,7 +562,7 @@ func (l *Log) appendLocked(rec []byte) (lsn LSN, fsyncDur time.Duration, err err
 	}
 	lsn = l.next
 	l.next++
-	l.synced = lsn // the watermark stays true on the per-record path too
+	l.synced = lsn     // the watermark stays true on the per-record path too
 	l.cond.Broadcast() // wake WaitSynced long-pollers (replication stream)
 	return lsn, fsyncDur, nil
 }
