@@ -76,7 +76,9 @@
 // N-1 followers confirm its LSN on the stream (503 with Retry-After on
 // timeout; the mutation is durable locally and a keyed retry dedups), so
 // promoting the max-applied follower provably preserves every acked
-// mutation.
+// mutation. Confirmations are counted per follower data dir: a follower
+// keeps its identity in <data-dir>/follower-id across restarts, and a
+// wiped dir draws a new one.
 //
 // Endpoints (all JSON):
 //
@@ -145,6 +147,8 @@ package main
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -155,6 +159,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -298,7 +303,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	// Follower mode flips on before the listener opens, so no mutation can
 	// ever slip into the local journal outside the replication stream.
+	var replID string
 	if primary != "" {
+		if replID, err = followerID(*dataDir); err != nil {
+			return fmt.Errorf("follower id: %w", err)
+		}
 		srv.SetFollower(primary)
 		fmt.Fprintf(out, "juryd: following %s (read-only replica)\n", primary)
 	}
@@ -381,6 +390,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	replErr := make(chan error, 1)
 	if primary != "" {
 		f := repl.NewFollower(srv, primary, repl.Options{
+			ID:   replID,
 			Logf: func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) },
 		})
 		go func() { replErr <- f.Run(ctx) }()
@@ -479,6 +489,57 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// followerIDFile holds a follower's replication identity in its data dir.
+const followerIDFile = "follower-id"
+
+// followerID returns the replication identity kept in dir, drawing and
+// installing a random one on first use. The primary counts -quorum
+// confirmations per id, so the id must outlive the process: under a
+// fresh id, a restarted follower would confirm the LSNs it had already
+// confirmed a second time and count twice. The id belongs to the data
+// dir, so wiping the dir draws a new one.
+func followerID(dir string) (string, error) {
+	path := filepath.Join(dir, followerIDFile)
+	data, err := os.ReadFile(path)
+	if err == nil {
+		id := strings.TrimSpace(string(data))
+		if id == "" {
+			return "", fmt.Errorf("%s is empty", path)
+		}
+		return id, nil
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		return "", err
+	}
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "", err
+	}
+	id := "follower-" + hex.EncodeToString(b[:])
+	// Write a temp file, sync, rename: a crash leaves either no id or
+	// the whole id, never a torn one.
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return "", err
+	}
+	_, err = f.WriteString(id + "\n")
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return "", err
+	}
+	return id, nil
 }
 
 // runPromote is the -promote one-shot: ask the follower at base to

@@ -658,6 +658,73 @@ func TestDaemonFollowerReplicates(t *testing.T) {
 	}
 }
 
+// TestDaemonFollowerRestartKeepsQuorumIdentity: a follower restarted on
+// the same data dir confirms under the identity it had before, so one
+// physical follower never counts twice toward -quorum. With -quorum 3
+// and a single follower, a write that the follower confirms, and then
+// confirms again after a restart, must time out with 503 instead of
+// being acknowledged on two confirmations from one copy.
+func TestDaemonFollowerRestartKeepsQuorumIdentity(t *testing.T) {
+	pDir, fDir := t.TempDir(), t.TempDir()
+	pBase, pCancel, pDone := startDaemon(t, "-data-dir", pDir, "-quorum", "3", "-quorum-timeout", "3s")
+	defer pCancel()
+	fBase, fCancel, fDone := startDaemon(t, "-data-dir", fDir, "-follow", pBase)
+	defer func() { fCancel() }()
+	idBefore, err := os.ReadFile(filepath.Join(fDir, "follower-id"))
+	if err != nil {
+		t.Fatalf("follower kept no identity: %v", err)
+	}
+
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(pBase+"/v1/workers", "application/json",
+			strings.NewReader(`{"workers":[{"id":"a","quality":0.8,"cost":1}]}`))
+		if err != nil {
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	// Once the follower has applied the write, its next stream poll
+	// confirms it; give that poll time to land, then restart.
+	deadline := time.Now().Add(5 * time.Second)
+	for st := persistenceDoc(t, fBase); st.Repl == nil || st.Repl.AppliedLSN < 1; st = persistenceDoc(t, fBase) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never applied the write: %+v", st.Repl)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	time.Sleep(200 * time.Millisecond)
+	fCancel()
+	if err := <-fDone; err != nil {
+		t.Fatalf("follower shutdown: %v", err)
+	}
+	_, fCancel, fDone = startDaemon(t, "-data-dir", fDir, "-follow", pBase)
+
+	select {
+	case code := <-status:
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("write confirmed by one follower across a restart answered %d, want 503", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("quorum-gated write never answered")
+	}
+	idAfter, err := os.ReadFile(filepath.Join(fDir, "follower-id"))
+	if err != nil || !bytes.Equal(idAfter, idBefore) {
+		t.Fatalf("follower identity changed across a restart: %q -> %q (%v)", idBefore, idAfter, err)
+	}
+
+	fCancel()
+	if err := <-fDone; err != nil {
+		t.Fatalf("follower shutdown: %v", err)
+	}
+	pCancel()
+	if err := <-pDone; err != nil {
+		t.Fatalf("primary shutdown: %v", err)
+	}
+}
+
 // TestDaemonFollowerFlagValidation: -follow without a data dir or with
 // preload flags must refuse to boot instead of diverging later.
 func TestDaemonFollowerFlagValidation(t *testing.T) {

@@ -67,8 +67,11 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// ID identifies this follower on the primary's quorum-ack table
 	// (sent as follower_id on every stream request). Empty selects a
-	// random per-process id — safe, since a restarted follower's stale
-	// entry can only under-confirm, never over-confirm.
+	// random per-process id. That is unsafe under a quorum of 3 or more:
+	// the primary keeps the old process's entry, so a restarted follower
+	// confirms the same LSNs under two ids and counts twice. A durable
+	// follower should pass an id that outlives the process (juryd keeps
+	// one in <data-dir>/follower-id).
 	ID string
 }
 
@@ -297,8 +300,10 @@ func readErrorBody(r io.Reader) string {
 // DirHasState reports whether dir already holds WAL segments or a
 // snapshot — i.e. whether a follower booting on it should recover
 // normally instead of bootstrapping from the primary. A missing dir is
-// simply empty. The probe is a pure directory listing: it must not
-// create files, or a later bootstrap into the "empty" dir would refuse.
+// simply empty, and so is one holding only a follower's identity
+// (follower-id) or fence marker (fence.json), which are not log state.
+// The probe is a pure directory listing: it must not create files, or a
+// later bootstrap into the "empty" dir would refuse.
 func DirHasState(dir string) (bool, error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {

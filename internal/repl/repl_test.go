@@ -48,6 +48,7 @@ func TestDirHasState(t *testing.T) {
 		{"missing dir", nil, false},
 		{"empty dir", []string{}, false},
 		{"unrelated files", []string{"notes.txt", "wal.log.bak"}, false},
+		{"identity and fence", []string{"follower-id", "fence.json"}, false},
 		{"wal segment", []string{"wal-00000001.log"}, true},
 		{"snapshot", []string{"snapshot-00000042.json"}, true},
 		{"both", []string{"wal-00000007.log", "snapshot-00000006.json"}, true},

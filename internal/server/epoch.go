@@ -165,19 +165,17 @@ func (t *epochTable) snapshot() []EpochEntry {
 	return append([]EpochEntry(nil), t.entries...)
 }
 
-// load replaces the table from a snapshot document.
+// load replaces the table from a snapshot document, replaying each entry
+// through add so a snapshot faces the same fork check as the WAL.
 func (t *epochTable) load(entries []EpochEntry) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Epoch <= entries[i-1].Epoch || entries[i].StartLSN <= entries[i-1].StartLSN {
-			return fmt.Errorf("server: epoch table not increasing at entry %d", i)
+	t.entries = nil
+	t.mu.Unlock()
+	for _, e := range entries {
+		if err := t.add(e.Epoch, wal.LSN(e.StartLSN)); err != nil {
+			return err
 		}
 	}
-	if len(entries) > 0 && entries[0].Epoch <= 1 {
-		return fmt.Errorf("server: epoch table starts at %d (epoch 1 is implicit)", entries[0].Epoch)
-	}
-	t.entries = append(t.entries[:0], entries...)
 	return nil
 }
 

@@ -508,7 +508,7 @@ func TestMultiLoadRejectsCorruptCounts(t *testing.T) {
 	good := func() multiPoolPersist {
 		return multiPoolPersist{
 			Name: "p", Labels: 2,
-			Workers: []multiWorkerPersist{{
+			Workers: []multiWorkerState{{
 				ID: "w", Cost: 1,
 				Counts:    [][]float64{{4, 1}, {1, 4}},
 				Confusion: [][]float64{{0.8, 0.2}, {0.2, 0.8}},

@@ -32,27 +32,30 @@ var (
 
 // multiWorkerState is the registry's record of one multi-choice worker:
 // the public parameters plus a Dirichlet posterior per confusion row.
-// confusion is kept equal to the per-row posterior means.
+// Confusion is kept equal to the per-row posterior means. It is also the
+// worker's snapshot row: both the pseudo-counts and the derived matrix
+// travel in the snapshot (Go's JSON encoder round-trips float64s
+// exactly), so recovery is bit-identical without re-deriving rows.
 type multiWorkerState struct {
-	id   string
-	cost float64
-	// counts[j][k] is the Dirichlet pseudo-count of voting k when the
+	ID   string  `json:"id"`
+	Cost float64 `json:"cost"`
+	// Counts[j][k] is the Dirichlet pseudo-count of voting k when the
 	// truth is j, seeded from the registered matrix scaled by the prior
 	// strength; each ingested event adds one count.
-	counts    [][]float64
-	confusion multichoice.ConfusionMatrix
-	votes     int
-	version   int64
+	Counts    [][]float64                 `json:"counts"`
+	Confusion multichoice.ConfusionMatrix `json:"confusion"`
+	Votes     int                         `json:"votes"`
+	Version   int64                       `json:"version"`
 }
 
 func (w *multiWorkerState) info() MultiWorkerInfo {
 	return MultiWorkerInfo{
-		ID:              w.id,
-		Confusion:       copyMatrix(w.confusion),
-		Cost:            w.cost,
-		Informativeness: multichoice.InformativenessScore(w.confusion),
-		Votes:           w.votes,
-		Version:         w.version,
+		ID:              w.ID,
+		Confusion:       copyMatrix(w.Confusion),
+		Cost:            w.Cost,
+		Informativeness: multichoice.InformativenessScore(w.Confusion),
+		Votes:           w.Votes,
+		Version:         w.Version,
 	}
 }
 
@@ -206,11 +209,11 @@ func newMultiState(spec MultiWorkerSpec, m multichoice.ConfusionMatrix, defaultS
 		}
 	}
 	return &multiWorkerState{
-		id:        spec.ID,
-		cost:      spec.Cost,
-		counts:    counts,
-		confusion: m,
-		version:   1,
+		ID:        spec.ID,
+		Cost:      spec.Cost,
+		Counts:    counts,
+		Confusion: m,
+		Version:   1,
 	}
 }
 
@@ -386,16 +389,16 @@ func (r *MultiRegistry) prepareLocked(rec *Record) (func(), error) {
 			r.idem.add(rec.Key)
 			for _, ev := range mr.Events {
 				w := p.workers[ev.WorkerID]
-				w.counts[ev.Truth][ev.Vote]++
+				w.Counts[ev.Truth][ev.Vote]++
 				var rowSum float64
-				for _, c := range w.counts[ev.Truth] {
+				for _, c := range w.Counts[ev.Truth] {
 					rowSum += c
 				}
-				for k, c := range w.counts[ev.Truth] {
-					w.confusion[ev.Truth][k] = c / rowSum
+				for k, c := range w.Counts[ev.Truth] {
+					w.Confusion[ev.Truth][k] = c / rowSum
 				}
-				w.votes++
-				w.version++
+				w.Votes++
+				w.Version++
 			}
 			r.gen++
 			p.sig = p.signature()
@@ -490,7 +493,7 @@ func (r *MultiRegistry) Snapshot(pool string, ids []string) (multichoice.Pool, [
 	outIDs := make([]string, len(ids))
 	for i, id := range ids {
 		w := p.workers[id]
-		out[i] = multichoice.Worker{ID: w.id, Confusion: copyMatrix(w.confusion), Cost: w.cost}
+		out[i] = multichoice.Worker{ID: w.ID, Confusion: copyMatrix(w.Confusion), Cost: w.Cost}
 		outIDs[i] = id
 	}
 	if sig == "" {
@@ -500,7 +503,9 @@ func (r *MultiRegistry) Snapshot(pool string, ids []string) (multichoice.Pool, [
 }
 
 // persistState serializes the full multi registry (Dirichlet posteriors
-// included) for a snapshot, pools in creation order.
+// included) for a snapshot, pools in creation order. The capture is
+// marshalled after the lock is released, so each row's matrices are
+// deep-copied: later ingests must not reach into it.
 func (r *MultiRegistry) persistState() multiRegistryState {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -508,17 +513,11 @@ func (r *MultiRegistry) persistState() multiRegistryState {
 	for _, name := range r.order {
 		p := r.pools[name]
 		pp := multiPoolPersist{Name: name, Labels: p.labels,
-			Workers: make([]multiWorkerPersist, len(p.order))}
+			Workers: make([]multiWorkerState, len(p.order))}
 		for i, id := range p.order {
-			w := p.workers[id]
-			pp.Workers[i] = multiWorkerPersist{
-				ID:        w.id,
-				Cost:      w.cost,
-				Counts:    copyMatrix(w.counts),
-				Confusion: copyMatrix(w.confusion),
-				Votes:     w.votes,
-				Version:   w.version,
-			}
+			w := *p.workers[id]
+			w.Counts, w.Confusion = copyMatrix(w.Counts), copyMatrix(w.Confusion)
+			pp.Workers[i] = w
 		}
 		st.Pools = append(st.Pools, pp)
 	}
@@ -530,6 +529,7 @@ func (r *MultiRegistry) persistState() multiRegistryState {
 // recovery path, called before the server starts serving. The confusion
 // matrices travel in the snapshot (rather than being re-derived from the
 // counts) so recovered state is bit-identical to the pre-crash state.
+// The decoded rows are adopted as they are, once validated.
 func (r *MultiRegistry) load(st multiRegistryState) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -547,49 +547,41 @@ func (r *MultiRegistry) load(st multiRegistryState) error {
 		}
 		p := &multiPool{name: pp.Name, labels: pp.Labels,
 			workers: make(map[string]*multiWorkerState, len(pp.Workers))}
-		for _, wp := range pp.Workers {
-			if wp.ID == "" {
+		for _, w := range pp.Workers {
+			if w.ID == "" {
 				return ErrEmptyID
 			}
-			if _, ok := p.workers[wp.ID]; ok {
-				return fmt.Errorf("%w: %q", ErrDuplicateBatch, wp.ID)
+			if _, ok := p.workers[w.ID]; ok {
+				return fmt.Errorf("%w: %q", ErrDuplicateBatch, w.ID)
 			}
-			m := multichoice.ConfusionMatrix(copyMatrix(wp.Confusion))
-			if err := m.Validate(); err != nil {
-				return fmt.Errorf("pool %q worker %q: %w", pp.Name, wp.ID, err)
+			if err := w.Confusion.Validate(); err != nil {
+				return fmt.Errorf("pool %q worker %q: %w", pp.Name, w.ID, err)
 			}
-			if m.Labels() != pp.Labels || len(wp.Counts) != pp.Labels {
-				return fmt.Errorf("%w: pool %q worker %q matrix shape", multichoice.ErrArity, pp.Name, wp.ID)
+			if w.Confusion.Labels() != pp.Labels || len(w.Counts) != pp.Labels {
+				return fmt.Errorf("%w: pool %q worker %q matrix shape", multichoice.ErrArity, pp.Name, w.ID)
 			}
 			// The counts matrix feeds future ingests (row renormalization
 			// indexes and divides by row sums), so a corrupt snapshot must
 			// fail recovery here rather than panic or emit NaN rows later.
-			for j, row := range wp.Counts {
+			for j, row := range w.Counts {
 				if len(row) != pp.Labels {
-					return fmt.Errorf("%w: pool %q worker %q counts row %d", multichoice.ErrArity, pp.Name, wp.ID, j)
+					return fmt.Errorf("%w: pool %q worker %q counts row %d", multichoice.ErrArity, pp.Name, w.ID, j)
 				}
 				var rowSum float64
 				for k, c := range row {
 					if c < 0 || c != c || math.IsInf(c, 0) {
 						return fmt.Errorf("%w: pool %q worker %q counts[%d][%d] = %v",
-							multichoice.ErrBadMatrix, pp.Name, wp.ID, j, k, c)
+							multichoice.ErrBadMatrix, pp.Name, w.ID, j, k, c)
 					}
 					rowSum += c
 				}
 				if rowSum <= 0 {
 					return fmt.Errorf("%w: pool %q worker %q counts row %d sums to %v",
-						multichoice.ErrBadMatrix, pp.Name, wp.ID, j, rowSum)
+						multichoice.ErrBadMatrix, pp.Name, w.ID, j, rowSum)
 				}
 			}
-			p.workers[wp.ID] = &multiWorkerState{
-				id:        wp.ID,
-				cost:      wp.Cost,
-				counts:    copyMatrix(wp.Counts),
-				confusion: m,
-				votes:     wp.Votes,
-				version:   wp.Version,
-			}
-			p.order = append(p.order, wp.ID)
+			p.workers[w.ID] = &w
+			p.order = append(p.order, w.ID)
 		}
 		p.sig = p.signature()
 		pools[pp.Name] = p
@@ -625,9 +617,9 @@ func (p *multiPool) signatureOf(ids []string) string {
 		binary.LittleEndian.PutUint64(buf[:], uint64(len(id)))
 		h.Write(buf[:])
 		h.Write([]byte(id))
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w.cost))
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w.Cost))
 		h.Write(buf[:])
-		for _, row := range w.confusion {
+		for _, row := range w.Confusion {
 			for _, v := range row {
 				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 				h.Write(buf[:])

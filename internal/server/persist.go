@@ -148,44 +148,17 @@ type multiRegistryState struct {
 
 // multiPoolPersist is one pool's full state.
 type multiPoolPersist struct {
-	Name    string               `json:"name"`
-	Labels  int                  `json:"labels"`
-	Workers []multiWorkerPersist `json:"workers"`
-}
-
-// multiWorkerPersist is one multi-choice worker's full Dirichlet state.
-// Both the pseudo-counts and the derived confusion matrix travel in the
-// snapshot (Go's JSON encoder round-trips float64s exactly), so recovery
-// is bit-identical without re-deriving rows.
-type multiWorkerPersist struct {
-	ID        string      `json:"id"`
-	Cost      float64     `json:"cost"`
-	Counts    [][]float64 `json:"counts"`
-	Confusion [][]float64 `json:"confusion"`
-	Votes     int         `json:"votes"`
-	Version   int64       `json:"version"`
+	Name    string             `json:"name"`
+	Labels  int                `json:"labels"`
+	Workers []multiWorkerState `json:"workers"`
 }
 
 // registryState serializes the worker registry in registration order.
 type registryState struct {
-	Gen     uint64          `json:"gen"`
-	Workers []workerPersist `json:"workers"`
+	Gen     uint64        `json:"gen"`
+	Workers []workerState `json:"workers"`
 	// Idem is the ingest idempotency-key table in insertion order.
 	Idem []string `json:"idem,omitempty"`
-}
-
-// workerPersist is one worker's full posterior state. Go's JSON encoder
-// emits float64s with round-trip precision, so A/B/Quality/Cost survive
-// the snapshot bit-identically.
-type workerPersist struct {
-	ID      string  `json:"id"`
-	Quality float64 `json:"quality"`
-	Cost    float64 `json:"cost"`
-	A       float64 `json:"a"`
-	B       float64 `json:"b"`
-	Votes   int     `json:"votes"`
-	Correct int     `json:"correct"`
-	Version int64   `json:"version"`
 }
 
 // sessionsState serializes the live sessions, ordered by id.
@@ -206,8 +179,6 @@ type Persistence struct {
 	*journal
 
 	mu           sync.Mutex // guards the fields below
-	fsync        bool
-	group        bool
 	haveSnapshot bool
 	lastSnapshot wal.LSN
 	snapshots    uint64
@@ -228,7 +199,7 @@ func Open(cfg Config) (*Server, error) {
 	if fsys == nil {
 		fsys = wal.OSFS()
 	}
-	p := &Persistence{dir: cfg.DataDir, fs: fsys, fsync: cfg.Fsync, group: cfg.Fsync && cfg.GroupCommit}
+	p := &Persistence{dir: cfg.DataDir, fs: fsys}
 	lsn, payload, found, err := wal.LatestSnapshotFS(fsys, cfg.DataDir)
 	if err != nil {
 		return nil, fmt.Errorf("server: load snapshot: %w", err)
@@ -404,8 +375,8 @@ func (s *Server) PersistenceStatus() PersistenceStatus {
 	return PersistenceStatus{
 		Enabled:          true,
 		DataDir:          p.dir,
-		Fsync:            p.fsync,
-		GroupCommit:      p.group,
+		Fsync:            s.cfg.Fsync,
+		GroupCommit:      s.cfg.Fsync && s.cfg.GroupCommit,
 		NextLSN:          uint64(p.log.NextLSN()),
 		DurableLSN:       uint64(p.log.Synced()),
 		Segments:         p.log.Segments(),

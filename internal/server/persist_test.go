@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -437,5 +438,42 @@ func TestSnapshotsRaceMutations(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatalf("recovered state differs\nwant %s\ngot  %s", want, got)
+	}
+}
+
+// TestCapturedStateDoesNotAliasLiveState: a snapshot is marshalled after
+// the store locks are released, so the captured rows must be copies —
+// ingests that land between capture and marshal must not reach into
+// them.
+func TestCapturedStateDoesNotAliasLiveState(t *testing.T) {
+	s := New(NewConfig())
+	ctx := context.Background()
+	q := 0.7
+	if _, err := s.registry.Register(ctx, []WorkerSpec{{ID: "a", Quality: 0.8, Cost: 1}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.multi.CreatePool(ctx, "p", 3, []MultiWorkerSpec{{ID: "m", Quality: &q, Cost: 1}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.DebugState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured := s.captureState()
+	if _, _, err := s.registry.Ingest(ctx, []VoteEvent{{WorkerID: "a", Correct: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.multi.Ingest(ctx, "p", []MultiVoteEvent{{WorkerID: "m", Truth: 1, Vote: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(captured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("captured state changed after later ingests:\n got %s\nwant %s", got, want)
+	}
+	if now, _ := s.DebugState(); bytes.Equal(now, want) {
+		t.Fatal("the ingests left the live state unchanged; the test proves nothing")
 	}
 }

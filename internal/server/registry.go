@@ -32,29 +32,33 @@ var (
 
 // workerState is the registry's record of one worker: the public Worker
 // parameters plus the Beta posterior over its correctness probability.
-// Quality is kept equal to the posterior mean a/(a+b).
+// Quality is kept equal to the posterior mean A/(A+B). It is also the
+// worker's snapshot row: Go's JSON encoder emits float64s with
+// round-trip precision, so every field survives a snapshot
+// bit-identically.
 type workerState struct {
-	id      string
-	quality float64
-	cost    float64
-	// a and b are the Beta pseudo-counts: evidence for voting correctly
+	ID      string  `json:"id"`
+	Quality float64 `json:"quality"`
+	Cost    float64 `json:"cost"`
+	// A and B are the Beta pseudo-counts: evidence for voting correctly
 	// and incorrectly, seeded from the registered quality.
-	a, b float64
-	// votes and correct tally ingested events.
-	votes   int
-	correct int
-	// version increments on every state change.
-	version int64
+	A float64 `json:"a"`
+	B float64 `json:"b"`
+	// Votes and Correct tally ingested events.
+	Votes   int `json:"votes"`
+	Correct int `json:"correct"`
+	// Version increments on every state change.
+	Version int64 `json:"version"`
 }
 
 func (w *workerState) info() WorkerInfo {
 	return WorkerInfo{
-		ID:      w.id,
-		Quality: w.quality,
-		Cost:    w.cost,
-		Votes:   w.votes,
-		Correct: w.correct,
-		Version: w.version,
+		ID:      w.ID,
+		Quality: w.Quality,
+		Cost:    w.Cost,
+		Votes:   w.Votes,
+		Correct: w.Correct,
+		Version: w.Version,
 	}
 }
 
@@ -105,12 +109,12 @@ func newState(spec WorkerSpec, defaultStrength float64) *workerState {
 		s = defaultStrength
 	}
 	return &workerState{
-		id:      spec.ID,
-		quality: spec.Quality,
-		cost:    spec.Cost,
-		a:       spec.Quality * s,
-		b:       (1 - spec.Quality) * s,
-		version: 1,
+		ID:      spec.ID,
+		Quality: spec.Quality,
+		Cost:    spec.Cost,
+		A:       spec.Quality * s,
+		B:       (1 - spec.Quality) * s,
+		Version: 1,
 	}
 }
 
@@ -289,7 +293,7 @@ func (r *Registry) prepareLocked(rec *Record) (func(), error) {
 		}
 		return func() {
 			fresh := newState(spec, resolvedStrength(rec.Strength))
-			fresh.version = w.version + 1
+			fresh.Version = w.Version + 1
 			*w = *fresh
 			r.changedLocked()
 		}, nil
@@ -316,14 +320,14 @@ func (r *Registry) prepareLocked(rec *Record) (func(), error) {
 			for _, ev := range rec.Events {
 				w := r.workers[ev.WorkerID]
 				if ev.Correct {
-					w.a++
-					w.correct++
+					w.A++
+					w.Correct++
 				} else {
-					w.b++
+					w.B++
 				}
-				w.votes++
-				w.quality = w.a / (w.a + w.b)
-				w.version++
+				w.Votes++
+				w.Quality = w.A / (w.A + w.B)
+				w.Version++
 			}
 			r.changedLocked()
 		}, nil
@@ -348,53 +352,44 @@ func (r *Registry) refreshFullSigLocked() {
 }
 
 // persistState serializes the full registry (posteriors included) for a
-// snapshot, in registration order.
+// snapshot, in registration order. Rows are copied by value, so the
+// captured state shares nothing with the live registry.
 func (r *Registry) persistState() registryState {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	st := registryState{Gen: r.gen, Workers: make([]workerPersist, len(r.order))}
+	st := registryState{Gen: r.gen, Workers: make([]workerState, len(r.order))}
 	for i, id := range r.order {
-		w := r.workers[id]
-		st.Workers[i] = workerPersist{
-			ID:      w.id,
-			Quality: w.quality,
-			Cost:    w.cost,
-			A:       w.a,
-			B:       w.b,
-			Votes:   w.votes,
-			Correct: w.correct,
-			Version: w.version,
-		}
+		st.Workers[i] = *r.workers[id]
 	}
 	st.Idem = r.idem.snapshot()
 	return st
 }
 
 // load replaces the registry contents with a snapshot's state — the
-// recovery path, called before the server starts serving.
+// recovery path, called before the server starts serving. Snapshots
+// carry no checksum and followers fetch them over HTTP, so every row is
+// validated: a corrupt posterior would turn the next vote's quality
+// into NaN, and NaN would reach the pool signature and selection.
 func (r *Registry) load(st registryState) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	workers := make(map[string]*workerState, len(st.Workers))
 	order := make([]string, 0, len(st.Workers))
-	for _, wp := range st.Workers {
-		if wp.ID == "" {
+	for _, w := range st.Workers {
+		if w.ID == "" {
 			return ErrEmptyID
 		}
-		if _, ok := workers[wp.ID]; ok {
-			return fmt.Errorf("%w: %q", ErrDuplicateBatch, wp.ID)
+		if _, ok := workers[w.ID]; ok {
+			return fmt.Errorf("%w: %q", ErrDuplicateBatch, w.ID)
 		}
-		workers[wp.ID] = &workerState{
-			id:      wp.ID,
-			quality: wp.Quality,
-			cost:    wp.Cost,
-			a:       wp.A,
-			b:       wp.B,
-			votes:   wp.Votes,
-			correct: wp.Correct,
-			version: wp.Version,
+		if err := (worker.Worker{ID: w.ID, Quality: w.Quality, Cost: w.Cost}).Validate(); err != nil {
+			return err
 		}
-		order = append(order, wp.ID)
+		if !(w.A >= 0 && w.B >= 0 && w.A+w.B > 0) || math.IsInf(w.A+w.B, 0) {
+			return fmt.Errorf("server: worker %q has posterior a=%v, b=%v", w.ID, w.A, w.B)
+		}
+		workers[w.ID] = &w
+		order = append(order, w.ID)
 	}
 	r.workers = workers
 	r.order = order
@@ -411,7 +406,7 @@ func (r *Registry) AnyAffordable(budget float64) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, w := range r.workers {
-		if w.cost <= budget {
+		if w.Cost <= budget {
 			return true
 		}
 	}
@@ -446,7 +441,7 @@ func (r *Registry) Snapshot(ids []string) (worker.Pool, []string, string, error)
 	outIDs := make([]string, len(ids))
 	for i, id := range ids {
 		w := r.workers[id]
-		pool[i] = worker.Worker{ID: w.id, Quality: w.quality, Cost: w.cost}
+		pool[i] = worker.Worker{ID: w.ID, Quality: w.Quality, Cost: w.Cost}
 		outIDs[i] = id
 	}
 	if sig == "" {
@@ -503,9 +498,9 @@ func (r *Registry) signatureLocked(ids []string) string {
 		binary.LittleEndian.PutUint64(buf[:], uint64(len(id)))
 		h.Write(buf[:])
 		h.Write([]byte(id))
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w.quality))
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w.Quality))
 		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w.cost))
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w.Cost))
 		h.Write(buf[:])
 	}
 	sum := h.Sum(nil)

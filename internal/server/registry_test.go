@@ -231,3 +231,40 @@ func TestRegistryUpdateRemove(t *testing.T) {
 		t.Fatalf("order after remove: %+v", list)
 	}
 }
+
+// TestRegistryLoadRejectsCorruptRows: snapshots are plain JSON (no CRC)
+// and followers fetch them over HTTP, so load must validate each worker
+// row — a negative or empty Beta posterior would otherwise recover
+// cleanly and turn the next vote's quality into 0/0 = NaN, which
+// reaches the pool signature and selection.
+func TestRegistryLoadRejectsCorruptRows(t *testing.T) {
+	load := func(mutate func(*workerState)) error {
+		w := workerState{ID: "w", Quality: 0.8, Cost: 1, A: 6.4, B: 1.6, Version: 1}
+		mutate(&w)
+		return NewRegistry().load(registryState{Workers: []workerState{w}})
+	}
+	if err := load(func(*workerState) {}); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	cases := map[string]func(*workerState){
+		"empty-id":       func(w *workerState) { w.ID = "" },
+		"nan-quality":    func(w *workerState) { w.Quality = math.NaN() },
+		"quality-above":  func(w *workerState) { w.Quality = 1.5 },
+		"negative-cost":  func(w *workerState) { w.Cost = -1 },
+		"nan-cost":       func(w *workerState) { w.Cost = math.NaN() },
+		"negative-a":     func(w *workerState) { w.A, w.B = -1, 0 },
+		"negative-b":     func(w *workerState) { w.B = -0.5 },
+		"zero-posterior": func(w *workerState) { w.A, w.B = 0, 0 },
+		"nan-a":          func(w *workerState) { w.A = math.NaN() },
+		"inf-b":          func(w *workerState) { w.B = math.Inf(1) },
+	}
+	for name, mutate := range cases {
+		if err := load(mutate); err == nil {
+			t.Errorf("%s: corrupt snapshot recovered cleanly", name)
+		}
+	}
+	dup := workerState{ID: "w", Quality: 0.8, Cost: 1, A: 6.4, B: 1.6, Version: 1}
+	if err := NewRegistry().load(registryState{Workers: []workerState{dup, dup}}); !errors.Is(err, ErrDuplicateBatch) {
+		t.Errorf("duplicate row: %v, want ErrDuplicateBatch", err)
+	}
+}
