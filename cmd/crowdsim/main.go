@@ -9,21 +9,6 @@
 //	crowdsim -stats
 //	crowdsim -estimate -seed 7
 //	crowdsim -export answers.csv
-//	crowdsim -load http://127.0.0.1:8700 -load-duration 10s -bench-out BENCH_baseline.json
-//	crowdsim -load http://follower:8701 -load-primary http://primary:8700 -bench-out BENCH_replica.json
-//	crowdsim -chaos-failover -load-duration 6s -bench-out BENCH_failover.json
-//	crowdsim -validate BENCH_baseline.json
-//
-// The -load mode registers a simulated worker pool on a live juryd and
-// drives a closed loop of selections and vote ingests against it
-// (-load-ingest-every tunes the mix: every Nth iteration ingests),
-// recording per-route latency percentiles, throughput, cache hit rate,
-// and the daemon-side WAL fsync p99 into a juryd-bench/1 JSON document
-// (the committed BENCH_baseline.json). With -load-primary the roles
-// split for benchmarking a replica: all mutations go to the primary
-// URL while -load names a read-only follower that serves the measured
-// selects and metrics. -validate checks such a document and exits
-// non-zero if it is malformed; CI gates the artifact on it.
 package main
 
 import (
@@ -33,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"time"
 
 	"repro/internal/amt"
 	"repro/internal/quality"
@@ -56,54 +40,12 @@ func run(args []string, out io.Writer) error {
 		exportPath = fs.String("export", "", "write the answer matrix to this CSV file")
 		workers    = fs.Int("workers", amt.DefaultNumWorkers, "number of simulated workers")
 		tasks      = fs.Int("tasks", amt.DefaultNumTasks, "number of simulated tasks")
-
-		loadTarget = fs.String("load", "",
-			"run a closed-loop load phase against the juryd at this base URL (e.g. http://127.0.0.1:8700)")
-		loadDuration = fs.Duration("load-duration", 5*time.Second, "how long the load phase runs")
-		loadConc     = fs.Int("load-concurrency", 8, "closed-loop client goroutines for the load phase")
-		loadIngest   = fs.Int("load-ingest-every", 8,
-			"ingest a vote batch every Nth iteration of each load goroutine (the rest are selects; min 2)")
-		loadPrimary = fs.String("load-primary", "",
-			"send mutations (pool registration, vote ingests) to this primary URL while -load names a read-only follower serving the measured selects")
-		chaosFailover = fs.Bool("chaos-failover", false,
-			"self-host a primary plus two followers, kill the primary mid-run, promote a follower, and report the client-observed recovery time")
-		benchOut = fs.String("bench-out", "",
-			"write the load phase's baseline report to this JSON file (empty = stdout)")
-		validate = fs.String("validate", "",
-			"validate an existing juryd-bench JSON document and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *validate != "" {
-		return validateBenchFile(*validate, out)
-	}
-	if *chaosFailover {
-		return runChaosFailover(loadConfig{
-			duration:    *loadDuration,
-			concurrency: *loadConc,
-			workers:     *workers,
-			seed:        *seed,
-			benchOut:    *benchOut,
-		}, out)
-	}
-	if *loadTarget != "" {
-		if *loadIngest < 2 {
-			return fmt.Errorf("-load-ingest-every %d: need at least 2 (the select route must stay exercised)", *loadIngest)
-		}
-		return runLoad(loadConfig{
-			target:      *loadTarget,
-			duration:    *loadDuration,
-			concurrency: *loadConc,
-			workers:     min(*workers, defaultLoadWorkers),
-			seed:        *seed,
-			benchOut:    *benchOut,
-			ingestEvery: *loadIngest,
-			primary:     *loadPrimary,
-		}, out)
-	}
 	if !*showStats && !*estimate && *exportPath == "" {
-		return fmt.Errorf("nothing to do: pass -stats, -estimate, -export <file>, -load <url>, or -validate <file>")
+		return fmt.Errorf("nothing to do: pass -stats, -estimate, or -export <file>")
 	}
 
 	cfg := amt.DefaultConfig()

@@ -78,7 +78,8 @@
 // promoting the max-applied follower provably preserves every acked
 // mutation. Confirmations are counted per follower data dir: a follower
 // keeps its identity in <data-dir>/follower-id across restarts, and a
-// wiped dir draws a new one.
+// wiped dir draws a new one. -quorum above 1 needs -data-dir: an
+// in-memory daemon refuses to boot with it.
 //
 // Endpoints (all JSON):
 //
@@ -210,7 +211,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	advertise := fs.String("advertise", "",
 		"with -promote: the base URL clients should reach the promoted node at (rides on the fence to the old primary)")
 	quorum := fs.Int("quorum", 0,
-		"total log copies each mutation ack vouches for: ack only after quorum-1 followers confirm the LSN (0 or 1 = local durability only)")
+		"total log copies each mutation ack vouches for: ack only after quorum-1 followers confirm the LSN (0 or 1 = local durability only; above 1 needs -data-dir)")
 	quorumTimeout := fs.Duration("quorum-timeout", 0,
 		"how long a mutation ack waits for the follower quorum before answering 503 (0 = 5s default)")
 	maxLag := fs.Duration("max-lag", 0,

@@ -740,6 +740,18 @@ func TestDaemonFollowerFlagValidation(t *testing.T) {
 	}
 }
 
+// TestDaemonQuorumNeedsDataDir: -quorum without -data-dir must refuse
+// to boot; an in-memory daemon has no log a follower could confirm.
+func TestDaemonQuorumNeedsDataDir(t *testing.T) {
+	// The deadline only matters if the daemon wrongly boots and serves.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err := run(ctx, []string{"-addr", "127.0.0.1:0", "-quorum", "2"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "data dir") {
+		t.Fatalf("-quorum 2 without -data-dir: %v, want a data dir error", err)
+	}
+}
+
 func TestDaemonBootRecoveryFailureDiagnosis(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	base, cancel, done := startDaemon(t, "-data-dir", dataDir)

@@ -394,58 +394,79 @@ func TestDebugTracesEndToEnd(t *testing.T) {
 }
 
 // TestDebugTracesCarryWALSpans issues mutations against a durable
-// -fsync server and asserts the WAL encode/append/fsync and apply
-// stages show up both in the traces and as the dedicated fsync
-// histogram on /metrics.
+// -fsync server, alone and with group commit, and asserts the WAL
+// encode/append/fsync and apply stages show up both in the traces and
+// as the dedicated fsync histogram on /metrics. Under group commit the
+// shared-flush wait must be traced as wal_flush and every flush counted
+// in the batch-size histogram.
 func TestDebugTracesCarryWALSpans(t *testing.T) {
-	s, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(), Fsync: true})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	t.Cleanup(func() { s.ClosePersistence() })
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	for _, tc := range []struct {
+		name        string
+		groupCommit bool
+		stages      []string
+		metrics     []string
+	}{
+		{
+			name:    "Fsync",
+			stages:  []string{"wal_encode", "wal_append", "wal_fsync", "apply"},
+			metrics: []string{"juryd_wal_fsync_seconds_count"},
+		},
+		{
+			name:        "Fsync+GroupCommit",
+			groupCommit: true,
+			stages:      []string{"wal_encode", "wal_append", "wal_flush", "wal_fsync", "apply"},
+			metrics:     []string{"juryd_wal_fsync_seconds_count", "juryd_wal_batch_records_count"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(), Fsync: true, GroupCommit: tc.groupCommit})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			t.Cleanup(func() { s.ClosePersistence() })
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(ts.Close)
 
-	post := func(path, body string) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			t.Fatalf("POST %s: status %d", path, resp.StatusCode)
-		}
-	}
-	post("/v1/workers", `{"workers":[{"id":"w1","quality":0.9,"cost":1},{"id":"w2","quality":0.6,"cost":1}]}`)
-	post("/v1/select", `{"budget":2}`)
-	post("/v1/votes", `{"worker_id":"w1","correct":true}`)
+			post := func(path, body string) {
+				t.Helper()
+				resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode/100 != 2 {
+					t.Fatalf("POST %s: status %d", path, resp.StatusCode)
+				}
+			}
+			get := func(path string) string {
+				t.Helper()
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				raw, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(raw)
+			}
+			post("/v1/workers", `{"workers":[{"id":"w1","quality":0.9,"cost":1},{"id":"w2","quality":0.6,"cost":1}]}`)
+			post("/v1/select", `{"budget":2}`)
+			post("/v1/votes", `{"worker_id":"w1","correct":true}`)
 
-	resp, err := http.Get(ts.URL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, stage := range []string{"wal_encode", "wal_append", "wal_fsync", "apply"} {
-		if !strings.Contains(string(raw), fmt.Sprintf(`"stage":%q`, stage)) {
-			t.Errorf("/debug/traces missing stage %q on a durable -fsync server: %s", stage, raw)
-		}
-	}
-
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err = io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), "juryd_wal_fsync_seconds_count") {
-		t.Error("juryd_wal_fsync_seconds histogram missing from /metrics under -fsync")
+			traces := get("/debug/traces")
+			for _, stage := range tc.stages {
+				if !strings.Contains(traces, fmt.Sprintf(`"stage":%q`, stage)) {
+					t.Errorf("/debug/traces missing stage %q: %s", stage, traces)
+				}
+			}
+			metrics := get("/metrics")
+			for _, name := range tc.metrics {
+				if !strings.Contains(metrics, name) {
+					t.Errorf("%s missing from /metrics", name)
+				}
+			}
+		})
 	}
 }

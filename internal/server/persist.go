@@ -189,8 +189,13 @@ type Persistence struct {
 // Open builds a Server like New and, when cfg.DataDir is set, makes it
 // durable: recover state from the newest snapshot plus the WAL tail
 // (truncating a torn trailing record), then journal every subsequent
-// mutation. With an empty DataDir it is exactly New.
+// mutation. With an empty DataDir it is exactly New, except that it
+// refuses Quorum > 1: an in-memory server has no log to ship, so no
+// follower could ever confirm the writes it would ack.
 func Open(cfg Config) (*Server, error) {
+	if cfg.Quorum > 1 && cfg.DataDir == "" {
+		return nil, fmt.Errorf("server: quorum %d needs a data dir: an in-memory server has no log for followers to confirm", cfg.Quorum)
+	}
 	s := New(cfg)
 	if cfg.DataDir == "" {
 		return s, nil

@@ -161,6 +161,40 @@ func TestReplStreamProtocol(t *testing.T) {
 	}
 }
 
+// TestQuorumRequiresDataDir: an in-memory server journals nothing, so
+// it would ack every write at once; Open must refuse Quorum > 1 there
+// instead of breaking the promise of a second copy.
+func TestQuorumRequiresDataDir(t *testing.T) {
+	for _, tc := range []struct {
+		quorum  int
+		durable bool
+		wantErr bool
+	}{
+		{quorum: 2, wantErr: true},
+		{quorum: 3, wantErr: true},
+		{quorum: 1},
+		{quorum: 2, durable: true},
+	} {
+		cfg := NewConfig()
+		cfg.Quorum = tc.quorum
+		if tc.durable {
+			cfg.DataDir = t.TempDir()
+		}
+		s, err := Open(cfg)
+		if tc.wantErr {
+			if err == nil || !strings.Contains(err.Error(), "data dir") {
+				t.Errorf("Open(quorum %d, in memory) = %v, want a data dir error", tc.quorum, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Open(quorum %d, durable %v): %v", tc.quorum, tc.durable, err)
+			continue
+		}
+		s.ClosePersistence()
+	}
+}
+
 // TestQuorumAckRequiresLogMatch: a stream poll contributes to the
 // quorum ack table only after every divergence check passes — a
 // diverged or stale caller (e.g. a resurrected ex-primary whose `from`

@@ -98,7 +98,8 @@ type Config struct {
 	// stream. 0 or 1 disables quorum gating (ack after local
 	// durability, as before). A mutation whose quorum does not confirm
 	// in time answers 503 (it is durable locally and may still
-	// replicate; a keyed retry resolves the ambiguity).
+	// replicate; a keyed retry resolves the ambiguity). Quorum > 1
+	// needs DataDir; Open refuses it on an in-memory server.
 	Quorum int
 	// QuorumTimeout bounds how long a mutation ack waits for the
 	// follower quorum; 0 selects a 5s default. Only meaningful with
