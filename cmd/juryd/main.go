@@ -134,16 +134,18 @@
 // serving — the WAL still holds everything. A boot-time recovery failure
 // exits non-zero with a one-line diagnosis naming the bad segment and
 // record. The hidden -chaos-fsync-after flag injects a WAL fsync fault
-// after N records (dropping the unsynced tail) for fault-injection
-// smoke tests; it is not for production use.
+// after N records (dropping the unsynced tail) for the fault-injection
+// tests (TestDaemonChaosFsyncDegrades); it is not for production use.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: mutations are
 // refused with 503 while in-flight requests drain, then a final
-// checkpoint lands before exit. A shutdown whose WAL close cannot
-// confirm the tail reached stable storage (a dirty close — the log was
-// poisoned by an earlier sync failure, or the final flush itself
-// failed) is logged and exits non-zero so supervisors can tell it from
-// a clean stop.
+// checkpoint lands before exit. A request still being answered after
+// -drain makes the exit an error; connections that never sent a
+// request are closed instead of waited on. A shutdown whose WAL close
+// cannot confirm the tail reached stable storage (a dirty close — the
+// log was poisoned by an earlier sync failure, or the final flush
+// itself failed) is logged and exits non-zero so supervisors can tell
+// it from a clean stop.
 package main
 
 import (
@@ -162,6 +164,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -180,7 +183,7 @@ func main() {
 
 // run builds and serves the daemon until ctx is cancelled or a signal
 // arrives. It prints the bound address to out once listening, so callers
-// (and the smoke test) can pass ":0" and discover the port.
+// (and the daemon tests) can pass ":0" and discover the port.
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("juryd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8700", "listen address")
@@ -360,7 +363,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// serving counts requests inside a handler, so a drain that runs out
+	// of time can tell a request still being answered from a connection
+	// that never sent one.
+	var serving atomic.Int64
+	handler := srv.Handler()
+	httpSrv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serving.Add(1)
+		defer serving.Add(-1)
+		handler.ServeHTTP(w, r)
+	})}
 	fmt.Fprintf(out, "juryd: listening on %s\n", ln.Addr())
 
 	// Profiling lives on its own listener so a held-open CPU profile or
@@ -462,7 +474,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		debugSrv.Shutdown(shutdownCtx)
 	}
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
+		// Shutdown also waits out connections that never sent a request
+		// (http.StateNew), and http.Transport leaves such spare dials
+		// behind. Close drops them; only a request still being answered
+		// makes the missed drain deadline an error.
+		httpSrv.Close()
+		if serving.Load() > 0 {
+			return fmt.Errorf("shutdown: %w", err)
+		}
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err

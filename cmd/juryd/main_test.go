@@ -4,135 +4,252 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/server"
 )
 
-// lineWriter hands each written line to a channel, so the test can watch
-// for the "listening on" banner.
-type lineWriter struct {
-	mu    sync.Mutex
-	buf   bytes.Buffer
-	lines chan string
+// childEnv makes the test binary run juryd's main instead of the tests.
+// Daemon tests re-execute the binary with it set, so each daemon is a
+// real process that can be killed with SIGKILL, needs no nested go
+// build, and is race-instrumented whenever the tests are.
+const childEnv = "JURYD_TEST_CHILD"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(childEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
 }
 
-func (w *lineWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.buf.Write(p)
+// patience bounds every wait on a daemon: boot, a log line, exit after
+// SIGTERM, convergence. It is generous because race-instrumented
+// daemons on a loaded 2-vCPU runner are slow, and a wait only lasts
+// that long when the test is failing anyway.
+const patience = 30 * time.Second
+
+// daemon is one juryd child process listening on an ephemeral port.
+type daemon struct {
+	URL    string
+	t      *testing.T
+	cmd    *exec.Cmd
+	out    *syncBuffer
+	exited chan struct{} // closed once Wait returned; waitErr holds its result
+	// waitErr is written before exited is closed and read only after.
+	waitErr error
+}
+
+// syncBuffer collects the child's interleaved stdout and stderr.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// startDaemon runs juryd with args plus -addr 127.0.0.1:0 as a child
+// process and waits for its listening banner. The daemon is killed at
+// test cleanup if still running; a child that reported a data race, or
+// exited with the race detector's status 66, fails the test.
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	args = append([]string{"-addr", "127.0.0.1:0"}, args...)
+	d := &daemon{t: t, out: &syncBuffer{}, exited: make(chan struct{})}
+	d.cmd = exec.Command(exe, args...)
+	d.cmd.Env = append(os.Environ(), childEnv+"=1")
+	d.cmd.Stdout, d.cmd.Stderr = d.out, d.out
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		d.waitErr = d.cmd.Wait()
+		close(d.exited)
+	}()
+	t.Cleanup(func() {
+		d.Kill()
+		out := d.out.String()
+		if strings.Contains(out, "WARNING: DATA RACE") || d.cmd.ProcessState.ExitCode() == 66 {
+			t.Errorf("juryd %v reported a data race:\n%s", args, out)
+		} else if t.Failed() {
+			t.Logf("juryd %v output:\n%s", args, d.tail())
+		}
+	})
+	d.URL = "http://" + d.WaitLine("juryd: listening on ")
+	return d
+}
+
+// WaitLine waits until the daemon has printed a complete line starting
+// with prefix and returns the rest of that line.
+func (d *daemon) WaitLine(prefix string) string {
+	d.t.Helper()
+	deadline := time.Now().Add(patience)
 	for {
-		line, err := w.buf.ReadString('\n')
-		if err != nil {
-			w.buf.WriteString(line) // incomplete line: push back
-			break
+		lines := strings.Split(d.out.String(), "\n")
+		for _, line := range lines[:len(lines)-1] { // the last is incomplete
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				return rest
+			}
 		}
 		select {
-		case w.lines <- strings.TrimSpace(line):
+		case <-d.exited:
+			d.t.Fatalf("juryd exited (%v) before printing %q:\n%s", d.waitErr, prefix, d.tail())
 		default:
 		}
+		if time.Now().After(deadline) {
+			d.t.Fatalf("juryd never printed %q:\n%s", prefix, d.tail())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	return len(p), nil
 }
 
-// startDaemon runs the daemon on a random port and returns its base URL
-// and a cancel that triggers graceful shutdown.
-func startDaemon(t *testing.T, args ...string) (string, context.CancelFunc, chan error) {
-	t.Helper()
-	base, cancel, done, _ := startDaemonWatch(t, args...)
-	return base, cancel, done
+// Stop sends SIGTERM and waits for the exit. It returns nil on a zero
+// exit status, and otherwise an error carrying the status and the tail
+// of the daemon's output. Stop calls no testing methods, so a test may
+// run it on its own goroutine.
+func (d *daemon) Stop() error {
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil && !errors.Is(err, os.ErrProcessDone) {
+		return err
+	}
+	select {
+	case <-d.exited:
+	case <-time.After(patience):
+		d.Kill()
+		return fmt.Errorf("juryd still running %v after SIGTERM:\n%s", patience, d.tail())
+	}
+	if d.waitErr != nil {
+		return fmt.Errorf("juryd exited: %w\n%s", d.waitErr, d.tail())
+	}
+	return nil
 }
 
-// startDaemonWatch is startDaemon plus the daemon's log writer, for
-// tests that synchronize on later log lines (e.g. the shutdown banner).
-func startDaemonWatch(t *testing.T, args ...string) (string, context.CancelFunc, chan error, *lineWriter) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	out := &lineWriter{lines: make(chan string, 16)}
-	done := make(chan error, 1)
-	go func() { done <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), out) }()
+// Kill sends SIGKILL and waits for the process to be gone: a crash, with
+// no drain, final snapshot or WAL close.
+func (d *daemon) Kill() {
+	d.cmd.Process.Kill() // fails only when the process already exited
+	<-d.exited
+}
 
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case line := <-out.lines:
-			if addr, ok := strings.CutPrefix(line, "juryd: listening on "); ok {
-				return "http://" + addr, cancel, done, out
-			}
-		case err := <-done:
-			t.Fatalf("daemon exited early: %v", err)
-		case <-deadline:
-			t.Fatal("daemon never announced its address")
+// tail returns the last lines of the daemon's output.
+func (d *daemon) tail() string {
+	lines := strings.Split(strings.TrimRight(d.out.String(), "\n"), "\n")
+	return strings.Join(lines[max(0, len(lines)-30):], "\n")
+}
+
+// do sends one request to the daemon and returns the response with its
+// body read. A transport error fails the test.
+func (d *daemon) do(method, path, body string) (*http.Response, string) {
+	d.t.Helper()
+	req, err := http.NewRequest(method, d.URL+path, strings.NewReader(body))
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		d.t.Fatalf("%s %s: %v", method, path, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		d.t.Fatalf("%s %s: read body: %v", method, path, err)
+	}
+	return resp, string(raw)
+}
+
+// expect sends one request and fails the test unless it answers status
+// with a body containing every fragment.
+func (d *daemon) expect(method, path, body string, status int, fragments ...string) (*http.Response, string) {
+	d.t.Helper()
+	resp, got := d.do(method, path, body)
+	if resp.StatusCode != status {
+		d.t.Fatalf("%s %s = %d %s, want %d", method, path, resp.StatusCode, got, status)
+	}
+	for _, f := range fragments {
+		if !strings.Contains(got, f) {
+			d.t.Fatalf("%s %s = %s, want it to contain %s", method, path, got, f)
 		}
 	}
+	return resp, got
 }
 
-// waitForLine blocks until the daemon logs a line with the prefix.
-func waitForLine(t *testing.T, w *lineWriter, prefix string) {
+// persistence fetches and decodes /debug/persistence.
+func (d *daemon) persistence() server.PersistenceStatus {
+	d.t.Helper()
+	_, body := d.expect(http.MethodGet, "/debug/persistence", "", http.StatusOK)
+	var st server.PersistenceStatus
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		d.t.Fatalf("decode persistence: %v", err)
+	}
+	return st
+}
+
+// waitConverged waits until the follower holds the primary's log
+// position and bit-identical state.
+func waitConverged(t *testing.T, follower, primary *daemon) {
 	t.Helper()
-	deadline := time.After(5 * time.Second)
+	want := primary.persistence()
+	deadline := time.Now().Add(patience)
 	for {
-		select {
-		case line := <-w.lines:
-			if strings.HasPrefix(line, prefix) {
-				return
-			}
-		case <-deadline:
-			t.Fatalf("never saw log line %q", prefix)
+		got := follower.persistence()
+		if got.NextLSN == want.NextLSN && got.StateSHA256 == want.StateSHA256 {
+			return
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never converged: next_lsn %d sha %s, primary next_lsn %d sha %s",
+				got.NextLSN, got.StateSHA256, want.NextLSN, want.StateSHA256)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// threeWorkers is the registration the crash and replication tests share.
+const threeWorkers = `{"workers":[
+	{"id":"a","quality":0.8,"cost":3},
+	{"id":"b","quality":0.7,"cost":2},
+	{"id":"c","quality":0.6,"cost":1}]}`
+
+const (
+	voteC     = `{"worker_id":"c","correct":true}`
+	voteBMiss = `{"worker_id":"b","correct":false}`
+)
 
 func TestDaemonServesAndShutsDownGracefully(t *testing.T) {
-	base, cancel, done := startDaemon(t)
-	defer cancel()
-
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"status":"ok"`) {
-		t.Fatalf("healthz: %d %s", resp.StatusCode, body)
-	}
-
+	d := startDaemon(t)
+	d.expect(http.MethodGet, "/healthz", "", http.StatusOK, `"status":"ok"`)
 	// Register a worker and select over HTTP end to end.
-	resp, err = http.Post(base+"/v1/workers", "application/json",
-		strings.NewReader(`{"workers":[{"id":"a","quality":0.8,"cost":1},{"id":"b","quality":0.7,"cost":1},{"id":"c","quality":0.6,"cost":1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("register: %d", resp.StatusCode)
-	}
-	resp, err = http.Post(base+"/v1/select", "application/json", strings.NewReader(`{"budget":3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"jq"`) {
-		t.Fatalf("select: %d %s", resp.StatusCode, body)
-	}
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("graceful shutdown returned %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("daemon did not shut down")
+	d.expect(http.MethodPost, "/v1/workers",
+		`{"workers":[{"id":"a","quality":0.8,"cost":1},{"id":"b","quality":0.7,"cost":1},{"id":"c","quality":0.6,"cost":1}]}`,
+		http.StatusCreated)
+	d.expect(http.MethodPost, "/v1/select", `{"budget":3}`, http.StatusOK, `"jq"`)
+	if err := d.Stop(); err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
 	}
 }
 
@@ -152,69 +269,60 @@ func TestDaemonPreloadsPoolFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, cancel, done := startDaemon(t, "-pool", pool)
-	defer func() { cancel(); <-done }()
-
-	resp, err := http.Get(base + "/v1/workers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if got := strings.Count(string(body), `"id"`); got != 5 {
-		t.Fatalf("preloaded %d workers, want 5: %s", got, body)
+	d := startDaemon(t, "-pool", pool)
+	if _, body := d.expect(http.MethodGet, "/v1/workers", "", http.StatusOK); strings.Count(body, `"id"`) != 5 {
+		t.Fatalf("preloaded %d workers, want 5: %s", strings.Count(body, `"id"`), body)
 	}
 }
 
-// TestDaemonDurableRestart boots with -data-dir, mutates, restarts, and
-// checks the state and the /debug/persistence recovery counters survive.
+// TestDaemonDurableRestart boots with -data-dir, ingests into a binary
+// and a multi-choice pool, stops the daemon either gracefully or with
+// kill -9 mid-stream, and checks that the reboot recovers every acked
+// mutation and serves selections over it.
 func TestDaemonDurableRestart(t *testing.T) {
-	dataDir := filepath.Join(t.TempDir(), "data")
+	for _, tc := range []struct {
+		name string
+		stop func(*testing.T, *daemon)
+	}{
+		{"sigterm", func(t *testing.T, d *daemon) {
+			if err := d.Stop(); err != nil {
+				t.Fatalf("first daemon shutdown: %v", err)
+			}
+		}},
+		{"kill-9", func(_ *testing.T, d *daemon) { d.Kill() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dataDir := filepath.Join(t.TempDir(), "data")
+			d := startDaemon(t, "-data-dir", dataDir, "-snapshot-interval", "2s")
+			d.expect(http.MethodPost, "/v1/workers", threeWorkers, http.StatusCreated)
+			d.expect(http.MethodPost, "/v1/multi/pools", `{"name":"colors","labels":3,
+				"workers":[{"id":"m0","quality":0.8,"cost":2},{"id":"m1","quality":0.65,"cost":1}]}`,
+				http.StatusCreated)
+			d.expect(http.MethodPost, "/v1/multi/pools/colors/votes",
+				`{"events":[{"worker_id":"m0","truth":0,"vote":0},{"worker_id":"m0","truth":1,"vote":2}]}`,
+				http.StatusOK)
+			for i := 0; i < 40; i++ {
+				d.expect(http.MethodPost, "/v1/votes", voteC, http.StatusOK)
+			}
+			tc.stop(t, d)
 
-	base, cancel, done := startDaemon(t, "-data-dir", dataDir)
-	resp, err := http.Post(base+"/v1/workers", "application/json",
-		strings.NewReader(`{"workers":[{"id":"a","quality":0.8,"cost":1},{"id":"b","quality":0.7,"cost":2}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	resp, err = http.Post(base+"/v1/votes", "application/json",
-		strings.NewReader(`{"worker_id":"a","correct":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("first daemon shutdown: %v", err)
-	}
-
-	base, cancel, done = startDaemon(t, "-data-dir", dataDir)
-	defer func() { cancel(); <-done }()
-	resp, err = http.Get(base + "/v1/workers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if got := strings.Count(string(body), `"id"`); got != 2 {
-		t.Fatalf("recovered %d workers, want 2: %s", got, body)
-	}
-	if !strings.Contains(string(body), `"votes":1`) {
-		t.Fatalf("ingested vote lost across restart: %s", body)
-	}
-	resp, err = http.Get(base + "/debug/persistence")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), `"enabled":true`) {
-		t.Fatalf("persistence status: %s", body)
-	}
-	// Graceful shutdown snapshotted, so the restart replayed nothing.
-	if !strings.Contains(string(body), `"records_replayed":0`) {
-		t.Fatalf("expected snapshot-only recovery, got %s", body)
+			d = startDaemon(t, "-data-dir", dataDir)
+			if _, body := d.expect(http.MethodGet, "/v1/workers", "", http.StatusOK, `"votes":40`); strings.Count(body, `"id"`) != 3 {
+				t.Fatalf("recovered workers = %s, want 3", body)
+			}
+			_, body := d.expect(http.MethodGet, "/debug/persistence", "", http.StatusOK, `"enabled":true`)
+			// A graceful shutdown snapshots, so its reboot replays nothing.
+			if tc.name == "sigterm" && !strings.Contains(body, `"records_replayed":0`) {
+				t.Fatalf("expected snapshot-only recovery, got %s", body)
+			}
+			d.expect(http.MethodPost, "/v1/select", `{"budget":6}`, http.StatusOK, `"jq"`)
+			// The multi-choice pool and its Dirichlet drift survived too.
+			d.expect(http.MethodGet, "/v1/multi/pools/colors", "", http.StatusOK, `"votes":2`)
+			d.expect(http.MethodPost, "/v1/multi/pools/colors/select", `{"budget":3}`, http.StatusOK, `"jq"`)
+			if err := d.Stop(); err != nil {
+				t.Fatalf("recovered daemon shutdown: %v", err)
+			}
+		})
 	}
 }
 
@@ -241,31 +349,11 @@ func TestDaemonPreloadsMultiPoolFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, cancel, done := startDaemon(t, "-multi-pool", pool, "-labels", "3")
-	defer func() { cancel(); <-done }()
-
-	resp, err := http.Get(base + "/v1/multi/pools/colors")
-	if err != nil {
-		t.Fatal(err)
+	d := startDaemon(t, "-multi-pool", pool, "-labels", "3")
+	if _, body := d.expect(http.MethodGet, "/v1/multi/pools/colors", "", http.StatusOK, `"labels":3`); strings.Count(body, `"id"`) != 3 {
+		t.Fatalf("preloaded pool: %s", body)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || strings.Count(string(body), `"id"`) != 3 {
-		t.Fatalf("preloaded pool: %d %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), `"labels":3`) {
-		t.Fatalf("label count missing: %s", body)
-	}
-	resp, err = http.Post(base+"/v1/multi/pools/colors/select", "application/json",
-		strings.NewReader(`{"budget":5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"jq"`) {
-		t.Fatalf("multi select: %d %s", resp.StatusCode, body)
-	}
+	d.expect(http.MethodPost, "/v1/multi/pools/colors/select", `{"budget":5}`, http.StatusOK, `"jq"`)
 
 	// A multi-pool file that resolves no label count must refuse to boot.
 	noLabels := filepath.Join(dir, "nolabels.json")
@@ -295,38 +383,18 @@ func TestDaemonDurableRestartWithPreloadFlags(t *testing.T) {
 	}
 	args := []string{"-data-dir", dataDir, "-pool", pool, "-multi-pool", mpool}
 
-	base, cancel, done := startDaemon(t, args...)
-	resp, err := http.Post(base+"/v1/multi/pools/colors/votes", "application/json",
-		strings.NewReader(`{"events":[{"worker_id":"m0","truth":0,"vote":1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	cancel()
-	if err := <-done; err != nil {
+	d := startDaemon(t, args...)
+	d.expect(http.MethodPost, "/v1/multi/pools/colors/votes",
+		`{"events":[{"worker_id":"m0","truth":0,"vote":1}]}`, http.StatusOK)
+	if err := d.Stop(); err != nil {
 		t.Fatalf("first daemon shutdown: %v", err)
 	}
 
 	// Same argv again: must boot (skipping both preloads) and keep the
 	// recovered Dirichlet drift.
-	base, cancel, done = startDaemon(t, args...)
-	defer func() { cancel(); <-done }()
-	resp, err = http.Get(base + "/v1/multi/pools/colors")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"votes":1`) {
-		t.Fatalf("recovered multi pool: %d %s", resp.StatusCode, body)
-	}
-	resp, err = http.Get(base + "/v1/workers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if strings.Count(string(body), `"id"`) != 1 {
+	d = startDaemon(t, args...)
+	d.expect(http.MethodGet, "/v1/multi/pools/colors", "", http.StatusOK, `"votes":1`)
+	if _, body := d.expect(http.MethodGet, "/v1/workers", "", http.StatusOK); strings.Count(body, `"id"`) != 1 {
 		t.Fatalf("recovered binary pool: %s", body)
 	}
 }
@@ -371,11 +439,11 @@ func TestPreloadDriftDetection(t *testing.T) {
 
 // TestDaemonShutdownUnderLoad triggers graceful shutdown while selection
 // requests are in flight: every in-flight select must complete 200, no
-// mutation may be acked after the drain banner, run() must return nil,
-// and the final checkpoint must land so the reboot replays nothing.
+// mutation may be acked after the drain banner, the daemon must exit
+// zero, and the final checkpoint must land so the reboot replays nothing.
 func TestDaemonShutdownUnderLoad(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
-	base, cancel, done, out := startDaemonWatch(t, "-data-dir", dataDir)
+	d := startDaemon(t, "-data-dir", dataDir)
 
 	var b strings.Builder
 	b.WriteString(`{"workers":[`)
@@ -386,29 +454,15 @@ func TestDaemonShutdownUnderLoad(t *testing.T) {
 		fmt.Fprintf(&b, `{"id":"w%d","quality":%g,"cost":%d}`, i, 0.55+float64(i%40)*0.01, 1+i%3)
 	}
 	b.WriteString(`]}`)
-	resp, err := http.Post(base+"/v1/workers", "application/json", strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("register: %d", resp.StatusCode)
-	}
-	resp, err = http.Post(base+"/v1/votes", "application/json",
-		strings.NewReader(`{"worker_id":"w0","correct":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pre-shutdown ingest: %d", resp.StatusCode)
-	}
+	d.expect(http.MethodPost, "/v1/workers", b.String(), http.StatusCreated)
+	d.expect(http.MethodPost, "/v1/votes", `{"worker_id":"w0","correct":true}`, http.StatusOK)
 
 	// Load: distinct budgets, so every select is a cache-missing compute.
-	results := make(chan int, 16)
-	for i := 0; i < cap(results); i++ {
+	const inflight = 16
+	results := make(chan int, inflight)
+	for i := 0; i < inflight; i++ {
 		go func(budget int) {
-			resp, err := http.Post(base+"/v1/select", "application/json",
+			resp, err := http.Post(d.URL+"/v1/select", "application/json",
 				strings.NewReader(fmt.Sprintf(`{"budget":%d}`, budget)))
 			if err != nil {
 				results <- -1
@@ -419,14 +473,26 @@ func TestDaemonShutdownUnderLoad(t *testing.T) {
 			results <- resp.StatusCode
 		}(5 + i)
 	}
-	time.Sleep(20 * time.Millisecond) // let the load get in flight
-	cancel()
+	// Every select is in flight once its cache lookup missed: the miss is
+	// counted inside the handler, before the compute.
+	wantMisses := fmt.Sprintf("juryd_cache_misses_total %d\n", inflight)
+	for deadline := time.Now().Add(patience); ; {
+		if _, metrics := d.expect(http.MethodGet, "/metrics", "", http.StatusOK); strings.Contains(metrics, wantMisses) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("selects never reached the cache: want %q", wantMisses)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	stopped := make(chan error, 1)
+	go func() { stopped <- d.Stop() }()
 
 	// Drain is active once the banner prints; from here on no mutation
 	// may be acknowledged (503 while draining, connection errors after).
-	waitForLine(t, out, "juryd: shutting down")
+	d.WaitLine("juryd: shutting down")
 	for i := 0; i < 20; i++ {
-		resp, err := http.Post(base+"/v1/votes", "application/json",
+		resp, err := http.Post(d.URL+"/v1/votes", "application/json",
 			strings.NewReader(`{"worker_id":"w0","correct":true}`))
 		if err != nil {
 			break
@@ -438,223 +504,301 @@ func TestDaemonShutdownUnderLoad(t *testing.T) {
 		}
 	}
 
-	for i := 0; i < cap(results); i++ {
+	for i := 0; i < inflight; i++ {
 		if code := <-results; code != http.StatusOK {
 			t.Fatalf("in-flight select finished with %d, want 200", code)
 		}
 	}
-	if err := <-done; err != nil {
+	if err := <-stopped; err != nil {
 		t.Fatalf("shutdown under load: %v", err)
 	}
 
 	// The final checkpoint landed despite the load, and only the acked
 	// ingest survived.
-	base, cancel, done = startDaemon(t, "-data-dir", dataDir)
-	defer func() { cancel(); <-done }()
-	resp, err = http.Get(base + "/debug/persistence")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), `"records_replayed":0`) {
-		t.Fatalf("expected snapshot-only recovery, got %s", body)
-	}
-	resp, err = http.Get(base + "/v1/workers/w0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), `"votes":1`) {
-		t.Fatalf("w0 after reboot = %s, want exactly the 1 acked vote", body)
-	}
+	d = startDaemon(t, "-data-dir", dataDir)
+	d.expect(http.MethodGet, "/debug/persistence", "", http.StatusOK, `"records_replayed":0`)
+	d.expect(http.MethodGet, "/v1/workers/w0", "", http.StatusOK, `"votes":1`)
 }
 
-// TestDaemonChaosFsyncDegrades boots with the fault-injection flag: the
-// scripted fsync failure degrades the daemon to read-only, readiness
-// flips while liveness and reads hold, shutdown reports the dirty close
-// as an error (the poisoned log cannot be synced, so the process must
-// exit non-zero), and a clean reboot recovers exactly the acked
-// mutations.
-func TestDaemonChaosFsyncDegrades(t *testing.T) {
+// TestDaemonShutdownIdleConnection: a client connection that never
+// sends a request (http.Transport leaves such spare dials behind) must
+// not turn a graceful shutdown into an error exit that skips the final
+// checkpoint and the WAL close.
+func TestDaemonShutdownIdleConnection(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
-	// Sync budget 3: the registration plus two ingests are acked, the
-	// third ingest trips the fault.
-	base, cancel, done, out := startDaemonWatch(t,
-		"-data-dir", dataDir, "-fsync", "-chaos-fsync-after", "3")
-
-	resp, err := http.Post(base+"/v1/workers", "application/json",
-		strings.NewReader(`{"workers":[{"id":"a","quality":0.8,"cost":1},{"id":"b","quality":0.7,"cost":1}]}`))
+	d := startDaemon(t, "-data-dir", dataDir, "-drain", "1s")
+	idle, err := net.Dial("tcp", strings.TrimPrefix(d.URL, "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("register: %d", resp.StatusCode)
+	defer idle.Close()
+	// The listener accepts in dial order, so once this request (on a new
+	// connection) is answered, the idle connection was accepted too.
+	d.expect(http.MethodPost, "/v1/workers", `{"workers":[{"id":"a","quality":0.8,"cost":1}]}`, http.StatusCreated)
+	if err := d.Stop(); err != nil {
+		t.Fatalf("shutdown with an idle connection: %v", err)
 	}
-	acked := 0
-	for i := 0; i < 10; i++ {
-		resp, err := http.Post(base+"/v1/votes", "application/json",
-			strings.NewReader(`{"worker_id":"a","correct":true}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		code := resp.StatusCode
-		resp.Body.Close()
-		if code == http.StatusServiceUnavailable {
-			break
-		}
-		if code != http.StatusOK {
-			t.Fatalf("ingest %d: %d", i, code)
-		}
-		acked++
-	}
-	if acked != 2 {
-		t.Fatalf("acked %d ingests before the injected fault, want 2", acked)
-	}
-
-	// Degraded contract over the daemon's own endpoints.
-	resp, err = http.Get(base + "/readyz")
-	if err != nil || resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz: %v %d, want 503", err, resp.StatusCode)
-	}
-	resp.Body.Close()
-	resp, err = http.Get(base + "/healthz")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %v %d, want 200", err, resp.StatusCode)
-	}
-	resp.Body.Close()
-	resp, err = http.Get(base + "/v1/workers")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded read: %v %d, want 200", err, resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	cancel()
-	waitForLine(t, out, "juryd: degraded at shutdown")
-	err = <-done
-	if err == nil {
-		t.Fatal("degraded shutdown returned nil, want a dirty-close error (the log was poisoned)")
-	}
-	if !strings.Contains(err.Error(), "dirty close") {
-		t.Fatalf("degraded shutdown = %v, want a dirty-close error", err)
-	}
-
-	// Clean reboot (no fault): exactly the acked mutations recovered.
-	base, cancel, done = startDaemon(t, "-data-dir", dataDir)
-	defer func() { cancel(); <-done }()
-	resp, err = http.Get(base + "/v1/workers/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), `"votes":2`) {
-		t.Fatalf("worker a after reboot = %s, want the 2 acked votes", body)
+	if snaps, _ := filepath.Glob(filepath.Join(dataDir, "snapshot-*.json")); len(snaps) == 0 {
+		t.Fatal("no final snapshot in the data dir")
 	}
 }
 
-// TestDaemonBootRecoveryFailureDiagnosis makes recovery impossible (a
-// snapshot pointing past a vanished WAL) and checks the daemon refuses
-// to boot with a single diagnostic line instead of serving bad state.
-// persistenceDoc fetches and decodes /debug/persistence.
-func persistenceDoc(t *testing.T, base string) server.PersistenceStatus {
-	t.Helper()
-	resp, err := http.Get(base + "/debug/persistence")
-	if err != nil {
-		t.Fatal(err)
+// TestDaemonChaosFsyncDegrades boots with the fault-injection flag, per
+// record and with -group-commit: the scripted fsync failure degrades the
+// daemon to read-only, readiness flips while liveness, reads and metrics
+// hold, and then the daemon either shuts down or is killed. A shutdown
+// is a dirty close (the poisoned log cannot be synced) and must exit
+// non-zero. Either way a clean reboot recovers exactly the acked
+// mutations and takes writes again.
+func TestDaemonChaosFsyncDegrades(t *testing.T) {
+	for _, mode := range []struct {
+		name  string
+		flags []string
+		// degradedVotes is what reads show after the refused vote: group
+		// commit applies before the durability wait, so the refused vote
+		// stays visible until the restart discards it (DESIGN.md "Group
+		// commit").
+		degradedVotes string
+	}{
+		{"per-record", nil, `"votes":24`},
+		{"group-commit", []string{"-group-commit"}, `"votes":25`},
+	} {
+		for _, kill := range []bool{false, true} {
+			name := mode.name + "/sigterm"
+			if kill {
+				name = mode.name + "/kill-9"
+			}
+			t.Run(name, func(t *testing.T) {
+				dataDir := filepath.Join(t.TempDir(), "data")
+				// Sync budget 25: the registration is sync 1, votes 1..24
+				// are acked and vote 25 trips the injected fsync failure.
+				// Sequential clients flush once per record, so group commit
+				// counts syncs exactly as per-record mode does.
+				args := append([]string{"-data-dir", dataDir, "-fsync", "-chaos-fsync-after", "25"}, mode.flags...)
+				d := startDaemon(t, args...)
+				if got := d.persistence().GroupCommit; got != (mode.flags != nil) {
+					t.Fatalf("group_commit = %v in %s mode", got, mode.name)
+				}
+				d.expect(http.MethodPost, "/v1/workers", threeWorkers, http.StatusCreated)
+				acked := 0
+				for i := 0; i < 40; i++ {
+					resp, _ := d.do(http.MethodPost, "/v1/votes", voteC)
+					if resp.StatusCode == http.StatusServiceUnavailable {
+						break
+					}
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("ingest %d: %d", i, resp.StatusCode)
+					}
+					acked++
+				}
+				if acked != 24 {
+					t.Fatalf("acked %d ingests before the injected fault, want 24", acked)
+				}
+
+				// Degraded: not ready, still live, reads and metrics serve.
+				d.expect(http.MethodGet, "/readyz", "", http.StatusServiceUnavailable)
+				d.expect(http.MethodGet, "/healthz", "", http.StatusOK, `"degraded":true`)
+				d.expect(http.MethodGet, "/v1/workers", "", http.StatusOK, mode.degradedVotes)
+				d.expect(http.MethodPost, "/v1/select", `{"budget":6}`, http.StatusOK, `"jq"`)
+				metrics := []string{"juryd_degraded 1\n", "juryd_wal_errors_total 1\n"}
+				if mode.flags != nil {
+					metrics = append(metrics, "juryd_wal_batch_records_count")
+				}
+				d.expect(http.MethodGet, "/metrics", "", http.StatusOK, metrics...)
+
+				if kill {
+					d.Kill()
+				} else {
+					err := d.Stop()
+					if err == nil || !strings.Contains(err.Error(), "dirty close") {
+						t.Fatalf("degraded shutdown = %v, want a dirty-close non-zero exit", err)
+					}
+					d.WaitLine("juryd: degraded at shutdown")
+				}
+
+				// Clean reboot (no fault): exactly the acked mutations.
+				d = startDaemon(t, "-data-dir", dataDir)
+				d.expect(http.MethodGet, "/readyz", "", http.StatusOK, `"ready":true`)
+				d.expect(http.MethodGet, "/v1/workers", "", http.StatusOK, `"votes":24`)
+				d.expect(http.MethodPost, "/v1/votes", voteC, http.StatusOK, `"ingested":1`)
+				if err := d.Stop(); err != nil {
+					t.Fatalf("recovered daemon shutdown: %v", err)
+				}
+			})
+		}
 	}
-	defer resp.Body.Close()
-	var st server.PersistenceStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decode persistence: %v", err)
-	}
-	return st
 }
 
 // TestDaemonFollowerReplicates boots a durable primary and a -follow
-// replica end to end: the follower bootstraps, converges to the
-// primary's state fingerprint, serves reads, and bounces mutations to
-// the primary with a 421.
+// replica: the follower bootstraps, is killed with kill -9 mid-stream
+// while the primary keeps taking writes, restarts from its own journal,
+// converges to the primary's state fingerprint, serves reads, and
+// bounces mutations to the primary with a 421.
 func TestDaemonFollowerReplicates(t *testing.T) {
 	pDir, fDir := t.TempDir(), t.TempDir()
-	pBase, pCancel, pDone := startDaemon(t, "-data-dir", pDir)
-	defer pCancel()
-
-	resp, err := http.Post(pBase+"/v1/workers", "application/json",
-		strings.NewReader(`{"workers":[{"id":"a","quality":0.8,"cost":1},{"id":"b","quality":0.7,"cost":1},{"id":"c","quality":0.6,"cost":1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("register: %d", resp.StatusCode)
-	}
+	p := startDaemon(t, "-data-dir", pDir)
+	p.expect(http.MethodPost, "/v1/workers", threeWorkers, http.StatusCreated)
 	for i := 0; i < 10; i++ {
-		resp, err := http.Post(pBase+"/v1/votes/batch", "application/json",
-			strings.NewReader(`{"events":[{"worker_id":"a","correct":true},{"worker_id":"b","correct":false}]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("ingest %d: %d", i, resp.StatusCode)
-		}
+		p.expect(http.MethodPost, "/v1/votes/batch",
+			`{"events":[{"worker_id":"a","correct":true},{"worker_id":"b","correct":false}]}`, http.StatusOK)
 	}
 
-	fBase, fCancel, fDone := startDaemon(t, "-data-dir", fDir, "-follow", pBase)
-	defer fCancel()
+	followArgs := []string{"-data-dir", fDir, "-follow", p.URL, "-max-lag", "5s"}
+	f := startDaemon(t, followArgs...)
+	// 25 votes while the stream is live, then a replica crash, which
+	// must lose nothing the follower journaled; 25 more while it is down.
+	for i := 0; i < 25; i++ {
+		p.expect(http.MethodPost, "/v1/votes", voteC, http.StatusOK)
+	}
+	f.Kill()
+	for i := 0; i < 25; i++ {
+		p.expect(http.MethodPost, "/v1/votes", voteBMiss, http.StatusOK)
+	}
+	f = startDaemon(t, followArgs...)
 
-	// Convergence: the follower's state fingerprint matches the primary's.
-	want := persistenceDoc(t, pBase)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		got := persistenceDoc(t, fBase)
-		if got.StateSHA256 == want.StateSHA256 && got.NextLSN == want.NextLSN {
-			if got.Repl == nil || got.Repl.Primary == "" {
-				t.Fatalf("converged follower reports no repl status: %+v", got)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never converged: follower %+v, primary %+v", got, want)
-		}
-		time.Sleep(20 * time.Millisecond)
+	// Mutations answer 421 naming the primary.
+	resp, _ := f.expect(http.MethodPost, "/v1/votes", voteC, http.StatusMisdirectedRequest)
+	if got := resp.Header.Get(server.PrimaryHeader); got != p.URL {
+		t.Fatalf("%s = %q, want %q", server.PrimaryHeader, got, p.URL)
 	}
+	waitConverged(t, f, p)
+	if st := f.persistence(); st.Repl == nil || st.Repl.Primary == "" {
+		t.Fatalf("converged follower reports no repl status: %+v", st)
+	}
+	// The converged replica serves the replicated reads and is ready.
+	f.expect(http.MethodGet, "/v1/workers", "", http.StatusOK, `"votes":25`)
+	f.expect(http.MethodPost, "/v1/select", `{"budget":6}`, http.StatusOK, `"jq"`)
+	f.expect(http.MethodGet, "/readyz", "", http.StatusOK, `"ready":true`)
+	f.expect(http.MethodGet, "/metrics", "", http.StatusOK, "juryd_repl_connected 1\n")
 
-	// Reads serve locally; mutations answer 421 naming the primary.
-	resp, err = http.Get(fBase + "/v1/workers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"a"`) {
-		t.Fatalf("follower read: %d %s", resp.StatusCode, body)
-	}
-	resp, err = http.Post(fBase+"/v1/workers", "application/json",
-		strings.NewReader(`{"workers":[{"id":"z","quality":0.5,"cost":1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("follower mutation: %d, want 421", resp.StatusCode)
-	}
-	if got := resp.Header.Get(server.PrimaryHeader); got != pBase {
-		t.Fatalf("%s = %q, want %q", server.PrimaryHeader, got, pBase)
-	}
-
-	// Both shut down cleanly, follower first (its stream drops with the
-	// primary either way, but this order keeps the exit quiet).
-	fCancel()
-	if err := <-fDone; err != nil {
+	// Follower first: a primary with a connected follower waits out the
+	// stream's long poll.
+	if err := f.Stop(); err != nil {
 		t.Fatalf("follower shutdown: %v", err)
 	}
-	pCancel()
-	if err := <-pDone; err != nil {
+	if err := p.Stop(); err != nil {
 		t.Fatalf("primary shutdown: %v", err)
+	}
+}
+
+// TestDaemonFailover is the three-node failover: a -quorum 2 primary
+// acks 50 votes, dies by kill -9, `juryd -promote` promotes one follower
+// (warning that the dead primary could not be fenced) and the other is
+// repointed at it. The new primary holds every acked vote and takes
+// writes under epoch 2. The old primary comes back believing it is
+// primary, takes the fence, refuses writes, and stays fenced across
+// another kill -9 because fence.json is durable.
+func TestDaemonFailover(t *testing.T) {
+	pDir := t.TempDir()
+	p := startDaemon(t, "-data-dir", pDir, "-quorum", "2")
+	a := startDaemon(t, "-data-dir", t.TempDir(), "-follow", p.URL)
+	b := startDaemon(t, "-data-dir", t.TempDir(), "-follow", p.URL)
+	// Under -quorum 2 every 200 proves the record is on the primary and
+	// confirmed applied by a follower.
+	p.expect(http.MethodPost, "/v1/workers", threeWorkers, http.StatusCreated)
+	for i := 0; i < 50; i++ {
+		p.expect(http.MethodPost, "/v1/votes", voteC, http.StatusOK)
+	}
+	// Both followers converge fully, so either is promotable and the
+	// post-failover assertions are deterministic.
+	waitConverged(t, a, p)
+	waitConverged(t, b, p)
+
+	p.Kill()
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-promote", a.URL, "-advertise", a.URL}, &out); err != nil {
+		t.Fatalf("juryd -promote: %v", err)
+	}
+	for _, want := range []string{
+		"promoted " + a.URL + " to primary (epoch 2",
+		"WARNING: old primary " + p.URL + " unreachable",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("juryd -promote printed %q, want %q", out.String(), want)
+		}
+	}
+	b.expect(http.MethodPost, "/v1/repl/repoint", `{"primary":"`+a.URL+`"}`, http.StatusOK)
+
+	// The new primary holds every acked vote, serves writes under epoch 2,
+	// and the repointed follower converges to it.
+	a.expect(http.MethodGet, "/v1/workers", "", http.StatusOK, `"votes":50`)
+	if resp, _ := a.expect(http.MethodGet, "/healthz", "", http.StatusOK); resp.Header.Get(server.EpochHeader) != "2" {
+		t.Fatalf("%s = %q after promotion, want 2", server.EpochHeader, resp.Header.Get(server.EpochHeader))
+	}
+	a.expect(http.MethodPost, "/v1/votes", voteBMiss, http.StatusOK, `"ingested":1`)
+	waitConverged(t, b, a)
+
+	// The old primary resurrects believing it is still primary (the
+	// promote-time fence could not land on a dead process); the operator
+	// contract is to deliver the fence before it serves.
+	p = startDaemon(t, "-data-dir", pDir)
+	p.expect(http.MethodPost, "/v1/repl/fence", `{"epoch":2,"primary":"`+a.URL+`"}`, http.StatusOK, `"fenced":true`)
+	resp, _ := p.expect(http.MethodPost, "/v1/votes", voteC, http.StatusMisdirectedRequest)
+	if got := resp.Header.Get(server.PrimaryHeader); got != a.URL {
+		t.Fatalf("fenced %s = %q, want %q", server.PrimaryHeader, got, a.URL)
+	}
+	p.expect(http.MethodGet, "/readyz", "", http.StatusServiceUnavailable)
+	// The fence survives another hard crash.
+	p.Kill()
+	if _, err := os.Stat(filepath.Join(pDir, "fence.json")); err != nil {
+		t.Fatalf("fence marker: %v", err)
+	}
+	p = startDaemon(t, "-data-dir", pDir)
+	p.expect(http.MethodPost, "/v1/votes", voteC, http.StatusMisdirectedRequest)
+	// No write leaked through the fenced node into the acked count.
+	a.expect(http.MethodGet, "/v1/workers", "", http.StatusOK, `"votes":50`)
+
+	for _, d := range []*daemon{b, a, p} {
+		if err := d.Stop(); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	}
+}
+
+// TestRunPromote drives the -promote one-shot against live nodes: with
+// the old primary alive the promotion fences it, promoting the new
+// primary again reports it is already primary, and a promotion the node
+// refuses makes run fail, which main turns into a non-zero exit.
+func TestRunPromote(t *testing.T) {
+	p := startDaemon(t, "-data-dir", t.TempDir())
+	f := startDaemon(t, "-data-dir", t.TempDir(), "-follow", p.URL)
+	p.expect(http.MethodPost, "/v1/workers", threeWorkers, http.StatusCreated)
+	waitConverged(t, f, p)
+
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-promote", f.URL, "-advertise", f.URL}, &out); err != nil {
+		t.Fatalf("juryd -promote: %v", err)
+	}
+	if want := "promoted " + f.URL + " to primary (epoch 2"; !strings.Contains(out.String(), want) ||
+		!strings.Contains(out.String(), "old primary "+p.URL+" fenced") {
+		t.Fatalf("juryd -promote printed %q, want %q and the old primary fenced", out.String(), want)
+	}
+	resp, _ := p.expect(http.MethodPost, "/v1/votes", voteC, http.StatusMisdirectedRequest)
+	if got := resp.Header.Get(server.PrimaryHeader); got != f.URL {
+		t.Fatalf("fenced %s = %q, want %q", server.PrimaryHeader, got, f.URL)
+	}
+
+	out.Reset()
+	if err := run(context.Background(), []string{"-promote", f.URL}, &out); err != nil {
+		t.Fatalf("second juryd -promote: %v", err)
+	}
+	if want := f.URL + " is already primary (epoch 2"; !strings.Contains(out.String(), want) {
+		t.Fatalf("second juryd -promote printed %q, want %q", out.String(), want)
+	}
+
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"server: cannot promote a degraded follower"}`, http.StatusServiceUnavailable)
+	}))
+	defer refusing.Close()
+	err := run(context.Background(), []string{"-promote", refusing.URL}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "503") || !strings.Contains(err.Error(), "degraded follower") {
+		t.Fatalf("refused promote = %v, want an error naming the 503 and its cause", err)
+	}
+
+	for _, d := range []*daemon{f, p} {
+		if err := d.Stop(); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
 	}
 }
 
@@ -666,10 +810,8 @@ func TestDaemonFollowerReplicates(t *testing.T) {
 // being acknowledged on two confirmations from one copy.
 func TestDaemonFollowerRestartKeepsQuorumIdentity(t *testing.T) {
 	pDir, fDir := t.TempDir(), t.TempDir()
-	pBase, pCancel, pDone := startDaemon(t, "-data-dir", pDir, "-quorum", "3", "-quorum-timeout", "3s")
-	defer pCancel()
-	fBase, fCancel, fDone := startDaemon(t, "-data-dir", fDir, "-follow", pBase)
-	defer func() { fCancel() }()
+	p := startDaemon(t, "-data-dir", pDir, "-quorum", "3", "-quorum-timeout", "3s")
+	f := startDaemon(t, "-data-dir", fDir, "-follow", p.URL)
 	idBefore, err := os.ReadFile(filepath.Join(fDir, "follower-id"))
 	if err != nil {
 		t.Fatalf("follower kept no identity: %v", err)
@@ -677,7 +819,7 @@ func TestDaemonFollowerRestartKeepsQuorumIdentity(t *testing.T) {
 
 	status := make(chan int, 1)
 	go func() {
-		resp, err := http.Post(pBase+"/v1/workers", "application/json",
+		resp, err := http.Post(p.URL+"/v1/workers", "application/json",
 			strings.NewReader(`{"workers":[{"id":"a","quality":0.8,"cost":1}]}`))
 		if err != nil {
 			status <- 0
@@ -689,18 +831,17 @@ func TestDaemonFollowerRestartKeepsQuorumIdentity(t *testing.T) {
 	// Once the follower has applied the write, its next stream poll
 	// confirms it; give that poll time to land, then restart.
 	deadline := time.Now().Add(5 * time.Second)
-	for st := persistenceDoc(t, fBase); st.Repl == nil || st.Repl.AppliedLSN < 1; st = persistenceDoc(t, fBase) {
+	for st := f.persistence(); st.Repl == nil || st.Repl.AppliedLSN < 1; st = f.persistence() {
 		if time.Now().After(deadline) {
 			t.Fatalf("follower never applied the write: %+v", st.Repl)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	time.Sleep(200 * time.Millisecond)
-	fCancel()
-	if err := <-fDone; err != nil {
+	if err := f.Stop(); err != nil {
 		t.Fatalf("follower shutdown: %v", err)
 	}
-	_, fCancel, fDone = startDaemon(t, "-data-dir", fDir, "-follow", pBase)
+	f = startDaemon(t, "-data-dir", fDir, "-follow", p.URL)
 
 	select {
 	case code := <-status:
@@ -715,13 +856,10 @@ func TestDaemonFollowerRestartKeepsQuorumIdentity(t *testing.T) {
 		t.Fatalf("follower identity changed across a restart: %q -> %q (%v)", idBefore, idAfter, err)
 	}
 
-	fCancel()
-	if err := <-fDone; err != nil {
-		t.Fatalf("follower shutdown: %v", err)
-	}
-	pCancel()
-	if err := <-pDone; err != nil {
-		t.Fatalf("primary shutdown: %v", err)
+	for _, d := range []*daemon{f, p} {
+		if err := d.Stop(); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
 	}
 }
 
@@ -752,17 +890,14 @@ func TestDaemonQuorumNeedsDataDir(t *testing.T) {
 	}
 }
 
+// TestDaemonBootRecoveryFailureDiagnosis makes recovery impossible (a
+// snapshot pointing past a vanished WAL) and checks the daemon refuses
+// to boot with a single diagnostic line instead of serving bad state.
 func TestDaemonBootRecoveryFailureDiagnosis(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
-	base, cancel, done := startDaemon(t, "-data-dir", dataDir)
-	resp, err := http.Post(base+"/v1/workers", "application/json",
-		strings.NewReader(`{"workers":[{"id":"a","quality":0.8,"cost":1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	cancel()
-	if err := <-done; err != nil {
+	d := startDaemon(t, "-data-dir", dataDir)
+	d.expect(http.MethodPost, "/v1/workers", `{"workers":[{"id":"a","quality":0.8,"cost":1}]}`, http.StatusCreated)
+	if err := d.Stop(); err != nil {
 		t.Fatalf("first shutdown: %v", err)
 	}
 

@@ -7,25 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
-
-// waitForPrefix blocks until the daemon logs a line with the prefix and
-// returns the remainder of that line.
-func waitForPrefix(t *testing.T, w *lineWriter, prefix string) string {
-	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case line := <-w.lines:
-			if rest, ok := strings.CutPrefix(line, prefix); ok {
-				return rest
-			}
-		case <-deadline:
-			t.Fatalf("never saw log line %q", prefix)
-		}
-	}
-}
 
 func TestBuildLogger(t *testing.T) {
 	var buf bytes.Buffer
@@ -64,11 +46,8 @@ func TestBuildLogger(t *testing.T) {
 }
 
 func TestDaemonServesPprofOnDebugAddr(t *testing.T) {
-	_, cancel, done, out := startDaemonWatch(t, "-debug-addr", "127.0.0.1:0")
-	defer cancel()
-
-	debugAddr := waitForPrefix(t, out, "juryd: pprof on ")
-	resp, err := http.Get("http://" + debugAddr + "/debug/pprof/")
+	d := startDaemon(t, "-debug-addr", "127.0.0.1:0")
+	resp, err := http.Get("http://" + d.WaitLine("juryd: pprof on ") + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +62,7 @@ func TestDaemonServesPprofOnDebugAddr(t *testing.T) {
 	if !strings.Contains(string(body), "goroutine") {
 		t.Errorf("pprof index does not list profiles: %q", body)
 	}
-
-	cancel()
-	if err := <-done; err != nil {
+	if err := d.Stop(); err != nil {
 		t.Fatalf("daemon exited with error: %v", err)
 	}
 }
@@ -93,33 +70,16 @@ func TestDaemonServesPprofOnDebugAddr(t *testing.T) {
 func TestDaemonTraceBufferFlag(t *testing.T) {
 	// Negative -trace-buffer disables tracing; /debug/traces still
 	// answers, reporting enabled:false.
-	base, cancel, done := startDaemon(t, "-trace-buffer", "-1")
-	defer cancel()
-
-	resp, err := http.Get(base + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), `"enabled":false`) {
-		t.Errorf("/debug/traces with -trace-buffer -1 = %s, want enabled:false", body)
-	}
-
-	cancel()
-	if err := <-done; err != nil {
+	d := startDaemon(t, "-trace-buffer", "-1")
+	d.expect(http.MethodGet, "/debug/traces", "", http.StatusOK, `"enabled":false`)
+	if err := d.Stop(); err != nil {
 		t.Fatalf("daemon exited with error: %v", err)
 	}
 }
 
 func TestDaemonEchoesRequestID(t *testing.T) {
-	base, cancel, done := startDaemon(t)
-	defer cancel()
-
-	req, err := http.NewRequest(http.MethodGet, base+"/healthz", nil)
+	d := startDaemon(t)
+	req, err := http.NewRequest(http.MethodGet, d.URL+"/healthz", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +94,10 @@ func TestDaemonEchoesRequestID(t *testing.T) {
 	}
 
 	// A request with no ID still gets one assigned.
-	resp, err = http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("X-Request-Id") == "" {
+	if resp, _ := d.expect(http.MethodGet, "/healthz", "", http.StatusOK); resp.Header.Get("X-Request-Id") == "" {
 		t.Error("daemon did not assign a request id")
 	}
-
-	cancel()
-	if err := <-done; err != nil {
+	if err := d.Stop(); err != nil {
 		t.Fatalf("daemon exited with error: %v", err)
 	}
 }

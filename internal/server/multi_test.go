@@ -236,6 +236,14 @@ func TestMultiSelectCacheInvalidationOnDrift(t *testing.T) {
 	if !explicit.Cached {
 		t.Fatal("explicit default buckets missed the default-keyed cache entry")
 	}
+	// Multi-arm hits land on the shared cache counter in /metrics.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metrics := readBody(t, resp); !bytes.Contains(metrics, []byte("juryd_cache_hits_total 2\n")) {
+		t.Fatalf("metrics after two multi cache hits:\n%s", metrics)
+	}
 
 	// One graded event drifts m0's row 1: the signature must change and
 	// the cached jury must become unreachable.
@@ -246,6 +254,9 @@ func TestMultiSelectCacheInvalidationOnDrift(t *testing.T) {
 		t.Fatalf("ingest: %d %s", resp.StatusCode, raw)
 	}
 	mustDecode(t, raw, &ing)
+	if ing.Ingested != 1 {
+		t.Fatalf("ingested %d events, want 1", ing.Ingested)
+	}
 	if ing.Signature == first.Signature {
 		t.Fatal("pool signature unchanged after posterior drift")
 	}
