@@ -26,11 +26,11 @@
 // The stage taxonomy (Stage) names the phases of one juryd request:
 // admission control, the ingest idempotency check, selection-cache
 // lookup, evaluator compute, WAL encode/append/flush/fsync, in-memory
-// apply, and response encode. The WAL fsync stage is additionally
-// rendered as the dedicated juryd_wal_fsync_seconds histogram — the
-// number group commit exists to amortize (wal_flush is the wait on the
-// shared flush; wal_fsync the disk time of the flush that covered the
-// request).
+// apply, the follower-quorum wait, and response encode. The WAL fsync
+// stage is additionally rendered as the dedicated juryd_wal_fsync_seconds
+// histogram — the number group commit exists to amortize (wal_flush is
+// the wait on the shared flush; wal_fsync the disk time of the flush that
+// covered the request).
 package obs
 
 import (
@@ -79,6 +79,9 @@ const (
 	StageWALFsync
 	// StageApply is the in-memory application of a journaled mutation.
 	StageApply
+	// StageQuorumWait is a quorum-gated ack's wait (-quorum above 1) for
+	// enough followers to confirm its record.
+	StageQuorumWait
 	// StageReplRead is the committed-prefix WAL read serving one
 	// replication-stream request on a primary (excluding the long-poll
 	// wait for new records, which is idle time, not work).
@@ -92,7 +95,7 @@ const (
 var stageNames = [numStages]string{
 	"admission", "idempotency", "cache_lookup", "evaluate",
 	"wal_encode", "wal_append", "wal_flush", "wal_fsync", "apply",
-	"repl_read", "encode",
+	"quorum_wait", "repl_read", "encode",
 }
 
 // String returns the stage's wire name (used in span JSON and in the

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -391,9 +392,10 @@ func (q *quorumAcks) snapshot() map[string]uint64 {
 	return out
 }
 
-// quorumWait gates one mutation ack on the follower quorum; a no-op
-// unless Config.Quorum > 1.
-func (s *Server) quorumWait(lsn wal.LSN) error {
+// quorumWait gates one mutation ack on the follower quorum inside a
+// quorum_wait span, error-tagged when the quorum timed out; a no-op (and
+// no span) unless Config.Quorum > 1.
+func (s *Server) quorumWait(ctx context.Context, lsn wal.LSN) error {
 	need := s.cfg.Quorum - 1
 	if need <= 0 {
 		return nil
@@ -402,10 +404,15 @@ func (s *Server) quorumWait(lsn wal.LSN) error {
 	if timeout <= 0 {
 		timeout = defaultQuorumTimeout
 	}
-	if err := s.quorum.wait(uint64(lsn), need, timeout); err != nil {
+	tr := obs.TraceFrom(ctx)
+	start := time.Now()
+	err := s.quorum.wait(uint64(lsn), need, timeout)
+	if err != nil {
+		tr.AddErr(obs.StageQuorumWait, start, time.Since(start))
 		s.metrics.QuorumTimeout()
 		return fmt.Errorf("%w: lsn %d needs %d follower confirmation(s): %v", ErrQuorumTimeout, lsn, need, err)
 	}
+	tr.Add(obs.StageQuorumWait, start, time.Since(start))
 	return nil
 }
 

@@ -113,9 +113,9 @@ func (tx *txn) commit() error {
 	case err != nil:
 		return err
 	case tx.dup:
-		return j.barrier()
+		return j.barrier(tx.ctx)
 	case tx.last != nil:
-		return j.s.quorumWait(tx.last.LSN())
+		return j.s.quorumWait(tx.ctx, tx.last.LSN())
 	}
 	return nil
 }
@@ -197,11 +197,11 @@ func (j *journal) wait(ctx context.Context, pend *wal.Pending) error {
 // so it is acknowledged only once the whole log is durable and — the
 // whole-log watermark standing in for the original's LSN —
 // quorum-confirmed.
-func (j *journal) barrier() error {
+func (j *journal) barrier(ctx context.Context) error {
 	if err := j.log.WaitDurable(); err != nil {
 		return j.fail(err)
 	}
-	return j.s.quorumWait(j.log.NextLSN() - 1)
+	return j.s.quorumWait(ctx, j.log.NextLSN()-1)
 }
 
 // fail degrades the server on a WAL failure. The poison is sticky

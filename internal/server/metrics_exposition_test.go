@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // metricSample is one parsed exposition line: name, sorted label pairs, value.
@@ -468,5 +469,62 @@ func TestDebugTracesCarryWALSpans(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMetricsQuorumWaitStage pins the quorum_wait stage: a -quorum 2 ack
+// records its wait for the follower's confirmation, and a server without
+// a quorum records none.
+func TestMetricsQuorumWaitStage(t *testing.T) {
+	stageCount := func(samples []metricSample) (float64, bool) {
+		for _, s := range samples {
+			if s.name == "juryd_stage_duration_seconds_count" && s.labels == `stage="quorum_wait"` {
+				return s.value, true
+			}
+		}
+		return 0, false
+	}
+	if _, ok := stageCount(scrapeMetrics(t)); ok {
+		t.Fatal("quorum_wait observed on a server without -quorum")
+	}
+
+	s, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(), Quorum: 2, QuorumTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.ClosePersistence() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	acked := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/workers", "application/json",
+			strings.NewReader(`{"workers":[{"id":"w1","quality":0.9,"cost":1}]}`))
+		if err != nil {
+			acked <- 0
+			return
+		}
+		resp.Body.Close()
+		acked <- resp.StatusCode
+	}()
+	// Play the follower: once the registration is durable, confirm it.
+	for s.persist.log.Synced() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := http.Get(ts.URL + "/v1/repl/stream?from=1&epoch=1&follower_id=f&wait_ms=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if code := <-acked; code != http.StatusCreated {
+		t.Fatalf("quorum-gated register: %d, want 201", code)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if n, _ := stageCount(parseExposition(t, string(raw))); n != 1 {
+		t.Fatalf("quorum_wait count = %g, want 1", n)
 	}
 }

@@ -2,15 +2,19 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/wal"
+	"repro/internal/wal/errfs"
 )
 
 // journalSome drives n single-vote ingests (plus one registration)
@@ -543,5 +547,56 @@ func TestReplStatusInPersistenceDebug(t *testing.T) {
 	}
 	if st.DurableLSN != 0 {
 		t.Fatalf("durable_lsn = %d, want 0 on an empty log", st.DurableLSN)
+	}
+}
+
+// TestReplStreamReadFaults: when the committed-prefix read fails the
+// stream answers 500, and when a segment vanished it answers 410 with
+// the horizon — in both cases a JSON error, never a partial frame batch.
+func TestReplStreamReadFaults(t *testing.T) {
+	dir := t.TempDir()
+	fsys := errfs.New(wal.OSFS())
+	s, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: dir, SegmentBytes: 64, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.ClosePersistence() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	journalSome(t, ts.URL, 4) // 5 records, one segment each
+
+	stream := func(want int) http.Header {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/repl/stream?from=0&wait_ms=10")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("stream: %d %s, want %d", resp.StatusCode, body, want)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Fatalf("stream %d shipped Content-Type %q, want a JSON error", want, ct)
+		}
+		if resp.Header.Get(ReplCountHeader) != "" || resp.Header.Get(ReplFirstLSNHeader) != "" {
+			t.Fatalf("stream %d carries frame headers: %v", want, resp.Header)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+			t.Fatalf("stream %d body %q is not an error document", want, body)
+		}
+		return resp.Header
+	}
+
+	fsys.Add(errfs.Fault{Op: errfs.OpRead, Path: "wal-", Times: 1})
+	stream(http.StatusInternalServerError)
+
+	// The first segment disappears behind the log.
+	if err := os.Remove(filepath.Join(dir, "wal-0000000000000001.log")); err != nil {
+		t.Fatal(err)
+	}
+	if h := stream(http.StatusGone); h.Get(ReplOldestLSNHeader) == "" {
+		t.Fatalf("410 without %s", ReplOldestLSNHeader)
 	}
 }

@@ -28,6 +28,9 @@ const (
 	OpCreate Op = "create"
 	// OpOpen matches read-only Open calls (recovery scans, dir syncs).
 	OpOpen Op = "open"
+	// OpRead matches File.Read and File.ReadAt (recovery scans, the
+	// replication stream's committed-prefix reads).
+	OpRead Op = "read"
 	// OpWrite matches File.Write on files opened through the injector.
 	OpWrite Op = "write"
 	// OpSync matches File.Sync (fsync of files and directories).
@@ -212,7 +215,19 @@ type errFile struct {
 	synced int64 // size at the last successful Sync
 }
 
-func (f *errFile) Read(p []byte) (int, error) { return f.real.Read(p) }
+func (f *errFile) Read(p []byte) (int, error) {
+	if ft := f.fs.match(OpRead, f.path); ft != nil {
+		return 0, faultErr(ft)
+	}
+	return f.real.Read(p)
+}
+
+func (f *errFile) ReadAt(p []byte, off int64) (int, error) {
+	if ft := f.fs.match(OpRead, f.path); ft != nil {
+		return 0, faultErr(ft)
+	}
+	return f.real.ReadAt(p, off)
+}
 
 func (f *errFile) Close() error { return f.real.Close() }
 

@@ -3,6 +3,8 @@ package errfs
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 
@@ -194,5 +196,40 @@ func TestFaultTimesAndAfter(t *testing.T) {
 	}
 	if fsys.Injected() != 2 {
 		t.Fatalf("Injected() = %d, want 2", fsys.Injected())
+	}
+}
+
+// TestReadFaultSurfacesFromReadCommitted: a failing segment read on the
+// replication path is an error, never a short batch, and a segment
+// removed behind the log is ErrTruncated (the follower re-bootstraps).
+func TestReadFaultSurfacesFromReadCommitted(t *testing.T) {
+	dir := t.TempDir()
+	fsys := New(wal.OSFS())
+	l, _, err := wal.Open(dir, wal.Options{FS: fsys, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := appendN(l, 200); err != nil {
+		t.Fatal(err)
+	}
+	fsys.Add(Fault{Op: OpRead, Path: "wal-", Times: 1})
+	if frames, count, err := l.ReadCommitted(150, 0); !errors.Is(err, ErrInjected) || count != 0 || frames != nil {
+		t.Fatalf("faulted read = (%d bytes, %d records, %v), want ErrInjected and nothing shipped", len(frames), count, err)
+	}
+	if _, count, err := l.ReadCommitted(150, 0); err != nil || count != 51 {
+		t.Fatalf("read after the fault = (%d records, %v), want 51", count, err)
+	}
+
+	// Remove the first segment file behind the log: its records are gone.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, entries[0].Name())); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := l.ReadCommitted(1, 0); !errors.Is(err, wal.ErrTruncated) {
+		t.Fatalf("read of a removed segment: %v, want ErrTruncated", err)
 	}
 }

@@ -25,9 +25,11 @@ type FS interface {
 }
 
 // File is the open-file surface the log needs: sequential reads for
-// recovery scans, appends, fsync, close.
+// recovery scans, positioned reads for the replication stream (which
+// starts mid-segment at an indexed offset), appends, fsync, close.
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	io.Closer
 	// Sync flushes the file to stable storage.

@@ -9,10 +9,13 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -112,6 +115,12 @@ func (l *Log) OldestLSN() LSN {
 // must bootstrap from a snapshot instead) and ErrCorrupt if the durable
 // prefix itself fails verification. A from beyond the watermark returns
 // (nil, 0, nil).
+//
+// The scan of each segment starts at its last mark at or below from, so a
+// tail read costs the returned bytes plus at most one mark interval, not
+// the whole segment. The result depends only on from, maxBytes, the
+// watermark and the segment bytes: marks are positions the log already
+// knows, never a record of earlier reads.
 func (l *Log) ReadCommitted(from LSN, maxBytes int) ([]byte, int, error) {
 	if from == 0 {
 		from = 1
@@ -147,9 +156,23 @@ func (l *Log) ReadCommitted(from LSN, maxBytes int) ([]byte, int, error) {
 			}
 			return nil, 0, err
 		}
-		lsn := seg.first
+		marks := seg.marks
+		if marks == nil {
+			var idxErr error
+			if marks, _, _, idxErr = indexSegment(f); idxErr != nil {
+				f.Close()
+				return nil, 0, fmt.Errorf("segment %s: %w", filepath.Base(seg.path), idxErr)
+			}
+			l.setMarks(seg.first, marks)
+		}
+		k := 0
+		if from > seg.first {
+			k = int(min((from-seg.first)/markEvery, LSN(len(marks)-1)))
+		}
+		lsn := seg.first + LSN(k)*markEvery
+		section := io.NewSectionReader(f, marks[k], math.MaxInt64-marks[k])
 		stopped := false
-		_, _, scanErr := ScanSegment(f, func(payload []byte) error {
+		_, _, scanErr := ScanSegment(bufio.NewReader(section), func(payload []byte) error {
 			this := lsn
 			lsn++
 			if this > synced {
@@ -192,6 +215,18 @@ func (l *Log) ReadCommitted(from LSN, maxBytes int) ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("%w: lsn %d no longer on disk", ErrTruncated, from)
 	}
 	return out, count, nil
+}
+
+// setMarks installs the marks a reader built for the sealed segment
+// starting at first, unless truncation removed it in the meantime.
+func (l *Log) setMarks(first LSN, marks []int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := range l.segs {
+		if l.segs[i].first == first && l.segs[i].marks == nil {
+			l.segs[i].marks = marks
+		}
+	}
 }
 
 // InitAtFS prepares dir as an empty log positioned so the next append

@@ -9,9 +9,12 @@
 //	[4-byte little-endian payload length][4-byte CRC32-C of payload][payload]
 //
 // Records are numbered by position: the i-th record of a segment has LSN
-// first+i, so the log needs no index — the file names and record counts
-// are the index. Appends go to the newest segment and rotate to a fresh
-// one when the configured size is exceeded.
+// first+i, so the file names and record counts locate every record. In
+// memory each segment also keeps a sparse LSN → byte-offset index (one
+// mark every markEvery records) so the replication stream can start
+// reading at a mark instead of byte 0; the index is never written to
+// disk. Appends go to the newest segment and rotate to a fresh one when
+// the configured size is exceeded.
 //
 // Crash semantics. Only the tail of the newest segment can be torn by a
 // crash (appends are sequential); Open scans that segment, truncates
@@ -23,6 +26,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,6 +60,11 @@ const MaxRecordBytes = 16 << 20
 
 // headerSize is the per-record framing overhead: 4 length + 4 CRC bytes.
 const headerSize = 8
+
+// markEvery is the spacing, in records, of a segment's LSN → byte-offset
+// marks: a ReadCommitted starts scanning at most markEvery-1 records
+// before the LSN it was asked for, however full the segment is.
+const markEvery = 64
 
 // castagnoli is the CRC32-C table used for record checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -140,6 +149,12 @@ type OpenInfo struct {
 type segment struct {
 	first LSN
 	path  string
+	// marks[k] is the byte offset of record first+k*markEvery, so
+	// marks[0] is 0. Marks are only ever appended, so a copy of the
+	// slice taken under Log.mu stays valid while appends go on. nil
+	// means not indexed yet: a sealed segment found at Open gets its
+	// marks from the first read that needs them (it never changes).
+	marks []int64
 }
 
 // Log is an append-only write-ahead log rooted at one directory. It is
@@ -249,8 +264,7 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 		if err != nil {
 			return nil, OpenInfo{}, err
 		}
-		records := 0
-		valid, _, scanErr := ScanSegment(f, func([]byte) error { records++; return nil })
+		marks, records, valid, scanErr := indexSegment(f)
 		closeErr := f.Close()
 		if scanErr != nil {
 			return nil, OpenInfo{}, scanErr
@@ -274,6 +288,7 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 		}
 		l.size = valid
 		l.next = last.first + LSN(records)
+		l.segs[len(l.segs)-1].marks = marks
 	}
 	l.synced = l.next - 1 // everything on disk at Open is the durable prefix
 	info.Segments = len(l.segs)
@@ -299,10 +314,35 @@ func (l *Log) createSegmentLocked(first LSN) error {
 			return &IOError{Op: "dirsync", Path: l.dir, Err: err}
 		}
 	}
-	l.segs = append(l.segs, segment{first: first, path: path})
+	l.segs = append(l.segs, segment{first: first, path: path, marks: []int64{0}})
 	l.f = f
 	l.size = 0
 	return nil
+}
+
+// markLocked records that record lsn starts at byte off of the newest
+// segment, if lsn falls on a mark. Callers hold l.mu.
+func (l *Log) markLocked(lsn LSN, off int64) {
+	seg := &l.segs[len(l.segs)-1]
+	if n := lsn - seg.first; n > 0 && n%markEvery == 0 {
+		seg.marks = append(seg.marks, off)
+	}
+}
+
+// indexSegment scans a segment from its first byte and returns its marks,
+// its record count and the offset just past its last valid record.
+func indexSegment(r io.Reader) (marks []int64, records int, valid int64, err error) {
+	marks = []int64{0}
+	var off int64
+	valid, _, err = ScanSegment(bufio.NewReaderSize(r, 64<<10), func(payload []byte) error {
+		if records > 0 && records%markEvery == 0 {
+			marks = append(marks, off)
+		}
+		records++
+		off += headerSize + int64(len(payload))
+		return nil
+	})
+	return marks, records, valid, err
 }
 
 // syncDir flushes a directory's entries (file creations, renames) to
@@ -450,6 +490,7 @@ func (l *Log) Begin(payload []byte) (*Pending, error) {
 		}
 		break
 	}
+	l.markLocked(l.next, l.size+int64(len(l.buf)))
 	l.buf = append(l.buf, rec...)
 	l.bufRecords++
 	lsn := l.next
@@ -549,6 +590,7 @@ func (l *Log) appendLocked(rec []byte) (lsn LSN, fsyncDur time.Duration, err err
 		l.cond.Broadcast()
 		return 0, 0, l.failed
 	}
+	l.markLocked(l.next, l.size)
 	l.size += int64(len(rec))
 	if l.opts.Fsync {
 		syncStart := time.Now()
