@@ -1,29 +1,11 @@
 package jq
 
 import (
-	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/worker"
 )
-
-// dpBuffers recycles the dense DP arrays across Estimate calls: the
-// annealing search evaluates thousands of juries, and the two O(n·buckets)
-// slices dominated its allocation profile. Buffers are returned all-zero
-// (the DP zeroes every slot it consumes), so acquisition never needs to
-// clear them.
-var dpBuffers = sync.Pool{New: func() any { b := make([]float64, 0); return &b }}
-
-func acquireBuffer(size int) *[]float64 {
-	b := dpBuffers.Get().(*[]float64)
-	if cap(*b) < size {
-		*b = make([]float64, size)
-	}
-	*b = (*b)[:size]
-	return b
-}
 
 // DefaultNumBuckets is the bucket count used by the paper's experiments
 // (Section 6.1.1). The analytic error bound below 1% needs numBuckets ≥
@@ -86,65 +68,25 @@ type Result struct {
 //
 // The returned estimate is a lower bound on the true JQ with additive error
 // below Result.Bound, which is < 1% when numBuckets ≥ 200·n (Section 4.4).
-// Time is O(numBuckets · n²) and memory O(numBuckets · n).
+// Keys after i workers share the parity of Σ_{j<i} b_j, so each of the
+// DP's two lists holds at most Σb_i + 1 ≤ numBuckets·n + 1 (key, mass)
+// pairs; pruning keeps only the keys in [−remaining, remaining], which
+// about halves that on a whole pool (see listBound). Time is
+// O(n · live keys) ≤ O(numBuckets · n²).
+//
+// Estimate is a one-shot, memo-less Estimator over the whole pool, so the
+// two are bit-identical by construction.
 func Estimate(pool worker.Pool, alpha float64, opts Options) (Result, error) {
-	if err := pool.Validate(); err != nil {
+	opts.DisableMemo = true
+	e, err := NewEstimator(pool, alpha, opts)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := checkPrior(alpha); err != nil {
-		return Result{}, err
+	e.idx = make([]int, len(pool))
+	for i := range e.idx {
+		e.idx[i] = i
 	}
-	if opts.NumBuckets == 0 {
-		opts.NumBuckets = DefaultNumBuckets
-	}
-	if opts.NumBuckets < 1 {
-		return Result{}, fmt.Errorf("jq: NumBuckets must be positive, got %d", opts.NumBuckets)
-	}
-	withPrior := WithPrior(pool, alpha)
-	normalized, _ := withPrior.Normalize()
-	qs := normalized.Qualities()
-
-	// High-quality short-circuit (Section 4.4): JQ ≥ max q_i by Lemma 1,
-	// so with q > 0.99 returning q keeps the error under 1% while keeping
-	// φ bounded for everyone else.
-	maxQ := 0.0
-	for _, q := range qs {
-		if q > maxQ {
-			maxQ = q
-		}
-	}
-	if maxQ > HighQualityCutoff {
-		return Result{JQ: maxQ, Bound: 1 - maxQ, ShortCircuited: true}, nil
-	}
-
-	// Bucketize. upper = max φ(q_i); all-q=0.5 juries have upper = 0 and
-	// JQ exactly 0.5.
-	n := len(qs)
-	phis := make([]float64, n)
-	upper := 0.0
-	for i, q := range qs {
-		phis[i] = math.Log(q / (1 - q)) // q ∈ [0.5, 0.99] ⇒ φ ∈ [0, ~4.6]
-		if phis[i] > upper {
-			upper = phis[i]
-		}
-	}
-	if upper == 0 {
-		return Result{JQ: 0.5, ShortCircuited: true}, nil
-	}
-	delta := upper / float64(opts.NumBuckets)
-	workers := make([]bucketedWorker, n)
-	span := 0
-	for i := range qs {
-		workers[i] = bucketedWorker{b: bucketOf(phis[i], delta), q: qs[i]}
-		span += workers[i].b
-	}
-
-	res := Result{Bound: ErrorBound(n, upper, opts.NumBuckets)}
-	curBuf, nextBuf := acquireBuffer(2*span+1), acquireBuffer(2*span+1)
-	defer dpBuffers.Put(curBuf)
-	defer dpBuffers.Put(nextBuf)
-	bucketDP(workers, make([]int, n+1), *curBuf, *nextBuf, opts.DisablePruning, &res)
-	return res, nil
+	return e.evalSubset(), nil
 }
 
 // bucketedWorker is one jury member after bucketization: the integer
@@ -159,16 +101,40 @@ func bucketOf(phi, delta float64) int {
 	return int(math.Ceil(phi/delta - 0.5))
 }
 
-// bucketDP runs the sorted (key, prob) dynamic program of Algorithms 1–2
+// keyMass is one entry of the sparse DP: a bucketed log-likelihood-ratio
+// key and the probability mass of the vote patterns reaching it.
+type keyMass struct {
+	key  int
+	mass float64
+}
+
+// sparseDP runs the sorted (key, prob) dynamic program of Algorithms 1–2
 // over the bucketized jury, accumulating the estimate and work counters
-// into res. It is the single shared core of Estimate and Estimator, which
-// keeps the two paths bit-identical by construction.
+// into res. It is the one DP behind Estimate and Estimator.
+//
+// The DP state is the ascending list of keys that hold mass; zero-mass
+// keys (underflow) are never stored. Its result is bit-identical to a
+// dense walk over [−Σb, Σb] that skips empty slots:
+//   - with pruning on, the live keys are the contiguous window
+//     [−remaining, remaining] of the list, so the pruned keys below it are
+//     only counted and those above it summed in ascending order, as the
+//     dense walk does;
+//   - each next key t receives at most two terms, mass(t−b)·q and
+//     mass(t+b)·(1−q), and the merge rounds both products before adding
+//     them, as the dense walk's two += steps do when the compiler does not
+//     fuse them into multiply-adds.
+//
+// Explicit float64 conversions keep every product rounded on its own, so
+// the core computes the same bits on targets where the compiler fuses
+// multiply-adds (arm64, ppc64le, s390x, riscv64) as on amd64, where it
+// does not.
 //
 // workers holds the jury in evaluation order and is sorted in place by
-// decreasing bucket. aggregate must have length len(workers)+1; cur and
-// next must both be all-zero with length 2·span+1 where span = Σ b_i, and
-// are returned all-zero (every consumed slot is re-zeroed).
-func bucketDP(workers []bucketedWorker, aggregate []int, cur, next []float64, disablePruning bool, res *Result) {
+// decreasing bucket. aggregate must have length len(workers)+1. lists
+// holds the two scratch lists; they are replaced only when their capacity
+// is below listBound, so a caller that keeps them across calls (the
+// Estimator) stops allocating once they fit its largest jury.
+func sparseDP(workers []bucketedWorker, aggregate []int, lists *[2][]keyMass, disablePruning bool, res *Result) {
 	n := len(workers)
 	// Sort by decreasing bucket so the largest keys appear first, making
 	// the pruning suffix-bound as tight as possible as early as possible.
@@ -182,73 +148,97 @@ func bucketDP(workers []bucketedWorker, aggregate []int, cur, next []float64, di
 	for i := n - 1; i >= 0; i-- {
 		aggregate[i] = aggregate[i+1] + workers[i].b
 	}
-	span := aggregate[0] // Σ b_i bounds |key| over the whole run
 
-	// Dense DP over keys in [−span, span], stored at offset +span. The two
-	// buffers are swapped each iteration; [lo, hi] tracks the live window.
-	cur[span] = 1 // SM[0] = 1
-	lo, hi := span, span
+	if need := listBound(workers, aggregate, disablePruning); cap(lists[0]) < need {
+		lists[0] = make([]keyMass, 0, need)
+		lists[1] = make([]keyMass, 0, need)
+	}
+	cur, next := lists[0], lists[1]
+	cur = append(cur[:0], keyMass{key: 0, mass: 1}) // SM[0] = 1
 	var estimate float64
 	for i := 0; i < n; i++ {
-		b, q := workers[i].b, workers[i].q
-		remaining := aggregate[i]
-		newLo, newHi := len(next), -1
-		for k := lo; k <= hi; k++ {
-			prob := cur[k]
-			if prob == 0 {
-				continue
+		res.KeysVisited += len(cur)
+		live := cur
+		if !disablePruning {
+			// Algorithm 2: once |key| exceeds the remaining swing the
+			// final sign is fixed; positive keys contribute their full
+			// descendant mass (the vote-probability factors sum to 1),
+			// negative keys contribute nothing.
+			remaining := aggregate[i]
+			lo, hi := 0, len(cur)
+			for lo < hi && cur[lo].key < -remaining {
+				lo++
 			}
-			cur[k] = 0
-			res.KeysVisited++
-			key := k - span
-			if !disablePruning {
-				// Algorithm 2: once |key| exceeds the remaining swing the
-				// final sign is fixed; positive keys contribute their full
-				// descendant mass (the vote-probability factors sum to 1),
-				// negative keys contribute nothing.
-				if key > 0 && key-remaining > 0 {
-					estimate += prob
-					res.KeysPruned++
-					continue
-				}
-				if key < 0 && key+remaining < 0 {
-					res.KeysPruned++
-					continue
-				}
+			for hi > lo && cur[hi-1].key > remaining {
+				hi--
 			}
-			up, down := k+b, k-b
-			next[up] += prob * q // v_i = 0: key + b_i, weight q_i
-			next[down] += prob * (1 - q)
-			if down < newLo {
-				newLo = down
+			for _, km := range cur[hi:] {
+				estimate += km.mass
 			}
-			if up > newHi {
-				newHi = up
-			}
+			res.KeysPruned += len(cur) - (hi - lo)
+			live = cur[lo:hi]
 		}
+		next = shiftMerge(next[:0], live, workers[i].b, workers[i].q)
 		cur, next = next, cur
-		if newHi < newLo { // everything pruned
-			lo, hi = span, span
-			cur[span] = 0
-			break
-		}
-		lo, hi = newLo, newHi
 	}
 	// Final evaluation: keys > 0 contribute fully, key = 0 half.
-	for k := lo; k <= hi; k++ {
-		prob := cur[k]
-		if prob == 0 {
-			continue
-		}
-		cur[k] = 0
-		switch key := k - span; {
-		case key > 0:
-			estimate += prob
-		case key == 0:
-			estimate += 0.5 * prob
+	for _, km := range cur {
+		switch {
+		case km.key > 0:
+			estimate += km.mass
+		case km.key == 0:
+			estimate += 0.5 * km.mass
 		}
 	}
 	res.JQ = estimate
+}
+
+// listBound is the most keys a DP list can hold, so the lists are sized
+// once and never grown. After worker i the keys share the parity of
+// P = b_0 + … + b_i and lie in [−P, P]; with pruning they also lie within
+// b_i of the live window [−aggregate[i], aggregate[i]]. Either way they fit
+// in some [−m, m], which holds at most m+1 keys of one parity. With
+// pruning on a whole pool this is about half of Σb_i + 1.
+func listBound(workers []bucketedWorker, aggregate []int, disablePruning bool) int {
+	if disablePruning {
+		return aggregate[0] + 1
+	}
+	need := 1 // the initial list {0}
+	for i, w := range workers {
+		m := min(aggregate[0]-aggregate[i+1], aggregate[i]+w.b)
+		need = max(need, m+1)
+	}
+	return need
+}
+
+// shiftMerge appends to dst the ascending key list after one worker of
+// bucket b and quality q votes: every live key k moves to k+b with weight
+// q (the worker votes for answer 0) and to k−b with weight 1−q. Both
+// shifted copies of live are ascending, so the step is a merge of live
+// against itself shifted by 2b; a key reached both ways sums the two
+// rounded products. Keys whose mass underflows to zero are dropped.
+func shiftMerge(dst, live []keyMass, b int, q float64) []keyMass {
+	p := 1 - q
+	down := 0 // next entry of the k−b copy; up walks the k+b copy
+	for _, u := range live {
+		upKey := u.key + b
+		for ; down < len(live) && live[down].key-b < upKey; down++ {
+			if m := live[down].mass * p; m != 0 {
+				dst = append(dst, keyMass{key: live[down].key - b, mass: m})
+			}
+		}
+		// The conversions forbid fusing a product into the sum, which
+		// would skip one rounding.
+		m := float64(u.mass * q)
+		if down < len(live) && live[down].key-b == upKey {
+			m += float64(live[down].mass * p)
+			down++
+		}
+		if m != 0 {
+			dst = append(dst, keyMass{key: upKey, mass: m})
+		}
+	}
+	return dst
 }
 
 // ErrorBound returns the additive approximation bound of Section 4.4,

@@ -2,8 +2,10 @@ package jq
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -334,6 +336,10 @@ func TestErrorBound(t *testing.T) {
 	}
 }
 
+// TestEstimateReusesBuffers bounds the allocation count of one Estimate
+// call. Its name dates from the pooled dense DP buffers; Estimate now
+// reuses nothing across calls, and its bytes are measured by
+// BenchmarkAblationEstimateJQ.
 func TestEstimateReusesBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	qs := make([]float64, 40)
@@ -341,18 +347,252 @@ func TestEstimateReusesBuffers(t *testing.T) {
 		qs[i] = 0.5 + 0.45*rng.Float64()
 	}
 	p := pool(qs...)
-	// Warm the pool.
-	if _, err := Estimate(p, 0.5, Options{NumBuckets: 50}); err != nil {
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(50, func() {
 		if _, err := Estimate(p, 0.5, Options{NumBuckets: 50}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Without pooling this was dominated by two ~4000-element slices; with
-	// pooling only small fixed allocations (worker copies, sort) remain.
+	// Estimate is a one-shot Estimator, so it allocates its per-worker
+	// tables, its scratch and the two key lists on every call; the count
+	// stays fixed because each is allocated once, at its final size
+	// (listBound for the key lists), and never grown by append.
 	if allocs > 15 {
 		t.Fatalf("allocations per Estimate = %v, want ≤ 15", allocs)
+	}
+}
+
+// denseEstimate is Estimate as it was before the sparse core: its own
+// normalization, short-circuit and bucketization, then the dense bucketDP
+// below. It is the oracle the sparse core must match in every Result
+// field.
+func denseEstimate(pool worker.Pool, alpha float64, opts Options) (Result, error) {
+	if err := pool.Validate(); err != nil {
+		return Result{}, err
+	}
+	if err := checkPrior(alpha); err != nil {
+		return Result{}, err
+	}
+	if opts.NumBuckets == 0 {
+		opts.NumBuckets = DefaultNumBuckets
+	}
+	if opts.NumBuckets < 1 {
+		return Result{}, fmt.Errorf("jq: NumBuckets must be positive, got %d", opts.NumBuckets)
+	}
+	normalized, _ := WithPrior(pool, alpha).Normalize()
+	qs := normalized.Qualities()
+	maxQ := 0.0
+	for _, q := range qs {
+		if q > maxQ {
+			maxQ = q
+		}
+	}
+	if maxQ > HighQualityCutoff {
+		return Result{JQ: maxQ, Bound: 1 - maxQ, ShortCircuited: true}, nil
+	}
+	n := len(qs)
+	phis := make([]float64, n)
+	upper := 0.0
+	for i, q := range qs {
+		phis[i] = math.Log(q / (1 - q))
+		if phis[i] > upper {
+			upper = phis[i]
+		}
+	}
+	if upper == 0 {
+		return Result{JQ: 0.5, ShortCircuited: true}, nil
+	}
+	delta := upper / float64(opts.NumBuckets)
+	workers := make([]bucketedWorker, n)
+	span := 0
+	for i := range qs {
+		workers[i] = bucketedWorker{b: bucketOf(phis[i], delta), q: qs[i]}
+		span += workers[i].b
+	}
+	res := Result{Bound: ErrorBound(n, upper, opts.NumBuckets)}
+	bucketDP(workers, make([]int, n+1), make([]float64, 2*span+1), make([]float64, 2*span+1), opts.DisablePruning, &res)
+	return res, nil
+}
+
+// bucketDP is the dense DP that Estimate and Estimator ran before the
+// sparse core, kept as its oracle. It runs the sorted (key, prob) dynamic
+// program of Algorithms 1–2 over the bucketized jury, accumulating the
+// estimate and work counters into res. It is the old code verbatim except
+// that its two mass updates convert each product to float64: the old
+// `next[up] += prob * q` rounds the product on its own on amd64 but is
+// fused into one multiply-add on arm64, ppc64le, s390x and riscv64, while
+// the sparse core always rounds each product, so only the converted form
+// matches it on every target.
+//
+// workers holds the jury in evaluation order and is sorted in place by
+// decreasing bucket. aggregate must have length len(workers)+1; cur and
+// next must both be all-zero with length 2·span+1 where span = Σ b_i, and
+// are returned all-zero (every consumed slot is re-zeroed).
+func bucketDP(workers []bucketedWorker, aggregate []int, cur, next []float64, disablePruning bool, res *Result) {
+	n := len(workers)
+	// Sort by decreasing bucket so the largest keys appear first, making
+	// the pruning suffix-bound as tight as possible as early as possible.
+	// slices.SortFunc (unlike sort.Slice) does not box its argument, which
+	// keeps steady-state Estimator evaluations allocation-free.
+	slices.SortFunc(workers, func(a, b bucketedWorker) int { return b.b - a.b })
+
+	// aggregate[i] = Σ_{j ≥ i} b_j: the largest swing the remaining
+	// workers can still apply to a key (Algorithm 2's AggregateBucket).
+	aggregate[n] = 0
+	for i := n - 1; i >= 0; i-- {
+		aggregate[i] = aggregate[i+1] + workers[i].b
+	}
+	span := aggregate[0] // Σ b_i bounds |key| over the whole run
+
+	// Dense DP over keys in [−span, span], stored at offset +span. The two
+	// buffers are swapped each iteration; [lo, hi] tracks the live window.
+	cur[span] = 1 // SM[0] = 1
+	lo, hi := span, span
+	var estimate float64
+	for i := 0; i < n; i++ {
+		b, q := workers[i].b, workers[i].q
+		remaining := aggregate[i]
+		newLo, newHi := len(next), -1
+		for k := lo; k <= hi; k++ {
+			prob := cur[k]
+			if prob == 0 {
+				continue
+			}
+			cur[k] = 0
+			res.KeysVisited++
+			key := k - span
+			if !disablePruning {
+				// Algorithm 2: once |key| exceeds the remaining swing the
+				// final sign is fixed; positive keys contribute their full
+				// descendant mass (the vote-probability factors sum to 1),
+				// negative keys contribute nothing.
+				if key > 0 && key-remaining > 0 {
+					estimate += prob
+					res.KeysPruned++
+					continue
+				}
+				if key < 0 && key+remaining < 0 {
+					res.KeysPruned++
+					continue
+				}
+			}
+			up, down := k+b, k-b
+			// The conversions round each product before it is added, so
+			// no target fuses the update into a multiply-add.
+			next[up] = next[up] + float64(prob*q) // v_i = 0: key + b_i, weight q_i
+			next[down] = next[down] + float64(prob*(1-q))
+			if down < newLo {
+				newLo = down
+			}
+			if up > newHi {
+				newHi = up
+			}
+		}
+		cur, next = next, cur
+		if newHi < newLo { // everything pruned
+			lo, hi = span, span
+			cur[span] = 0
+			break
+		}
+		lo, hi = newLo, newHi
+	}
+	// Final evaluation: keys > 0 contribute fully, key = 0 half.
+	for k := lo; k <= hi; k++ {
+		prob := cur[k]
+		if prob == 0 {
+			continue
+		}
+		cur[k] = 0
+		switch key := k - span; {
+		case key > 0:
+			estimate += prob
+		case key == 0:
+			estimate += 0.5 * prob
+		}
+	}
+	res.JQ = estimate
+}
+
+// The sparse core must reproduce the dense DP in every Result field —
+// JQ and Bound to the bit, KeysVisited and KeysPruned exactly — on 300
+// juries drawn by randomOracleJury.
+func TestSparseDPMatchesDenseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 300; trial++ {
+		p, alpha, opts := randomOracleJury(rng)
+		got, err := Estimate(p, alpha, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := denseEstimate(p, alpha, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("trial %d (n=%d alpha=%v opts=%+v):\n sparse %+v\n  dense %+v",
+				trial, len(p), alpha, opts, got, want)
+		}
+	}
+}
+
+// randomOracleJury draws one jury of the oracle test: 5–204 workers
+// (sub-0.5 workers flipped by normalization), 3–200 buckets, three
+// priors, pruning on or off. One jury in four has 170 or more
+// near-certain workers, so that without pruning the mass of its extreme
+// keys, ≤ 0.03^n, underflows to zero.
+func randomOracleJury(rng *rand.Rand) (worker.Pool, float64, Options) {
+	qs := make([]float64, 5+rng.Intn(200))
+	nearCertain := rng.Intn(4) == 0
+	if nearCertain {
+		qs = make([]float64, 170+rng.Intn(35))
+	}
+	for i := range qs {
+		qs[i] = 0.01 + 0.98*rng.Float64() // below 0.5 half the time
+		if nearCertain {
+			qs[i] = 0.97 + 0.02*rng.Float64()
+			if rng.Intn(2) == 0 {
+				qs[i] = 1 - qs[i]
+			}
+		}
+	}
+	alpha := []float64{0.3, 0.5, 0.7}[rng.Intn(3)]
+	return pool(qs...), alpha, Options{NumBuckets: 3 + rng.Intn(198), DisablePruning: rng.Intn(2) == 0}
+}
+
+// listBound must cover every list the DP builds: once an Estimator has
+// sized its lists for a jury, evaluating that jury again allocates
+// nothing, which fails if a list outgrew its bound and append grew it.
+func TestListBoundHolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 100; trial++ {
+		p, alpha, opts := randomOracleJury(rng)
+		if trial%4 == 0 {
+			// With one bucket, equal workers all get b = 1 and reach every
+			// key of the right parity, so the lists fill up to the bound.
+			for i := range p {
+				p[i].Quality = p[0].Quality
+			}
+			opts.NumBuckets = 1
+		}
+		opts.DisableMemo = true
+		est, err := NewEstimator(p, alpha, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int, len(p))
+		for i := range all {
+			all[i] = i
+		}
+		if _, err := est.Eval(all); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := est.Eval(all); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("trial %d (n=%d alpha=%v opts=%+v): repeat Eval allocates %v times, want 0",
+				trial, len(p), alpha, opts, allocs)
+		}
 	}
 }

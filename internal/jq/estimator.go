@@ -38,9 +38,9 @@ type EstimatorStats struct {
 // bucket approximation of JQ(J, BV, α): it is constructed once per
 // (candidate pool, prior, options) and then evaluates arbitrary subsets
 // of the pool without re-validating, re-normalizing, or recomputing
-// log-odds, and without per-call allocation. Results are bit-identical
-// to the one-shot Estimate on the same subset: both run the shared
-// bucketDP core on identically assembled inputs.
+// log-odds, and without per-call allocation. Estimate is a one-shot,
+// memo-less Estimator, so results are bit-identical to Estimate on the
+// same (ascending) subset.
 //
 // Eval sorts the indices into canonical ascending order before
 // evaluating, so the result (and the memo key) is independent of the
@@ -69,7 +69,7 @@ type Estimator struct {
 	idx       []int
 	workers   []bucketedWorker
 	aggregate []int
-	cur, next []float64
+	lists     [2][]keyMass
 	keyBuf    []byte
 
 	memo      map[string]Result
@@ -77,9 +77,7 @@ type Estimator struct {
 	stats     EstimatorStats
 }
 
-// phiOf is the Bayesian log-odds weight of a normalized quality; the
-// same expression Estimate applies, so precomputed values are
-// bit-identical.
+// phiOf is the Bayesian log-odds weight of a normalized quality.
 func phiOf(q float64) float64 { return math.Log(q / (1 - q)) }
 
 // NewEstimator validates the candidate pool and prior once and
@@ -203,14 +201,17 @@ func (e *Estimator) signature() {
 	e.keyBuf = b
 }
 
-// evalSubset mirrors Estimate step for step on the precomputed data.
+// evalSubset runs Algorithm 1 on the non-empty, ascending e.idx from the
+// precomputed per-worker data.
 func (e *Estimator) evalSubset() Result {
 	n := len(e.idx)
 	if e.hasPrior {
 		n++
 	}
 
-	// High-quality short-circuit (Section 4.4).
+	// High-quality short-circuit (Section 4.4): JQ ≥ max q_i by Lemma 1,
+	// so with q > 0.99 returning q keeps the error under 1% while keeping
+	// φ bounded for everyone else.
 	maxQ := 0.0
 	for _, i := range e.idx {
 		if e.qs[i] > maxQ {
@@ -239,35 +240,23 @@ func (e *Estimator) evalSubset() Result {
 	}
 
 	// Bucketize into scratch, subset order then the pseudo-worker — the
-	// same assembly order Estimate sees after WithPrior.
+	// order in which WithPrior appends it.
 	delta := upper / float64(e.opts.NumBuckets)
 	if cap(e.workers) < n {
 		e.workers = make([]bucketedWorker, 0, 2*n)
 	}
 	ws := e.workers[:0]
-	span := 0
 	for _, i := range e.idx {
-		b := bucketOf(e.phis[i], delta)
-		ws = append(ws, bucketedWorker{b: b, q: e.qs[i]})
-		span += b
+		ws = append(ws, bucketedWorker{b: bucketOf(e.phis[i], delta), q: e.qs[i]})
 	}
 	if e.hasPrior {
-		b := bucketOf(e.priorPhi, delta)
-		ws = append(ws, bucketedWorker{b: b, q: e.priorQ})
-		span += b
+		ws = append(ws, bucketedWorker{b: bucketOf(e.priorPhi, delta), q: e.priorQ})
 	}
 	if cap(e.aggregate) < n+1 {
 		e.aggregate = make([]int, n+1)
 	}
-	// The DP buffers must be all-zero; bucketDP re-zeroes every slot it
-	// consumes, so only growth requires a fresh (zeroed) allocation.
-	if need := 2*span + 1; cap(e.cur) < need {
-		e.cur = make([]float64, need)
-		e.next = make([]float64, need)
-	}
 	res := Result{Bound: ErrorBound(n, upper, e.opts.NumBuckets)}
-	span2 := 2*span + 1
-	bucketDP(ws, e.aggregate[:n+1], e.cur[:span2], e.next[:span2], e.opts.DisablePruning, &res)
+	sparseDP(ws, e.aggregate[:n+1], &e.lists, e.opts.DisablePruning, &res)
 	return res
 }
 

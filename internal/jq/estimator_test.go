@@ -386,7 +386,7 @@ func TestExactBVEvaluatorRejectsHugeJury(t *testing.T) {
 // FuzzEstimatorMatchesEstimate drives arbitrary byte strings into
 // (pool, prior, subset-sequence) configurations and checks that the
 // Estimator and MVEvaluator stay bit-identical to their one-shot
-// counterparts. Run with
+// counterparts, and Estimate to the dense DP oracle. Run with
 // `go test -fuzz FuzzEstimatorMatchesEstimate ./internal/jq` for
 // exploration; the seed corpus runs on every `go test`.
 func FuzzEstimatorMatchesEstimate(f *testing.F) {
@@ -443,6 +443,22 @@ func FuzzEstimatorMatchesEstimate(f *testing.F) {
 			}
 			if got != want {
 				t.Fatalf("estimator mismatch on %v: got %+v want %+v", subset, got, want)
+			}
+			// The dense oracle, with pruning on and off.
+			for _, disable := range []bool{false, true} {
+				o := opts
+				o.DisablePruning = disable
+				sparse, err := Estimate(pool.Subset(subset), alpha, o)
+				if err != nil {
+					t.Fatalf("Estimate: %v", err)
+				}
+				dense, err := denseEstimate(pool.Subset(subset), alpha, o)
+				if err != nil {
+					t.Fatalf("denseEstimate: %v", err)
+				}
+				if sparse != dense {
+					t.Fatalf("dense oracle mismatch on %v (opts %+v): sparse %+v dense %+v", subset, o, sparse, dense)
+				}
 			}
 			gotMV, err := mv.Eval(subset)
 			if err != nil {

@@ -116,6 +116,21 @@ type annealSearch struct {
 	evals    int
 }
 
+// newAnnealSearch starts a pass from the empty jury.
+func newAnnealSearch(pool worker.Pool, eval Evaluator, budget float64, rng *rand.Rand, allowRemoval bool) *annealSearch {
+	n := len(pool)
+	return &annealSearch{
+		costs:        pool.Costs(),
+		eval:         eval,
+		budget:       budget,
+		rng:          rng,
+		allowRemoval: allowRemoval,
+		selected:     make([]bool, n),
+		members:      make([]int, 0, n),
+		spare:        make([]int, 0, n),
+	}
+}
+
 func (s *annealSearch) objective(indices []int) (float64, error) {
 	s.evals++
 	return s.eval.Eval(indices)
@@ -128,17 +143,7 @@ func (a Annealing) run(pool worker.Pool, budget, alpha float64, schedule anneal.
 	if err != nil {
 		return Result{}, err
 	}
-	s := &annealSearch{
-		costs:        pool.Costs(),
-		eval:         eval,
-		budget:       budget,
-		rng:          rng,
-		allowRemoval: a.AllowRemoval,
-		selected:     make([]bool, n),
-		members:      make([]int, 0, n),
-		spare:        make([]int, 0, n),
-	}
-
+	s := newAnnealSearch(pool, eval, budget, rng, a.AllowRemoval)
 	s.curJQ, err = s.objective(s.members)
 	if err != nil {
 		return Result{}, err
@@ -153,19 +158,7 @@ func (a Annealing) run(pool worker.Pool, budget, alpha float64, schedule anneal.
 			return
 		}
 		for step := 0; step < n; step++ {
-			r := s.rng.Intn(n)
-			if !s.selected[r] && s.cost+s.costs[r] <= s.budget {
-				// Add r (Algorithm 3, steps 9–11).
-				s.selected[r] = true
-				s.members = append(s.members, r)
-				s.cost += s.costs[r]
-				newJQ, err := s.objective(s.members)
-				if err != nil {
-					loopErr = err
-					return
-				}
-				s.curJQ = newJQ
-			} else if err := s.swap(r, temp); err != nil {
+			if err := s.move(temp); err != nil {
 				loopErr = err
 				return
 			}
@@ -190,6 +183,24 @@ func (a Annealing) run(pool worker.Pool, budget, alpha float64, schedule anneal.
 		Cost:        bestCost,
 		Evaluations: s.evals,
 	}, nil
+}
+
+// move is one local search of Algorithm 3: draw a candidate r, add it
+// when it is free and fits the budget (steps 9–11), swap otherwise.
+func (s *annealSearch) move(temp float64) error {
+	r := s.rng.Intn(len(s.selected))
+	if !s.selected[r] && s.cost+s.costs[r] <= s.budget {
+		s.selected[r] = true
+		s.members = append(s.members, r)
+		s.cost += s.costs[r]
+		newJQ, err := s.objective(s.members)
+		if err != nil {
+			return err
+		}
+		s.curJQ = newJQ
+		return nil
+	}
+	return s.swap(r, temp)
 }
 
 // swap implements Algorithm 4: exchange one selected worker against one

@@ -152,28 +152,12 @@ func TestAnnealingHitsEstimatorMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	eval := &bvEvaluator{est: est, alpha: 0.5}
-	s := &annealSearch{
-		costs:    pool.Costs(),
-		eval:     eval,
-		budget:   0.4,
-		rng:      rand.New(rand.NewSource(3)),
-		selected: make([]bool, len(pool)),
-		members:  make([]int, 0, len(pool)),
-		spare:    make([]int, 0, len(pool)),
-	}
+	s := newAnnealSearch(pool, eval, 0.4, rand.New(rand.NewSource(3)), false)
 	if s.curJQ, err = s.objective(s.members); err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 4000; step++ {
-		r := s.rng.Intn(len(pool))
-		if !s.selected[r] && s.cost+s.costs[r] <= s.budget {
-			s.selected[r] = true
-			s.members = append(s.members, r)
-			s.cost += s.costs[r]
-			if s.curJQ, err = s.objective(s.members); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := s.swap(r, 0.5); err != nil {
+		if err := s.move(0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
