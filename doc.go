@@ -36,13 +36,15 @@
 //   - jq.NewExactBVEvaluator: the exponential exact-BV enumeration
 //     without per-subset allocation, for small-jury reference runs.
 //
-// The selection layer picks these up automatically: objectives that
-// implement selection.EvaluatorProvider (BV, MV, BV-exact) hand the
-// searches a per-pool selection.Evaluator, and Annealing and Exhaustive
-// score every jury through it — the annealing swap loop allocates
-// nothing per move. The greedy selectors score one jury exactly once,
-// so they deliberately use the generic subset adapter instead of
-// building a per-pool engine. Evaluators are single-goroutine;
+// The selection layer picks these up through one seam: every search
+// (Annealing, Exhaustive, the greedy walk, the knapsack's final score)
+// runs on a selection.Space — the candidates' costs, the empty jury's
+// score, and a factory for a selection.Evaluator that scores juries as
+// index slices. Every Objective (BV, MV, BV-exact) builds that
+// evaluator from its jq engine, so the annealing swap loop allocates
+// nothing per move. The multi-choice selectors of internal/multichoice
+// build their own Space, whose evaluator scores the materialized
+// subset, and run the same searches. Evaluators are single-goroutine;
 // parallel searches build one each. Annealing restarts fan out across a
 // bounded goroutine pool with per-restart RNGs derived from the seed, and
 // the repeat/trial loops of internal/experiments do the same

@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/jq"
@@ -116,6 +117,13 @@ func PosteriorCorrect(votes []voting.Vote, qualities []float64, alpha float64) (
 		} else {
 			p0 *= 1 - q
 			p1 *= q
+		}
+		// A long voting would underflow both products to 0. Scaling
+		// both by one power of two is exact and cancels in the ratio,
+		// and votings that never reach the threshold keep their bits.
+		if m := math.Max(p0, p1); m < 0x1p-512 {
+			_, exp := math.Frexp(m)
+			p0, p1 = math.Ldexp(p0, -exp), math.Ldexp(p1, -exp)
 		}
 	}
 	total := p0 + p1

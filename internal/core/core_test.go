@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/selection"
@@ -131,6 +132,96 @@ func TestPosteriorCorrect(t *testing.T) {
 	}
 	if _, err := PosteriorCorrect([]voting.Vote{voting.No}, nil, 0.5); err == nil {
 		t.Fatal("no error for arity mismatch")
+	}
+}
+
+// A long voting drives both raw likelihoods below the smallest float64;
+// the posterior must still follow the evidence rather than collapse to
+// the 0.5 of an empty total.
+func TestPosteriorCorrectLongVotingDoesNotUnderflow(t *testing.T) {
+	// Every block of 15 votes holds 8 yes and 7 no: 800 yes and 700 no.
+	votes := make([]voting.Vote, 1500)
+	qualities := make([]float64, len(votes))
+	for i := range votes {
+		votes[i] = voting.No
+		if i%15 < 8 {
+			votes[i] = voting.Yes
+		}
+		qualities[i] = 0.6
+	}
+	// The first 150 votes, 80 yes and 70 no, are short enough for the
+	// raw products: 1/(1 + (2/3)^10).
+	if got, err := PosteriorCorrect(votes[:150], qualities[:150], 0.5); err != nil || math.Abs(got-1/(1+math.Pow(2.0/3, 10))) > 1e-12 {
+		t.Fatalf("150-vote posterior = %v (%v)", got, err)
+	}
+	got, err := PosteriorCorrect(votes, qualities, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 100 more yes votes of likelihood ratio 1.5 each.
+	want := 1 / (1 + math.Pow(2.0/3, 100))
+	if math.Abs(got-want) > 1e-12 {
+		t.Fatalf("posterior = %v, want %v", got, want)
+	}
+	decision, err := voting.Decide(voting.Bayesian{}, votes, qualities, 0.5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decision != voting.Yes {
+		t.Fatalf("Bayesian decision = %v, want yes", decision)
+	}
+}
+
+// naivePosteriorCorrect multiplies the raw likelihoods without
+// rescaling; on votings that do not underflow, PosteriorCorrect must
+// match it bit for bit.
+func naivePosteriorCorrect(votes []voting.Vote, qualities []float64, alpha float64) float64 {
+	p0, p1 := alpha, 1-alpha
+	for i, v := range votes {
+		q := qualities[i]
+		if v == voting.No {
+			p0 *= q
+			p1 *= 1 - q
+		} else {
+			p0 *= 1 - q
+			p1 *= q
+		}
+	}
+	total := p0 + p1
+	if total == 0 {
+		return 0.5
+	}
+	if p0 >= p1 {
+		return p0 / total
+	}
+	return p1 / total
+}
+
+func TestPosteriorCorrectMatchesNaiveOnShortVotings(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(60)
+		votes := make([]voting.Vote, n)
+		qualities := make([]float64, n)
+		for i := range votes {
+			votes[i] = voting.Vote(rng.Intn(2))
+			switch rng.Intn(8) {
+			case 0:
+				qualities[i] = 1 // certain workers reach the zero-total case
+			case 1:
+				qualities[i] = 0.5
+			default:
+				qualities[i] = rng.Float64()
+			}
+		}
+		alpha := rng.Float64()
+		got, err := PosteriorCorrect(votes, qualities, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := naivePosteriorCorrect(votes, qualities, alpha); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: posterior %v, naive product %v", trial, got, want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -382,6 +383,41 @@ func TestSelectExhaustiveMultiChoice(t *testing.T) {
 	}
 	if math.Abs(res.JQ-want) > 1e-12 {
 		t.Fatalf("JQ = %v, want %v", res.JQ, want)
+	}
+}
+
+// Exhaustive search breaks JQ ties like the binary selector: within
+// 1e-12, the cheaper jury wins, then the lexicographically smaller index
+// set. Worker 0 separates label 0 from the rest, worker 3 separates 1
+// from 2, worker 1 is perfect and worker 2 duplicates worker 0. At budget
+// 2 the juries {1}, {0, 3} and {2, 3} all reach JQ 1 at cost 2; {0, 3}
+// is the lexicographically smallest, though {1} comes first in mask
+// order.
+func TestSelectExhaustiveTieBreak(t *testing.T) {
+	splitter := ConfusionMatrix{{1, 0, 0}, {0, 0.5, 0.5}, {0, 0.5, 0.5}}
+	perfect := ConfusionMatrix{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
+	refiner := ConfusionMatrix{{0.5, 0.25, 0.25}, {0, 1, 0}, {0, 0, 1}}
+	pool := Pool{
+		{Confusion: splitter, Cost: 1},
+		{Confusion: perfect, Cost: 2},
+		{Confusion: splitter, Cost: 1},
+		{Confusion: refiner, Cost: 1},
+	}
+	res, err := SelectExhaustive(pool, 2, UniformPrior(3), ExactObjective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tie := range [][]int{{1}, {0, 3}, {2, 3}} {
+		jq, err := ExactBV(pool.Subset(tie), UniformPrior(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(jq-res.JQ) > 1e-12 {
+			t.Fatalf("jury %v: JQ %v, selected JQ %v: not a tie", tie, jq, res.JQ)
+		}
+	}
+	if !slices.Equal(res.Indices, []int{0, 3}) || res.Cost != 2 {
+		t.Fatalf("selected %v (cost %v, JQ %v, evals %d), want [0 3] (cost 2)", res.Indices, res.Cost, res.JQ, res.Evaluations)
 	}
 }
 

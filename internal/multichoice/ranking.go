@@ -3,6 +3,8 @@ package multichoice
 import (
 	"math"
 	"sort"
+
+	"repro/internal/selection"
 )
 
 // The paper leaves open "what kind of confusion matrix will contribute
@@ -64,43 +66,13 @@ func RankWorkers(pool Pool) []int {
 
 // GreedyByInformativeness is a fast multi-choice jury selector: walk the
 // informativeness ranking and add every worker who fits the remaining
-// budget, then score the resulting jury once. A baseline against
-// SelectAnnealing, in the spirit of the binary GreedyQuality selector.
+// budget, then score the resulting jury once (selection.GreedyWalk). A
+// baseline against SelectAnnealing, in the spirit of the binary
+// GreedyQuality selector.
 func GreedyByInformativeness(pool Pool, budget float64, prior Prior, obj Objective) (SelectionResult, error) {
-	if err := checkVoting(pool, prior, nil); err != nil {
+	if err := checkSelect(pool, budget, prior); err != nil {
 		return SelectionResult{}, err
 	}
-	if budget < 0 || budget != budget {
-		return SelectionResult{}, ErrBadBudget
-	}
-	var cost float64
-	var chosen []int
-	for _, idx := range RankWorkers(pool) {
-		if c := pool[idx].Cost; cost+c <= budget {
-			chosen = append(chosen, idx)
-			cost += c
-		}
-	}
-	sort.Ints(chosen)
-	if len(chosen) == 0 {
-		best := 0.0
-		for _, p := range prior {
-			if p > best {
-				best = p
-			}
-		}
-		return SelectionResult{Indices: []int{}, JQ: best}, nil
-	}
-	jury := pool.Subset(chosen)
-	score, err := obj(jury, prior)
-	if err != nil {
-		return SelectionResult{}, err
-	}
-	return SelectionResult{
-		Jury:        jury,
-		Indices:     chosen,
-		JQ:          score,
-		Cost:        cost,
-		Evaluations: 1,
-	}, nil
+	res, err := selection.GreedyWalk(space(pool, prior, obj), RankWorkers(pool), budget)
+	return selected(pool, res, err)
 }

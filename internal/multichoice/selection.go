@@ -2,10 +2,9 @@ package multichoice
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
+	"slices"
 
-	"repro/internal/anneal"
+	"repro/internal/selection"
 )
 
 // SelectionResult is the outcome of multi-choice jury selection.
@@ -35,172 +34,81 @@ func ExactObjective(jury Pool, prior Prior) (float64, error) {
 
 // SelectAnnealing solves the multi-choice JSP with the same Algorithm 3/4
 // annealing as the binary case, treating the JQ computation as a black box
-// (Section 7, "Jury Selection Problem Extension").
+// (Section 7, "Jury Selection Problem Extension"): one pass of
+// selection.Annealing under the default schedule, seeded with seed.
 func SelectAnnealing(pool Pool, budget float64, prior Prior, obj Objective, seed int64) (SelectionResult, error) {
-	if err := checkVoting(pool, prior, nil); err != nil {
+	if err := checkSelect(pool, budget, prior); err != nil {
 		return SelectionResult{}, err
 	}
-	if budget < 0 || budget != budget {
-		return SelectionResult{}, fmt.Errorf("multichoice: negative budget %v", budget)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	n := len(pool)
-
-	priorOnly := 0.0
-	for _, p := range prior {
-		if p > priorOnly {
-			priorOnly = p
-		}
-	}
-	evals := 0
-	score := func(members []int) (float64, error) {
-		if len(members) == 0 {
-			return priorOnly, nil
-		}
-		evals++
-		return obj(pool.Subset(members), prior)
-	}
-
-	selected := make([]bool, n)
-	var members []int
-	var cost float64
-	curJQ := priorOnly
-	bestJQ, bestMembers, bestCost := curJQ, []int(nil), 0.0
-
-	var loopErr error
-	_, err := anneal.Run(anneal.DefaultSchedule(), func(temp float64) {
-		if loopErr != nil {
-			return
-		}
-		for step := 0; step < n; step++ {
-			r := rng.Intn(n)
-			if !selected[r] && cost+pool[r].Cost <= budget {
-				selected[r] = true
-				members = append(members, r)
-				cost += pool[r].Cost
-				newJQ, err := score(members)
-				if err != nil {
-					loopErr = err
-					return
-				}
-				curJQ = newJQ
-			} else if len(members) > 0 {
-				// Swap a random member against a random non-member.
-				var out, in int
-				if !selected[r] {
-					out, in = members[rng.Intn(len(members))], r
-				} else {
-					free := n - len(members)
-					if free == 0 {
-						continue
-					}
-					pick := rng.Intn(free)
-					in = -1
-					for i := 0; i < n; i++ {
-						if !selected[i] {
-							if pick == 0 {
-								in = i
-								break
-							}
-							pick--
-						}
-					}
-					out = r
-				}
-				newCost := cost - pool[out].Cost + pool[in].Cost
-				if newCost > budget {
-					continue
-				}
-				candidate := make([]int, 0, len(members))
-				for _, m := range members {
-					if m != out {
-						candidate = append(candidate, m)
-					}
-				}
-				candidate = append(candidate, in)
-				newJQ, err := score(candidate)
-				if err != nil {
-					loopErr = err
-					return
-				}
-				if anneal.Accept(newJQ-curJQ, temp, rng) {
-					selected[out] = false
-					selected[in] = true
-					members = candidate
-					cost = newCost
-					curJQ = newJQ
-				}
-			}
-			if curJQ > bestJQ {
-				bestJQ = curJQ
-				bestMembers = append([]int(nil), members...)
-				bestCost = cost
-			}
-		}
-	})
-	if err != nil {
-		return SelectionResult{}, err
-	}
-	if loopErr != nil {
-		return SelectionResult{}, loopErr
-	}
-	sort.Ints(bestMembers)
-	return SelectionResult{
-		Jury:        pool.Subset(bestMembers),
-		Indices:     bestMembers,
-		JQ:          bestJQ,
-		Cost:        bestCost,
-		Evaluations: evals,
-	}, nil
+	res, err := selection.Annealing{Seed: seed}.Search(space(pool, prior, obj), budget)
+	return selected(pool, res, err)
 }
 
 // SelectExhaustive enumerates every feasible multi-choice jury; ground
-// truth for small pools.
+// truth for small pools (at most 20 workers). Ties follow
+// selection.Exhaustive: JQ within 1e-12, then the cheaper jury, then the
+// lexicographically smaller index set.
 func SelectExhaustive(pool Pool, budget float64, prior Prior, obj Objective) (SelectionResult, error) {
-	if err := checkVoting(pool, prior, nil); err != nil {
+	if err := checkSelect(pool, budget, prior); err != nil {
 		return SelectionResult{}, err
 	}
-	if budget < 0 || budget != budget {
-		return SelectionResult{}, fmt.Errorf("multichoice: negative budget %v", budget)
-	}
-	n := len(pool)
-	if n > 20 {
+	if n := len(pool); n > 20 {
 		return SelectionResult{}, fmt.Errorf("%w: N=%d", ErrJuryTooLarge, n)
 	}
-	priorOnly := 0.0
-	for _, p := range prior {
-		if p > priorOnly {
-			priorOnly = p
-		}
+	res, err := selection.Exhaustive{}.Search(space(pool, prior, obj), budget)
+	return selected(pool, res, err)
+}
+
+// checkSelect validates the inputs every multi-choice selector shares.
+func checkSelect(pool Pool, budget float64, prior Prior) error {
+	if err := checkVoting(pool, prior, nil); err != nil {
+		return err
 	}
-	best := SelectionResult{JQ: priorOnly, Indices: []int{}}
-	evals := 0
-	for mask := 1; mask < 1<<uint(n); mask++ {
-		var cost float64
-		var indices []int
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				cost += pool[i].Cost
-				indices = append(indices, i)
-			}
-		}
-		if cost > budget {
-			continue
-		}
-		score, err := obj(pool.Subset(indices), prior)
-		if err != nil {
-			return SelectionResult{}, err
-		}
-		evals++
-		if score > best.JQ+1e-12 || (score > best.JQ-1e-12 && cost < best.Cost-1e-12) {
-			best = SelectionResult{
-				Jury:    pool.Subset(indices),
-				Indices: indices,
-				JQ:      score,
-				Cost:    cost,
-			}
-		}
+	if budget < 0 || budget != budget {
+		return fmt.Errorf("%w %v", ErrBadBudget, budget)
 	}
-	best.Evaluations = evals
-	return best, nil
+	return nil
+}
+
+// space is the selection.Space of pool under obj. The empty jury scores
+// the prior's largest entry, the answer from the prior alone.
+func space(pool Pool, prior Prior, obj Objective) selection.Space {
+	costs := make([]float64, len(pool))
+	for i, w := range pool {
+		costs[i] = w.Cost
+	}
+	return selection.Space{
+		Costs: costs,
+		Empty: slices.Max(prior),
+		NewEvaluator: func() (selection.Evaluator, error) {
+			return subsetEvaluator{pool: pool, prior: prior, obj: obj}, nil
+		},
+	}
+}
+
+// subsetEvaluator scores obj on the subset of pool at the indices, in the
+// order given: EstimateBV's bucketing makes the last bits of JQ depend on
+// the jury's order, so the search's member order is kept.
+type subsetEvaluator struct {
+	pool  Pool
+	prior Prior
+	obj   Objective
+}
+
+func (e subsetEvaluator) Eval(indices []int) (float64, error) {
+	return e.obj(e.pool.Subset(indices), e.prior)
+}
+
+// selected materializes a search result over pool.
+func selected(pool Pool, res selection.Result, err error) (SelectionResult, error) {
+	if err != nil {
+		return SelectionResult{}, err
+	}
+	return SelectionResult{
+		Jury:        pool.Subset(res.Indices),
+		Indices:     res.Indices,
+		JQ:          res.JQ,
+		Cost:        res.Cost,
+		Evaluations: res.Evaluations,
+	}, nil
 }

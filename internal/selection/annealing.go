@@ -24,10 +24,12 @@ const restartSeedStride = 0x9E3779B9
 // is returned rather than the final state; this never hurts and makes the
 // returned quality monotone in the number of iterations.
 //
-// Objective evaluations go through the objective's Evaluator fast path
-// (see EvaluatorProvider): the per-pool setup runs once per restart, and
-// each move is scored from precomputed state with no per-move allocation.
+// Objective evaluations go through the objective's Evaluator: the
+// per-pool setup runs once per restart, and each move is scored from
+// precomputed state with no per-move allocation.
 type Annealing struct {
+	// Objective is the quality model Select maximizes; Search takes its
+	// space ready-made and ignores it.
 	Objective Objective
 	// Schedule defaults to anneal.DefaultSchedule() when zero.
 	Schedule anneal.Schedule
@@ -60,6 +62,14 @@ func (a Annealing) Select(pool worker.Pool, budget, alpha float64) (Result, erro
 	if err := checkSelectInput(pool, budget, alpha); err != nil {
 		return Result{}, err
 	}
+	res, err := a.Search(newSpace(a.Objective, pool, alpha), budget)
+	return withJury(pool, res, err)
+}
+
+// Search runs the annealing over sp within budget and returns the best
+// jury's Indices, JQ, Cost and Evaluations; Jury is left nil. The
+// evaluation of the empty starting jury counts.
+func (a Annealing) Search(sp Space, budget float64) (Result, error) {
 	schedule := a.Schedule
 	if schedule == (anneal.Schedule{}) {
 		schedule = anneal.DefaultSchedule()
@@ -75,7 +85,7 @@ func (a Annealing) Select(pool worker.Pool, budget, alpha float64) (Result, erro
 	errs := make([]error, restarts)
 	conc.ForEach(runtime.GOMAXPROCS(0), restarts, func(r int) {
 		rng := rand.New(rand.NewSource(a.Seed + int64(r)*restartSeedStride))
-		results[r], errs[r] = a.run(pool, budget, alpha, schedule, rng)
+		results[r], errs[r] = a.run(sp, budget, schedule, rng)
 	})
 	// Fold in restart order so the result matches a sequential run
 	// bit for bit: the first error wins, ties keep the earlier restart.
@@ -103,6 +113,7 @@ func (a Annealing) Select(pool worker.Pool, budget, alpha float64) (Result, erro
 // nothing per move.
 type annealSearch struct {
 	costs        []float64
+	empty        float64
 	eval         Evaluator
 	budget       float64
 	rng          *rand.Rand
@@ -117,10 +128,11 @@ type annealSearch struct {
 }
 
 // newAnnealSearch starts a pass from the empty jury.
-func newAnnealSearch(pool worker.Pool, eval Evaluator, budget float64, rng *rand.Rand, allowRemoval bool) *annealSearch {
-	n := len(pool)
+func newAnnealSearch(sp Space, eval Evaluator, budget float64, rng *rand.Rand, allowRemoval bool) *annealSearch {
+	n := len(sp.Costs)
 	return &annealSearch{
-		costs:        pool.Costs(),
+		costs:        sp.Costs,
+		empty:        sp.Empty,
 		eval:         eval,
 		budget:       budget,
 		rng:          rng,
@@ -133,17 +145,20 @@ func newAnnealSearch(pool worker.Pool, eval Evaluator, budget float64, rng *rand
 
 func (s *annealSearch) objective(indices []int) (float64, error) {
 	s.evals++
+	if len(indices) == 0 {
+		return s.empty, nil
+	}
 	return s.eval.Eval(indices)
 }
 
 // run executes one annealing pass (Algorithm 3).
-func (a Annealing) run(pool worker.Pool, budget, alpha float64, schedule anneal.Schedule, rng *rand.Rand) (Result, error) {
-	n := len(pool)
-	eval, err := newEvaluator(a.Objective, pool, alpha)
+func (a Annealing) run(sp Space, budget float64, schedule anneal.Schedule, rng *rand.Rand) (Result, error) {
+	n := len(sp.Costs)
+	eval, err := sp.NewEvaluator()
 	if err != nil {
 		return Result{}, err
 	}
-	s := newAnnealSearch(pool, eval, budget, rng, a.AllowRemoval)
+	s := newAnnealSearch(sp, eval, budget, rng, a.AllowRemoval)
 	s.curJQ, err = s.objective(s.members)
 	if err != nil {
 		return Result{}, err
@@ -175,10 +190,8 @@ func (a Annealing) run(pool worker.Pool, budget, alpha float64, schedule anneal.
 	if loopErr != nil {
 		return Result{}, loopErr
 	}
-	indices := sortedCopy(bestMembers)
 	return Result{
-		Jury:        pool.Subset(indices),
-		Indices:     indices,
+		Indices:     sortedCopy(bestMembers),
 		JQ:          bestJQ,
 		Cost:        bestCost,
 		Evaluations: s.evals,

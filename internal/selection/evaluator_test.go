@@ -22,13 +22,51 @@ func evalTestPool(t *testing.T, seed int64, n int) worker.Pool {
 	return pool
 }
 
+// oracleObjective scores every jury by materializing the subset and
+// calling a one-shot jq function: the direct computation the evaluator
+// engines must reproduce.
+type oracleObjective struct {
+	name string
+	jq   func(jury worker.Pool, alpha float64) (float64, error)
+}
+
+func (o oracleObjective) Name() string { return o.name + "-oracle" }
+
+func (o oracleObjective) NewEvaluator(pool worker.Pool, alpha float64) (Evaluator, error) {
+	return oracleEvaluator{obj: o, pool: pool, alpha: alpha}, nil
+}
+
+type oracleEvaluator struct {
+	obj   oracleObjective
+	pool  worker.Pool
+	alpha float64
+}
+
+func (e oracleEvaluator) Eval(indices []int) (float64, error) {
+	return e.obj.jq(e.pool.Subset(indices), e.alpha)
+}
+
+var (
+	bvExactOracle = oracleObjective{"BV-exact", jq.ExactBV}
+	mvOracle      = oracleObjective{"MV", func(jury worker.Pool, _ float64) (float64, error) {
+		return jq.MajorityClosedForm(jury, 0.5)
+	}}
+	bvOracle = oracleObjective{"BV", func(jury worker.Pool, alpha float64) (float64, error) {
+		res, err := jq.Estimate(jury, alpha, jq.Options{})
+		return res.JQ, err
+	}}
+)
+
 // The evaluator-based exhaustive search must return exactly the jury a
-// direct enumeration with the plain objective picks: both evaluate
+// direct enumeration with the one-shot jq functions picks: both evaluate
 // canonical ascending subsets, so even the tie-breaks coincide.
 func TestExhaustiveEvaluatorMatchesDirectEnumeration(t *testing.T) {
 	pool := evalTestPool(t, 51, 10)
-	for _, obj := range []Objective{BVExactObjective{}, MVObjective{}, BVObjective{}} {
-		got, err := Exhaustive{Objective: obj}.Select(pool, 0.3, 0.5)
+	for _, tc := range []struct {
+		obj    Objective
+		oracle oracleObjective
+	}{{BVExactObjective{}, bvExactOracle}, {MVObjective{}, mvOracle}, {BVObjective{}, bvOracle}} {
+		got, err := Exhaustive{Objective: tc.obj}.Select(pool, 0.3, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +89,7 @@ func TestExhaustiveEvaluatorMatchesDirectEnumeration(t *testing.T) {
 			if len(indices) == 0 {
 				score = 0.5
 			} else {
-				score, err = obj.JQ(pool.Subset(indices), 0.5)
+				score, err = tc.oracle.jq(pool.Subset(indices), 0.5)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -62,38 +100,36 @@ func TestExhaustiveEvaluatorMatchesDirectEnumeration(t *testing.T) {
 		}
 		if got.JQ != best.JQ || !reflect.DeepEqual(got.Indices, best.Indices) {
 			t.Fatalf("%s: evaluator path picked %v (JQ=%v), direct enumeration %v (JQ=%v)",
-				obj.Name(), got.Indices, got.JQ, best.Indices, best.JQ)
+				tc.obj.Name(), got.Indices, got.JQ, best.Indices, best.JQ)
 		}
 	}
 }
 
-// plainObjective hides the EvaluatorProvider of an objective (interface
-// embedding promotes only Name and JQ), forcing the search down the
-// generic fallback adapter.
-type plainObjective struct{ Objective }
-
-// The fast path and the fallback adapter must drive the annealing search
-// to the same jury: evaluations are bit-identical on canonical subsets,
-// and the MV/BV-exact objectives are order-invariant, so the whole
-// random trajectory coincides.
+// The evaluator engines and the subset-materializing oracle must drive
+// the annealing search to the same jury: evaluations are bit-identical on
+// canonical subsets, and the MV/BV-exact objectives are order-invariant,
+// so the whole random trajectory coincides.
 func TestAnnealingEvaluatorMatchesFallback(t *testing.T) {
 	pool := evalTestPool(t, 52, 24)
-	for _, obj := range []Objective{MVObjective{}, BVExactObjective{}} {
-		fast, err := Annealing{Objective: obj, Seed: 9}.Select(pool, 0.3, 0.5)
+	for _, tc := range []struct {
+		obj    Objective
+		oracle oracleObjective
+	}{{MVObjective{}, mvOracle}, {BVExactObjective{}, bvExactOracle}} {
+		fast, err := Annealing{Objective: tc.obj, Seed: 9}.Select(pool, 0.3, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := Annealing{Objective: plainObjective{obj}, Seed: 9}.Select(pool, 0.3, 0.5)
+		slow, err := Annealing{Objective: tc.oracle, Seed: 9}.Select(pool, 0.3, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fast.Indices, slow.Indices) || math.Abs(fast.JQ-slow.JQ) > 1e-12 {
-			t.Fatalf("%s: fast path %v (JQ=%v) != fallback %v (JQ=%v)",
-				obj.Name(), fast.Indices, fast.JQ, slow.Indices, slow.JQ)
+			t.Fatalf("%s: evaluator %v (JQ=%v) != oracle %v (JQ=%v)",
+				tc.obj.Name(), fast.Indices, fast.JQ, slow.Indices, slow.JQ)
 		}
 		if fast.Evaluations != slow.Evaluations {
 			t.Fatalf("%s: evaluation counts diverged: %d vs %d",
-				obj.Name(), fast.Evaluations, slow.Evaluations)
+				tc.obj.Name(), fast.Evaluations, slow.Evaluations)
 		}
 	}
 }
@@ -151,8 +187,7 @@ func TestAnnealingHitsEstimatorMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := &bvEvaluator{est: est, alpha: 0.5}
-	s := newAnnealSearch(pool, eval, 0.4, rand.New(rand.NewSource(3)), false)
+	s := newAnnealSearch(newSpace(BVObjective{}, pool, 0.5), bvEvaluator{est: est}, 0.4, rand.New(rand.NewSource(3)), false)
 	if s.curJQ, err = s.objective(s.members); err != nil {
 		t.Fatal(err)
 	}

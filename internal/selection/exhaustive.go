@@ -27,22 +27,29 @@ type Exhaustive struct {
 // Name implements Selector.
 func (e Exhaustive) Name() string { return "exhaustive(" + e.Objective.Name() + ")" }
 
-// Select implements Selector. Ties between equal-JQ juries are broken
-// toward the cheaper jury, then the lexicographically smallest index set,
-// so results are deterministic.
+// Select implements Selector.
 func (e Exhaustive) Select(pool worker.Pool, budget, alpha float64) (Result, error) {
 	if err := checkSelectInput(pool, budget, alpha); err != nil {
 		return Result{}, err
 	}
-	n := len(pool)
+	res, err := e.Search(newSpace(e.Objective, pool, alpha), budget)
+	return withJury(pool, res, err)
+}
+
+// Search enumerates every jury of sp within budget, the empty one
+// included, and returns the best one's Indices, JQ, Cost and Evaluations;
+// Jury is left nil. Ties between juries whose JQ differ by at most 1e-12
+// are broken toward the cheaper jury, then the lexicographically smallest
+// index set, so results are deterministic. Search ignores e.Objective.
+func (e Exhaustive) Search(sp Space, budget float64) (Result, error) {
+	n := len(sp.Costs)
 	if n > MaxExhaustiveN {
 		return Result{}, fmt.Errorf("%w: N=%d > %d", ErrPoolTooLarge, n, MaxExhaustiveN)
 	}
-	eval, err := newEvaluator(e.Objective, pool, alpha)
+	eval, err := sp.NewEvaluator()
 	if err != nil {
 		return Result{}, err
 	}
-	costs := pool.Costs()
 	best := Result{JQ: -1, Indices: []int{}}
 	evals := 0
 	indices := make([]int, 0, n)
@@ -51,16 +58,18 @@ func (e Exhaustive) Select(pool worker.Pool, budget, alpha float64) (Result, err
 		indices = indices[:0]
 		for i := 0; i < n; i++ {
 			if mask&(1<<uint(i)) != 0 {
-				cost += costs[i]
+				cost += sp.Costs[i]
 				indices = append(indices, i)
 			}
 		}
 		if cost > budget {
 			continue
 		}
-		score, err := eval.Eval(indices)
-		if err != nil {
-			return Result{}, err
+		score := sp.Empty
+		if mask != 0 {
+			if score, err = eval.Eval(indices); err != nil {
+				return Result{}, err
+			}
 		}
 		evals++
 		if better(score, cost, indices, best) {
@@ -71,7 +80,6 @@ func (e Exhaustive) Select(pool worker.Pool, budget, alpha float64) (Result, err
 			}
 		}
 	}
-	best.Jury = pool.Subset(best.Indices)
 	best.Evaluations = evals
 	return best, nil
 }

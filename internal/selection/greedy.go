@@ -28,7 +28,7 @@ func (g GreedyQuality) Select(pool worker.Pool, budget, alpha float64) (Result, 
 		}
 		return a.Cost < b.Cost
 	})
-	return greedyFill(pool, order, budget, alpha, g.Objective)
+	return greedySelect(pool, order, budget, alpha, g.Objective)
 }
 
 // GreedyRatio adds workers in decreasing informativeness-per-cost order,
@@ -68,7 +68,7 @@ func (g GreedyRatio) Select(pool worker.Pool, budget, alpha float64) (Result, er
 		}
 		return a.Cost < b.Cost
 	})
-	return greedyFill(pool, order, budget, alpha, g.Objective)
+	return greedySelect(pool, order, budget, alpha, g.Objective)
 }
 
 // TopK selects the K highest-quality workers that fit the budget (greedily,
@@ -96,7 +96,7 @@ func (t TopK) Select(pool worker.Pool, budget, alpha float64) (Result, error) {
 	if t.K < len(order) {
 		order = order[:t.K]
 	}
-	return greedyFill(pool, order, budget, alpha, t.Objective)
+	return greedySelect(pool, order, budget, alpha, t.Objective)
 }
 
 // rankedIndices returns pool indices sorted by the given worker ordering.
@@ -111,34 +111,25 @@ func rankedIndices(pool worker.Pool, less func(a, b worker.Worker) bool) []int {
 	return order
 }
 
-// greedyFill walks the ranked indices, adding every worker that still fits
-// the budget, then scores the resulting jury once through the generic
-// subset adapter (a per-pool evaluator engine would not amortize over a
-// single evaluation).
-func greedyFill(pool worker.Pool, order []int, budget, alpha float64, obj Objective) (Result, error) {
+// greedySelect runs GreedyWalk over the Space of obj and materializes
+// the jury.
+func greedySelect(pool worker.Pool, order []int, budget, alpha float64, obj Objective) (Result, error) {
+	res, err := GreedyWalk(newSpace(obj, pool, alpha), order, budget)
+	return withJury(pool, res, err)
+}
+
+// GreedyWalk walks the ranked candidate indices of sp, adding every one
+// that still fits the budget, then scores the resulting jury once. It
+// returns the jury's ascending Indices, JQ, Cost and Evaluations (always
+// 1, the empty jury included); Jury is left nil.
+func GreedyWalk(sp Space, order []int, budget float64) (Result, error) {
 	var cost float64
 	var chosen []int
 	for _, idx := range order {
-		c := pool[idx].Cost
-		if cost+c <= budget {
+		if c := sp.Costs[idx]; cost+c <= budget {
 			chosen = append(chosen, idx)
 			cost += c
 		}
 	}
-	indices := sortedCopy(chosen)
-	// One jury is scored exactly once, so the generic adapter is the
-	// right evaluator here: a per-pool engine (EvaluatorProvider) pays
-	// O(N) precompute that only amortizes over repeated evaluations.
-	eval := &fallbackEvaluator{obj: obj, pool: pool, alpha: alpha}
-	score, err := eval.Eval(indices)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Jury:        pool.Subset(indices),
-		Indices:     indices,
-		JQ:          score,
-		Cost:        cost,
-		Evaluations: 1,
-	}, nil
+	return sp.scoreOne(sortedCopy(chosen), cost)
 }

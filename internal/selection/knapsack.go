@@ -99,16 +99,6 @@ func (k KnapsackSurrogate) Select(pool worker.Pool, budget, alpha float64) (Resu
 		}
 	}
 	indices := sortedCopy(chosen)
-	jury := pool.Subset(indices)
-	score, err := k.Objective.JQ(jury, alpha)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Jury:        jury,
-		Indices:     indices,
-		JQ:          score,
-		Cost:        jury.TotalCost(),
-		Evaluations: 1,
-	}, nil
+	res, err := newSpace(k.Objective, pool, alpha).scoreOne(indices, pool.Subset(indices).TotalCost())
+	return withJury(pool, res, err)
 }

@@ -6,7 +6,9 @@
 // (Objective), so the paper's OPTJS system (Bayesian-Voting objective) and
 // the MVJS baseline of Cao et al. [7] (Majority-Voting objective) share the
 // same search machinery — which is exactly how the paper's end-to-end
-// comparison (Figures 6 and 10) is defined.
+// comparison (Figures 6 and 10) is defined. The searches themselves run on
+// a Space of candidate indices, which package multichoice builds for its
+// confusion-matrix pools as well.
 package selection
 
 import (
@@ -17,121 +19,87 @@ import (
 	"repro/internal/worker"
 )
 
-// Objective scores a candidate jury. Implementations must be deterministic:
-// the annealing search evaluates juries repeatedly and compares the scores.
+// Objective is a quality model a search maximizes. Implementations must
+// be deterministic: the annealing search evaluates juries repeatedly and
+// compares the scores.
 type Objective interface {
 	// Name identifies the objective ("BV", "BV-exact", "MV", ...).
 	Name() string
-	// JQ returns the jury quality of jury under the objective's voting
-	// strategy and the given prior. An empty jury is legal: the task
-	// provider answers from the prior alone, so its quality is
-	// max(α, 1−α).
-	JQ(jury worker.Pool, alpha float64) (float64, error)
+	// NewEvaluator builds the objective's scoring engine for one
+	// candidate pool and prior.
+	NewEvaluator(pool worker.Pool, alpha float64) (Evaluator, error)
 }
 
-// priorOnlyJQ is the quality of an empty jury: the Bayesian answer from the
-// prior alone is correct with probability max(α, 1−α); MV has no votes to
-// count and degenerates the same way.
-func priorOnlyJQ(alpha float64) float64 { return math.Max(alpha, 1-alpha) }
-
-// Evaluator is the index-based fast path of an Objective: built once per
-// (candidate pool, prior), it scores juries given as index slices into
-// that pool without materializing worker.Pool subsets or redoing the
-// per-pool setup (validation, normalization, log-odds) on every call.
-// Indices may arrive in any order; a duplicated index counts as two
-// jury members, exactly as Pool.Subset would materialize it. An empty
-// slice scores the empty jury, max(α, 1−α).
+// Evaluator scores juries given as index slices into the candidate pool it
+// was built for, without materializing worker.Pool subsets or redoing the
+// per-pool setup (validation, normalization, log-odds) on every call. The
+// binary engines accept indices in any order; a duplicated index counts
+// as two jury members, exactly as Pool.Subset would materialize it. The
+// searches never pass an empty slice: they score the empty jury from
+// Space.Empty.
 //
 // Evaluators own scratch state and are NOT safe for concurrent use; a
 // search running in parallel must build one evaluator per goroutine.
 type Evaluator interface {
-	// Name identifies the underlying objective.
-	Name() string
-	// Eval scores the jury identified by indices into the candidate pool.
 	Eval(indices []int) (float64, error)
 }
 
-// EvaluatorProvider is implemented by objectives that can build such an
-// engine. Objectives without it fall back to a generic adapter that
-// materializes each subset (into a reused buffer) and calls JQ.
-type EvaluatorProvider interface {
-	NewEvaluator(pool worker.Pool, alpha float64) (Evaluator, error)
+// Space is the index-level view of a candidate pool that every search
+// runs on: binary pools build one from their Objective, and the
+// multi-choice selectors of package multichoice build their own.
+type Space struct {
+	// Costs holds each candidate's cost, by pool index.
+	Costs []float64
+	// Empty is the quality of the empty jury: the answer from the prior
+	// alone.
+	Empty float64
+	// NewEvaluator builds a fresh evaluator; each annealing restart
+	// builds its own.
+	NewEvaluator func() (Evaluator, error)
 }
 
-// newEvaluator returns the objective's fast evaluator when it provides
-// one, and the generic adapter otherwise.
-func newEvaluator(obj Objective, pool worker.Pool, alpha float64) (Evaluator, error) {
-	if p, ok := obj.(EvaluatorProvider); ok {
-		return p.NewEvaluator(pool, alpha)
+// newSpace is the Space of obj over a binary pool at prior alpha. With no
+// votes, the Bayesian answer from the prior alone is correct with
+// probability max(α, 1−α); MV has no votes to count and degenerates the
+// same way.
+func newSpace(obj Objective, pool worker.Pool, alpha float64) Space {
+	return Space{
+		Costs: pool.Costs(),
+		Empty: math.Max(alpha, 1-alpha),
+		NewEvaluator: func() (Evaluator, error) {
+			return obj.NewEvaluator(pool, alpha)
+		},
 	}
-	return &fallbackEvaluator{obj: obj, pool: pool, alpha: alpha}, nil
 }
 
-// fallbackEvaluator adapts a plain Objective: each call materializes the
-// subset into a reused buffer, which the objective must not retain.
-type fallbackEvaluator struct {
-	obj     Objective
-	pool    worker.Pool
-	alpha   float64
-	scratch worker.Pool
+// scoreOne scores the single jury indices of the given cost, the last step
+// of the greedy and knapsack selectors.
+func (sp Space) scoreOne(indices []int, cost float64) (Result, error) {
+	score := sp.Empty
+	if len(indices) > 0 {
+		eval, err := sp.NewEvaluator()
+		if err != nil {
+			return Result{}, err
+		}
+		if score, err = eval.Eval(indices); err != nil {
+			return Result{}, err
+		}
+	}
+	return Result{Indices: indices, JQ: score, Cost: cost, Evaluations: 1}, nil
 }
 
-func (f *fallbackEvaluator) Name() string { return f.obj.Name() }
-
-func (f *fallbackEvaluator) Eval(indices []int) (float64, error) {
-	f.scratch = f.pool.SubsetInto(f.scratch[:0], indices)
-	return f.obj.JQ(f.scratch, f.alpha)
-}
-
-// bvEvaluator wraps the jq.Estimator engine as a selection Evaluator.
+// bvEvaluator adapts the jq.Estimator engine, which returns a full
+// jq.Result, to an Evaluator.
 type bvEvaluator struct {
-	est   *jq.Estimator
-	alpha float64
+	est *jq.Estimator
 }
 
-func (e *bvEvaluator) Name() string { return "BV" }
-
-func (e *bvEvaluator) Eval(indices []int) (float64, error) {
-	if len(indices) == 0 {
-		return priorOnlyJQ(e.alpha), nil
-	}
+func (e bvEvaluator) Eval(indices []int) (float64, error) {
 	res, err := e.est.Eval(indices)
 	if err != nil {
 		return 0, err
 	}
 	return res.JQ, nil
-}
-
-// bvExactEvaluator wraps jq.ExactBVEvaluator.
-type bvExactEvaluator struct {
-	eval  *jq.ExactBVEvaluator
-	alpha float64
-}
-
-func (e *bvExactEvaluator) Name() string { return "BV-exact" }
-
-func (e *bvExactEvaluator) Eval(indices []int) (float64, error) {
-	if len(indices) == 0 {
-		return priorOnlyJQ(e.alpha), nil
-	}
-	return e.eval.Eval(indices)
-}
-
-// mvEvaluator wraps jq.MVEvaluator. Like MVObjective it scores non-empty
-// juries at the baseline's fixed uniform prior and uses the caller's
-// prior only for the empty jury.
-type mvEvaluator struct {
-	eval  *jq.MVEvaluator
-	alpha float64
-}
-
-func (e *mvEvaluator) Name() string { return "MV" }
-
-func (e *mvEvaluator) Eval(indices []int) (float64, error) {
-	if len(indices) == 0 {
-		return priorOnlyJQ(e.alpha), nil
-	}
-	return e.eval.Eval(indices)
 }
 
 // BVObjective scores juries with the bucket-approximated JQ under Bayesian
@@ -144,26 +112,14 @@ type BVObjective struct {
 // Name implements Objective.
 func (o BVObjective) Name() string { return "BV" }
 
-// JQ implements Objective.
-func (o BVObjective) JQ(jury worker.Pool, alpha float64) (float64, error) {
-	if len(jury) == 0 {
-		return priorOnlyJQ(alpha), nil
-	}
-	res, err := jq.Estimate(jury, alpha, jq.Options{NumBuckets: o.NumBuckets})
-	if err != nil {
-		return 0, err
-	}
-	return res.JQ, nil
-}
-
-// NewEvaluator implements EvaluatorProvider with a memoizing
-// jq.Estimator built once for the pool.
+// NewEvaluator implements Objective with a memoizing jq.Estimator built
+// once for the pool.
 func (o BVObjective) NewEvaluator(pool worker.Pool, alpha float64) (Evaluator, error) {
 	est, err := jq.NewEstimator(pool, alpha, jq.Options{NumBuckets: o.NumBuckets})
 	if err != nil {
 		return nil, err
 	}
-	return &bvEvaluator{est: est, alpha: alpha}, nil
+	return bvEvaluator{est: est}, nil
 }
 
 // BVExactObjective scores juries with the exact (exponential) JQ under
@@ -174,21 +130,9 @@ type BVExactObjective struct{}
 // Name implements Objective.
 func (BVExactObjective) Name() string { return "BV-exact" }
 
-// JQ implements Objective.
-func (BVExactObjective) JQ(jury worker.Pool, alpha float64) (float64, error) {
-	if len(jury) == 0 {
-		return priorOnlyJQ(alpha), nil
-	}
-	return jq.ExactBV(jury, alpha)
-}
-
-// NewEvaluator implements EvaluatorProvider.
+// NewEvaluator implements Objective.
 func (BVExactObjective) NewEvaluator(pool worker.Pool, alpha float64) (Evaluator, error) {
-	eval, err := jq.NewExactBVEvaluator(pool, alpha)
-	if err != nil {
-		return nil, err
-	}
-	return &bvExactEvaluator{eval: eval, alpha: alpha}, nil
+	return jq.NewExactBVEvaluator(pool, alpha)
 }
 
 // MVObjective scores juries with the closed-form JQ under Majority Voting —
@@ -201,22 +145,10 @@ type MVObjective struct{}
 // Name implements Objective.
 func (MVObjective) Name() string { return "MV" }
 
-// JQ implements Objective.
-func (MVObjective) JQ(jury worker.Pool, alpha float64) (float64, error) {
-	if len(jury) == 0 {
-		return priorOnlyJQ(alpha), nil
-	}
-	return jq.MajorityClosedForm(jury, 0.5)
-}
-
-// NewEvaluator implements EvaluatorProvider with the delta-updating
-// Poisson-binomial engine.
-func (MVObjective) NewEvaluator(pool worker.Pool, alpha float64) (Evaluator, error) {
-	eval, err := jq.NewMVEvaluator(pool, 0.5)
-	if err != nil {
-		return nil, err
-	}
-	return &mvEvaluator{eval: eval, alpha: alpha}, nil
+// NewEvaluator implements Objective with the delta-updating
+// Poisson-binomial engine at the baseline's uniform prior.
+func (MVObjective) NewEvaluator(pool worker.Pool, _ float64) (Evaluator, error) {
+	return jq.NewMVEvaluator(pool, 0.5)
 }
 
 // Result is the outcome of a jury selection.
@@ -229,7 +161,8 @@ type Result struct {
 	JQ float64
 	// Cost is the jury cost Σ c_i.
 	Cost float64
-	// Evaluations counts objective evaluations performed by the search.
+	// Evaluations counts objective evaluations performed by the search,
+	// the empty jury's included.
 	Evaluations int
 }
 
@@ -239,6 +172,15 @@ type Selector interface {
 	Name() string
 	// Select returns the best jury found within the budget.
 	Select(pool worker.Pool, budget, alpha float64) (Result, error)
+}
+
+// withJury completes a search result over pool with its Jury.
+func withJury(pool worker.Pool, res Result, err error) (Result, error) {
+	if err != nil {
+		return Result{}, err
+	}
+	res.Jury = pool.Subset(res.Indices)
+	return res, nil
 }
 
 func checkSelectInput(pool worker.Pool, budget, alpha float64) error {

@@ -351,11 +351,11 @@ func TestOPTJSDominatesMVJSProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mvUnderBV, err := BVExactObjective{}.JQ(mv.Jury, 0.5)
+		mvUnderBV, err := newSpace(BVExactObjective{}, pool, 0.5).scoreOne(mv.Indices, mv.Cost)
 		if err != nil {
 			return false
 		}
-		return opt.JQ >= mvUnderBV-1e-9
+		return opt.JQ >= mvUnderBV.JQ-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -398,14 +398,30 @@ func TestObjectiveNames(t *testing.T) {
 	}
 }
 
+// Every objective's space answers the empty jury from the prior alone,
+// max(α, 1−α), and a search that reaches it counts the evaluation.
 func TestEmptyJuryObjectives(t *testing.T) {
+	pool := figure1Pool()
 	for _, obj := range []Objective{BVObjective{}, BVExactObjective{}, MVObjective{}} {
-		got, err := obj.JQ(nil, 0.8)
-		if err != nil {
-			t.Fatalf("%s: %v", obj.Name(), err)
-		}
-		if got != 0.8 {
-			t.Errorf("%s: empty jury JQ = %v, want 0.8", obj.Name(), got)
+		for _, alpha := range []float64{0.8, 0.2} {
+			sp := newSpace(obj, pool, alpha)
+			if sp.Empty != 0.8 {
+				t.Errorf("%s, α=%v: Space.Empty = %v, want 0.8", obj.Name(), alpha, sp.Empty)
+			}
+			one, err := sp.scoreOne(nil, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", obj.Name(), err)
+			}
+			// Budget 1 is below every cost in the pool.
+			all, err := Exhaustive{}.Search(sp, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", obj.Name(), err)
+			}
+			for _, res := range []Result{one, all} {
+				if res.JQ != 0.8 || len(res.Indices) != 0 || res.Evaluations != 1 {
+					t.Errorf("%s, α=%v: empty jury scored %+v, want JQ 0.8 in 1 evaluation", obj.Name(), alpha, res)
+				}
+			}
 		}
 	}
 }
