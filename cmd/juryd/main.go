@@ -9,7 +9,7 @@
 //	      [-workers 0] [-prior-strength 8] [-pool pool.json]
 //	      [-multi-pool mpool.json] [-labels 0]
 //	      [-data-dir dir] [-snapshot-interval 1m] [-fsync]
-//	      [-group-commit] [-max-batch-bytes 0]
+//	      [-group-commit]
 //	      [-follow http://primary:8700] [-max-lag 0]
 //	      [-quorum 0] [-quorum-timeout 0]
 //	      [-max-inflight 0] [-request-timeout 0]
@@ -39,8 +39,8 @@
 // mutations into shared fsyncs: each request still blocks until its
 // record is on stable storage, but one disk flush can retire many
 // requests, so durable ingest throughput scales with concurrency
-// instead of with the disk's flush rate. -max-batch-bytes caps the
-// staging buffer. GET /debug/persistence reports recovery and LSN
+// instead of with the disk's flush rate; appenders stall while 1 MiB
+// waits to be flushed. GET /debug/persistence reports recovery and LSN
 // state, including whether group commit is active.
 //
 // With -follow the daemon is a read-only replica of another durable
@@ -205,8 +205,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"fsync the WAL after every record (survives power loss; slower)")
 	groupCommit := fs.Bool("group-commit", false,
 		"batch concurrent WAL appends into shared fsyncs (needs -fsync; same durability, higher throughput)")
-	maxBatchBytes := fs.Int64("max-batch-bytes", 0,
-		"group-commit staging cap in bytes before appenders are backpressured (0 = default)")
 	follow := fs.String("follow", "",
 		"primary juryd base URL; run as a read-only follower replicating its WAL (needs -data-dir)")
 	promote := fs.String("promote", "",
@@ -280,7 +278,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		DataDir:        *dataDir,
 		Fsync:          *fsync,
 		GroupCommit:    *groupCommit,
-		MaxBatchBytes:  *maxBatchBytes,
 		MaxInFlight:    *maxInflight,
 		RequestTimeout: *requestTimeout,
 		MaxLag:         *maxLag,

@@ -194,11 +194,12 @@
 //     memory, and is acked only after a shared fsync covers its LSN:
 //     the first waiter writes and syncs the whole staged batch with one
 //     Write and one Sync, then releases every waiter at or below the
-//     synced watermark. The ack contract is unchanged — 2xx still means
-//     on stable storage — and the on-disk layout is byte-identical to
-//     per-record mode. A failed shared flush refuses the whole batch
-//     with 503 and degrades the daemon; nothing unacked survives
-//     recovery.
+//     synced watermark. Per-record mode runs the same flush inside the
+//     append, before the mutation applies, so the two modes share one
+//     write path and lay out byte-identical segments. The ack contract
+//     is unchanged — 2xx still means on stable storage. A failed flush
+//     refuses the whole batch with 503, returns its LSNs and degrades
+//     the daemon; nothing unacked survives recovery.
 //   - Failure contract: the first WAL failure (append, flush, or fsync)
 //     poisons the log — every later operation, Sync and Close included,
 //     refuses with the original typed IOError — and the daemon serves

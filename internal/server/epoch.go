@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -557,23 +556,11 @@ func (s *Server) PrimaryURL() string {
 // ---------------------------------------------------------------------------
 // HTTP handlers.
 
-// decodeJSONOptional is decodeJSON tolerating an absent/empty body (the
-// promote call commonly needs no parameters).
-func decodeJSONOptional(r *http.Request, dst any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(dst)
-	if err == nil || errors.Is(err, io.EOF) {
-		return nil
-	}
-	return fmt.Errorf("server: bad request body: %w", err)
-}
-
 // handlePromote is POST /v1/repl/promote: fence-and-switch this follower
 // into a writable primary under the next epoch (see Promote).
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req PromoteRequest
-	if err := decodeJSONOptional(r, &req); err != nil {
+	if err := decodeBody(w, r, &req, true); err != nil {
 		writeError(w, r, err)
 		return
 	}

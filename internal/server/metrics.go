@@ -46,8 +46,8 @@ type Metrics struct {
 	fenceErrors      atomic.Uint64 // fence marker persist failures (fence held in memory only)
 
 	// walBatch counts records per group-commit flush: how many journal
-	// records one fsync absorbed. Powers of two up to 256 cover
-	// everything a sane MaxBatchBytes allows.
+	// records one fsync absorbed, in powers of two up to 256 (larger
+	// batches land in +Inf).
 	walBatch *obs.Histogram
 }
 

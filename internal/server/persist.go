@@ -238,10 +238,9 @@ func Open(cfg Config) (*Server, error) {
 		// The resolved fsys, not the raw cfg.FS: snapshots already fall
 		// back to OSFS, and the log must never land on a different
 		// filesystem than them.
-		FS:            fsys,
-		GroupCommit:   cfg.GroupCommit,
-		MaxBatchBytes: cfg.MaxBatchBytes,
-		OnFlush:       func(records int) { s.metrics.WALBatch(records) },
+		FS:          fsys,
+		GroupCommit: cfg.GroupCommit,
+		OnFlush:     func(records int) { s.metrics.WALBatch(records) },
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: open wal: %w", err)
@@ -313,7 +312,7 @@ func (s *Server) applyRecord(rec *Record) error {
 // but is NOT degrading: the WAL still holds every mutation, the
 // previous snapshot (if any) is still installed, and a later attempt
 // can succeed — the caller should log and keep serving. On a degraded
-// server whose log lost its unsynced tail it fails with ErrDegraded.
+// server, in either WAL mode, it fails with ErrDegraded.
 func (s *Server) SnapshotNow() error {
 	err := s.snapshotNow()
 	if err != nil {

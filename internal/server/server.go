@@ -70,10 +70,6 @@ type Config struct {
 	// one. Only meaningful with Fsync; without Fsync it is ignored and
 	// the WAL behaves exactly as before.
 	GroupCommit bool
-	// MaxBatchBytes caps how many staged record bytes one group-commit
-	// flush may carry before appenders are backpressured; 0 selects
-	// wal.DefaultMaxBatchBytes.
-	MaxBatchBytes int64
 	// SegmentBytes is the WAL segment rotation threshold; 0 selects
 	// wal.DefaultSegmentBytes.
 	SegmentBytes int64
@@ -382,13 +378,32 @@ func (w *statusWriter) WriteHeader(code int) {
 // maxBodyBytes bounds request bodies (1 MiB covers thousands of workers).
 const maxBodyBytes = 1 << 20
 
+// decodeJSON decodes a request body that holds exactly one JSON value
+// into dst. Unknown fields and anything but whitespace after the value
+// are refused (400), as is a body over maxBodyBytes (413).
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	return decodeBody(w, r, dst, false)
+}
+
+// decodeBody is decodeJSON that, when optional, also accepts an empty
+// body, leaving dst untouched (the promote call commonly needs no
+// parameters).
+func decodeBody(w http.ResponseWriter, r *http.Request, dst any, optional bool) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("server: bad request body: %w", err)
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		var tooBig *http.MaxBytesError
+		if !errors.As(err, &tooBig) {
+			err = errors.New("trailing data after the JSON value")
+		}
+	} else if optional && err == io.EOF {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("server: bad request body: %w", err)
 }
 
 // writeJSON encodes the response body; the request provides the trace
@@ -409,7 +424,10 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	status := http.StatusBadRequest
 	var follower *FollowerError
 	var fenced *FencedError
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		status = http.StatusRequestEntityTooLarge
 	case errors.As(err, &follower):
 		// Read-only replica: the mutation belongs on the primary, whose
 		// address rides along so clients can redirect without config.

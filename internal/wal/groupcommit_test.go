@@ -97,9 +97,6 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 	if err := <-lead; err != nil {
 		t.Fatalf("leader Wait: %v", err)
 	}
-	if !p1.Leader() || p1.Records() != 1 {
-		t.Fatalf("first waiter: leader=%v records=%d, want leader of 1", p1.Leader(), p1.Records())
-	}
 	for i, p := range pending {
 		if err := p.Wait(); err != nil {
 			t.Fatalf("follower %d Wait: %v", i, err)
@@ -176,6 +173,14 @@ func TestGroupCommitLeaderFailureDegradesWaiters(t *testing.T) {
 	if _, err := l.Begin([]byte("after")); !errors.Is(err, wal.ErrFailed) {
 		t.Fatalf("Begin on poisoned log = %v, want ErrFailed", err)
 	}
+	// The failed flush returned every reservation: nothing reached the
+	// log, so the next LSN is still the first.
+	if got := l.NextLSN(); got != 1 {
+		t.Fatalf("NextLSN after the failed batch = %d, want 1", got)
+	}
+	if err := l.WaitDurable(); !errors.Is(err, wal.ErrFailed) {
+		t.Fatalf("WaitDurable on poisoned log = %v, want ErrFailed", err)
+	}
 }
 
 // TestGroupCommitLayoutMatchesPerRecord drives the same sequential record
@@ -239,8 +244,16 @@ func TestGroupCommitLayoutMatchesPerRecord(t *testing.T) {
 // goroutines across rotations and checks replay returns every acked
 // record exactly once, in LSN order.
 func TestGroupCommitConcurrentReplayComplete(t *testing.T) {
+	concurrentReplayComplete(t, wal.Options{Fsync: true, GroupCommit: true, SegmentBytes: 512})
+}
+
+// concurrentReplayComplete appends from many goroutines to a log opened
+// with opts and checks that each writer's LSNs ascend and that replay
+// returns every acked record exactly once, in LSN order.
+func concurrentReplayComplete(t *testing.T, opts wal.Options) {
+	t.Helper()
 	dir := t.TempDir()
-	l, _, err := wal.Open(dir, wal.Options{Fsync: true, GroupCommit: true, SegmentBytes: 512})
+	l, _, err := wal.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +264,17 @@ func TestGroupCommitConcurrentReplayComplete(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var last wal.LSN
 			for i := 0; i < perWriter; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+				lsn, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i)))
+				if err == nil && lsn <= last {
+					err = fmt.Errorf("writer %d got lsn %d after %d", w, lsn, last)
+				}
+				if err != nil {
 					errs <- err
 					return
 				}
+				last = lsn
 			}
 		}(w)
 	}

@@ -105,7 +105,7 @@ func (l *Log) OldestLSN() LSN {
 // ReadCommitted returns framed record bytes for LSNs from..Synced(),
 // bounded by maxBytes (at least one record is returned whenever any is
 // available, so a single oversized record cannot wedge the stream; 0
-// selects DefaultMaxBatchBytes). The bytes use the exact on-disk framing,
+// selects MaxBatchBytes). The bytes use the exact on-disk framing,
 // so a reader can ScanSegment them, verify each CRC for free, and append
 // them verbatim to its own log. count is the number of records returned;
 // the record LSNs are from, from+1, ..., from+count-1.
@@ -126,7 +126,7 @@ func (l *Log) ReadCommitted(from LSN, maxBytes int) ([]byte, int, error) {
 		from = 1
 	}
 	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBatchBytes
+		maxBytes = MaxBatchBytes
 	}
 	l.mu.Lock()
 	synced := l.synced

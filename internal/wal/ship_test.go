@@ -391,7 +391,7 @@ func oracleReadCommitted(l *Log, from LSN, maxBytes int) ([]byte, int, error) {
 		from = 1
 	}
 	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBatchBytes
+		maxBytes = MaxBatchBytes
 	}
 	l.mu.Lock()
 	synced := l.synced
@@ -637,8 +637,19 @@ func damageSealedSegment(t *testing.T, rng *rand.Rand, l *Log) string {
 // the one appended at its LSN; a reader behind the horizon restarts
 // there.
 func TestReadCommittedConcurrentReaders(t *testing.T) {
-	const perWriter = 2000
-	l, _, err := Open(t.TempDir(), Options{SegmentBytes: 8 << 10})
+	concurrentReaders(t, Options{SegmentBytes: 8 << 10}, 2000)
+}
+
+// TestReadCommittedConcurrentReadersGroupCommit is the same race under
+// group commit, where records staged during a flush must still get
+// their true byte offsets as segment marks, or a reader starting at a
+// mark ships each record under the wrong LSN.
+func TestReadCommittedConcurrentReadersGroupCommit(t *testing.T) {
+	concurrentReaders(t, Options{SegmentBytes: 8 << 10, Fsync: true, GroupCommit: true}, 400)
+}
+
+func concurrentReaders(t *testing.T, opts Options, perWriter int) {
+	l, _, err := Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +692,7 @@ func TestReadCommittedConcurrentReaders(t *testing.T) {
 		}
 	}()
 	shipped := make([]map[LSN]string, 2)
-	for r, start := range []LSN{1, perWriter / 2} {
+	for r, start := range []LSN{1, LSN(perWriter / 2)} {
 		shipped[r] = map[LSN]string{}
 		others.Add(1)
 		go func() {

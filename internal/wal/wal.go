@@ -49,9 +49,10 @@ type LSN uint64
 // is zero.
 const DefaultSegmentBytes = 4 << 20
 
-// DefaultMaxBatchBytes bounds the framed bytes staged for one group-commit
-// flush when Options.MaxBatchBytes is zero.
-const DefaultMaxBatchBytes = 1 << 20
+// MaxBatchBytes bounds the framed bytes staged ahead of one flush:
+// appenders block (backpressure) while that much is staged, until a flush
+// drains it. It is also ReadCommitted's default read size.
+const MaxBatchBytes = 1 << 20
 
 // MaxRecordBytes bounds one record's payload; a decoded length above it is
 // treated as a torn/corrupt record, which keeps arbitrary bytes from
@@ -116,17 +117,12 @@ type Options struct {
 	// FS is the filesystem the log lives on; nil selects the real one.
 	// Tests substitute a fault injector (internal/wal/errfs) here.
 	FS FS
-	// GroupCommit batches concurrent appends into shared flushes: Begin
-	// stages framed records and reserves their LSNs, and the first waiter
-	// becomes the leader that writes the whole batch with one Write and
-	// one Sync, releasing every waiter at or below the synced watermark.
-	// Only meaningful with Fsync — without it there is no flush to share,
-	// and the log keeps the per-record path bit-for-bit.
+	// GroupCommit lets Begin return as soon as the record is staged: the
+	// write and the sync then happen under Pending.Wait, shared by every
+	// record staged before the flush starts. Only meaningful with Fsync —
+	// without it there is no sync to share, and Begin waits for the flush
+	// as in per-record mode. Either way the bytes on disk are the same.
 	GroupCommit bool
-	// MaxBatchBytes caps the framed bytes staged for one group-commit
-	// flush; 0 selects DefaultMaxBatchBytes. Appenders block (backpressure)
-	// while the buffer is full until a leader drains it.
-	MaxBatchBytes int64
 	// OnFlush, if set, is called after every successful group-commit flush
 	// with the number of records it made durable — the feed for batch-size
 	// observability. It runs with the log's internal lock held, so it must
@@ -150,8 +146,10 @@ type segment struct {
 	first LSN
 	path  string
 	// marks[k] is the byte offset of record first+k*markEvery, so
-	// marks[0] is 0. Marks are only ever appended, so a copy of the
-	// slice taken under Log.mu stays valid while appends go on. nil
+	// marks[0] is 0. Marks are appended as records are staged and cut
+	// back only past the watermark by a failed flush, so the marks a copy
+	// taken under Log.mu uses (those at or below the watermark then) stay
+	// valid while appends go on. nil
 	// means not indexed yet: a sealed segment found at Open gets its
 	// marks from the first read that needs them (it never changes).
 	marks []int64
@@ -165,20 +163,21 @@ type Log struct {
 	dir    string
 	opts   Options
 	fs     FS
-	group  bool // opts.Fsync && opts.GroupCommit: batched shared flushes
+	group  bool // opts.Fsync && opts.GroupCommit: Begin returns before the flush
 	segs   []segment
 	f      File  // newest segment, opened for append
-	size   int64 // flushed bytes in the newest segment (staged batch excluded)
+	size   int64 // bytes of the newest segment written or being written (staged ones excluded)
 	next   LSN
 	failed error // sticky: set on a write error, fails every later append
 
-	// Group-commit state. Begin frames records into buf under mu and
-	// reserves their LSNs; the first waiter to find records staged and no
-	// flush running becomes the leader, swaps buf out, and writes + syncs
-	// it with mu released. synced is the durability watermark: every
-	// record at or below it is on stable storage. Invariant: a record
-	// above the watermark is either in buf or in the batch an in-flight
-	// leader is flushing, so a leader's batch always covers its own LSN.
+	// Write state. Begin frames records into buf under mu and reserves
+	// their LSNs; the first waiter to find records staged and no flush
+	// running becomes the leader, swaps buf out, and writes (and under
+	// Fsync syncs) it with mu released. synced is the durability
+	// watermark: every record at or below it is in the log. Invariant: a
+	// record above the watermark is either in buf or in the batch an
+	// in-flight leader is flushing, so a leader's batch always covers its
+	// own LSN.
 	buf        []byte
 	bufRecords int
 	spare      []byte // recycled batch buffer
@@ -234,9 +233,6 @@ func listSegments(fsys FS, dir string) ([]segment, error) {
 func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.MaxBatchBytes <= 0 {
-		opts.MaxBatchBytes = DefaultMaxBatchBytes
 	}
 	if opts.FS == nil {
 		opts.FS = OSFS()
@@ -397,41 +393,32 @@ type Pending struct {
 	l   *Log
 	lsn LSN
 
-	done    bool // the outcome below is final
-	err     error
-	fsync   time.Duration
-	leader  bool
-	records int
+	done  bool // the outcome below is final
+	err   error
+	fsync time.Duration
 }
 
 // LSN returns the reserved log sequence number.
 func (p *Pending) LSN() LSN { return p.lsn }
 
 // Done reports whether the record's fate was already decided when Begin
-// returned — true on the per-record path, where Begin performs the write
-// and flush itself and Wait just replays the stored outcome.
+// returned — true on the per-record path, where Begin waits for the
+// flush itself and Wait just replays the stored outcome.
 func (p *Pending) Done() bool { return p.done }
 
-// FsyncDuration is the time spent in the flush that made this record
-// durable, valid after Wait: the record's own fsync on the per-record
-// path, the shared batch sync in group-commit mode.
+// FsyncDuration is the duration of the sync in the flush that made this
+// record durable, valid after Wait (0 without Options.Fsync).
 func (p *Pending) FsyncDuration() time.Duration { return p.fsync }
 
-// Leader reports whether this waiter led the flush that covered it.
-func (p *Pending) Leader() bool { return p.leader }
-
-// Records is the size of the batch this waiter flushed as leader
-// (0 for followers and on the per-record path).
-func (p *Pending) Records() int { return p.records }
-
-// Begin reserves the next LSN for payload and stages the framed record
-// for durability, returning a Pending whose Wait blocks until the record
-// is on stable storage. In group-commit mode (Options.Fsync with
-// Options.GroupCommit) Begin only frames and buffers — the batched write
-// and the shared fsync happen under Wait, led by the first waiter — so a
-// caller can reserve its LSN under its own ordering lock and wait for
-// the flush outside it. In every other mode Begin performs the full
-// per-record append itself.
+// Begin reserves the next LSN for payload and stages the framed record,
+// returning a Pending whose Wait blocks until the record is durable. In
+// group-commit mode (Options.Fsync with Options.GroupCommit) Begin
+// returns once the record is staged — the batched write and the shared
+// fsync happen under Wait, led by the first waiter — so a caller can
+// reserve its LSN under its own ordering lock and wait for the flush
+// outside it. In every other mode Begin leads or waits for that flush
+// itself and returns only once the record is written (and under
+// Options.Fsync synced): a refused append reserved nothing.
 func (l *Log) Begin(payload []byte) (*Pending, error) {
 	if len(payload) > MaxRecordBytes {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
@@ -440,35 +427,24 @@ func (l *Log) Begin(payload []byte) (*Pending, error) {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil, ErrClosed
-	}
-	if l.failed != nil {
-		return nil, fmt.Errorf("%w: %w", ErrFailed, l.failed)
-	}
-	if !l.group {
-		lsn, fsyncDur, err := l.appendLocked(rec)
-		if err != nil {
-			return nil, err
-		}
-		return &Pending{l: l, lsn: lsn, done: true, fsync: fsyncDur}, nil
-	}
-	// Backpressure: a full batch buffer means flushes are behind; park
+	// Backpressure: a full staging buffer means flushes are behind; park
 	// until a leader drains it.
-	for int64(len(l.buf)) >= l.opts.MaxBatchBytes && l.bufRecords > 0 {
-		l.cond.Wait()
+	for {
 		if l.f == nil {
 			return nil, ErrClosed
 		}
 		if l.failed != nil {
 			return nil, fmt.Errorf("%w: %w", ErrFailed, l.failed)
 		}
+		if len(l.buf) < MaxBatchBytes || l.bufRecords == 0 {
+			break
+		}
+		l.cond.Wait()
 	}
-	// Rotation happens on the same cumulative-bytes boundary as the
-	// per-record path (l.size counts flushed bytes, the buffer staged
-	// ones), so batched and unbatched logs lay out identical segments.
-	// The staged records must drain into the old segment first: the
-	// LSN-to-segment mapping is positional.
+	// Rotate when the flushed plus staged bytes would pass SegmentBytes,
+	// so the segment layout depends only on the record sequence, never on
+	// how records were batched. The staged records must drain into the
+	// old segment first: the LSN-to-segment mapping is positional.
 	for {
 		staged := l.size + int64(len(l.buf))
 		if staged == 0 || staged+int64(len(rec)) <= l.opts.SegmentBytes {
@@ -493,9 +469,14 @@ func (l *Log) Begin(payload []byte) (*Pending, error) {
 	l.markLocked(l.next, l.size+int64(len(l.buf)))
 	l.buf = append(l.buf, rec...)
 	l.bufRecords++
-	lsn := l.next
+	p := &Pending{l: l, lsn: l.next}
 	l.next++
-	return &Pending{l: l, lsn: lsn}, nil
+	if !l.group {
+		if err := p.waitLocked(); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // Wait blocks until the record is durable, leading the batch flush if no
@@ -507,9 +488,14 @@ func (p *Pending) Wait() error {
 	if p.done {
 		return p.err
 	}
+	p.l.mu.Lock()
+	defer p.l.mu.Unlock()
+	return p.waitLocked()
+}
+
+// waitLocked is Wait with p.l.mu held.
+func (p *Pending) waitLocked() error {
 	l := p.l
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for {
 		if l.synced >= p.lsn {
 			p.done = true
@@ -527,7 +513,7 @@ func (p *Pending) Wait() error {
 			return p.err
 		}
 		if !l.flushing && l.bufRecords > 0 {
-			if err := l.flushLocked(p); err != nil {
+			if err := l.flushLocked(); err != nil {
 				p.done = true
 				p.err = err
 				return p.err
@@ -538,33 +524,28 @@ func (p *Pending) Wait() error {
 	}
 }
 
-// WaitDurable blocks until every record accepted before the call is on
-// stable storage — the durability barrier behind duplicate-ack paths,
-// where a retried mutation may only be acknowledged once the original it
-// dedups against is itself durable. On the per-record path every
-// accepted append is already flushed, so it returns immediately.
+// WaitDurable blocks until every record accepted before the call is
+// durable — the barrier behind duplicate-ack paths, where a retried
+// mutation may only be acknowledged once the original it dedups against
+// is itself durable, and behind snapshots. A poisoned log refuses even
+// when the watermark covers every reserved LSN: a failed flush returns
+// its reservations, but a caller may already have applied them.
 func (l *Log) WaitDurable() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return ErrClosed
-	}
-	if !l.group {
-		return nil
-	}
 	target := l.next - 1
 	for {
-		if l.synced >= target {
-			return nil
+		if l.f == nil {
+			return ErrClosed
 		}
 		if l.failed != nil {
 			return fmt.Errorf("%w: %w", ErrFailed, l.failed)
 		}
-		if l.f == nil {
-			return ErrClosed
+		if l.synced >= target {
+			return nil
 		}
 		if !l.flushing && l.bufRecords > 0 {
-			if err := l.flushLocked(nil); err != nil {
+			if err := l.flushLocked(); err != nil {
 				return err
 			}
 			continue
@@ -573,50 +554,15 @@ func (l *Log) WaitDurable() error {
 	}
 }
 
-// appendLocked writes one framed record through the per-record path:
-// rotate if due, one write, and under Options.Fsync one flush. Callers
-// hold l.mu and have checked the closed and poisoned states.
-func (l *Log) appendLocked(rec []byte) (lsn LSN, fsyncDur time.Duration, err error) {
-	if l.size > 0 && l.size+int64(len(rec)) > l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			l.failed = err
-			l.cond.Broadcast()
-			return 0, 0, err
-		}
-	}
-	path := l.segs[len(l.segs)-1].path
-	if _, err := l.f.Write(rec); err != nil {
-		l.failed = &IOError{Op: "write", Path: path, Err: err}
-		l.cond.Broadcast()
-		return 0, 0, l.failed
-	}
-	l.markLocked(l.next, l.size)
-	l.size += int64(len(rec))
-	if l.opts.Fsync {
-		syncStart := time.Now()
-		serr := l.f.Sync()
-		fsyncDur = time.Since(syncStart)
-		if serr != nil {
-			l.failed = &IOError{Op: "fsync", Path: path, Err: serr}
-			l.cond.Broadcast()
-			return 0, fsyncDur, l.failed
-		}
-	}
-	lsn = l.next
-	l.next++
-	l.synced = lsn     // the watermark stays true on the per-record path too
-	l.cond.Broadcast() // wake WaitSynced long-pollers (replication stream)
-	return lsn, fsyncDur, nil
-}
-
-// flushLocked writes the staged batch with one Write and one Sync, then
-// advances the durability watermark and wakes every waiter. The caller
-// holds l.mu and has checked that no flush is running; the lock is
-// released for the disk I/O and reacquired before returning. p, when
-// non-nil, is the leading waiter: on success its flush stats are filled
-// in, and on failure the returned *IOError is the leader's to surface
-// while the sticky poison fails every other waiter with ErrFailed.
-func (l *Log) flushLocked(p *Pending) error {
+// flushLocked writes the staged batch with one Write and, under Fsync,
+// one Sync, then advances the durability watermark and wakes every
+// waiter. The caller holds l.mu and has checked that no flush is
+// running; the lock is released for the disk I/O and reacquired before
+// returning. On failure the returned *IOError is the caller's to
+// surface while the sticky poison fails every other waiter with
+// ErrFailed, and every reservation above the watermark is returned:
+// NextLSN counts only records that are in the log.
+func (l *Log) flushLocked() error {
 	batch := l.buf
 	records := l.bufRecords
 	upTo := l.next - 1
@@ -624,6 +570,7 @@ func (l *Log) flushLocked(p *Pending) error {
 	l.spare = nil
 	l.bufRecords = 0
 	l.flushing = true
+	l.size += int64(len(batch)) // so records staged meanwhile mark true offsets
 	f := l.f
 	path := l.segs[len(l.segs)-1].path
 	l.mu.Unlock()
@@ -632,7 +579,7 @@ func (l *Log) flushLocked(p *Pending) error {
 	var syncDur time.Duration
 	if _, err := f.Write(batch); err != nil {
 		ioErr = &IOError{Op: "write", Path: path, Err: err}
-	} else {
+	} else if l.opts.Fsync {
 		syncStart := time.Now()
 		serr := f.Sync()
 		syncDur = time.Since(syncStart)
@@ -650,18 +597,21 @@ func (l *Log) flushLocked(p *Pending) error {
 		if l.failed == nil {
 			l.failed = ioErr
 		}
+		l.size -= int64(len(batch))
+		l.next = l.synced + 1
+		l.buf = l.buf[:0]
+		l.bufRecords = 0
+		seg := &l.segs[len(l.segs)-1]
+		for len(seg.marks) > 1 && seg.marks[len(seg.marks)-1] >= l.size {
+			seg.marks = seg.marks[:len(seg.marks)-1]
+		}
 		l.cond.Broadcast()
 		return ioErr
 	}
-	l.size += int64(len(batch))
 	l.synced = upTo
 	l.lastFsync = syncDur
-	if p != nil {
-		p.leader = true
-		p.records = records
-	}
 	l.cond.Broadcast()
-	if l.opts.OnFlush != nil {
+	if l.group && l.opts.OnFlush != nil {
 		l.opts.OnFlush(records)
 	}
 	return nil
@@ -683,9 +633,7 @@ func (l *Log) drainLocked() error {
 		return fmt.Errorf("%w: %w", ErrFailed, l.failed)
 	}
 	if l.bufRecords > 0 {
-		if err := l.flushLocked(nil); err != nil {
-			return err
-		}
+		return l.flushLocked()
 	}
 	return nil
 }
@@ -698,7 +646,7 @@ func (l *Log) Failed() error {
 }
 
 // Sync makes every record accepted so far durable: it drains any staged
-// group-commit batch, then flushes the newest segment to stable storage.
+// batch, then flushes the newest segment to stable storage.
 // It honors the poison contract Append does: a poisoned log refuses with
 // an error wrapping ErrFailed and the original cause (a Sync on a failed
 // log must never report success), and a Sync that itself fails records
@@ -728,8 +676,7 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Close makes the log durable and closes it: staged group-commit records
-// are flushed, the newest segment synced, and the file closed. Further
+// Close makes the log durable and closes it: staged records are flushed, the newest segment synced, and the file closed. Further
 // appends fail with ErrClosed. A dirty close — the log was already
 // poisoned, or the final flush, sync or close itself fails — is recorded
 // in the sticky poison and returned as an error, so shutdown paths can
@@ -756,7 +703,7 @@ func (l *Log) Close() error {
 		dirty = fmt.Errorf("%w: %w", ErrFailed, l.failed)
 	} else {
 		if l.bufRecords > 0 {
-			if err := l.flushLocked(nil); err != nil {
+			if err := l.flushLocked(); err != nil {
 				dirty = err
 			}
 		}

@@ -200,59 +200,69 @@ func TestReplStreamSevering(t *testing.T) {
 }
 
 // TestReplFollowerLocalWALFault fails the follower's own journal mid-
-// replication: the follower must degrade (stop advancing), keep serving
-// reads at its last applied state, report the primary's lead as lag, and
-// — restarted against a healthy disk — recover its local prefix and
-// converge.
+// replication, journaling per record and under -fsync -group-commit:
+// the follower must degrade (stop advancing), report only the records
+// its log holds as applied, keep serving reads at its last applied
+// state, report the primary's lead as lag, and — restarted against a
+// healthy disk — recover its local prefix and converge.
 func TestReplFollowerLocalWALFault(t *testing.T) {
-	primary := Start(t, BaseConfig(t.TempDir()))
-	script := []Step{
-		Register(w("ann", 0.8, 3), w("bob", 0.7, 2)),
-		Ingest(ev("ann", true)),
-		Ingest(ev("bob", false)),
-		Ingest(ev("ann", true)),
-		Ingest(ev("bob", true)),
-		Ingest(ev("ann", false)),
-		Ingest(ev("bob", true)),
-		Ingest(ev("ann", true)),
-	}
-	primary.Drive(script)
+	for _, tc := range []struct {
+		name  string
+		group bool
+	}{{"per-record", false}, {"group-commit", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			primary := Start(t, BaseConfig(t.TempDir()))
+			script := []Step{
+				Register(w("ann", 0.8, 3), w("bob", 0.7, 2)),
+				Ingest(ev("ann", true)),
+				Ingest(ev("bob", false)),
+				Ingest(ev("ann", true)),
+				Ingest(ev("bob", true)),
+				Ingest(ev("ann", false)),
+				Ingest(ev("bob", true)),
+				Ingest(ev("ann", true)),
+			}
+			primary.Drive(script)
 
-	fDir := t.TempDir()
-	cfgF := BaseConfig(fDir)
-	cfgF.FS = errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpWrite, Path: "wal-", After: 4})
-	f := StartFollower(t, cfgF, primary.HTTP.URL)
-	if err := f.WaitDone(10 * time.Second); !errors.Is(err, server.ErrDegraded) {
-		t.Fatalf("follower with failing WAL exited with %v, want ErrDegraded", err)
-	}
-	if applied := uint64(f.Srv.AppliedLSN()); applied != 4 {
-		t.Fatalf("follower applied %d records through a WAL that fails at the 5th, want 4", applied)
-	}
-	if degraded, _ := f.Srv.DegradedState(); !degraded {
-		t.Fatal("follower did not degrade on local WAL failure")
-	}
-	st := f.Srv.ReplStatus()
-	if st == nil || st.LagRecords != uint64(len(script))-4 {
-		t.Fatalf("follower lag = %+v, want %d records behind", st, len(script)-4)
-	}
-	// Reads keep serving the last applied state; readiness flags the node.
-	if _, err := f.Client.Workers(t.Context()); err != nil {
-		t.Fatalf("degraded follower list: %v", err)
-	}
-	if _, err := f.Client.Select(t.Context(), serve.SelectRequest{Budget: 10}); err != nil {
-		t.Fatalf("degraded follower select: %v", err)
-	}
-	resp, err := http.Get(f.HTTP.URL + "/readyz")
-	if err != nil || resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("degraded follower readyz: %v %d, want 503", err, resp.StatusCode)
-	}
-	resp.Body.Close()
+			fDir := t.TempDir()
+			cfgF := BaseConfig(fDir)
+			cfgF.Fsync, cfgF.GroupCommit = tc.group, tc.group
+			cfgF.FS = errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpWrite, Path: "wal-", After: 4})
+			f := StartFollower(t, cfgF, primary.HTTP.URL)
+			if err := f.WaitDone(10 * time.Second); !errors.Is(err, server.ErrDegraded) {
+				t.Fatalf("follower with failing WAL exited with %v, want ErrDegraded", err)
+			}
+			if applied := uint64(f.Srv.AppliedLSN()); applied != 4 {
+				t.Fatalf("follower applied %d records through a WAL that fails at the 5th, want 4", applied)
+			}
+			if degraded, _ := f.Srv.DegradedState(); !degraded {
+				t.Fatal("follower did not degrade on local WAL failure")
+			}
+			st := f.Srv.ReplStatus()
+			if st == nil || st.LagRecords != uint64(len(script))-4 {
+				t.Fatalf("follower lag = %+v, want %d records behind", st, len(script)-4)
+			}
+			// Reads keep serving the last applied state; readiness flags the node.
+			if _, err := f.Client.Workers(t.Context()); err != nil {
+				t.Fatalf("degraded follower list: %v", err)
+			}
+			if _, err := f.Client.Select(t.Context(), serve.SelectRequest{Budget: 10}); err != nil {
+				t.Fatalf("degraded follower select: %v", err)
+			}
+			resp, err := http.Get(f.HTTP.URL + "/readyz")
+			if err != nil || resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("degraded follower readyz: %v %d, want 503", err, resp.StatusCode)
+			}
+			resp.Body.Close()
 
-	// Restart on a healthy disk: local recovery replays the 4 journaled
-	// records, the stream ships the rest, and the follower converges.
-	f.Kill()
-	restarted := StartFollower(t, BaseConfig(fDir), primary.HTTP.URL)
-	AssertConverged(t, primary, restarted)
+			// Restart on a healthy disk: local recovery replays the 4
+			// journaled records, the stream ships the rest, and the
+			// follower converges.
+			f.Kill()
+			restarted := StartFollower(t, BaseConfig(fDir), primary.HTTP.URL)
+			AssertConverged(t, primary, restarted)
+		})
+	}
 }
 
 // TestReplPrimaryDegradesFollowerHoldsDurable is the power-loss chaos
