@@ -41,11 +41,12 @@ func table3(cfg Config) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		// Two restarts plus the removal move keep the worst-case gaps
-		// below the paper's 3-percentage-point ceiling: our cost-floor
-		// substitution (DESIGN.md) yields more near-free workers than
-		// the paper's setting, and those pack juries into states the
-		// plain Algorithm 4 swap cannot escape.
+		// Two restarts plus the removal move, the search OPTJS serves
+		// on pools of 16 to selection.RemovalSearchMaxN workers, keep
+		// the worst-case gaps below the paper's 3-percentage-point
+		// ceiling: our cost-floor substitution (DESIGN.md) yields more
+		// near-free workers than the paper's setting, and those pack
+		// juries into states the plain Algorithm 4 swap cannot escape.
 		heur, err := selection.Annealing{
 			Objective:    selection.BVExactObjective{},
 			Seed:         cfg.Seed + int64(trial),

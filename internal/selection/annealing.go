@@ -3,6 +3,7 @@ package selection
 import (
 	"math/rand"
 	"runtime"
+	"sort"
 
 	"repro/internal/anneal"
 	"repro/internal/conc"
@@ -89,17 +90,14 @@ func (a Annealing) Search(sp Space, budget float64) (Result, error) {
 	})
 	// Fold in restart order so the result matches a sequential run
 	// bit for bit: the first error wins, ties keep the earlier restart.
-	var best Result
-	bestSet := false
-	evals := 0
-	for r := 0; r < restarts; r++ {
+	best, evals := results[0], 0
+	for r := range restarts {
 		if errs[r] != nil {
 			return Result{}, errs[r]
 		}
 		evals += results[r].Evaluations
-		if !bestSet || results[r].JQ > best.JQ {
+		if results[r].JQ > best.JQ {
 			best = results[r]
-			bestSet = true
 		}
 	}
 	best.Evaluations = evals
@@ -190,8 +188,9 @@ func (a Annealing) run(sp Space, budget float64, schedule anneal.Schedule, rng *
 	if loopErr != nil {
 		return Result{}, loopErr
 	}
+	sort.Ints(bestMembers)
 	return Result{
-		Indices:     sortedCopy(bestMembers),
+		Indices:     bestMembers,
 		JQ:          bestJQ,
 		Cost:        bestCost,
 		Evaluations: s.evals,

@@ -3,7 +3,6 @@ package selection
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/worker"
 )
@@ -112,11 +111,4 @@ func lexLess(a, b []int) bool {
 		}
 	}
 	return len(a) < len(b)
-}
-
-// sortedCopy returns a sorted copy of indices.
-func sortedCopy(indices []int) []int {
-	out := append([]int(nil), indices...)
-	sort.Ints(out)
-	return out
 }

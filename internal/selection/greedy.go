@@ -131,5 +131,6 @@ func GreedyWalk(sp Space, order []int, budget float64) (Result, error) {
 			cost += c
 		}
 	}
-	return sp.scoreOne(sortedCopy(chosen), cost)
+	sort.Ints(chosen)
+	return sp.scoreOne(chosen, cost)
 }

@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/worker"
 )
@@ -98,7 +99,7 @@ func (k KnapsackSurrogate) Select(pool worker.Pool, budget, alpha float64) (Resu
 			w -= weights[i]
 		}
 	}
-	indices := sortedCopy(chosen)
-	res, err := newSpace(k.Objective, pool, alpha).scoreOne(indices, pool.Subset(indices).TotalCost())
+	slices.Reverse(chosen) // ascending
+	res, err := newSpace(k.Objective, pool, alpha).scoreOne(chosen, pool.Subset(chosen).TotalCost())
 	return withJury(pool, res, err)
 }

@@ -205,9 +205,10 @@ func TestAnnealingNearOptimalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// The production OPTJS configuration (restarts + removal move);
-		// the plain single-pass Algorithm 3 exhibits rare larger gaps on
-		// this cost distribution (see the table3 experiment note).
+		// The removal search OPTJS serves on small annealed pools
+		// (restarts + removal move); the plain single-pass Algorithm 3
+		// exhibits rare larger gaps on this cost distribution (see the
+		// table3 experiment note).
 		heur, err := Annealing{Objective: BVExactObjective{}, Seed: seed, Restarts: 2, AllowRemoval: true}.
 			Select(pool, budget, 0.5)
 		if err != nil {

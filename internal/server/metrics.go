@@ -49,6 +49,11 @@ type Metrics struct {
 	// records one fsync absorbed, in powers of two up to 256 (larger
 	// batches land in +Inf).
 	walBatch *obs.Histogram
+	// selectEvals counts objective evaluations per cache-missing select,
+	// in powers of four up to 2^18: which search tier a select ran
+	// (exhaustive, removal search or single pass) and how much it
+	// evaluated.
+	selectEvals *obs.Histogram
 }
 
 // routeStats is one route's latency histogram (whose count is the
@@ -61,8 +66,9 @@ type routeStats struct {
 // NewMetrics returns zeroed metrics.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		routes:   make(map[string]*routeStats),
-		walBatch: obs.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
+		routes:      make(map[string]*routeStats),
+		walBatch:    obs.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
+		selectEvals: obs.NewHistogram([]float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144}),
 	}
 }
 
@@ -88,10 +94,12 @@ func (rs *routeStats) observe(status int, d time.Duration) {
 // VotesIngested adds n ingested vote events.
 func (m *Metrics) VotesIngested(n int) { m.votesIngested.Add(uint64(n)) }
 
-// SelectionComputed records one cache-missing selection and its latency.
-func (m *Metrics) SelectionComputed(d time.Duration) {
+// SelectionComputed records one cache-missing selection, its latency and
+// its objective evaluations.
+func (m *Metrics) SelectionComputed(d time.Duration, evals int) {
 	m.selections.Add(1)
 	m.selectionLatency.Add(int64(d))
+	m.selectEvals.Observe(int64(evals))
 }
 
 // SessionOpened / SessionFinished track online-session lifecycle.
@@ -171,6 +179,7 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats, poolSize int, generat
 	fmt.Fprintf(w, "juryd_selections_computed_total %d\n", m.selections.Load())
 	fmt.Fprintf(w, "juryd_selection_seconds_total %g\n",
 		time.Duration(m.selectionLatency.Load()).Seconds())
+	m.selectEvals.Snapshot().WriteText(w, "juryd_select_evaluations", "")
 	fmt.Fprintf(w, "juryd_sessions_opened_total %d\n", m.sessionsOpened.Load())
 	fmt.Fprintf(w, "juryd_sessions_finished_total %d\n", m.sessionsFinished.Load())
 	fmt.Fprintf(w, "juryd_cache_hits_total %d\n", cache.Hits)

@@ -14,7 +14,7 @@ import (
 // plus the request counters derived from the route histograms.
 var histogramFamilies = []string{
 	"juryd_requests_total", "juryd_request_duration_seconds", "juryd_request_errors_total",
-	"juryd_wal_batch_records", "juryd_stage_duration_seconds", "juryd_wal_fsync_seconds",
+	"juryd_select_evaluations", "juryd_wal_batch_records", "juryd_stage_duration_seconds", "juryd_wal_fsync_seconds",
 }
 
 // goldenHistogramExposition is the exact text of the histogram families
@@ -57,6 +57,19 @@ juryd_request_duration_seconds_sum{route="POST /v1/select"} 3.04428
 juryd_request_duration_seconds_count{route="POST /v1/select"} 6
 juryd_request_errors_total{route="POST /v1/select"} 1
 juryd_request_errors_total 1
+juryd_select_evaluations_bucket{le="1"} 1
+juryd_select_evaluations_bucket{le="4"} 1
+juryd_select_evaluations_bucket{le="16"} 1
+juryd_select_evaluations_bucket{le="64"} 1
+juryd_select_evaluations_bucket{le="256"} 1
+juryd_select_evaluations_bucket{le="1024"} 2
+juryd_select_evaluations_bucket{le="4096"} 2
+juryd_select_evaluations_bucket{le="16384"} 3
+juryd_select_evaluations_bucket{le="65536"} 4
+juryd_select_evaluations_bucket{le="262144"} 4
+juryd_select_evaluations_bucket{le="+Inf"} 5
+juryd_select_evaluations_sum 1237557
+juryd_select_evaluations_count 5
 juryd_wal_batch_records_bucket{le="1"} 1
 juryd_wal_batch_records_bucket{le="2"} 1
 juryd_wal_batch_records_bucket{le="4"} 2
@@ -157,6 +170,9 @@ func TestMetricsHistogramExpositionGolden(t *testing.T) {
 	for _, n := range []int{1, 3, 300} {
 		m.WALBatch(n)
 	}
+	for _, evals := range []int{1, 466, 4322, 32768, 1200000} {
+		m.SelectionComputed(time.Millisecond, evals)
+	}
 	rec := obs.NewRecorder(0)
 	tr := obs.NewTrace("golden", "POST /v1/votes")
 	t0 := time.Now()
@@ -183,8 +199,8 @@ func TestMetricsHistogramExpositionGolden(t *testing.T) {
 }
 
 // TestMetricsScrapeConsistentUnderLoad renders the /metrics histograms
-// while requests, stage spans and group-commit flushes are being
-// recorded, and asserts
+// while requests, stage spans, group-commit flushes and selects are
+// being recorded, and asserts
 // every histogram in every scrape is internally consistent: cumulative
 // buckets never decrease and the +Inf bucket equals _count. A renderer
 // that loads the buckets more than once per scrape breaks both.
@@ -207,7 +223,7 @@ func TestMetricsScrapeConsistentUnderLoad(t *testing.T) {
 			}
 		}()
 	}
-	flush := func() { s.metrics.WALBatch(1) }
+	flush := func() { s.metrics.WALBatch(1); s.metrics.SelectionComputed(time.Millisecond, 466) }
 	request := func() {
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
 	}
@@ -240,7 +256,7 @@ func TestMetricsScrapeConsistentUnderLoad(t *testing.T) {
 			families[strings.TrimSuffix(sample.name, "_count")] = true
 		}
 	}
-	for _, f := range []string{"juryd_wal_batch_records", "juryd_request_duration_seconds",
+	for _, f := range []string{"juryd_wal_batch_records", "juryd_select_evaluations", "juryd_request_duration_seconds",
 		"juryd_stage_duration_seconds", "juryd_wal_fsync_seconds"} {
 		if !families[f] {
 			t.Errorf("histogram %s never appeared while under load", f)

@@ -241,8 +241,14 @@ func TestMultiSelectCacheInvalidationOnDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if metrics := readBody(t, resp); !bytes.Contains(metrics, []byte("juryd_cache_hits_total 2\n")) {
+	metrics := readBody(t, resp)
+	if !bytes.Contains(metrics, []byte("juryd_cache_hits_total 2\n")) {
 		t.Fatalf("metrics after two multi cache hits:\n%s", metrics)
+	}
+	// The one computed multi select is sized by its reply's evaluations.
+	want := fmt.Sprintf("juryd_select_evaluations_sum %d\njuryd_select_evaluations_count 1\n", first.Evaluations)
+	if !bytes.Contains(metrics, []byte(want)) {
+		t.Fatalf("metrics missing %q:\n%s", want, metrics)
 	}
 
 	// One graded event drifts m0's row 1: the signature must change and

@@ -233,7 +233,7 @@ func (s *Server) selectMulti(ctx context.Context, poolName string, req MultiSele
 		return MultiSelectResponse{}, err
 	}
 	tr.Add(obs.StageEval, start, time.Since(start))
-	s.metrics.SelectionComputed(time.Since(start))
+	s.metrics.SelectionComputed(time.Since(start), result.Evaluations)
 	res = MultiSelectResponse{
 		Pool:        poolName,
 		Labels:      labels,

@@ -711,7 +711,7 @@ func (s *Server) selectOne(ctx context.Context, req SelectRequest) (SelectRespon
 		return SelectResponse{}, err
 	}
 	tr.Add(obs.StageEval, start, time.Since(start))
-	s.metrics.SelectionComputed(time.Since(start))
+	s.metrics.SelectionComputed(time.Since(start), result.Evaluations)
 	res = SelectResponse{
 		Jury:        make([]JuryMember, len(result.Indices)),
 		JQ:          result.JQ,

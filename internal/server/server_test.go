@@ -371,7 +371,9 @@ func TestHTTPSessionOverBudgetWithAffordableWorker(t *testing.T) {
 
 func TestHTTPMetrics(t *testing.T) {
 	_, ts := newTestServer(t)
-	postJSON(t, ts.URL+"/v1/select", SelectRequest{Budget: 15})
+	var sel SelectResponse
+	_, raw := postJSON(t, ts.URL+"/v1/select", SelectRequest{Budget: 15})
+	mustDecode(t, raw, &sel)
 	postJSON(t, ts.URL+"/v1/select", SelectRequest{Budget: 15})
 	postJSON(t, ts.URL+"/v1/votes", VoteEvent{WorkerID: "w0", Correct: true})
 
@@ -379,7 +381,7 @@ func TestHTTPMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := io.ReadAll(resp.Body)
+	raw, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(raw)
 	for _, want := range []string{
@@ -387,6 +389,9 @@ func TestHTTPMetrics(t *testing.T) {
 		"juryd_cache_misses_total 1",
 		"juryd_votes_ingested_total 1",
 		"juryd_selections_computed_total 1",
+		// Only the cache miss is sized, by its reply's evaluations.
+		fmt.Sprintf("juryd_select_evaluations_sum %d\n", sel.Evaluations),
+		"juryd_select_evaluations_count 1\n",
 		"juryd_pool_size 7",
 		`juryd_requests_total{route="POST /v1/select"} 2`,
 	} {

@@ -144,14 +144,18 @@ type Selection = selection.Result
 // Select solves the Jury Selection Problem with the optimal (Bayesian)
 // voting strategy: among all juries whose total cost fits the budget,
 // return the one with the highest JQ. Pools of at most 15 candidates are
-// searched exhaustively; larger pools use the paper's simulated-annealing
-// heuristic, seeded for reproducibility.
+// searched exhaustively. Larger pools use the paper's simulated-annealing
+// heuristic, seeded for reproducibility: up to 80 candidates with two
+// restarts and a removal move, beyond that as the paper's single pass.
 func Select(pool Pool, budget, alpha float64, seed int64) (Selection, error) {
 	return selection.OPTJS(seed).Select(pool, budget, alpha)
 }
 
 // SelectMajority is the MVJS baseline: jury selection under majority
 // voting (Cao et al. 2012). Provided for comparisons; Select dominates it.
+// It anneals with two restarts and the removal move at every pool size
+// above 15, because under majority voting that search keeps the higher
+// mean JQ up to 128 candidates.
 func SelectMajority(pool Pool, budget, alpha float64, seed int64) (Selection, error) {
 	return selection.MVJS(seed).Select(pool, budget, alpha)
 }
