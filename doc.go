@@ -82,20 +82,20 @@
 //     always the posterior mean, so quality drifts continuously as
 //     evidence accumulates — the online-processing view of Section 8.
 //   - Selection cache (server.SelectionCache): selections are memoized
-//     under a key that includes the pool signature — a hash of the exact
-//     (id, quality, cost) triples of the candidate set — plus budget,
-//     prior, strategy, and annealing seed.
+//     under a key that includes the pool signature — the registry's
+//     persisted mutation count, plus a digest of the member ids for a
+//     subset — and budget, prior, strategy, and annealing seed.
 //   - Online sessions: sequential vote collection (internal/online) is
 //     exposed as a stateful resource; each posted vote advances an
 //     online.Session (the incremental engine Collect itself drives) and
 //     reports decision, confidence, and the stopping rule's verdict.
 //
 // Consistency model: a cached jury can never be served stale. The cache
-// key derives from the exact worker states the selection was computed
-// against, and every selector is deterministic given that key, so a
-// lookup either finds a bit-identical answer or misses. A vote ingest
-// that moves any posterior mean changes the pool signature, making every
-// prior key for that pool unconstructible — invalidation is structural,
+// key names the exact worker states the selection was computed against,
+// and every selector is deterministic given that key, so a lookup either
+// finds a bit-identical answer or misses. Every mutation, so every vote
+// ingest that moves a posterior mean, changes the pool signature, making
+// every prior key for that pool unconstructible — invalidation is structural,
 // not event-driven, and needs no cross-request coordination. The cost of
 // this design is garbage, not wrongness: superseded entries linger until
 // LRU eviction (bounded by Config.CacheSize). Selections run on immutable
@@ -125,10 +125,11 @@
 //     vote) adds one pseudo-count to the (truth, vote) cell and row
 //     `truth` becomes its new posterior mean — rows without evidence
 //     never drift.
-//   - Full-matrix signatures: the pool signature hashes the label count
-//     and every worker's id, cost, and complete ℓ×ℓ matrix, so drift in
-//     any row invalidates cached selections structurally, exactly like
-//     the binary arm. Multi-choice selections share the binary LRU
+//   - Signatures: every pool's signature is the multi registry's one
+//     mutation count, so drift in any row of any pool invalidates cached
+//     selections structurally, exactly like the binary arm (at the price
+//     of retiring the other pools' entries too). Multi-choice selections
+//     share the binary LRU
 //     (disjoint key spaces); their keys also carry the full prior
 //     vector, the bucket resolution, and — for the seeded annealing
 //     strategy — the seed.
@@ -207,7 +208,8 @@
 //     dirty close: juryd logs it and exits non-zero.
 //
 // Because replay is deterministic, a recovered registry is bit-identical
-// to the pre-crash one — including its pool signatures, so the selection
+// to the pre-crash one — including the persisted mutation count that
+// names its pool signatures, so the selection
 // cache (rebuilt empty on boot) refills under exactly the keys the
 // pre-crash process used, and cached-selection consistency carries over
 // restarts unchanged. GET /debug/persistence reports the recovery

@@ -12,7 +12,7 @@ const DefaultCacheSize = 4096
 
 // SelectionKey identifies one cacheable selection: the exact candidate
 // pool state (its signature) plus every parameter the search depends on.
-// Because the signature hashes the workers' posterior-mean qualities, a
+// Because every registry mutation changes the signature, a
 // quality-drifting vote ingest changes the key — stale juries can never
 // be returned, only recomputed.
 type SelectionKey struct {
@@ -50,9 +50,8 @@ func (s CacheStats) HitRate() float64 {
 // binary (SelectResponse) and multi-choice (MultiSelectResponse), whose
 // key spaces are disjoint by construction. Keys embed the pool
 // signature, so entries computed against superseded worker states become
-// unreachable the moment a vote ingest (or any registry mutation)
-// changes a quality, cost, or confusion-matrix entry; LRU eviction
-// reclaims them. The cache is safe for concurrent use.
+// unreachable the moment a vote ingest (or any registry mutation) is
+// applied; LRU eviction reclaims them. The cache is safe for concurrent use.
 type SelectionCache struct {
 	mu      sync.Mutex
 	cap     int

@@ -1,10 +1,16 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
+
+	"repro/internal/worker"
 )
 
 func key(sig string, budget float64) SelectionKey {
@@ -178,5 +184,143 @@ func TestConcurrentIngestAndSelect(t *testing.T) {
 	st := s.CacheStats()
 	if st.Hits+st.Misses != 2*perWorker {
 		t.Fatalf("lookup count = %d, want %d", st.Hits+st.Misses, 2*perWorker)
+	}
+}
+
+// TestSignatureNamesJuryState: a select's signature names exactly the
+// pool state its jury was computed on, under concurrent single-vote
+// ingests and selects, cache hits included. Each ingest response carries
+// its signature and the one worker it updated, so replaying them in
+// generation order rebuilds every generation's pool. Each select must
+// then report its jury members' qualities and costs at the generation
+// its signature names, and recomputing the selection on that pool must
+// give the same jury and JQ bit for bit. A Snapshot that reads gen and
+// the pool under different locks, or a gen bumped outside the apply
+// step, lets some select name a generation its jury was not computed on.
+func TestSignatureNamesJuryState(t *testing.T) {
+	ctx := context.Background()
+	s := New(Config{Alpha: 0.5, Seed: 1, CacheSize: 64})
+	specs := make([]WorkerSpec, 10)
+	for i := range specs {
+		specs[i] = WorkerSpec{
+			ID:      fmt.Sprintf("w%d", i),
+			Quality: 0.55 + 0.04*float64(i),
+			Cost:    1 + float64(i%4),
+		}
+	}
+	if _, err := s.registry.Register(ctx, specs, 0); err != nil {
+		t.Fatal(err)
+	}
+	initial, regSig := s.registry.List()
+	gen := func(sig string) uint64 {
+		g, err := strconv.ParseUint(sig, 10, 64)
+		if err != nil {
+			t.Fatalf("signature %q is not a generation: %v", sig, err)
+		}
+		return g
+	}
+	type ingested struct {
+		gen uint64
+		w   WorkerInfo
+	}
+	const votes, selects = 150, 150
+	ingests := make([][]ingested, 2)
+	results := make([][]SelectResponse, 2)
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := range votes {
+				ev := VoteEvent{WorkerID: specs[(g*3+i)%len(specs)].ID, Correct: i%3 != 0}
+				updated, sig, err := s.registry.Ingest(ctx, []VoteEvent{ev})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ingests[g] = append(ingests[g], ingested{gen(sig), updated[0]})
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := range selects {
+				// Pairs of equal requests, so the second often hits the
+				// cache; mostly the cheap greedy search, so many snapshots
+				// land while votes are still arriving.
+				req := SelectRequest{Budget: float64(3 + (i/2)%4), Strategy: "greedy"}
+				if i%8 >= 6 {
+					req.Strategy = "bv"
+				}
+				res, err := s.selectOne(ctx, req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[g] = append(results[g], res)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// Every vote took the next generation: replaying them in that order
+	// rebuilds the pool each generation names.
+	all := slices.Concat(ingests...)
+	slices.SortFunc(all, func(a, b ingested) int { return cmp.Compare(a.gen, b.gen) })
+	first := gen(regSig)
+	states := map[uint64][]WorkerInfo{first: initial}
+	for i, in := range all {
+		if in.gen != first+uint64(i)+1 {
+			t.Fatalf("vote %d of %d took generation %d, want %d", i, len(all), in.gen, first+uint64(i)+1)
+		}
+		next := slices.Clone(states[in.gen-1])
+		next[slices.IndexFunc(next, func(w WorkerInfo) bool { return w.ID == in.w.ID })] = in.w
+		states[in.gen] = next
+	}
+
+	hits := 0
+	for _, res := range slices.Concat(results...) {
+		state, ok := states[gen(res.Signature)]
+		if !ok {
+			t.Fatalf("select names generation %s, which no vote produced", res.Signature)
+		}
+		if res.Cached {
+			hits++
+		}
+		byID := make(map[string]WorkerInfo, len(state))
+		pool := make(worker.Pool, len(state))
+		for i, w := range state {
+			byID[w.ID] = w
+			pool[i] = worker.Worker{ID: w.ID, Quality: w.Quality, Cost: w.Cost}
+		}
+		for _, m := range res.Jury {
+			w := byID[m.ID]
+			if math.Float64bits(m.Quality) != math.Float64bits(w.Quality) || m.Cost != w.Cost {
+				t.Fatalf("select at %s reports %s as (%v, %v); that generation holds (%v, %v)",
+					res.Signature, m.ID, m.Quality, m.Cost, w.Quality, w.Cost)
+			}
+		}
+		sel, _, _, err := strategySelector(res.Strategy, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sel.Select(pool, res.Budget, res.Alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(want.JQ) != math.Float64bits(res.JQ) || len(want.Indices) != len(res.Jury) {
+			t.Fatalf("select at %s: JQ %v over %d members, recomputed %v over %d",
+				res.Signature, res.JQ, len(res.Jury), want.JQ, len(want.Indices))
+		}
+		for i, idx := range want.Indices {
+			if pool[idx].ID != res.Jury[i].ID {
+				t.Fatalf("select at %s: jury %v, recomputed member %d is %s", res.Signature, res.Jury, i, pool[idx].ID)
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no select was served from the cache")
 	}
 }

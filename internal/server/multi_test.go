@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -198,6 +199,43 @@ func TestMultiIngestDirichletPosterior(t *testing.T) {
 	info, _ := r.Get("p")
 	if info.Workers[0].Version != 2 {
 		t.Fatalf("failed ingests bumped version: %+v", info.Workers[0])
+	}
+}
+
+// TestMultiSnapshotSubsetCanonicalization is the multi-choice twin of
+// TestSnapshotSubsetCanonicalization: equal canonical subsets share one
+// signature, and different subsets of a pool at one generation never do.
+func TestMultiSnapshotSubsetCanonicalization(t *testing.T) {
+	s, _ := newMultiTestServer(t)
+	r := s.MultiRegistry()
+	pool1, ids1, sig1, _, err := r.Snapshot("colors", []string{"m2", "m0", "m2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, sig2, _, err := r.Snapshot("colors", []string{"m0", "m2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sig1 != sig2 {
+		t.Fatalf("equivalent subsets got different signatures: %s vs %s", sig1, sig2)
+	}
+	if len(pool1) != 2 || ids1[0] != "m0" || ids1[1] != "m2" {
+		t.Fatalf("subset not canonicalized: %v", ids1)
+	}
+	_, _, full, _, _ := r.Snapshot("colors", nil)
+	seen := map[string]string{full: "full pool", sig1: "{m0, m2}"}
+	for _, sub := range [][]string{{"m0", "m1"}, {"m1", "m2"}, {"m0"}, {"m2"}, {"m0", "m1", "m2"}} {
+		_, _, sig, _, err := r.Snapshot("colors", sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := seen[sig]; ok {
+			t.Fatalf("subset %v shares signature %q with %s", sub, sig, prev)
+		}
+		seen[sig] = fmt.Sprint(sub)
+	}
+	if _, _, _, _, err := r.Snapshot("colors", []string{"ghost"}); !errors.Is(err, ErrWorkerUnknown) {
+		t.Fatalf("unknown subset member: %v", err)
 	}
 }
 

@@ -68,9 +68,9 @@ type MultiPoolInfo struct {
 	Name    string            `json:"name"`
 	Labels  int               `json:"labels"`
 	Workers []MultiWorkerInfo `json:"workers"`
-	// Signature identifies the exact pool state: it hashes the label
-	// count and every worker's id, cost, and full confusion matrix, so
-	// any posterior drift produces a new signature.
+	// Signature identifies the exact pool state: it names the multi
+	// registry's mutation count, so any posterior drift produces a new
+	// signature.
 	Signature string `json:"signature"`
 }
 

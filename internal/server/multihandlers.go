@@ -116,8 +116,8 @@ func resolvePrior(prior []float64, labels int) (multichoice.Prior, error) {
 }
 
 // multiSelectionKey identifies one cacheable multi-choice selection: the
-// pool name and the exact matrix-state signature, plus every parameter
-// the search depends on (including the full prior vector).
+// pool name and the pool-state signature, plus every parameter the
+// search depends on (including the full prior vector).
 type multiSelectionKey struct {
 	Pool      string
 	Signature string

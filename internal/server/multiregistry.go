@@ -2,9 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -74,24 +71,24 @@ type multiPool struct {
 	labels  int
 	workers map[string]*multiWorkerState
 	order   []string
-	// sig is the memoized full-pool signature, refreshed by every
-	// mutation under the registry's write lock.
-	sig string
 }
 
 // MultiRegistry is the concurrency-safe resident store of multi-choice
 // pools: pool creation, worker registration, and Dirichlet posterior
 // re-estimation from graded multi-label vote events. Like the binary
-// Registry, every observable pool state is identified by a signature —
-// here a hash over the label count and each worker's (id, cost, full
-// confusion matrix) — so the selection cache's consistency token covers
-// the complete matrix state and any posterior drift invalidates
-// structurally.
+// Registry, every observable pool state is named by a signature, the
+// rendering of the registry's one mutation counter gen: every pool
+// shares it, and the pool name in the selection cache key tells pools
+// apart. A mutation in any pool changes every pool's signature — a
+// per-pool counter would need a field the state document lacks, and one
+// derived from rows repeats after a drop and re-create.
 type MultiRegistry struct {
 	mu    sync.RWMutex
 	pools map[string]*multiPool
 	order []string // creation order, for deterministic listings/snapshots
-	gen   uint64
+	// gen bumps once in every applied mutation's apply step; it is
+	// persisted and never moves backwards, like Registry.gen.
+	gen uint64
 	// j journals every mutation (nil: in memory only).
 	j *journal
 	// idem remembers applied ingest idempotency keys registry-wide (one
@@ -236,7 +233,7 @@ func (r *MultiRegistry) CreatePool(ctx context.Context, name string, labels int,
 		if err := tx.run(rec, r.prepareLocked); err != nil {
 			return err
 		}
-		sig = r.pools[name].sig
+		sig = signature(r.gen, nil)
 		return nil
 	}); err != nil {
 		return "", err
@@ -258,8 +255,7 @@ func (r *MultiRegistry) Register(ctx context.Context, pool string, specs []Multi
 		if err := tx.run(rec, r.prepareLocked); err != nil {
 			return err
 		}
-		p := r.pools[pool]
-		sig, size = p.sig, len(p.order)
+		sig, size = signature(r.gen, nil), len(r.pools[pool].order)
 		return nil
 	}); err != nil {
 		return "", 0, err
@@ -317,8 +313,8 @@ func (r *MultiRegistry) IngestKeyed(ctx context.Context, pool string, events []M
 				updated = append(updated, p.workers[id].info())
 			}
 		}
-		if p, ok := r.pools[pool]; ok {
-			sig = p.sig
+		if _, ok := r.pools[pool]; ok {
+			sig = signature(r.gen, nil)
 		}
 		return nil
 	}); err != nil {
@@ -401,7 +397,6 @@ func (r *MultiRegistry) prepareLocked(rec *Record) (func(), error) {
 				w.Version++
 			}
 			r.gen++
-			p.sig = p.signature()
 		}, nil
 	case RecMultiDrop:
 		if _, ok := r.pools[mr.Pool]; !ok {
@@ -424,7 +419,6 @@ func (r *MultiRegistry) addWorkersLocked(p *multiPool, mr *MultiRecord, matrices
 		p.order = append(p.order, spec.ID)
 	}
 	r.gen++
-	p.sig = p.signature()
 }
 
 // List returns every pool's summary in creation order.
@@ -432,9 +426,10 @@ func (r *MultiRegistry) List() []MultiPoolSummary {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]MultiPoolSummary, len(r.order))
+	sig := signature(r.gen, nil)
 	for i, name := range r.order {
 		p := r.pools[name]
-		out[i] = MultiPoolSummary{Name: name, Labels: p.labels, Workers: len(p.order), Signature: p.sig}
+		out[i] = MultiPoolSummary{Name: name, Labels: p.labels, Workers: len(p.order), Signature: sig}
 	}
 	return out
 }
@@ -447,7 +442,7 @@ func (r *MultiRegistry) Get(name string) (MultiPoolInfo, error) {
 	if !ok {
 		return MultiPoolInfo{}, fmt.Errorf("%w: %q", ErrPoolUnknown, name)
 	}
-	info := MultiPoolInfo{Name: name, Labels: p.labels, Signature: p.sig,
+	info := MultiPoolInfo{Name: name, Labels: p.labels, Signature: signature(r.gen, nil),
 		Workers: make([]MultiWorkerInfo, len(p.order))}
 	for i, id := range p.order {
 		info.Workers[i] = p.workers[id].info()
@@ -466,7 +461,8 @@ func (r *MultiRegistry) Len() int {
 // selection: the named pool's workers (all, or the given subset) as a
 // multichoice.Pool whose matrices share nothing with the registry, their
 // ids, the state signature, and the label count. Subset requests are
-// canonicalized (sorted, deduplicated) like the binary registry's.
+// canonicalized (sorted, deduplicated) and signed like the binary
+// registry's.
 func (r *MultiRegistry) Snapshot(pool string, ids []string) (multichoice.Pool, []string, string, int, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -474,13 +470,12 @@ func (r *MultiRegistry) Snapshot(pool string, ids []string) (multichoice.Pool, [
 	if !ok {
 		return nil, nil, "", 0, fmt.Errorf("%w: %q", ErrPoolUnknown, pool)
 	}
-	sig := ""
+	var subset []string
 	if len(ids) == 0 {
 		if len(p.order) == 0 {
 			return nil, nil, "", 0, ErrEmptyRegistry
 		}
 		ids = p.order
-		sig = p.sig
 	} else {
 		for _, id := range ids {
 			if _, ok := p.workers[id]; !ok {
@@ -488,6 +483,7 @@ func (r *MultiRegistry) Snapshot(pool string, ids []string) (multichoice.Pool, [
 			}
 		}
 		ids = canonicalIDs(ids)
+		subset = ids
 	}
 	out := make(multichoice.Pool, len(ids))
 	outIDs := make([]string, len(ids))
@@ -496,10 +492,7 @@ func (r *MultiRegistry) Snapshot(pool string, ids []string) (multichoice.Pool, [
 		out[i] = multichoice.Worker{ID: w.ID, Confusion: copyMatrix(w.Confusion), Cost: w.Cost}
 		outIDs[i] = id
 	}
-	if sig == "" {
-		sig = p.signatureOf(ids)
-	}
-	return out, outIDs, sig, p.labels, nil
+	return out, outIDs, signature(r.gen, subset), p.labels, nil
 }
 
 // persistState serializes the full multi registry (Dirichlet posteriors
@@ -583,7 +576,6 @@ func (r *MultiRegistry) load(st multiRegistryState) error {
 			p.workers[w.ID] = &w
 			p.order = append(p.order, w.ID)
 		}
-		p.sig = p.signature()
 		pools[pp.Name] = p
 		order = append(order, pp.Name)
 	}
@@ -592,40 +584,4 @@ func (r *MultiRegistry) load(st multiRegistryState) error {
 	r.gen = st.Gen
 	r.idem.load(st.Idem)
 	return nil
-}
-
-// signature hashes the whole pool in registration order.
-func (p *multiPool) signature() string {
-	if len(p.order) == 0 {
-		return p.signatureOf(nil)
-	}
-	return p.signatureOf(p.order)
-}
-
-// signatureOf hashes the label count and the (id, cost, confusion
-// matrix) state of the given workers, in order. The full ℓ² matrix goes
-// into the hash, so any Dirichlet posterior drift — in any row —
-// changes the signature and structurally invalidates cached selections.
-// Callers must hold the registry lock (either mode).
-func (p *multiPool) signatureOf(ids []string) string {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(p.labels))
-	h.Write(buf[:])
-	for _, id := range ids {
-		w := p.workers[id]
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(id)))
-		h.Write(buf[:])
-		h.Write([]byte(id))
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w.Cost))
-		h.Write(buf[:])
-		for _, row := range w.Confusion {
-			for _, v := range row {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-				h.Write(buf[:])
-			}
-		}
-	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16])
 }

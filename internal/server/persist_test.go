@@ -106,7 +106,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSig, _ := s.registry.Signature()
+	_, wantSig := s.registry.List()
 
 	s2 := reopen(t, s, cfg)
 	gotDump, err := s2.DebugState()
@@ -116,7 +116,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	if !bytes.Equal(wantDump, gotDump) {
 		t.Fatalf("recovered dump differs\nwant %s\ngot  %s", wantDump, gotDump)
 	}
-	gotSig, _ := s2.registry.Signature()
+	_, gotSig := s2.registry.List()
 	if wantSig != gotSig {
 		t.Fatalf("recovered signature %q != pre-crash %q", gotSig, wantSig)
 	}
@@ -151,11 +151,11 @@ func TestConcurrentIngestRecovery(t *testing.T) {
 	}
 	wg.Wait()
 	wantDump, _ := s.DebugState()
-	wantSig, _ := s.registry.Signature()
+	_, wantSig := s.registry.List()
 
 	s2 := reopen(t, s, cfg)
 	gotDump, _ := s2.DebugState()
-	gotSig, _ := s2.registry.Signature()
+	_, gotSig := s2.registry.List()
 	if !bytes.Equal(wantDump, gotDump) {
 		t.Fatalf("recovered state differs from pre-crash state\nwant %s\ngot  %s", wantDump, gotDump)
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/worker"
@@ -64,18 +65,18 @@ func (w *workerState) info() WorkerInfo {
 
 // Registry is the concurrency-safe resident worker pool: registration,
 // updates, and Bayesian posterior re-estimation from ingested vote events.
-// Every observable state is identified by a Signature — a hash over the
-// ordered (id, quality, cost) triples — which selection caching uses as
-// its consistency token: any quality drift changes the signature.
+// Every observable state is named by a signature — the rendering of the
+// mutation counter gen — which selection caching uses as its consistency
+// token: every mutation, so every quality drift, changes the signature.
 type Registry struct {
 	mu      sync.RWMutex
 	workers map[string]*workerState
 	order   []string // registration order, the pool order of snapshots
-	gen     uint64   // bumps on every mutation, for observability
-	// fullSig is the signature of the whole pool, refreshed by every
-	// mutating method under the write lock, so the hot read paths
-	// (selection cache lookups, listings) never re-hash the pool.
-	fullSig string
+	// gen bumps once in every applied mutation's apply step. It is
+	// persisted in the state row and rebuilt by replay, so it is equal
+	// across replicas and restarts at equal LSN, and load (run only by
+	// Open) is the one place it is set, so it never moves backwards.
+	gen uint64
 	// j journals every mutation (nil: in memory only).
 	j *journal
 	// idem remembers applied ingest idempotency keys. Guarded by mu, so
@@ -136,7 +137,7 @@ func (r *Registry) Register(ctx context.Context, specs []WorkerSpec, defaultStre
 	var sig string
 	if err := r.j.mutate(ctx, &r.mu, func(tx *txn) error {
 		err := tx.run(rec, r.prepareLocked)
-		sig = r.fullSig
+		sig = r.sigLocked()
 		return err
 	}); err != nil {
 		return "", err
@@ -189,7 +190,7 @@ func (r *Registry) List() ([]WorkerInfo, string) {
 	for i, id := range r.order {
 		out[i] = r.workers[id].info()
 	}
-	return out, r.fullSig
+	return out, r.sigLocked()
 }
 
 // Len returns the number of registered workers.
@@ -237,7 +238,7 @@ func (r *Registry) IngestKeyed(ctx context.Context, events []VoteEvent, key stri
 				updated = append(updated, r.workers[id].info())
 			}
 		}
-		sig = r.fullSig
+		sig = r.sigLocked()
 		return nil
 	}); err != nil {
 		return nil, "", false, err
@@ -277,7 +278,7 @@ func (r *Registry) prepareLocked(rec *Record) (func(), error) {
 				r.workers[spec.ID] = newState(spec, resolvedStrength(rec.Strength))
 				r.order = append(r.order, spec.ID)
 			}
-			r.changedLocked()
+			r.gen++
 		}, nil
 	case RecUpdate:
 		if len(rec.Specs) != 1 {
@@ -295,7 +296,7 @@ func (r *Registry) prepareLocked(rec *Record) (func(), error) {
 			fresh := newState(spec, resolvedStrength(rec.Strength))
 			fresh.Version = w.Version + 1
 			*w = *fresh
-			r.changedLocked()
+			r.gen++
 		}, nil
 	case RecRemove:
 		if _, ok := r.workers[rec.WorkerID]; !ok {
@@ -304,7 +305,7 @@ func (r *Registry) prepareLocked(rec *Record) (func(), error) {
 		return func() {
 			delete(r.workers, rec.WorkerID)
 			r.order = slices.DeleteFunc(r.order, func(id string) bool { return id == rec.WorkerID })
-			r.changedLocked()
+			r.gen++
 		}, nil
 	case RecIngest:
 		for _, ev := range rec.Events {
@@ -329,26 +330,19 @@ func (r *Registry) prepareLocked(rec *Record) (func(), error) {
 				w.Quality = w.A / (w.A + w.B)
 				w.Version++
 			}
-			r.changedLocked()
+			r.gen++
 		}, nil
 	}
 	return nil, fmt.Errorf("server: record type %q is not a registry record", rec.T)
 }
 
-// changedLocked closes every mutation: bump the generation and refresh
-// the memoized full-pool signature. Callers hold r.mu.
-func (r *Registry) changedLocked() {
-	r.gen++
-	r.refreshFullSigLocked()
-}
-
-// refreshFullSigLocked recomputes the memoized full-pool signature.
-func (r *Registry) refreshFullSigLocked() {
+// sigLocked is the whole pool's signature, "" for an empty registry.
+// Callers hold r.mu (either mode).
+func (r *Registry) sigLocked() string {
 	if len(r.order) == 0 {
-		r.fullSig = ""
-	} else {
-		r.fullSig = r.signatureLocked(r.order)
+		return ""
 	}
+	return signature(r.gen, nil)
 }
 
 // persistState serializes the full registry (posteriors included) for a
@@ -369,7 +363,7 @@ func (r *Registry) persistState() registryState {
 // recovery path, called before the server starts serving. Snapshots
 // carry no checksum and followers fetch them over HTTP, so every row is
 // validated: a corrupt posterior would turn the next vote's quality
-// into NaN, and NaN would reach the pool signature and selection.
+// into NaN, and NaN would reach selection.
 func (r *Registry) load(st registryState) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -395,7 +389,6 @@ func (r *Registry) load(st registryState) error {
 	r.order = order
 	r.gen = st.Gen
 	r.idem.load(st.Idem)
-	r.refreshFullSigLocked()
 	return nil
 }
 
@@ -417,18 +410,17 @@ func (r *Registry) AnyAffordable(budget float64) bool {
 // workers (all of them, or the given subset) as a worker.Pool in stable
 // order, their ids, and the state signature. The returned pool shares
 // nothing with the registry, so selection can run without holding locks.
-// Full-pool snapshots reuse the memoized signature; subset snapshots hash
-// their canonicalized members.
+// The pool and the signature are read under one lock, so the signature
+// names exactly the state the pool was copied from.
 func (r *Registry) Snapshot(ids []string) (worker.Pool, []string, string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	sig := ""
+	var subset []string
 	if len(ids) == 0 {
 		if len(r.order) == 0 {
 			return nil, nil, "", ErrEmptyRegistry
 		}
 		ids = r.order
-		sig = r.fullSig
 	} else {
 		for _, id := range ids {
 			if _, ok := r.workers[id]; !ok {
@@ -436,6 +428,7 @@ func (r *Registry) Snapshot(ids []string) (worker.Pool, []string, string, error)
 			}
 		}
 		ids = canonicalIDs(ids)
+		subset = ids
 	}
 	pool := make(worker.Pool, len(ids))
 	outIDs := make([]string, len(ids))
@@ -444,20 +437,7 @@ func (r *Registry) Snapshot(ids []string) (worker.Pool, []string, string, error)
 		pool[i] = worker.Worker{ID: w.ID, Quality: w.Quality, Cost: w.Cost}
 		outIDs[i] = id
 	}
-	if sig == "" {
-		sig = r.signatureLocked(ids)
-	}
-	return pool, outIDs, sig, nil
-}
-
-// Signature returns the memoized full-pool signature.
-func (r *Registry) Signature() (string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.order) == 0 {
-		return "", ErrEmptyRegistry
-	}
-	return r.fullSig, nil
+	return pool, outIDs, signature(r.gen, subset), nil
 }
 
 // canonicalIDs orders a subset request by id and drops repeats:
@@ -483,26 +463,24 @@ func firstTouch[E any](events []E, id func(E) string) []string {
 	return out
 }
 
-// signatureLocked hashes the (id, quality, cost) triples of the given
-// workers, in order, into the pool signature. Each id is length-prefixed
-// so the byte stream parses unambiguously regardless of the bytes ids
-// contain; with SHA-256 truncated to 128 bits, that keeps accidental and
-// adversarially crafted collisions out of reach — which is what lets the
-// selection cache treat "same signature" as "same pool state". Callers
-// must hold r.mu (either mode).
-func (r *Registry) signatureLocked(ids []string) string {
+// signature names a pool state for the selection cache: the registry
+// generation gen for the whole pool, and for a canonical subset the
+// generation plus a digest of the member ids. Each id is length-prefixed,
+// so the byte stream parses unambiguously whatever bytes ids contain;
+// with SHA-256 truncated to 128 bits, no crafted id makes one subset
+// alias another. The ids alone suffice: at one generation they fix every
+// member's state. Both registries use it; only subset selects hash.
+func signature(gen uint64, subset []string) string {
+	sig := strconv.FormatUint(gen, 10)
+	if subset == nil {
+		return sig
+	}
 	h := sha256.New()
 	var buf [8]byte
-	for _, id := range ids {
-		w := r.workers[id]
+	for _, id := range subset {
 		binary.LittleEndian.PutUint64(buf[:], uint64(len(id)))
 		h.Write(buf[:])
 		h.Write([]byte(id))
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w.Quality))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w.Cost))
-		h.Write(buf[:])
 	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16])
+	return sig + "-" + hex.EncodeToString(h.Sum(nil)[:16])
 }

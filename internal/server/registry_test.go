@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -111,28 +112,166 @@ func TestRegistryIngestAtomicity(t *testing.T) {
 	}
 }
 
+// TestSnapshotSignatureDriftsWithQuality: every applied mutation kind
+// moves the signature to a value never seen before, and a request that
+// applies nothing leaves it alone. In the multi-choice registry every
+// pool shares one generation, so a mutation of any pool moves the
+// untouched pool's signature too.
 func TestSnapshotSignatureDriftsWithQuality(t *testing.T) {
-	r := NewRegistry()
-	if _, err := r.Register(context.Background(), specs3(), 0); err != nil {
-		t.Fatal(err)
-	}
-	_, _, sig1, err := r.Snapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, sig2, _ := r.Snapshot(nil)
-	if sig1 != sig2 {
-		t.Fatalf("signature not stable: %s vs %s", sig1, sig2)
-	}
-	if _, _, err := r.Ingest(context.Background(), []VoteEvent{{WorkerID: "b", Correct: true}}); err != nil {
-		t.Fatal(err)
-	}
-	_, _, sig3, _ := r.Snapshot(nil)
-	if sig3 == sig1 {
-		t.Fatal("signature did not drift with a quality-changing ingest")
-	}
+	ctx := context.Background()
+	t.Run("binary", func(t *testing.T) {
+		r := NewRegistry()
+		if _, err := r.Register(ctx, specs3(), 0); err != nil {
+			t.Fatal(err)
+		}
+		_, sig := r.List()
+		seen := map[string]bool{sig: true}
+		steps := []struct {
+			name   string
+			change bool
+			run    func() error
+		}{
+			{"register", true, func() error {
+				_, err := r.Register(ctx, []WorkerSpec{{ID: "d", Quality: 0.9, Cost: 4}}, 0)
+				return err
+			}},
+			{"update", true, func() error {
+				_, err := r.Update(ctx, WorkerSpec{ID: "a", Quality: 0.85, Cost: 3}, 0)
+				return err
+			}},
+			{"ingest", true, func() error {
+				_, _, err := r.Ingest(ctx, []VoteEvent{{WorkerID: "b", Correct: true}})
+				return err
+			}},
+			{"keyed-ingest", true, func() error {
+				_, _, _, err := r.IngestKeyed(ctx, []VoteEvent{{WorkerID: "c", Correct: false}}, "k")
+				return err
+			}},
+			{"duplicate-keyed-ingest", false, func() error {
+				_, _, dup, err := r.IngestKeyed(ctx, []VoteEvent{{WorkerID: "c", Correct: false}}, "k")
+				if err == nil && !dup {
+					err = errors.New("retry not reported as a duplicate")
+				}
+				return err
+			}},
+			{"empty-ingest", false, func() error {
+				_, _, err := r.Ingest(ctx, nil)
+				return err
+			}},
+			{"remove", true, func() error { return r.Remove(ctx, "b") }},
+		}
+		for _, step := range steps {
+			if err := step.run(); err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+			_, got := r.List()
+			if _, _, snap, err := r.Snapshot(nil); err != nil || snap != got {
+				t.Fatalf("%s: Snapshot signature %q (%v), List %q", step.name, snap, err, got)
+			}
+			if step.change == (got == sig) || step.change == seen[got] {
+				t.Fatalf("%s: signature %q -> %q, want changed=%v and never seen before", step.name, sig, got, step.change)
+			}
+			sig, seen[got] = got, true
+		}
+	})
+	t.Run("multi", func(t *testing.T) {
+		r := NewMultiRegistry()
+		spec := []MultiWorkerSpec{{ID: "w", Quality: fp(0.8), Cost: 1}}
+		if _, err := r.CreatePool(ctx, "keep", 2, spec, 0); err != nil {
+			t.Fatal(err)
+		}
+		keepSig := func() string {
+			info, err := r.Get("keep")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return info.Signature
+		}
+		sig := keepSig()
+		seen := map[string]bool{sig: true}
+		steps := []struct {
+			name   string
+			change bool
+			run    func() error
+		}{
+			{"create", true, func() error {
+				_, err := r.CreatePool(ctx, "q", 2, spec, 0)
+				return err
+			}},
+			{"register", true, func() error {
+				_, _, err := r.Register(ctx, "q", []MultiWorkerSpec{{ID: "v", Quality: fp(0.7), Cost: 2}}, 0)
+				return err
+			}},
+			{"ingest", true, func() error {
+				_, _, err := r.Ingest(ctx, "q", []MultiVoteEvent{{WorkerID: "v", Truth: 1, Vote: 0}})
+				return err
+			}},
+			{"keyed-ingest", true, func() error {
+				_, _, _, err := r.IngestKeyed(ctx, "q", []MultiVoteEvent{{WorkerID: "w", Truth: 0, Vote: 0}}, "k")
+				return err
+			}},
+			{"duplicate-keyed-ingest", false, func() error {
+				_, _, dup, err := r.IngestKeyed(ctx, "q", []MultiVoteEvent{{WorkerID: "w", Truth: 0, Vote: 0}}, "k")
+				if err == nil && !dup {
+					err = errors.New("retry not reported as a duplicate")
+				}
+				return err
+			}},
+			{"drop", true, func() error { return r.DropPool(ctx, "q") }},
+		}
+		for _, step := range steps {
+			if err := step.run(); err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+			got := keepSig()
+			if _, _, snap, _, err := r.Snapshot("keep", nil); err != nil || snap != got {
+				t.Fatalf("%s: Snapshot signature %q (%v), Get %q", step.name, snap, err, got)
+			}
+			if step.change == (got == sig) || step.change == seen[got] {
+				t.Fatalf("%s: signature %q -> %q, want changed=%v and never seen before", step.name, sig, got, step.change)
+			}
+			sig, seen[got] = got, true
+		}
+	})
+	t.Run("multi-recreate", func(t *testing.T) {
+		// Dropping and re-creating a pool with the same name, labels and
+		// workers recreates the same rows, but never a cache hit on the
+		// dropped pool's juries.
+		s := New(Config{Alpha: 0.5, Seed: 1})
+		create := func() {
+			t.Helper()
+			req := colorPoolRequest()
+			if _, err := s.multi.CreatePool(ctx, req.Name, req.Labels, req.Workers, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		create()
+		req := MultiSelectRequest{Budget: 4}
+		first, err := s.selectMulti(ctx, "colors", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := s.selectMulti(ctx, "colors", req); err != nil || !again.Cached {
+			t.Fatalf("repeat select: cached=%v, %v", again.Cached, err)
+		}
+		if err := s.multi.DropPool(ctx, "colors"); err != nil {
+			t.Fatal(err)
+		}
+		create()
+		after, err := s.selectMulti(ctx, "colors", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Cached || after.Signature == first.Signature {
+			t.Fatalf("re-created pool hit the dropped pool's cache: cached=%v, signature %q -> %q",
+				after.Cached, first.Signature, after.Signature)
+		}
+	})
 }
 
+// TestSnapshotSubsetCanonicalization: equal canonical subsets share one
+// signature (so one cache entry), and different subsets at one
+// generation never do, so a subset jury is never served for another.
 func TestSnapshotSubsetCanonicalization(t *testing.T) {
 	r := NewRegistry()
 	if _, err := r.Register(context.Background(), specs3(), 0); err != nil {
@@ -152,6 +291,18 @@ func TestSnapshotSubsetCanonicalization(t *testing.T) {
 	if len(pool1) != 2 || ids1[0] != "a" || ids1[1] != "c" || ids2[0] != "a" {
 		t.Fatalf("subset not canonicalized: %v %v", ids1, ids2)
 	}
+	_, _, full, _ := r.Snapshot(nil)
+	seen := map[string]string{full: "full pool", sig1: "{a, c}"}
+	for _, sub := range [][]string{{"a", "b"}, {"b", "c"}, {"a"}, {"c"}, {"a", "b", "c"}} {
+		_, _, sig, err := r.Snapshot(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := seen[sig]; ok {
+			t.Fatalf("subset %v shares signature %q with %s", sub, sig, prev)
+		}
+		seen[sig] = fmt.Sprint(sub)
+	}
 	if _, _, _, err := r.Snapshot([]string{"ghost"}); !errors.Is(err, ErrWorkerUnknown) {
 		t.Fatalf("unknown subset member: %v", err)
 	}
@@ -161,41 +312,39 @@ func TestSnapshotSubsetCanonicalization(t *testing.T) {
 	}
 }
 
-// TestSignatureUnambiguousWithCraftedIDs: without length-prefixed ids, a
-// single worker whose id embeds another worker's serialized bytes hashes
-// to the same stream as a two-worker pool — which would let a crafted
-// registration alias two different pool states in the selection cache.
+// TestSignatureUnambiguousWithCraftedIDs: subset signatures digest the
+// member ids length-prefixed. Under a looser encoding a single worker
+// whose id embeds two other ids' bytes would hash like the two-worker
+// subset, letting a crafted registration alias two different subsets
+// of one pool state in the selection cache.
 func TestSignatureUnambiguousWithCraftedIDs(t *testing.T) {
-	q1, c1 := 0.8, 3.0
-	var buf [8]byte
-	crafted := []byte{'x', 0}
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(q1))
-	crafted = append(crafted, buf[:]...)
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(c1))
-	crafted = append(crafted, buf[:]...)
-	crafted = append(crafted, 'y')
-
-	r1 := NewRegistry()
-	if _, err := r1.Register(context.Background(), []WorkerSpec{{ID: string(crafted), Quality: 0.7, Cost: 2}}, 0); err != nil {
+	var one [8]byte
+	binary.LittleEndian.PutUint64(one[:], 1)
+	crafted := []string{
+		"xy",                       // aliases plain concatenation
+		"x\x00y",                   // aliases NUL-separated ids
+		"x" + string(one[:]) + "y", // aliases prefixes on all ids but the first
+	}
+	specs := []WorkerSpec{{ID: "x", Quality: 0.8, Cost: 3}, {ID: "y", Quality: 0.7, Cost: 2}}
+	for _, id := range crafted {
+		specs = append(specs, WorkerSpec{ID: id, Quality: 0.7, Cost: 2})
+	}
+	r := NewRegistry()
+	if _, err := r.Register(context.Background(), specs, 0); err != nil {
 		t.Fatal(err)
 	}
-	r2 := NewRegistry()
-	if _, err := r2.Register(context.Background(), []WorkerSpec{
-		{ID: "x", Quality: q1, Cost: c1},
-		{ID: "y", Quality: 0.7, Cost: 2},
-	}, 0); err != nil {
-		t.Fatal(err)
-	}
-	sig1, err := r1.Signature()
+	_, _, pair, err := r.Snapshot([]string{"x", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig2, err := r2.Signature()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig1 == sig2 {
-		t.Fatalf("crafted single-worker pool aliases a two-worker pool: %s", sig1)
+	for _, id := range crafted {
+		_, _, single, err := r.Snapshot([]string{id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if single == pair {
+			t.Errorf("crafted subset {%q} aliases {x, y}: %s", id, pair)
+		}
 	}
 }
 
@@ -236,7 +385,7 @@ func TestRegistryUpdateRemove(t *testing.T) {
 // and followers fetch them over HTTP, so load must validate each worker
 // row — a negative or empty Beta posterior would otherwise recover
 // cleanly and turn the next vote's quality into 0/0 = NaN, which
-// reaches the pool signature and selection.
+// reaches selection.
 func TestRegistryLoadRejectsCorruptRows(t *testing.T) {
 	load := func(mutate func(*workerState)) error {
 		w := workerState{ID: "w", Quality: 0.8, Cost: 1, A: 6.4, B: 1.6, Version: 1}

@@ -6,11 +6,13 @@
 // processing), and serves the Jury Selection Problem over HTTP with a
 // selection cache that amortizes search cost across requests.
 //
-// Consistency model: cached selections are keyed by a signature hashing
-// the exact (id, quality, cost) state of the candidate pool, so a cached
-// jury can never be served stale — any quality drift changes the key and
-// forces a recompute; superseded entries age out of the LRU. See the
-// package documentation of repro (doc.go) for the full serving notes.
+// Consistency model: cached selections are keyed by a signature that
+// names the candidate pool's exact state — the registry's persisted
+// mutation count, read under the same lock as the pool, plus a digest
+// of the member ids for a subset. Every mutation changes the key, so a
+// cached jury can never be served stale: any quality drift forces a
+// recompute, and superseded entries age out of the LRU. See the package
+// documentation of repro (doc.go) for the full serving notes.
 package server
 
 import (

@@ -150,7 +150,7 @@ func CopyDir(t testing.TB, src string) string {
 
 // AssertSameState asserts want and got hold bit-identical durable state:
 // the full JSON state dump (Beta posteriors, session log-odds bits, id
-// counters), the memoized pool signature, and — the selection cache's
+// counters), the pool signature, and — the selection cache's
 // consistency token — identical selection responses for a probe sweep,
 // so every cache key the recovered server constructs matches the
 // reference's.
@@ -208,8 +208,8 @@ func AssertSameState(t testing.TB, want, got *Env) {
 }
 
 // assertSameMultiState compares the multi-choice pools of two servers:
-// pool inventory and signatures (which hash the full confusion-matrix
-// state), plus a multi-select probe per pool so the recovered server
+// pool inventory and signatures (which name the persisted mutation
+// count), plus a multi-select probe per pool so the recovered server
 // constructs exactly the reference's cache keys and juries.
 func assertSameMultiState(t testing.TB, want, got *Env) {
 	t.Helper()
