@@ -445,60 +445,47 @@ func BenchmarkServerMultiSelect(b *testing.B) {
 }
 
 // BenchmarkServerIngest measures the durable ingest path end to end
-// (request decode → idempotency dedup → WAL journal → apply → response
-// encode) under -fsync, per-record vs group commit, at increasing
-// parallelism. Per-record durability serializes every mutation behind
-// its own disk flush, so throughput is pinned to the device's flush
-// rate regardless of concurrency; group commit shares one flush across
-// every mutation staged while the previous flush was in flight, so
-// throughput scales with offered parallelism. The parallelism=1 pair
-// doubles as the degeneration check: with no concurrency the two modes
-// do identical work.
+// (request decode → idempotency dedup → WAL stage → apply → shared
+// flush → response encode) under -fsync at increasing parallelism.
+// Every mutation waits for its flush outside the store lock, so
+// mutations staged while a flush is in flight share the next one, and
+// throughput scales with offered parallelism instead of being pinned to
+// the device's flush rate.
 func BenchmarkServerIngest(b *testing.B) {
-	run := func(b *testing.B, group bool, parallelism int) {
-		srv, err := server.Open(server.Config{
-			Alpha: 0.5, Seed: 1, DataDir: b.TempDir(),
-			Fsync: true, GroupCommit: group,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.ClosePersistence()
-		specs := make([]server.WorkerSpec, 16)
-		for i := range specs {
-			specs[i] = server.WorkerSpec{ID: "w" + strconv.Itoa(i), Quality: 0.8, Cost: 2}
-		}
-		if _, err := srv.Registry().Register(context.Background(), specs, 0); err != nil {
-			b.Fatal(err)
-		}
-		h := srv.Handler()
-		var seq atomic.Uint64
-		b.SetParallelism(parallelism)
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				n := seq.Add(1)
-				body := []byte(`{"worker_id":"w` + strconv.FormatUint(n%16, 10) + `","correct":true}`)
-				req := httptest.NewRequest(http.MethodPost, "/v1/votes", bytes.NewReader(body))
-				req.Header.Set("Idempotency-Key", "bench-"+strconv.FormatUint(n, 10))
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, req)
-				if w.Code != http.StatusOK {
-					b.Fatalf("ingest: %d %s", w.Code, w.Body)
-				}
-			}
-		})
-	}
 	for _, parallelism := range []int{1, 8} {
-		for _, group := range []bool{false, true} {
-			name := "per-record"
-			if group {
-				name = "group-commit"
-			}
-			b.Run(name+"/parallelism="+strconv.Itoa(parallelism), func(b *testing.B) {
-				run(b, group, parallelism)
+		b.Run("parallelism="+strconv.Itoa(parallelism), func(b *testing.B) {
+			srv, err := server.Open(server.Config{
+				Alpha: 0.5, Seed: 1, DataDir: b.TempDir(), Fsync: true,
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.ClosePersistence()
+			specs := make([]server.WorkerSpec, 16)
+			for i := range specs {
+				specs[i] = server.WorkerSpec{ID: "w" + strconv.Itoa(i), Quality: 0.8, Cost: 2}
+			}
+			if _, err := srv.Registry().Register(context.Background(), specs, 0); err != nil {
+				b.Fatal(err)
+			}
+			h := srv.Handler()
+			var seq atomic.Uint64
+			b.SetParallelism(parallelism)
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					n := seq.Add(1)
+					body := []byte(`{"worker_id":"w` + strconv.FormatUint(n%16, 10) + `","correct":true}`)
+					req := httptest.NewRequest(http.MethodPost, "/v1/votes", bytes.NewReader(body))
+					req.Header.Set("Idempotency-Key", "bench-"+strconv.FormatUint(n, 10))
+					w := httptest.NewRecorder()
+					h.ServeHTTP(w, req)
+					if w.Code != http.StatusOK {
+						b.Fatalf("ingest: %d %s", w.Code, w.Body)
+					}
+				}
+			})
+		})
 	}
 }

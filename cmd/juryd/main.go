@@ -9,7 +9,6 @@
 //	      [-workers 0] [-prior-strength 8] [-pool pool.json]
 //	      [-multi-pool mpool.json] [-labels 0]
 //	      [-data-dir dir] [-snapshot-interval 1m] [-fsync]
-//	      [-group-commit]
 //	      [-follow http://primary:8700] [-max-lag 0]
 //	      [-quorum 0] [-quorum-timeout 0]
 //	      [-max-inflight 0] [-request-timeout 0]
@@ -33,15 +32,12 @@
 // write-ahead log before it is acknowledged, snapshots are taken every
 // -snapshot-interval (and on graceful shutdown), and boot recovers the
 // latest snapshot plus the WAL tail, truncating a torn trailing record
-// left by a crash. -fsync flushes the WAL per record (survives power
-// loss, slower); without it writes survive a process kill but ride the
-// OS page cache. -group-commit (with -fsync) batches concurrent
-// mutations into shared fsyncs: each request still blocks until its
-// record is on stable storage, but one disk flush can retire many
-// requests, so durable ingest throughput scales with concurrency
-// instead of with the disk's flush rate; appenders stall while 1 MiB
-// waits to be flushed. GET /debug/persistence reports recovery and LSN
-// state, including whether group commit is active.
+// left by a crash. Every mutation is staged, applied, flushed, then
+// acknowledged: concurrent mutations share one write, so one flush can
+// retire many requests; appenders stall while 1 MiB waits to be
+// flushed. -fsync syncs each flush (survives power loss, slower);
+// without it writes survive a process kill but ride the OS page cache.
+// GET /debug/persistence reports recovery and LSN state.
 //
 // With -follow the daemon is a read-only replica of another durable
 // juryd: on first boot it bootstraps from the primary's snapshot, then
@@ -124,7 +120,8 @@
 // (bind it to loopback).
 //
 // Failure domains: a WAL write or fsync failure moves the daemon into
-// degraded read-only mode — reads and selections keep serving from
+// degraded read-only mode once the refused writes are undone (if that
+// fails, reads answer 503 too) — reads and selections keep serving from
 // memory, mutations answer 503 with Retry-After, /readyz turns 503 (take
 // it out of rotation) while /healthz stays 200 (do not kill it), and the
 // juryd_degraded gauge flips to 1. -max-inflight bounds concurrent
@@ -202,9 +199,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	snapshotInterval := fs.Duration("snapshot-interval", time.Minute,
 		"how often to checkpoint state and truncate the WAL (0 disables periodic snapshots)")
 	fsync := fs.Bool("fsync", false,
-		"fsync the WAL after every record (survives power loss; slower)")
-	groupCommit := fs.Bool("group-commit", false,
-		"batch concurrent WAL appends into shared fsyncs (needs -fsync; same durability, higher throughput)")
+		"fsync every WAL flush (survives power loss; slower)")
 	follow := fs.String("follow", "",
 		"primary juryd base URL; run as a read-only follower replicating its WAL (needs -data-dir)")
 	promote := fs.String("promote", "",
@@ -277,7 +272,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		PriorStrength:  *priorStrength,
 		DataDir:        *dataDir,
 		Fsync:          *fsync,
-		GroupCommit:    *groupCommit,
 		MaxInFlight:    *maxInflight,
 		RequestTimeout: *requestTimeout,
 		MaxLag:         *maxLag,

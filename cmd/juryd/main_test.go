@@ -333,6 +333,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-pool", "/does/not/exist.json"}, io.Discard); err == nil {
 		t.Fatal("missing pool file accepted")
 	}
+	// Every mutation now applies, then waits for a shared flush: the
+	// deleted mode switch is an unknown flag.
+	if err := run(context.Background(), []string{"-group-commit"}, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-group-commit = %v, want an unknown flag", err)
+	}
 }
 
 // TestDaemonPreloadsMultiPoolFile boots with -multi-pool (labels coming
@@ -543,26 +549,23 @@ func TestDaemonShutdownIdleConnection(t *testing.T) {
 	}
 }
 
-// TestDaemonChaosFsyncDegrades boots with the fault-injection flag, per
-// record and with -group-commit: the scripted fsync failure degrades the
-// daemon to read-only, readiness flips while liveness, reads and metrics
-// hold, and then the daemon either shuts down or is killed. A shutdown
-// is a dirty close (the poisoned log cannot be synced) and must exit
-// non-zero. Either way a clean reboot recovers exactly the acked
-// mutations and takes writes again.
+// TestDaemonChaosFsyncDegrades boots with the fault-injection flag and
+// ingests votes one client at a time (per-record: each flush carries one
+// vote) or from several clients at once (group-commit: a flush carries
+// every vote staged while the previous one ran). The scripted fsync
+// failure degrades the daemon to read-only, readiness flips while
+// liveness, reads and metrics hold, and then the daemon either shuts
+// down or is killed. The refused votes were applied before their flush
+// failed, so the degraded daemon must have restored the durable prefix:
+// it reads exactly the acked votes and the state_sha256 a restart
+// recovers. A shutdown is a dirty close (the poisoned log cannot be
+// synced) and must exit non-zero. Either way a clean reboot recovers
+// exactly the acked mutations and takes writes again.
 func TestDaemonChaosFsyncDegrades(t *testing.T) {
 	for _, mode := range []struct {
-		name  string
-		flags []string
-		// degradedVotes is what reads show after the refused vote: group
-		// commit applies before the durability wait, so the refused vote
-		// stays visible until the restart discards it (DESIGN.md "Group
-		// commit").
-		degradedVotes string
-	}{
-		{"per-record", nil, `"votes":24`},
-		{"group-commit", []string{"-group-commit"}, `"votes":25`},
-	} {
+		name    string
+		clients int
+	}{{"per-record", 1}, {"group-commit", 8}} {
 		for _, kill := range []bool{false, true} {
 			name := mode.name + "/sigterm"
 			if kill {
@@ -570,41 +573,35 @@ func TestDaemonChaosFsyncDegrades(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				dataDir := filepath.Join(t.TempDir(), "data")
-				// Sync budget 25: the registration is sync 1, votes 1..24
-				// are acked and vote 25 trips the injected fsync failure.
-				// Sequential clients flush once per record, so group commit
-				// counts syncs exactly as per-record mode does.
-				args := append([]string{"-data-dir", dataDir, "-fsync", "-chaos-fsync-after", "25"}, mode.flags...)
-				d := startDaemon(t, args...)
-				if got := d.persistence().GroupCommit; got != (mode.flags != nil) {
-					t.Fatalf("group_commit = %v in %s mode", got, mode.name)
-				}
+				// Sync budget 25: the registration is sync 1, and syncs
+				// 2..25 each ack at least one vote before sync 26 trips the
+				// injected fsync failure. One client flushes once per vote,
+				// so it is acked exactly 24.
+				d := startDaemon(t, "-data-dir", dataDir, "-fsync", "-chaos-fsync-after", "25")
 				d.expect(http.MethodPost, "/v1/workers", threeWorkers, http.StatusCreated)
-				acked := 0
-				for i := 0; i < 40; i++ {
-					resp, _ := d.do(http.MethodPost, "/v1/votes", voteC)
-					if resp.StatusCode == http.StatusServiceUnavailable {
-						break
-					}
-					if resp.StatusCode != http.StatusOK {
-						t.Fatalf("ingest %d: %d", i, resp.StatusCode)
-					}
-					acked++
+				acked := ingestUntilRefused(t, d, mode.clients)
+				if acked < 24 || mode.clients == 1 && acked != 24 {
+					t.Fatalf("acked %d ingests before the injected fault from %d clients, want 24 (at least 24 from several)",
+						acked, mode.clients)
 				}
-				if acked != 24 {
-					t.Fatalf("acked %d ingests before the injected fault, want 24", acked)
-				}
+				votes := fmt.Sprintf(`"votes":%d,`, acked)
 
 				// Degraded: not ready, still live, reads and metrics serve.
 				d.expect(http.MethodGet, "/readyz", "", http.StatusServiceUnavailable)
 				d.expect(http.MethodGet, "/healthz", "", http.StatusOK, `"degraded":true`)
-				d.expect(http.MethodGet, "/v1/workers", "", http.StatusOK, mode.degradedVotes)
+				d.expect(http.MethodGet, "/v1/workers/c", "", http.StatusOK, votes)
 				d.expect(http.MethodPost, "/v1/select", `{"budget":6}`, http.StatusOK, `"jq"`)
-				metrics := []string{"juryd_degraded 1\n", "juryd_wal_errors_total 1\n"}
-				if mode.flags != nil {
-					metrics = append(metrics, "juryd_wal_batch_records_count")
+				// Each refused vote counts a WAL error; one client sends one.
+				// The 25 successful flushes made the registration and
+				// exactly the acked votes durable.
+				walErrors := "juryd_wal_errors_total "
+				if mode.clients == 1 {
+					walErrors += "1\n"
 				}
-				d.expect(http.MethodGet, "/metrics", "", http.StatusOK, metrics...)
+				d.expect(http.MethodGet, "/metrics", "", http.StatusOK,
+					"juryd_degraded 1\n", walErrors, "juryd_wal_batch_records_count 25\n",
+					fmt.Sprintf("juryd_wal_batch_records_sum %d\n", 1+acked))
+				degradedSHA := d.persistence().StateSHA256
 
 				if kill {
 					d.Kill()
@@ -616,10 +613,14 @@ func TestDaemonChaosFsyncDegrades(t *testing.T) {
 					d.WaitLine("juryd: degraded at shutdown")
 				}
 
-				// Clean reboot (no fault): exactly the acked mutations.
+				// Clean reboot (no fault): exactly the acked mutations, and
+				// exactly the state the degraded daemon was serving.
 				d = startDaemon(t, "-data-dir", dataDir)
+				if got := d.persistence().StateSHA256; got != degradedSHA {
+					t.Fatalf("restarted state_sha256 = %s, degraded daemon served %s", got, degradedSHA)
+				}
 				d.expect(http.MethodGet, "/readyz", "", http.StatusOK, `"ready":true`)
-				d.expect(http.MethodGet, "/v1/workers", "", http.StatusOK, `"votes":24`)
+				d.expect(http.MethodGet, "/v1/workers/c", "", http.StatusOK, votes)
 				d.expect(http.MethodPost, "/v1/votes", voteC, http.StatusOK, `"ingested":1`)
 				if err := d.Stop(); err != nil {
 					t.Fatalf("recovered daemon shutdown: %v", err)
@@ -627,6 +628,48 @@ func TestDaemonChaosFsyncDegrades(t *testing.T) {
 			})
 		}
 	}
+}
+
+// ingestUntilRefused posts voteC from clients concurrent clients, each
+// until its first 503 (at most 40 votes apiece), and returns how many
+// were acked. Any other status or a transport error fails the test.
+func ingestUntilRefused(t *testing.T, d *daemon, clients int) int {
+	t.Helper()
+	acked := make(chan int, clients)
+	errs := make(chan error, clients)
+	for range clients {
+		go func() {
+			n := 0
+			defer func() { acked <- n }()
+			for range 40 {
+				resp, err := http.Post(d.URL+"/v1/votes", "application/json", strings.NewReader(voteC))
+				if err != nil {
+					errs <- err
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					n++
+				case http.StatusServiceUnavailable:
+					return
+				default:
+					errs <- fmt.Errorf("ingest: status %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	total := 0
+	for range clients {
+		total += <-acked
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	return total
 }
 
 // TestDaemonFollowerReplicates boots a durable primary and a -follow

@@ -186,26 +186,24 @@
 //     torn-write, empty-segment and repeated-crash cases, by the
 //     internal/walltest harness.
 //   - Fsync policy: by default appends ride the OS page cache — they
-//     survive kill -9 but not power loss; -fsync flushes per record,
-//     trading one disk flush per mutation for full durability. This is
-//     the standard WAL tradeoff; pick per deployment.
-//   - Group commit: -group-commit (with -fsync) amortizes the flush
-//     across concurrent mutations. Each mutation reserves its LSN and
-//     stages its framed record under the ordering lock, applies in
-//     memory, and is acked only after a shared fsync covers its LSN:
-//     the first waiter writes and syncs the whole staged batch with one
-//     Write and one Sync, then releases every waiter at or below the
-//     synced watermark. Per-record mode runs the same flush inside the
-//     append, before the mutation applies, so the two modes share one
-//     write path and lay out byte-identical segments. The ack contract
-//     is unchanged — 2xx still means on stable storage. A failed flush
-//     refuses the whole batch with 503, returns its LSNs and degrades
-//     the daemon; nothing unacked survives recovery.
+//     survive kill -9 but not power loss; -fsync syncs every flush,
+//     trading disk flushes for full durability. This is the standard
+//     WAL tradeoff; pick per deployment.
+//   - One commit order: stage, apply, flush, ack. Each mutation
+//     reserves its LSN and stages its framed record under the ordering
+//     lock, applies in memory, and is acked only after a shared flush
+//     covers its LSN: the first waiter writes (and under -fsync syncs)
+//     the whole staged batch at once. The segment layout depends only on
+//     the record sequence. A failed flush refuses the whole batch with
+//     503; nothing unacked survives recovery.
 //   - Failure contract: the first WAL failure (append, flush, or fsync)
 //     poisons the log — every later operation, Sync and Close included,
-//     refuses with the original typed IOError — and the daemon serves
-//     reads only. A shutdown that cannot cleanly sync the log is a
-//     dirty close: juryd logs it and exits non-zero.
+//     refuses with the original typed IOError. Before the daemon degrades
+//     and any refused mutation answers 503, the live state is restored
+//     to the durable prefix by boot recovery's own snapshot load and
+//     replay; if that restore fails, reads answer 503 too. A shutdown
+//     that cannot cleanly sync the log is a dirty close: juryd logs it
+//     and exits non-zero.
 //
 // Because replay is deterministic, a recovered registry is bit-identical
 // to the pre-crash one — including the persisted mutation count that

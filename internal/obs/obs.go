@@ -28,7 +28,7 @@
 // lookup, evaluator compute, WAL encode/append/flush/fsync, in-memory
 // apply, the follower-quorum wait, and response encode. The WAL fsync
 // stage is additionally rendered as the dedicated juryd_wal_fsync_seconds
-// histogram — the number group commit exists to amortize (wal_flush is
+// histogram — the number shared flushes exist to amortize (wal_flush is
 // the wait on the shared flush; wal_fsync the disk time of the flush that
 // covered the request).
 package obs
@@ -66,16 +66,16 @@ const (
 	StageEval
 	// StageWALEncode is the JSON encoding of a WAL record.
 	StageWALEncode
-	// StageWALAppend is the WAL record write (framing + file write),
-	// excluding the fsync; under group commit, the LSN reservation and
-	// batch staging.
+	// StageWALAppend is the WAL record staging: framing, the LSN
+	// reservation and the copy into the batch buffer.
 	StageWALAppend
-	// StageWALFlush is the group-commit durability wait: from releasing
-	// the registry lock to the shared flush covering the record's LSN.
+	// StageWALFlush is the durability wait: from releasing the store lock
+	// to the shared flush (write, and under -fsync sync) covering the
+	// record's LSN.
 	StageWALFlush
 	// StageWALFsync is the WAL flush to stable storage (only under
-	// -fsync); under group commit, the disk time of the shared sync that
-	// covered this request's record.
+	// -fsync): the disk time of the shared sync that covered this
+	// request's record.
 	StageWALFsync
 	// StageApply is the in-memory application of a journaled mutation.
 	StageApply

@@ -185,10 +185,8 @@ type SessionState struct {
 type PersistenceStatus struct {
 	Enabled bool   `json:"enabled"`
 	DataDir string `json:"data_dir,omitempty"`
-	// Fsync reports whether the WAL flushes to stable storage per record.
+	// Fsync reports whether every WAL flush is synced to stable storage.
 	Fsync bool `json:"fsync,omitempty"`
-	// GroupCommit reports whether concurrent mutations share fsyncs.
-	GroupCommit bool `json:"group_commit,omitempty"`
 	// NextLSN is the log sequence number the next mutation will get;
 	// NextLSN-1 identifies the last journaled mutation (on a follower:
 	// the last replicated record applied).

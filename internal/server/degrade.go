@@ -34,6 +34,16 @@ func (s *Server) enterDegraded(cause error) {
 	s.degraded.Store(true)
 }
 
+// readable is the admission check for read routes: once restoring the
+// durable prefix failed, the stores may still hold refused writes, so
+// reads answer 503 naming the cause, as after a failed boot recovery.
+func (s *Server) readable() error {
+	if err := s.unrestored.Load(); err != nil {
+		return fmt.Errorf("%w: restoring the durable prefix failed: %w", ErrDegraded, *err)
+	}
+	return nil
+}
+
 // DegradedState reports whether the server is degraded and the first
 // disk error that caused it.
 func (s *Server) DegradedState() (bool, error) {

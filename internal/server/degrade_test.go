@@ -63,12 +63,19 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 	if resp := ingestOne(t, ts.URL, "w0", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy ingest: %d", resp.StatusCode)
 	}
+	acked, err := s.DebugState()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The failing mutation answers 503 with Retry-After and degrades the
-	// server terminally.
+	// server terminally — after its applied vote was restored away.
 	resp := ingestOne(t, ts.URL, "w1", "")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("failing ingest: %d, want 503", resp.StatusCode)
+	}
+	if degraded, err := s.DebugState(); err != nil || !bytes.Equal(degraded, acked) {
+		t.Fatalf("degraded state differs from the acked prefix (%v):\n%s\nwant\n%s", err, degraded, acked)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("failing ingest: missing Retry-After")

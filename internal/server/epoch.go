@@ -476,12 +476,8 @@ func (s *Server) Promote(ctx context.Context, advertise string) (PromoteResponse
 	// Journaled and durable before it is applied, like a replicated
 	// frame, and never quorum-gated: there are no followers yet.
 	payload, err := p.encode(ctx, &Record{T: RecEpoch, Epoch: newEpoch, StartLSN: uint64(start)})
-	var pend *wal.Pending
 	if err == nil {
-		pend, err = p.append(ctx, payload)
-	}
-	if err == nil {
-		err = p.wait(ctx, pend)
+		_, err = p.journalNow(ctx, payload)
 	}
 	if err == nil {
 		err = s.epochs.add(newEpoch, start)

@@ -15,7 +15,7 @@ import (
 // holds it by pointer; it is nil for an in-memory server (and a
 // standalone registry), and mutate then skips every journal step, so the
 // stores run the same code either way. It owns the record encoding and
-// the append with its trace spans, the degrade-on-failure path, the
+// the append with its trace spans, the restore on a failed flush, the
 // quorum-gated commit, the duplicate-ack barrier, and the snapshot freeze.
 type journal struct {
 	s   *Server
@@ -24,14 +24,15 @@ type journal struct {
 	// it shared from before it takes its store lock until its records are
 	// durable, and capture holds it exclusively, so a snapshot sees all or
 	// none of each mutation and covers only durable LSNs.
-	freeze sync.RWMutex
+	freeze   sync.RWMutex
+	restored sync.Once // runs the one restore (restore)
 }
 
-// mutate runs one live mutation. body runs under the snapshot freeze and
-// mu; it validates, and journals and applies each record through
-// tx.run. Once mu is released, mutate waits for the reserved records to
-// commit. A commit failure wins over body's own error: whatever body
-// reserved was applied and must be settled first.
+// mutate runs one live mutation: stage, apply, flush, ack. body runs
+// under the snapshot freeze and mu; it validates, and stages and applies
+// each record through tx.run. Once mu is released, mutate waits for the
+// staged records to commit. A commit failure wins over body's own error:
+// whatever body staged was applied and must be settled first.
 func (j *journal) mutate(ctx context.Context, mu sync.Locker, body func(tx *txn) error) error {
 	if j != nil {
 		j.freeze.RLock()
@@ -50,18 +51,19 @@ func (j *journal) mutate(ctx context.Context, mu sync.Locker, body func(tx *txn)
 type txn struct {
 	j   *journal
 	ctx context.Context
-	// last is the newest record reserved so far; the log is ordered, so
+	// last is the newest record staged so far; the log is ordered, so
 	// its commit covers every earlier one.
 	last *wal.Pending
-	// dup marks a keyed-ingest retry: nothing is reserved, and the ack
+	// dup marks a keyed-ingest retry: nothing is staged, and the ack
 	// waits on the barrier instead.
-	dup bool
+	dup     bool
+	refused error // the WAL failure that refused a stage
 }
 
-// run validates rec with prepare (the store's prepareLocked), reserves
-// its WAL record, and applies it inside an apply span. A failed
-// reservation leaves the store untouched; a nil apply step means rec
-// changes nothing, so nothing is journaled.
+// run validates rec with prepare (the store's prepareLocked), stages
+// its WAL record, and applies it inside an apply span. A refused stage
+// leaves the store untouched; a nil apply step means rec changes
+// nothing, so nothing is journaled.
 func (tx *txn) run(rec *Record, prepare func(*Record) (func(), error)) error {
 	apply, err := prepare(rec)
 	if err != nil || apply == nil {
@@ -72,9 +74,12 @@ func (tx *txn) run(rec *Record, prepare func(*Record) (func(), error)) error {
 		if err != nil {
 			return err
 		}
-		if tx.last, err = tx.j.append(tx.ctx, payload); err != nil {
+		pend, err := tx.j.append(tx.ctx, payload)
+		if err != nil {
+			tx.refused = err
 			return err
 		}
+		tx.last = pend
 	}
 	span := obs.TraceFrom(tx.ctx).Begin(obs.StageApply)
 	apply()
@@ -96,28 +101,65 @@ func (tx *txn) duplicate(idem *idemTable, key string) bool {
 	return tx.dup
 }
 
-// commit is the ack gate: wait until the reserved records are durable,
+// commit is the ack gate: wait until the staged records are durable,
 // release the freeze (a snapshot may now cover them), then wait for the
-// follower quorum.
+// follower quorum. A duplicate vouches for an original that may still
+// await its flush, so it waits for the whole log, durable and
+// quorum-confirmed. A WAL failure is refused through restore.
 func (tx *txn) commit() error {
 	j := tx.j
 	if j == nil {
 		return nil
 	}
-	var err error
-	if tx.last != nil {
+	err := tx.refused
+	if err == nil && tx.last != nil {
 		err = j.wait(tx.ctx, tx.last)
 	}
 	j.freeze.RUnlock()
+	if err == nil && tx.dup {
+		if err = j.log.WaitDurable(); err != nil {
+			j.s.metrics.WALError()
+		}
+	}
 	switch {
 	case err != nil:
-		return err
+		return j.restore(err)
 	case tx.dup:
-		return j.barrier(tx.ctx)
+		return j.s.quorumWait(tx.ctx, j.log.NextLSN()-1)
 	case tx.last != nil:
 		return j.s.quorumWait(tx.ctx, tx.last.LSN())
 	}
 	return nil
+}
+
+// restore refuses a mutation after a WAL failure. The first refusal
+// takes the freeze exclusively (every in-flight mutation has applied),
+// restores the durable prefix, then degrades; later ones wait for it.
+// Callers hold no store lock and no freeze.
+func (j *journal) restore(cause error) error {
+	j.restored.Do(func() {
+		j.freeze.Lock()
+		defer j.freeze.Unlock()
+		if err := j.s.restoreDurable(); err != nil {
+			j.s.unrestored.Store(&err)
+		}
+		j.s.enterDegraded(cause)
+	})
+	return fmt.Errorf("%w: %w", ErrDegraded, cause)
+}
+
+// journalNow journals payload before its caller (ApplyReplicated,
+// Promote) applies it, so a WAL failure degrades with nothing to restore.
+func (j *journal) journalNow(ctx context.Context, payload []byte) (wal.LSN, error) {
+	pend, err := j.append(ctx, payload)
+	if err == nil {
+		err = j.wait(ctx, pend)
+	}
+	if err != nil {
+		j.s.enterDegraded(err)
+		return 0, fmt.Errorf("%w: %w", ErrDegraded, err)
+	}
+	return pend.LSN(), nil
 }
 
 // replay applies one journaled record without journaling it, validated by
@@ -146,70 +188,39 @@ func (j *journal) encode(ctx context.Context, rec *Record) ([]byte, error) {
 	return payload, nil
 }
 
-// append reserves the next LSN for payload. On the per-record path the
-// write (and under -fsync its flush) completes here; under group commit
-// the record is only staged, and wait blocks for the shared flush.
+// append stages payload and reserves its LSN inside a wal_append span;
+// the write and any fsync happen in wait.
 func (j *journal) append(ctx context.Context, payload []byte) (*wal.Pending, error) {
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
 	pend, err := j.log.Begin(payload)
 	d := time.Since(start)
 	if err != nil {
-		// Error-tagged, so the request that poisoned the log stays
+		// Error-tagged, so the request that hit the poisoned log stays
 		// visible in /debug/traces.
 		tr.AddErr(obs.StageWALAppend, start, d)
-		return nil, j.fail(err)
+		j.s.metrics.WALError()
+		return nil, err
 	}
-	var fsync time.Duration
-	if pend.Done() {
-		fsync = pend.FsyncDuration()
-	}
-	// The per-record fsync runs at the tail of the append interval.
-	tr.Add(obs.StageWALAppend, start, d-fsync)
-	if fsync > 0 {
-		tr.Add(obs.StageWALFsync, start.Add(d-fsync), fsync)
-	}
+	tr.Add(obs.StageWALAppend, start, d)
 	return pend, nil
 }
 
-// wait blocks until pend is durable.
+// wait blocks until pend is durable: a wal_flush span over the shared
+// write, plus a wal_fsync span under -fsync.
 func (j *journal) wait(ctx context.Context, pend *wal.Pending) error {
-	if pend.Done() {
-		return nil // the per-record append was durable when it returned
-	}
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
 	err := pend.Wait()
 	d := time.Since(start)
 	if err != nil {
 		tr.AddErr(obs.StageWALFlush, start, d)
-		return j.fail(err)
+		j.s.metrics.WALError()
+		return err
 	}
 	tr.Add(obs.StageWALFlush, start, d)
 	if fsync := pend.FsyncDuration(); fsync > 0 {
 		tr.Add(obs.StageWALFsync, start, fsync)
 	}
 	return nil
-}
-
-// barrier is the duplicate-ack wait: a keyed retry vouches for the
-// original record, which under group commit may still await its flush,
-// so it is acknowledged only once the whole log is durable and — the
-// whole-log watermark standing in for the original's LSN —
-// quorum-confirmed.
-func (j *journal) barrier(ctx context.Context) error {
-	if err := j.log.WaitDurable(); err != nil {
-		return j.fail(err)
-	}
-	return j.s.quorumWait(ctx, j.log.NextLSN()-1)
-}
-
-// fail degrades the server on a WAL failure. The poison is sticky
-// (wal.ErrFailed), so this and every later mutation answers 503 while
-// reads keep serving; the record never reached stable storage, so a
-// restart recovers exactly the acknowledged prefix.
-func (j *journal) fail(err error) error {
-	j.s.metrics.WALError()
-	j.s.enterDegraded(err)
-	return fmt.Errorf("%w: %w", ErrDegraded, err)
 }

@@ -45,9 +45,9 @@ type Metrics struct {
 	quorumTimeouts   atomic.Uint64 // mutations durable locally but unconfirmed by the follower quorum
 	fenceErrors      atomic.Uint64 // fence marker persist failures (fence held in memory only)
 
-	// walBatch counts records per group-commit flush: how many journal
-	// records one fsync absorbed, in powers of two up to 256 (larger
-	// batches land in +Inf).
+	// walBatch counts records per WAL flush: how many journal records
+	// one write (and under -fsync one sync) absorbed, in powers of two up
+	// to 256 (larger batches land in +Inf).
 	walBatch *obs.Histogram
 	// selectEvals counts objective evaluations per cache-missing select,
 	// in powers of four up to 2^18: which search tier a select ran
@@ -127,8 +127,8 @@ func (m *Metrics) QuorumTimeout() { m.quorumTimeouts.Add(1) }
 // memory but would not survive a restart until delivered again.
 func (m *Metrics) FenceError() { m.fenceErrors.Add(1) }
 
-// WALBatch records one group-commit flush that made n records durable
-// with a single fsync.
+// WALBatch records one WAL flush that made n records durable with a
+// single write (and under -fsync a single sync).
 func (m *Metrics) WALBatch(n int) {
 	if n > 0 {
 		m.walBatch.Observe(int64(n))
@@ -196,8 +196,8 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats, poolSize int, generat
 	}
 	fmt.Fprintf(w, "juryd_degraded %d\n", deg)
 	fmt.Fprintf(w, "juryd_wal_errors_total %d\n", m.walErrors.Load())
-	// The batch histogram only appears once group commit has flushed
-	// something, so per-record deployments keep their scrape unchanged.
+	// The batch histogram only appears once the WAL has flushed
+	// something, so an in-memory server's scrape carries no dead series.
 	m.walBatch.Snapshot().WriteText(w, "juryd_wal_batch_records", "")
 	fmt.Fprintf(w, "juryd_snapshot_errors_total %d\n", m.snapshotErrors.Load())
 	fmt.Fprintf(w, "juryd_load_shed_total %d\n", m.loadShed.Load())

@@ -11,8 +11,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wal"
+	"repro/internal/wal/errfs"
 )
 
 // metricSample is one parsed exposition line: name, sorted label pairs, value.
@@ -395,38 +399,61 @@ func TestDebugTracesEndToEnd(t *testing.T) {
 }
 
 // TestDebugTracesCarryWALSpans issues mutations against a durable
-// -fsync server, alone and with group commit, and asserts the WAL
-// encode/append/fsync and apply stages show up both in the traces and
-// as the dedicated fsync histogram on /metrics. Under group commit the
-// shared-flush wait must be traced as wal_flush and every flush counted
-// in the batch-size histogram.
+// server, with and without -fsync, and asserts the WAL encode, append
+// (staging) and flush stages and the apply stage show up in the traces,
+// and every flush in the batch-size histogram on /metrics. Under -fsync
+// the sync must also be traced as wal_fsync and land in the dedicated
+// fsync histogram; without it neither may appear. In the GroupCommit
+// row two more votes stage while the first vote's sync is held, so the
+// histogram must count the one flush they share as a batch of two.
 func TestDebugTracesCarryWALSpans(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		groupCommit bool
-		stages      []string
-		metrics     []string
+		name  string
+		fsync bool
+		// held is how many votes stage behind the first vote's held sync.
+		held    int
+		stages  []string
+		absent  []string
+		metrics []string
 	}{
 		{
 			name:    "Fsync",
-			stages:  []string{"wal_encode", "wal_append", "wal_fsync", "apply"},
-			metrics: []string{"juryd_wal_fsync_seconds_count"},
+			fsync:   true,
+			stages:  []string{"wal_encode", "wal_append", "wal_flush", "wal_fsync", "apply"},
+			metrics: []string{"juryd_wal_fsync_seconds_count 2\n", "juryd_wal_batch_records_count 2\n"},
 		},
 		{
-			name:        "Fsync+GroupCommit",
-			groupCommit: true,
-			stages:      []string{"wal_encode", "wal_append", "wal_flush", "wal_fsync", "apply"},
-			metrics:     []string{"juryd_wal_fsync_seconds_count", "juryd_wal_batch_records_count"},
+			name:   "Fsync+GroupCommit",
+			fsync:  true,
+			held:   2,
+			stages: []string{"wal_encode", "wal_append", "wal_flush", "wal_fsync", "apply"},
+			// The fsync histogram is the traced stage: each of the four
+			// mutations records the sync its ack waited on.
+			metrics: []string{"juryd_wal_fsync_seconds_count 4\n", "juryd_wal_batch_records_count 3\n",
+				"juryd_wal_batch_records_sum 4\n", `juryd_wal_batch_records_bucket{le="1"} 2` + "\n"},
+		},
+		{
+			name:    "NoFsync",
+			stages:  []string{"wal_encode", "wal_append", "wal_flush", "apply"},
+			absent:  []string{"wal_fsync"},
+			metrics: []string{"juryd_wal_batch_records_count 2\n"},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(), Fsync: true, GroupCommit: tc.groupCommit})
+			// Sync #1 is the registration's; the first vote's sync #2 is
+			// held until the other votes have staged.
+			gate := make(chan struct{})
+			fsys := errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpSync, Path: "wal-", After: 1, Times: 1, Gate: gate})
+			s, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(), Fsync: tc.fsync, FS: fsys})
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
 			t.Cleanup(func() { s.ClosePersistence() })
 			ts := httptest.NewServer(s.Handler())
 			t.Cleanup(ts.Close)
+			var opened sync.Once
+			release := func() { opened.Do(func() { close(gate) }) }
+			t.Cleanup(release) // before the server's: a failed check must not hang it
 
 			post := func(path, body string) {
 				t.Helper()
@@ -454,7 +481,43 @@ func TestDebugTracesCarryWALSpans(t *testing.T) {
 			}
 			post("/v1/workers", `{"workers":[{"id":"w1","quality":0.9,"cost":1},{"id":"w2","quality":0.6,"cost":1}]}`)
 			post("/v1/select", `{"budget":2}`)
-			post("/v1/votes", `{"worker_id":"w1","correct":true}`)
+			if tc.held == 0 {
+				release()
+				post("/v1/votes", `{"worker_id":"w1","correct":true}`)
+			} else {
+				codes := make(chan int, 1+tc.held)
+				vote := func() {
+					resp, err := http.Post(ts.URL+"/v1/votes", "application/json",
+						strings.NewReader(`{"worker_id":"w1","correct":true}`))
+					if err != nil {
+						codes <- -1
+						return
+					}
+					resp.Body.Close()
+					codes <- resp.StatusCode
+				}
+				waitFor := func(what string, done func() bool) {
+					t.Helper()
+					for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Fatalf("timed out waiting for %s", what)
+						}
+					}
+				}
+				go vote()
+				waitFor("the first vote's held sync", func() bool { return fsys.Injected() >= 1 })
+				for i := 0; i < tc.held; i++ {
+					go vote()
+					// register=1, first vote=2, held votes from 3 on
+					waitFor("a held vote to stage", func() bool { return s.PersistenceStatus().NextLSN >= uint64(4+i) })
+				}
+				release()
+				for i := 0; i < 1+tc.held; i++ {
+					if code := <-codes; code != http.StatusOK {
+						t.Fatalf("POST /v1/votes: status %d", code)
+					}
+				}
+			}
 
 			traces := get("/debug/traces")
 			for _, stage := range tc.stages {
@@ -463,6 +526,12 @@ func TestDebugTracesCarryWALSpans(t *testing.T) {
 				}
 			}
 			metrics := get("/metrics")
+			for _, stage := range tc.absent {
+				if strings.Contains(traces, fmt.Sprintf(`"stage":%q`, stage)) ||
+					strings.Contains(metrics, fmt.Sprintf(`stage=%q`, stage)) {
+					t.Errorf("stage %q traced or exposed without -fsync", stage)
+				}
+			}
 			for _, name := range tc.metrics {
 				if !strings.Contains(metrics, name) {
 					t.Errorf("%s missing from /metrics", name)

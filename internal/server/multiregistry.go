@@ -87,7 +87,7 @@ type MultiRegistry struct {
 	pools map[string]*multiPool
 	order []string // creation order, for deterministic listings/snapshots
 	// gen bumps once in every applied mutation's apply step; it is
-	// persisted and never moves backwards, like Registry.gen.
+	// persisted and set only by load, like Registry.gen.
 	gen uint64
 	// j journals every mutation (nil: in memory only).
 	j *journal
@@ -519,7 +519,7 @@ func (r *MultiRegistry) persistState() multiRegistryState {
 }
 
 // load replaces the registry contents with a snapshot's state — the
-// recovery path, called before the server starts serving. The confusion
+// recovery path, at boot and after a failed flush. The confusion
 // matrices travel in the snapshot (rather than being re-derived from the
 // counts) so recovered state is bit-identical to the pre-crash state.
 // The decoded rows are adopted as they are, once validated.

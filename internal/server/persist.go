@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -14,19 +15,19 @@ import (
 )
 
 // Durability. With Config.DataDir set, every registry, multi-registry
-// and session mutation takes one journaled path (journal.go). Under the
-// shared snapshot freeze and the store's own lock, the store's
-// prepareLocked validates the record and returns its apply step; the
-// record then reserves its LSN, so the WAL order and the in-memory order
-// are identical, and only then is it applied. The store lock is released
-// before the commit waits for durability — under group commit that is
-// what lets independent registries, sessions and pools share one fsync —
-// and the handler acknowledges only after the commit (and, with a
-// quorum, the followers) confirm the record. A failed reservation changes
-// nothing; a failed commit leaves the mutation applied but
-// unacknowledged and flips the server into degraded read-only mode (the
-// record never reached stable storage, so a restart recovers exactly the
-// acknowledged prefix). The freeze is held until the commit, and a
+// and session mutation takes one journaled path (journal.go) in one
+// order: stage, apply, flush, ack. Under the shared snapshot freeze and
+// the store's own lock, the store's prepareLocked validates the record
+// and returns its apply step; the record then stages and reserves its
+// LSN, so the WAL order and the in-memory order are identical, and only
+// then is it applied. The store lock is released before the commit waits
+// for the flush — that is what lets independent registries, sessions and
+// pools share one write and one fsync — and the handler acknowledges
+// only after the commit (and, with a quorum, the followers) confirm the
+// record. A refused stage changes nothing; a failed flush leaves the
+// mutation applied, so before it answers 503 restoreDurable rebuilds the
+// stores from the durable prefix and the server degrades to read-only
+// mode. The freeze is held until the commit, and a
 // snapshot captures under it exclusively and then waits for the log to
 // be durable: every LSN a snapshot covers must be durable, or recovery
 // would find the snapshot ahead of the log. Recovery (Open) loads the
@@ -178,8 +179,9 @@ type Persistence struct {
 	fs  wal.FS
 	*journal
 
-	mu           sync.Mutex // guards the fields below
-	haveSnapshot bool
+	// mu guards the fields below, and orders a snapshot's install and
+	// truncation against restoreDurable.
+	mu           sync.Mutex
 	lastSnapshot wal.LSN
 	snapshots    uint64
 	recovery     RecoveryStatus
@@ -205,67 +207,24 @@ func Open(cfg Config) (*Server, error) {
 		fsys = wal.OSFS()
 	}
 	p := &Persistence{dir: cfg.DataDir, fs: fsys}
-	lsn, payload, found, err := wal.LatestSnapshotFS(fsys, cfg.DataDir)
-	if err != nil {
-		return nil, fmt.Errorf("server: load snapshot: %w", err)
-	}
-	from := wal.LSN(0)
-	if found {
-		var st serverState
-		if err := json.Unmarshal(payload, &st); err != nil {
-			return nil, fmt.Errorf("server: snapshot at lsn %d: %w", lsn, err)
-		}
-		if err := s.registry.load(st.Registry); err != nil {
-			return nil, fmt.Errorf("server: snapshot at lsn %d: %w", lsn, err)
-		}
-		if err := s.sessions.load(st.Sessions); err != nil {
-			return nil, fmt.Errorf("server: snapshot at lsn %d: %w", lsn, err)
-		}
-		if err := s.multi.load(st.Multi); err != nil {
-			return nil, fmt.Errorf("server: snapshot at lsn %d: %w", lsn, err)
-		}
-		if err := s.epochs.load(st.Epochs); err != nil {
-			return nil, fmt.Errorf("server: snapshot at lsn %d: %w", lsn, err)
-		}
-		from = lsn
-		p.haveSnapshot = true
-		p.lastSnapshot = lsn
-		p.recovery.SnapshotLSN = uint64(lsn)
-	}
 	log, info, err := wal.Open(cfg.DataDir, wal.Options{
 		SegmentBytes: cfg.SegmentBytes,
 		Fsync:        cfg.Fsync,
 		// The resolved fsys, not the raw cfg.FS: snapshots already fall
 		// back to OSFS, and the log must never land on a different
 		// filesystem than them.
-		FS:          fsys,
-		GroupCommit: cfg.GroupCommit,
-		OnFlush:     func(records int) { s.metrics.WALBatch(records) },
+		FS:      fsys,
+		OnFlush: func(records int) { s.metrics.WALBatch(records) },
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: open wal: %w", err)
 	}
-	if info.NextLSN < from+1 {
+	if p.recovery, err = s.recoverDurable(fsys, cfg.DataDir, log); err != nil {
 		log.Close()
-		return nil, fmt.Errorf("%w: snapshot covers lsn %d but the log ends at %d",
-			wal.ErrCorrupt, from, info.NextLSN-1)
+		return nil, err
 	}
+	p.lastSnapshot = wal.LSN(p.recovery.SnapshotLSN)
 	p.recovery.TornBytesTruncated = info.TornBytes
-	replayErr := log.Replay(from+1, func(l wal.LSN, payload []byte) error {
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("record at lsn %d: %w", l, err)
-		}
-		if err := s.applyRecord(&rec); err != nil {
-			return fmt.Errorf("record at lsn %d: %w", l, err)
-		}
-		p.recovery.RecordsReplayed++
-		return nil
-	})
-	if replayErr != nil {
-		log.Close()
-		return nil, fmt.Errorf("server: replay: %w", replayErr)
-	}
 	p.journal = &journal{s: s, log: log}
 	s.registry.j, s.multi.j, s.sessions.j = p.journal, p.journal, p.journal
 	p.recovery.WorkersRestored = s.registry.Len()
@@ -286,6 +245,70 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.persist = p
 	return s, nil
+}
+
+// recoverDurable loads the newest snapshot in dir into s's stores and
+// replays log's durable records after it: exactly the state a restart
+// recovers. Open runs it at boot, restoreDurable after a failed flush.
+func (s *Server) recoverDurable(fsys wal.FS, dir string, log *wal.Log) (RecoveryStatus, error) {
+	var rs RecoveryStatus
+	lsn, payload, found, err := wal.LatestSnapshotFS(fsys, dir)
+	if err != nil {
+		return rs, fmt.Errorf("server: load snapshot: %w", err)
+	}
+	if found {
+		var st serverState
+		if err = json.Unmarshal(payload, &st); err == nil {
+			err = s.loadState(st)
+		}
+		if err != nil {
+			return rs, fmt.Errorf("server: snapshot at lsn %d: %w", lsn, err)
+		}
+	}
+	if end := log.Synced(); end < lsn {
+		return rs, fmt.Errorf("%w: snapshot covers lsn %d but the log ends at %d", wal.ErrCorrupt, lsn, end)
+	}
+	rs.SnapshotLSN = uint64(lsn)
+	err = log.Replay(lsn+1, func(l wal.LSN, payload []byte) error {
+		var rec Record
+		err := json.Unmarshal(payload, &rec)
+		if err == nil {
+			err = s.applyRecord(&rec)
+		}
+		if err != nil {
+			return fmt.Errorf("record at lsn %d: %w", l, err)
+		}
+		rs.RecordsReplayed++
+		return nil
+	})
+	if err != nil {
+		return rs, fmt.Errorf("server: replay: %w", err)
+	}
+	return rs, nil
+}
+
+// loadState replaces every store's contents with a state document, each
+// store under its own lock.
+func (s *Server) loadState(st serverState) error {
+	return errors.Join(s.registry.load(st.Registry), s.sessions.load(st.Sessions),
+		s.multi.load(st.Multi), s.epochs.load(st.Epochs))
+}
+
+// restoreDurable loads the durable prefix, recovered into a scratch
+// server, into the live stores and flushes the selection cache. The
+// generations move back; that is safe only because the server degrades
+// next, for good.
+func (s *Server) restoreDurable() error {
+	p := s.persist
+	p.mu.Lock() // a snapshot install must not truncate what this replays
+	defer p.mu.Unlock()
+	scratch := &Server{registry: NewRegistry(), multi: NewMultiRegistry(), sessions: newSessionStore()}
+	if _, err := scratch.recoverDurable(p.fs, p.dir, p.log); err != nil {
+		return err
+	}
+	err := s.loadState(scratch.captureState())
+	s.cache.Flush()
+	return err
 }
 
 // applyRecord replays one journaled record — the recovery path shared by
@@ -312,7 +335,7 @@ func (s *Server) applyRecord(rec *Record) error {
 // but is NOT degrading: the WAL still holds every mutation, the
 // previous snapshot (if any) is still installed, and a later attempt
 // can succeed — the caller should log and keep serving. On a degraded
-// server, in either WAL mode, it fails with ErrDegraded.
+// server it fails with ErrDegraded.
 func (s *Server) SnapshotNow() error {
 	err := s.snapshotNow()
 	if err != nil {
@@ -332,11 +355,8 @@ func (s *Server) snapshotNow() error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.haveSnapshot && upTo == p.lastSnapshot {
-		return nil
-	}
-	if !p.haveSnapshot && upTo == 0 {
-		return nil // nothing ever journaled: the empty state needs no file
+	if upTo == p.lastSnapshot {
+		return nil // unchanged; with no snapshot (lastSnapshot 0), nothing journaled
 	}
 	payload, err := json.Marshal(state)
 	if err != nil {
@@ -345,7 +365,6 @@ func (s *Server) snapshotNow() error {
 	if err := wal.WriteSnapshotFS(p.fs, p.dir, upTo, payload); err != nil {
 		return fmt.Errorf("server: snapshot write: %w", err)
 	}
-	p.haveSnapshot = true
 	p.lastSnapshot = upTo
 	p.snapshots++
 	if _, err := p.log.TruncateBefore(upTo + 1); err != nil {
@@ -380,7 +399,6 @@ func (s *Server) PersistenceStatus() PersistenceStatus {
 		Enabled:          true,
 		DataDir:          p.dir,
 		Fsync:            s.cfg.Fsync,
-		GroupCommit:      s.cfg.Fsync && s.cfg.GroupCommit,
 		NextLSN:          uint64(p.log.NextLSN()),
 		DurableLSN:       uint64(p.log.Synced()),
 		Segments:         p.log.Segments(),

@@ -355,12 +355,12 @@ func TestPreloadIsJournaled(t *testing.T) {
 
 // TestSnapshotsRaceMutations takes snapshots while every store mutates
 // concurrently through its own API — no HTTP handler in between — under
-// group commit, where commits wait outside the store locks. Each
+// -fsync, where commits wait outside the store locks. Each
 // snapshot must cover exactly the records its LSN names, so recovery
 // from the last snapshot plus the tail reproduces the live state
 // bit-exactly.
 func TestSnapshotsRaceMutations(t *testing.T) {
-	cfg := Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(), Fsync: true, GroupCommit: true}
+	cfg := Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(), Fsync: true}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

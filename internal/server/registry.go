@@ -74,8 +74,9 @@ type Registry struct {
 	order   []string // registration order, the pool order of snapshots
 	// gen bumps once in every applied mutation's apply step. It is
 	// persisted in the state row and rebuilt by replay, so it is equal
-	// across replicas and restarts at equal LSN, and load (run only by
-	// Open) is the one place it is set, so it never moves backwards.
+	// across replicas and restarts at equal LSN. Only load sets it; in the
+	// restore after a failed flush it moves back to the durable prefix's
+	// value, safe since degraded mode is terminal and the cache flushed.
 	gen uint64
 	// j journals every mutation (nil: in memory only).
 	j *journal
@@ -360,7 +361,7 @@ func (r *Registry) persistState() registryState {
 }
 
 // load replaces the registry contents with a snapshot's state — the
-// recovery path, called before the server starts serving. Snapshots
+// recovery path, at boot and in the restore after a failed flush. Snapshots
 // carry no checksum and followers fetch them over HTTP, so every row is
 // validated: a corrupt posterior would turn the next vote's quality
 // into NaN, and NaN would reach selection.

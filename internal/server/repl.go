@@ -215,15 +215,12 @@ func (s *Server) ApplyReplicated(lsn wal.LSN, payload []byte) error {
 		return fmt.Errorf("server: replication gap: shipped lsn %d, local log expects %d", lsn, next)
 	}
 	ctx := context.TODO() // the stream loop carries no request trace
-	pend, err := p.append(ctx, payload)
+	got, err := p.journalNow(ctx, payload)
 	if err != nil {
 		return err
 	}
-	if got := pend.LSN(); got != lsn {
-		return fmt.Errorf("server: replication lsn skew: reserved %d, want %d", got, lsn)
-	}
-	if err := p.wait(ctx, pend); err != nil {
-		return err
+	if got != lsn {
+		return fmt.Errorf("server: replication lsn skew: journaled %d, want %d", got, lsn)
 	}
 	if err := s.applyRecord(&rec); err != nil {
 		// The record is in the local log but not in memory: terminal

@@ -61,17 +61,11 @@ type Config struct {
 	// mutation is journaled to a write-ahead log under this directory and
 	// state is recovered from snapshot+log on boot. New ignores it.
 	DataDir string
-	// Fsync flushes the WAL to stable storage after every record —
-	// durable against power loss, at the price of one disk flush per
-	// mutation. Without it, mutations survive a process crash (kill -9)
-	// but not necessarily a machine crash.
+	// Fsync syncs every WAL flush to stable storage — durable against
+	// power loss; mutations staged during a flush share the next sync.
+	// Without it, mutations survive a process crash (kill -9) but not
+	// necessarily a machine crash.
 	Fsync bool
-	// GroupCommit batches concurrent WAL appends into one fsync: each
-	// mutation still blocks until its record is on stable storage, but
-	// mutations that arrive while a flush is in flight share the next
-	// one. Only meaningful with Fsync; without Fsync it is ignored and
-	// the WAL behaves exactly as before.
-	GroupCommit bool
 	// SegmentBytes is the WAL segment rotation threshold; 0 selects
 	// wal.DefaultSegmentBytes.
 	SegmentBytes int64
@@ -145,6 +139,7 @@ type Server struct {
 	degraded      atomic.Bool
 	degradedMu    sync.Mutex
 	degradedCause error
+	unrestored    atomic.Pointer[error] // why a restore failed: reads answer 503 too
 	// draining refuses new mutations during shutdown while in-flight
 	// reads complete (BeginDrain).
 	draining atomic.Bool
@@ -273,7 +268,8 @@ const (
 	// or degraded server must stay inspectable.
 	routeSys routeKind = iota
 	// routeRead serves from recovered state and the selection cache;
-	// available in degraded mode and during drain.
+	// available in degraded mode and during drain, unless restoring the
+	// durable prefix failed.
 	routeRead
 	// routeMut journals to the WAL; refused (503) when degraded or
 	// draining, before the body is decoded.
@@ -297,9 +293,13 @@ func (s *Server) route(pattern string, kind routeKind, h func(http.ResponseWrite
 	s.routes = append(s.routes, pattern)
 	stats := s.metrics.route(pattern)
 	inner := h
-	if kind == routeMut {
+	gate := s.mutable
+	if kind == routeRead {
+		gate = s.readable
+	}
+	if kind != routeSys {
 		inner = func(w http.ResponseWriter, r *http.Request) {
-			if err := s.mutable(); err != nil {
+			if err := gate(); err != nil {
 				writeError(w, r, err)
 				return
 			}

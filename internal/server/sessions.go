@@ -346,9 +346,9 @@ func (st *sessionStore) persistState() sessionsState {
 }
 
 // load replaces the store contents with a snapshot's state — the
-// recovery path, called before the server starts serving. Idle clocks
-// restart at recovery time: a session that survived a crash should not be
-// reaped for pre-crash idleness.
+// recovery path, at boot and in the restore after a failed flush. Idle
+// clocks restart at recovery time: a session that survived a crash
+// should not be reaped for pre-crash idleness.
 func (st *sessionStore) load(state sessionsState) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -63,11 +63,11 @@ type Fault struct {
 	// last-synced size when the fault fires: the unsynced tail behaves
 	// as if it never left the page cache and the machine lost power.
 	DropUnsynced bool
-	// Gate, for OpSync, blocks the matched sync until the channel is
-	// closed — a deterministic way to hold a group-commit leader inside
-	// its flush while other appenders pile into the next batch. With a
-	// nil Err (and no DropUnsynced) the gated sync then proceeds for
-	// real; with either set it fails as usual once released.
+	// Gate blocks the matched call until the channel is closed — a
+	// deterministic way to hold a flush leader inside its sync while
+	// other appenders pile into the next batch. With a nil Err (and no
+	// DropUnsynced or Short) the gated call then proceeds for real;
+	// otherwise it fails as usual once released.
 	Gate <-chan struct{}
 }
 
@@ -111,11 +111,12 @@ func (f *FS) Injected() int {
 	return f.injected
 }
 
-// match finds the first due fault for (op, path), counts it as fired,
-// and returns it; nil when no fault is due.
+// match finds the first due fault for (op, path) and counts it as
+// fired. A gated fault holds the call until its gate opens; match then
+// returns the fault only if it fails the call (nil for a gated success).
 func (f *FS) match(op Op, path string) *Fault {
+	var hit *Fault
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	for _, ft := range f.faults {
 		if ft.Op != op {
 			continue
@@ -133,9 +134,17 @@ func (f *FS) match(op Op, path string) *Fault {
 		ft.fired++
 		f.injected++
 		out := ft.Fault
-		return &out
+		hit = &out
+		break
 	}
-	return nil
+	f.mu.Unlock()
+	if hit != nil && hit.Gate != nil {
+		<-hit.Gate
+		if hit.Err == nil && !hit.DropUnsynced && hit.Short == 0 {
+			return nil
+		}
+	}
+	return hit
 }
 
 func faultErr(ft *Fault) error {
@@ -255,19 +264,13 @@ func (f *errFile) Write(p []byte) (int, error) {
 
 func (f *errFile) Sync() error {
 	if ft := f.fs.match(OpSync, f.path); ft != nil {
-		if ft.Gate != nil {
-			<-ft.Gate
+		if ft.DropUnsynced {
+			f.mu.Lock()
+			f.fs.real.Truncate(f.path, f.synced)
+			f.size = f.synced
+			f.mu.Unlock()
 		}
-		if ft.Gate == nil || ft.Err != nil || ft.DropUnsynced {
-			if ft.DropUnsynced {
-				f.mu.Lock()
-				f.fs.real.Truncate(f.path, f.synced)
-				f.size = f.synced
-				f.mu.Unlock()
-			}
-			return faultErr(ft)
-		}
-		// Gated success: the sync was only delayed, not failed.
+		return faultErr(ft)
 	}
 	if err := f.real.Sync(); err != nil {
 		return err

@@ -70,7 +70,7 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 	gate := make(chan struct{})
 	fs := errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpSync, Path: "wal-", Times: 1, Gate: gate})
 	rec := &batchRecorder{}
-	l, _, err := wal.Open(dir, wal.Options{Fsync: true, GroupCommit: true, FS: fs, OnFlush: rec.record})
+	l, _, err := wal.Open(dir, wal.Options{Fsync: true, FS: fs, OnFlush: rec.record})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestGroupCommitLeaderFailureDegradesWaiters(t *testing.T) {
 	fs := errfs.New(wal.OSFS(), errfs.Fault{
 		Op: errfs.OpSync, Path: "wal-", Times: 1, Gate: gate, Err: errfs.ErrInjected,
 	})
-	l, _, err := wal.Open(dir, wal.Options{Fsync: true, GroupCommit: true, FS: fs})
+	l, _, err := wal.Open(dir, wal.Options{Fsync: true, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,68 +183,112 @@ func TestGroupCommitLeaderFailureDegradesWaiters(t *testing.T) {
 	}
 }
 
-// TestGroupCommitLayoutMatchesPerRecord drives the same sequential record
-// stream through a per-record log and a group-commit one, rotating often,
-// and demands bit-identical segment files: with no concurrency the group
-// path must degenerate to exactly today's on-disk behavior.
+// TestGroupCommitLayoutMatchesPerRecord writes the same record sequence
+// twice, rotating often: once by sequential Append (one record per
+// flush) and once by Begin with a concurrent Wait per record, the first
+// fsync held at a gate so the next records pile into one batch. The
+// segment files must be bit-identical: the layout depends only on the
+// record sequence, never on how the records were batched.
 func TestGroupCommitLayoutMatchesPerRecord(t *testing.T) {
 	payloads := make([][]byte, 60)
 	for i := range payloads {
 		payloads[i] = bytes.Repeat([]byte{byte('a' + i%26)}, 5+i%40)
 	}
-	write := func(dir string, group bool) {
-		t.Helper()
-		l, _, err := wal.Open(dir, wal.Options{Fsync: true, GroupCommit: group, SegmentBytes: 128})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range payloads {
-			if _, err := l.Append(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plain, grouped := t.TempDir(), t.TempDir()
-	write(plain, false)
-	write(grouped, true)
+	const held = 5 // records 2..6 fit the first 128-byte segment
+	sequential, batched := t.TempDir(), t.TempDir()
 
-	plainSegs, err := filepath.Glob(filepath.Join(plain, "wal-*.log"))
+	l, _, err := wal.Open(sequential, wal.Options{Fsync: true, SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	groupSegs, err := filepath.Glob(filepath.Join(grouped, "wal-*.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plainSegs) != len(groupSegs) || len(plainSegs) < 2 {
-		t.Fatalf("segment counts differ (or no rotation): per-record %d, group %d", len(plainSegs), len(groupSegs))
-	}
-	for i := range plainSegs {
-		if filepath.Base(plainSegs[i]) != filepath.Base(groupSegs[i]) {
-			t.Fatalf("segment %d named %s vs %s", i, filepath.Base(plainSegs[i]), filepath.Base(groupSegs[i]))
+	for _, p := range payloads {
+		if _, err := l.Append(p); err != nil {
+			t.Fatal(err)
 		}
-		a, err := os.ReadFile(plainSegs[i])
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	gate := make(chan struct{})
+	fs := errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpSync, Path: "wal-", Times: 1, Gate: gate})
+	rec := &batchRecorder{}
+	l, _, err = wal.Open(batched, wal.Options{Fsync: true, SegmentBytes: 128, FS: fs, OnFlush: rec.record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(payloads))
+	begin := func(p []byte) {
+		t.Helper()
+		pend, err := l.Begin(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(groupSegs[i])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- pend.Wait()
+		}()
+	}
+	begin(payloads[0])
+	waitInjected(t, fs, 1) // record 1's waiter leads the gated flush
+	for _, p := range payloads[1 : 1+held] {
+		begin(p)
+	}
+	close(gate)
+	wg.Wait()
+	for _, p := range payloads[1+held:] {
+		begin(p)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if batches := rec.snapshot(); len(batches) < 2 || batches[0] != 1 || batches[1] != held {
+		t.Fatalf("flush batches start %v, want [1 %d ...]: the held records must share one flush", batches, held)
+	}
+
+	seqSegs, err := filepath.Glob(filepath.Join(sequential, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchSegs, err := filepath.Glob(filepath.Join(batched, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seqSegs) != len(batchSegs) || len(seqSegs) < 2 {
+		t.Fatalf("segment counts differ (or no rotation): sequential %d, batched %d", len(seqSegs), len(batchSegs))
+	}
+	for i := range seqSegs {
+		if filepath.Base(seqSegs[i]) != filepath.Base(batchSegs[i]) {
+			t.Fatalf("segment %d named %s vs %s", i, filepath.Base(seqSegs[i]), filepath.Base(batchSegs[i]))
+		}
+		a, err := os.ReadFile(seqSegs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(batchSegs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Fatalf("segment %s differs between per-record and group-commit layouts", filepath.Base(plainSegs[i]))
+			t.Fatalf("segment %s differs between the sequential and batched layouts", filepath.Base(seqSegs[i]))
 		}
 	}
 }
 
-// TestGroupCommitConcurrentReplayComplete hammers a group log from many
-// goroutines across rotations and checks replay returns every acked
-// record exactly once, in LSN order.
+// TestGroupCommitConcurrentReplayComplete hammers an fsync'd log from
+// many goroutines across rotations and checks replay returns every
+// acked record exactly once, in LSN order.
 func TestGroupCommitConcurrentReplayComplete(t *testing.T) {
-	concurrentReplayComplete(t, wal.Options{Fsync: true, GroupCommit: true, SegmentBytes: 512})
+	concurrentReplayComplete(t, wal.Options{Fsync: true, SegmentBytes: 512})
 }
 
 // concurrentReplayComplete appends from many goroutines to a log opened
@@ -399,21 +443,18 @@ func TestCloseOnPoisonedLogStaysDirty(t *testing.T) {
 
 // TestCloseCleanReturnsNil: the healthy path still closes silently.
 func TestCloseCleanReturnsNil(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		dir := t.TempDir()
-		l, _, err := wal.Open(dir, wal.Options{Fsync: true, GroupCommit: group})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l.Append([]byte("fine")); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatalf("clean Close (group=%v) = %v, want nil", group, err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatalf("double Close of a clean log (group=%v) = %v, want nil", group, err)
-		}
+	l, _, err := wal.Open(t.TempDir(), wal.Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("fine")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("clean Close = %v, want nil", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("double Close of a clean log = %v, want nil", err)
 	}
 }
 
@@ -422,7 +463,7 @@ func TestCloseCleanReturnsNil(t *testing.T) {
 // when the flush that should have covered them failed.
 func TestWaitDurableBarrier(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := wal.Open(dir, wal.Options{Fsync: true, GroupCommit: true})
+	l, _, err := wal.Open(dir, wal.Options{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,16 +485,45 @@ func TestWaitDurableBarrier(t *testing.T) {
 	}
 }
 
+// TestReplayStopsAtWatermark: after a failed flush the newest segment
+// may still hold the refused record — whole after a failed fsync (the
+// bytes sit in the page cache), torn after a short write. Replay must
+// return exactly the durable prefix and read nothing past it.
+func TestReplayStopsAtWatermark(t *testing.T) {
+	for _, fault := range []errfs.Fault{
+		{Op: errfs.OpSync, Path: "wal-", After: 2},
+		{Op: errfs.OpWrite, Path: "wal-", After: 2, Short: 5},
+	} {
+		l, _, err := wal.Open(t.TempDir(), wal.Options{Fsync: true, FS: errfs.New(wal.OSFS(), fault)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []string{"r1", "r2"} {
+			if _, err := l.Append([]byte(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := l.Append([]byte("refused")); err == nil {
+			t.Fatalf("%s fault: the third append succeeded", fault.Op)
+		}
+		got := replayPayloads(t, l)
+		if len(got) != 2 || string(got[0]) != "r1" || string(got[1]) != "r2" {
+			t.Fatalf("%s fault: replay = %q, want [r1 r2]", fault.Op, got)
+		}
+		l.Close()
+	}
+}
+
 // TestGroupCommitDropUnsyncedRecoversAckedPrefix is the power-loss story
 // under batching: a batch whose fsync fails with the unsynced tail
 // dropped must leave exactly the previously-acked records on disk.
 func TestGroupCommitDropUnsyncedRecoversAckedPrefix(t *testing.T) {
 	dir := t.TempDir()
-	// Sequential group commit flushes once per record, so "fail sync 4
+	// Sequential appenders flush once per record, so "fail sync 4
 	// with the tail dropped" means records 1..3 were acked durable and
 	// record 4 was never acknowledged.
 	fs := errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpSync, Path: "wal-", After: 3, DropUnsynced: true})
-	l, _, err := wal.Open(dir, wal.Options{Fsync: true, GroupCommit: true, FS: fs})
+	l, _, err := wal.Open(dir, wal.Options{Fsync: true, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +540,7 @@ func TestGroupCommitDropUnsyncedRecoversAckedPrefix(t *testing.T) {
 	}
 	l.Close() // dirty; the tail is already gone
 
-	reopened, info, err := wal.Open(dir, wal.Options{Fsync: true, GroupCommit: true})
+	reopened, info, err := wal.Open(dir, wal.Options{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

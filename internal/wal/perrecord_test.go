@@ -2,7 +2,6 @@ package wal_test
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"time"
 
@@ -21,85 +20,14 @@ func stillBlocked(t *testing.T, done <-chan error, what string) {
 	}
 }
 
-// TestPerRecordBeginWaitsForSync: without group commit Begin leads the
-// flush itself, so it does not return — and the watermark does not
-// move — until the record's fsync has completed.
-func TestPerRecordBeginWaitsForSync(t *testing.T) {
-	gate := make(chan struct{})
-	fs := errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpSync, Path: "wal-", Times: 1, Gate: gate})
-	l, _, err := wal.Open(t.TempDir(), wal.Options{Fsync: true, FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	pend := make(chan *wal.Pending, 1)
-	done := make(chan error, 1)
-	go func() {
-		p, err := l.Begin([]byte("r1"))
-		pend <- p
-		done <- err
-	}()
-	waitInjected(t, fs, 1) // Begin is inside the gated fsync
-	stillBlocked(t, done, "per-record Begin")
-	if got := l.Synced(); got != 0 {
-		t.Fatalf("watermark = %d while the record's fsync is held, want 0", got)
-	}
-	close(gate)
-	p := <-pend
-	if err := <-done; err != nil {
-		t.Fatalf("Begin: %v", err)
-	}
-	if !p.Done() || p.LSN() != 1 {
-		t.Fatalf("Pending done=%v lsn=%d, want a settled record at lsn 1", p.Done(), p.LSN())
-	}
-	if got := l.Synced(); got != 1 {
-		t.Fatalf("watermark after Begin = %d, want 1", got)
-	}
-}
-
-// TestPerRecordBeginSyncFailure: a per-record Begin whose fsync fails
-// returns the bare *IOError and reserves nothing, so NextLSN still names
-// the refused record's LSN; the log is poisoned from then on.
-func TestPerRecordBeginSyncFailure(t *testing.T) {
-	fs := errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpSync, Path: "wal-", After: 1})
-	l, _, err := wal.Open(t.TempDir(), wal.Options{Fsync: true, FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if _, err := l.Append([]byte("r1")); err != nil {
-		t.Fatal(err)
-	}
-	p, err := l.Begin([]byte("r2"))
-	var ioErr *wal.IOError
-	if p != nil || !errors.As(err, &ioErr) || ioErr.Op != "fsync" {
-		t.Fatalf("Begin with failing fsync = (%v, %v), want (nil, fsync *IOError)", p, err)
-	}
-	if errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("first failure %v wraps ErrFailed; it must surface the IOError itself", err)
-	}
-	if got := l.NextLSN(); got != 2 {
-		t.Fatalf("NextLSN after the refused append = %d, want 2", got)
-	}
-	if got := l.Synced(); got != 1 {
-		t.Fatalf("watermark after the refused append = %d, want 1", got)
-	}
-	if _, err := l.Begin([]byte("r3")); !errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("Begin on poisoned log = %v, want ErrFailed", err)
-	}
-	if err := l.WaitDurable(); !errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("WaitDurable on poisoned log = %v, want ErrFailed", err)
-	}
-}
-
-// TestPerRecordConcurrentReplayComplete: per-record appenders release
-// the log's lock during the write and the fsync, so concurrent ones
-// share flushes; every record must still land exactly once, in order.
+// TestPerRecordConcurrentReplayComplete: without Fsync each flush is a
+// single write, so concurrent appenders mostly flush one record each,
+// yet they still release the log's lock during the write and share
+// flushes whenever they overlap; every record must land exactly once,
+// in order. TestGroupCommitConcurrentReplayComplete runs the same
+// race under Fsync.
 func TestPerRecordConcurrentReplayComplete(t *testing.T) {
-	for _, fsync := range []bool{false, true} {
-		concurrentReplayComplete(t, wal.Options{Fsync: fsync, SegmentBytes: 512})
-	}
+	concurrentReplayComplete(t, wal.Options{SegmentBytes: 512})
 }
 
 // TestBeginBackpressureAtStagingCap holds a leader's fsync at a gate,
@@ -108,7 +36,7 @@ func TestPerRecordConcurrentReplayComplete(t *testing.T) {
 func TestBeginBackpressureAtStagingCap(t *testing.T) {
 	gate := make(chan struct{})
 	fs := errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpSync, Path: "wal-", Times: 1, Gate: gate})
-	l, _, err := wal.Open(t.TempDir(), wal.Options{Fsync: true, GroupCommit: true, FS: fs})
+	l, _, err := wal.Open(t.TempDir(), wal.Options{Fsync: true, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

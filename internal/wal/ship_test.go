@@ -157,7 +157,7 @@ func TestReadCommittedTruncated(t *testing.T) {
 
 func TestReadCommittedGroupCommitServesOnlySynced(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{Fsync: true, GroupCommit: true})
+	l, _, err := Open(dir, Options{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,8 +505,7 @@ func TestReadCommittedMatchesFullScanOracle(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(seed), 17))
 			dir := t.TempDir()
 			opts := func() Options {
-				group := rng.IntN(2) == 0
-				return Options{FS: noSyncFS{OSFS()}, SegmentBytes: 256 << rng.IntN(10), Fsync: group, GroupCommit: group}
+				return Options{FS: noSyncFS{OSFS()}, SegmentBytes: 256 << rng.IntN(10), Fsync: rng.IntN(2) == 0}
 			}
 			l, _, err := Open(dir, opts())
 			if err != nil {
@@ -577,7 +576,7 @@ func TestReadCommittedMatchesFullScanOracle(t *testing.T) {
 	}
 }
 
-// noSyncFS makes every fsync a no-op, so group-commit logs in the
+// noSyncFS makes every fsync a no-op, so Fsync logs in the
 // property test cost no disk flushes.
 type noSyncFS struct{ FS }
 
@@ -641,11 +640,11 @@ func TestReadCommittedConcurrentReaders(t *testing.T) {
 }
 
 // TestReadCommittedConcurrentReadersGroupCommit is the same race under
-// group commit, where records staged during a flush must still get
-// their true byte offsets as segment marks, or a reader starting at a
-// mark ships each record under the wrong LSN.
+// Fsync, whose slower flushes let more records stage during each one:
+// they must still get their true byte offsets as segment marks, or a
+// reader starting at a mark ships each record under the wrong LSN.
 func TestReadCommittedConcurrentReadersGroupCommit(t *testing.T) {
-	concurrentReaders(t, Options{SegmentBytes: 8 << 10, Fsync: true, GroupCommit: true}, 400)
+	concurrentReaders(t, Options{SegmentBytes: 8 << 10, Fsync: true}, 400)
 }
 
 func concurrentReaders(t *testing.T, opts Options, perWriter int) {

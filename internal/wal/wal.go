@@ -109,22 +109,16 @@ type Options struct {
 	// DefaultSegmentBytes. A record larger than the threshold still goes
 	// into a single (oversized) segment.
 	SegmentBytes int64
-	// Fsync syncs the segment file after every append: durable against
-	// power loss at the price of one disk flush per record. Without it,
-	// appends survive a process crash (the page cache persists) but not a
-	// machine crash.
+	// Fsync syncs the segment file after every flush: durable against
+	// power loss at the price of one disk flush per batch of records
+	// staged together. Without it, appends survive a process crash (the
+	// page cache persists) but not a machine crash.
 	Fsync bool
 	// FS is the filesystem the log lives on; nil selects the real one.
 	// Tests substitute a fault injector (internal/wal/errfs) here.
 	FS FS
-	// GroupCommit lets Begin return as soon as the record is staged: the
-	// write and the sync then happen under Pending.Wait, shared by every
-	// record staged before the flush starts. Only meaningful with Fsync —
-	// without it there is no sync to share, and Begin waits for the flush
-	// as in per-record mode. Either way the bytes on disk are the same.
-	GroupCommit bool
-	// OnFlush, if set, is called after every successful group-commit flush
-	// with the number of records it made durable — the feed for batch-size
+	// OnFlush, if set, is called after every successful flush with the
+	// number of records it made durable — the feed for batch-size
 	// observability. It runs with the log's internal lock held, so it must
 	// be fast and must not call back into the Log.
 	OnFlush func(records int)
@@ -163,7 +157,6 @@ type Log struct {
 	dir    string
 	opts   Options
 	fs     FS
-	group  bool // opts.Fsync && opts.GroupCommit: Begin returns before the flush
 	segs   []segment
 	f      File  // newest segment, opened for append
 	size   int64 // bytes of the newest segment written or being written (staged ones excluded)
@@ -247,7 +240,6 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 	}
 	l := &Log{dir: dir, opts: opts, fs: fsys, segs: segs}
 	l.cond = sync.NewCond(&l.mu)
-	l.group = opts.Fsync && opts.GroupCommit
 	var info OpenInfo
 	if len(segs) == 0 {
 		l.next = 1
@@ -387,38 +379,27 @@ func (l *Log) Append(payload []byte) (LSN, error) {
 }
 
 // Pending is one record accepted by Begin: an LSN reservation awaiting
-// durability. It is intended for a single goroutine; Wait may be called
-// more than once and keeps returning the same outcome.
+// durability. It is intended for a single goroutine.
 type Pending struct {
-	l   *Log
-	lsn LSN
-
-	done  bool // the outcome below is final
-	err   error
+	l     *Log
+	lsn   LSN
 	fsync time.Duration
 }
 
 // LSN returns the reserved log sequence number.
 func (p *Pending) LSN() LSN { return p.lsn }
 
-// Done reports whether the record's fate was already decided when Begin
-// returned — true on the per-record path, where Begin waits for the
-// flush itself and Wait just replays the stored outcome.
-func (p *Pending) Done() bool { return p.done }
-
 // FsyncDuration is the duration of the sync in the flush that made this
 // record durable, valid after Wait (0 without Options.Fsync).
 func (p *Pending) FsyncDuration() time.Duration { return p.fsync }
 
 // Begin reserves the next LSN for payload and stages the framed record,
-// returning a Pending whose Wait blocks until the record is durable. In
-// group-commit mode (Options.Fsync with Options.GroupCommit) Begin
-// returns once the record is staged — the batched write and the shared
-// fsync happen under Wait, led by the first waiter — so a caller can
-// reserve its LSN under its own ordering lock and wait for the flush
-// outside it. In every other mode Begin leads or waits for that flush
-// itself and returns only once the record is written (and under
-// Options.Fsync synced): a refused append reserved nothing.
+// returning a Pending whose Wait blocks until the record is durable.
+// Begin returns once the record is staged: the batched write (and under
+// Options.Fsync the shared sync) happens under Wait, led by the first
+// waiter, so a caller can reserve its LSN under its own ordering lock and
+// wait for the flush outside it. A failed flush returns every
+// reservation above the watermark.
 func (l *Log) Begin(payload []byte) (*Pending, error) {
 	if len(payload) > MaxRecordBytes {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
@@ -471,11 +452,6 @@ func (l *Log) Begin(payload []byte) (*Pending, error) {
 	l.bufRecords++
 	p := &Pending{l: l, lsn: l.next}
 	l.next++
-	if !l.group {
-		if err := p.waitLocked(); err != nil {
-			return nil, err
-		}
-	}
 	return p, nil
 }
 
@@ -485,42 +461,25 @@ func (l *Log) Begin(payload []byte) (*Pending, error) {
 // itself and every other waiter gets an error wrapping ErrFailed and the
 // cause, matching Append's poison contract.
 func (p *Pending) Wait() error {
-	if p.done {
-		return p.err
-	}
-	p.l.mu.Lock()
-	defer p.l.mu.Unlock()
-	return p.waitLocked()
-}
-
-// waitLocked is Wait with p.l.mu held.
-func (p *Pending) waitLocked() error {
 	l := p.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for {
-		if l.synced >= p.lsn {
-			p.done = true
+		switch {
+		case l.synced >= p.lsn:
 			p.fsync = l.lastFsync
 			return nil
-		}
-		if l.failed != nil {
-			p.done = true
-			p.err = fmt.Errorf("%w: %w", ErrFailed, l.failed)
-			return p.err
-		}
-		if l.f == nil {
-			p.done = true
-			p.err = ErrClosed
-			return p.err
-		}
-		if !l.flushing && l.bufRecords > 0 {
+		case l.failed != nil:
+			return fmt.Errorf("%w: %w", ErrFailed, l.failed)
+		case l.f == nil:
+			return ErrClosed
+		case !l.flushing && l.bufRecords > 0:
 			if err := l.flushLocked(); err != nil {
-				p.done = true
-				p.err = err
-				return p.err
+				return err
 			}
-			continue
+		default:
+			l.cond.Wait()
 		}
-		l.cond.Wait()
 	}
 }
 
@@ -611,7 +570,7 @@ func (l *Log) flushLocked() error {
 	l.synced = upTo
 	l.lastFsync = syncDur
 	l.cond.Broadcast()
-	if l.group && l.opts.OnFlush != nil {
+	if l.opts.OnFlush != nil {
 		l.opts.OnFlush(records)
 	}
 	return nil
@@ -746,14 +705,20 @@ func (l *Log) Segments() int {
 	return len(l.segs)
 }
 
-// Replay calls fn for every record with LSN >= from, in order. It fails
-// with ErrCorrupt on a record that does not verify (outside the tail Open
+// Replay calls fn for every durable record (at or below Synced) with
+// LSN >= from, in order, reading nothing past it: after a failed flush
+// the file may still hold refused or torn records. It fails with
+// ErrCorrupt on a record that does not verify (outside the tail Open
 // already truncated) or on a gap between segments.
 func (l *Log) Replay(from LSN, fn func(lsn LSN, payload []byte) error) error {
 	l.mu.Lock()
 	segs := append([]segment(nil), l.segs...)
+	upTo := l.synced
 	l.mu.Unlock()
 	for i, seg := range segs {
+		if seg.first > upTo {
+			return nil
+		}
 		if i+1 < len(segs) && segs[i+1].first <= from {
 			continue // every record of this segment is below from
 		}
@@ -765,12 +730,20 @@ func (l *Log) Replay(from LSN, fn func(lsn LSN, payload []byte) error) error {
 		_, torn, err := ScanSegment(f, func(payload []byte) error {
 			this := lsn
 			lsn++
-			if this < from {
-				return nil
+			if this >= from {
+				if err := fn(this, payload); err != nil {
+					return err
+				}
 			}
-			return fn(this, payload)
+			if this == upTo {
+				return errStopScan
+			}
+			return nil
 		})
 		closeErr := f.Close()
+		if errors.Is(err, errStopScan) {
+			return closeErr
+		}
 		if err != nil {
 			// Name the segment so a failed replay diagnoses which file to
 			// inspect, not just which LSN.

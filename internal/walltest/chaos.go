@@ -18,7 +18,7 @@ import (
 )
 
 // StartFaulty opens a durable server over an errfs injector wrapping the
-// real filesystem, with per-record fsync on so every acked mutation is a
+// real filesystem, with fsync on so every acked mutation is a
 // stable-storage fact. The env's client has retries disabled: a chaos
 // run wants to observe the first 503, not paper over it.
 func StartFaulty(t testing.TB, cfg server.Config, faults ...errfs.Fault) (*Env, *errfs.FS) {

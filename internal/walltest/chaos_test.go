@@ -31,10 +31,26 @@ func chaosScript() []Step {
 	}
 }
 
+// AssertRestored asserts that a degraded env serves exactly the state a
+// clean restart on its data dir recovers: equal state_sha256. A refused
+// write was applied before its flush failed, so this holds only because
+// the server restored the durable prefix before it degraded. The
+// restart runs on a copy of the directory, so the env keeps serving.
+func AssertRestored(t testing.TB, e *Env) {
+	t.Helper()
+	restarted := Start(t, BaseConfig(CopyDir(t, e.Dir)))
+	defer restarted.Crash()
+	got, want := e.Srv.PersistenceStatus().StateSHA256, restarted.Srv.PersistenceStatus().StateSHA256
+	if got != want {
+		t.Fatalf("walltest: degraded state_sha256 %s, a restart recovers %s", got, want)
+	}
+}
+
 // TestChaosFsyncFailureMidIngest fails the WAL fsync mid-script, with
 // the unsynced tail dropped the way power loss drops the page cache.
 // Contract: the failing ingest is refused (503, server degraded), reads
-// stay available, and a clean reboot recovers exactly the acked prefix.
+// stay available and serve exactly the acked prefix, and a clean reboot
+// recovers that same prefix.
 func TestChaosFsyncFailureMidIngest(t *testing.T) {
 	dir := t.TempDir()
 	script := chaosScript()
@@ -46,6 +62,7 @@ func TestChaosFsyncFailureMidIngest(t *testing.T) {
 		t.Fatalf("acked %d steps, want 3 (register + 2 ingests)", acked)
 	}
 	AssertDegradedReads(t, env)
+	AssertRestored(t, env)
 	env.CrashDirty()
 
 	recovered := Start(t, BaseConfig(dir))
@@ -73,6 +90,7 @@ func TestChaosENOSPCDuringRotation(t *testing.T) {
 		t.Fatalf("degraded cause = %v, want ENOSPC", cause)
 	}
 	AssertDegradedReads(t, env)
+	AssertRestored(t, env)
 	env.CrashDirty()
 
 	recovered := Start(t, BaseConfig(dir))
@@ -81,8 +99,9 @@ func TestChaosENOSPCDuringRotation(t *testing.T) {
 }
 
 // TestChaosShortWriteTornTail cuts one record's write short, leaving a
-// torn tail on disk. The append is refused; recovery truncates exactly
-// the torn bytes and lands on the acked prefix.
+// torn tail on disk. The append is refused, the degraded server restores
+// the acked prefix without reading the torn record, and recovery
+// truncates exactly the torn bytes and lands on the same prefix.
 func TestChaosShortWriteTornTail(t *testing.T) {
 	dir := t.TempDir()
 	script := chaosScript()
@@ -94,6 +113,10 @@ func TestChaosShortWriteTornTail(t *testing.T) {
 	if acked != 3 {
 		t.Fatalf("acked %d steps, want 3", acked)
 	}
+	// The restore replays only up to the watermark, never into the torn
+	// record, so it succeeds and reads keep serving.
+	AssertDegradedReads(t, env)
+	AssertRestored(t, env)
 	env.CrashDirty()
 
 	recovered := Start(t, BaseConfig(dir))

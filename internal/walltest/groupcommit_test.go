@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,11 +20,10 @@ import (
 	"repro/jury/serve"
 )
 
-// groupConfig is BaseConfig with fsync-bound group commit on.
-func groupConfig(dir string) server.Config {
+// fsyncConfig is BaseConfig with every flush synced.
+func fsyncConfig(dir string) server.Config {
 	cfg := BaseConfig(dir)
 	cfg.Fsync = true
-	cfg.GroupCommit = true
 	return cfg
 }
 
@@ -43,32 +45,37 @@ func waitNextLSN(t testing.TB, e *Env, next uint64) {
 	}
 }
 
-// TestChaosGroupCommitFaultMidBatch is the tentpole failure story: a
-// batch leader's fsync is held at a gate while more keyed ingests stage
-// behind it, then the flush fails with the unsynced tail dropped (power
-// loss). Every waiter in the batch — leader and followers alike — must be
-// refused with 503, the server must degrade, and recovery must hold
-// exactly the acked prefix: the registration, none of the batched votes.
-// Because the votes were never acked, their idempotency keys must not
-// survive either — a post-recovery retry applies for real.
+// TestChaosGroupCommitFaultMidBatch is the failed-flush story: a batch
+// leader's fsync is held at a gate while a binary ingest, a multi-choice
+// ingest and a session vote stage behind it — each applied in memory
+// before its flush — then the flush fails with the unsynced tail dropped
+// (power loss). Every waiter in the batch, leader and followers alike,
+// must be refused with 503, and the degraded server must already serve
+// exactly the acked prefix: the restore rolled back all three stores.
+// Recovery must hold that same prefix. Because the votes were never
+// acked, their idempotency keys must not survive either — a
+// post-recovery retry applies for real.
 func TestChaosGroupCommitFaultMidBatch(t *testing.T) {
 	dir := t.TempDir()
 	gate := make(chan struct{})
-	// Sync #1 is the registration's flush and passes; sync #2 is the
-	// batch under test: gated, then failed with the tail dropped.
-	env, fsys := StartFaulty(t, groupConfig(dir), errfs.Fault{
-		Op: errfs.OpSync, Path: "wal-", After: 1, Times: 1,
+	// Syncs #1-#3 are the setup's flushes and pass; sync #4 is the batch
+	// under test: gated, then failed with the tail dropped.
+	env, fsys := StartFaulty(t, fsyncConfig(dir), errfs.Fault{
+		Op: errfs.OpSync, Path: "wal-", After: 3, Times: 1,
 		Gate: gate, DropUnsynced: true, Err: errfs.ErrInjected,
 	})
 
-	register := Register(
-		serve.WorkerSpec{ID: "ann", Quality: 0.9, Cost: 4},
-		serve.WorkerSpec{ID: "bob", Quality: 0.7, Cost: 2},
-		serve.WorkerSpec{ID: "cam", Quality: 0.6, Cost: 1},
-	)
-	if err := register(env); err != nil {
-		t.Fatalf("register: %v", err)
+	setup := []Step{
+		Register(
+			serve.WorkerSpec{ID: "ann", Quality: 0.9, Cost: 4},
+			serve.WorkerSpec{ID: "bob", Quality: 0.7, Cost: 2},
+			serve.WorkerSpec{ID: "cam", Quality: 0.6, Cost: 1},
+		),
+		CreateMultiPool(serve.MultiCreateRequest{Name: "colors", Labels: 3,
+			Workers: []serve.MultiWorkerSpec{{ID: "m0", Quality: q(0.8), Cost: 2}}}),
+		OpenSession(serve.SessionRequest{Confidence: 0.95, Budget: 40}),
 	}
+	env.Drive(setup)
 
 	// The leader ingest: its commit leads the gated flush.
 	leaderStep := Ingest(serve.VoteEvent{WorkerID: "ann", Correct: true})
@@ -76,22 +83,29 @@ func TestChaosGroupCommitFaultMidBatch(t *testing.T) {
 	go func() { leaderErr <- leaderStep(env) }()
 	waitForInjection(t, fsys, 1) // the leader is inside its held fsync
 
-	// Two followers stage into the next batch while the leader's flush is
-	// pinned; their LSNs are reserved before the gate opens.
+	// Followers from all three stores stage into the next batch while the
+	// leader's flush is pinned; their LSNs are reserved before the gate
+	// opens. SessionVote tolerates 409s, so the vote goes through the
+	// client directly.
 	followerSteps := []Step{
 		Ingest(serve.VoteEvent{WorkerID: "bob", Correct: false}),
-		Ingest(serve.VoteEvent{WorkerID: "cam", Correct: true}),
+		MultiIngest("colors", serve.MultiVoteEvent{WorkerID: "m0", Truth: 1, Vote: 1}),
+		func(e *Env) error {
+			_, err := e.Client.SessionVote(context.Background(), "s1", "cam", 1)
+			return err
+		},
 	}
 	followerErrs := make(chan error, len(followerSteps))
 	var wg sync.WaitGroup
-	for _, step := range followerSteps {
+	for i, step := range followerSteps {
 		wg.Add(1)
 		go func(step Step) {
 			defer wg.Done()
 			followerErrs <- step(env)
 		}(step)
+		// setup=1..3, leader=4, followers 5.. staged in order
+		waitNextLSN(t, env, uint64(len(setup)+2+i+1))
 	}
-	waitNextLSN(t, env, 5) // register=1, leader=2, followers=3,4 staged
 	close(gate)
 
 	for i := 0; i < 1+len(followerSteps); i++ {
@@ -103,16 +117,19 @@ func TestChaosGroupCommitFaultMidBatch(t *testing.T) {
 		}
 		var apiErr *serve.APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
-			t.Fatalf("batched ingest %d = %v, want 503 (nothing in the failed batch may be acked)", i, err)
+			t.Fatalf("batched mutation %d = %v, want 503 (nothing in the failed batch may be acked)", i, err)
 		}
 	}
 	wg.Wait()
 	AssertDegradedReads(t, env)
+	// Degraded, the server already serves exactly the acked prefix.
+	reference := Reference(t, BaseConfig(dir), setup, len(setup))
+	AssertSameState(t, reference, env)
+	AssertRestored(t, env)
 	env.CrashDirty()
 
-	// Recovery: exactly the acked prefix — the registration alone.
+	// Recovery: exactly the acked prefix.
 	recovered := Start(t, BaseConfig(dir))
-	reference := Reference(t, BaseConfig(dir), []Step{register}, 1)
 	AssertSameState(t, reference, recovered)
 
 	// The unacked votes' idempotency keys died with their records: the
@@ -142,35 +159,64 @@ func waitForInjection(t testing.TB, fsys *errfs.FS, n int) {
 	}
 }
 
-// TestChaosGroupCommitSequentialFaultRecoversAckedPrefix reruns the
-// classic fsync-failure chaos script with group commit on: sequential
-// callers flush once per record, so the After-N fault cuts at the same
-// step boundary and recovery must land on the same acked prefix as the
-// per-record mode test.
+// TestChaosGroupCommitSequentialFaultRecoversAckedPrefix cuts the
+// classic fsync-failure chaos script with sequential callers. A caller
+// that waits for its ack before sending the next step never shares a
+// flush, so every successful flush carries exactly one record and the
+// After-N fault cuts at a step boundary: the batch-size histogram counts
+// one single-record flush per acked step, the degraded server already
+// serves the reference state of the acked prefix, and recovery lands on
+// that same state.
 func TestChaosGroupCommitSequentialFaultRecoversAckedPrefix(t *testing.T) {
 	dir := t.TempDir()
 	script := chaosScript()
-	env, _ := StartFaulty(t, groupConfig(dir),
+	env, _ := StartFaulty(t, BaseConfig(dir),
 		errfs.Fault{Op: errfs.OpSync, Path: "wal-", After: 3, DropUnsynced: true})
 
 	acked := env.DriveToFailure(script)
 	if acked != 3 {
 		t.Fatalf("acked %d steps, want 3 (register + 2 ingests)", acked)
 	}
+	metrics := metricsText(t, env)
+	for _, want := range []string{
+		fmt.Sprintf("juryd_wal_batch_records_bucket{le=\"1\"} %d\n", acked),
+		fmt.Sprintf("juryd_wal_batch_records_count %d\n", acked),
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("/metrics lacks %q: each acked sequential step must flush alone", want)
+		}
+	}
 	AssertDegradedReads(t, env)
+	reference := Reference(t, BaseConfig(dir), script, acked)
+	AssertSameState(t, reference, env)
 	env.CrashDirty()
 
 	recovered := Start(t, BaseConfig(dir))
-	reference := Reference(t, BaseConfig(dir), script, acked)
 	AssertSameState(t, reference, recovered)
 }
 
+// metricsText fetches the env's /metrics exposition.
+func metricsText(t testing.TB, e *Env) string {
+	t.Helper()
+	resp, err := http.Get(e.HTTP.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
 // TestPropertyGroupCommitReplayEqualsPerRecord drives one script — the
-// same Step values, so the same idempotency keys — through a per-record
-// durable server and a group-commit one, crashes both, and demands the
-// recovered states match bit-exactly AND the WAL directories hold
-// byte-identical segment files: for a sequential workload the batched
-// path must be indistinguishable on disk.
+// same Step values, so the same idempotency keys — through two durable
+// servers: sequentially (one record per flush) and with its first steps
+// sent concurrently while the first flush is held, so their records
+// share one batch. It crashes both and demands the WAL directories hold
+// byte-identical segment files and the recovered states match
+// bit-exactly: the layout depends only on the record sequence.
 func TestPropertyGroupCommitReplayEqualsPerRecord(t *testing.T) {
 	script := append(chaosScript(),
 		Update(serve.WorkerSpec{ID: "bob", Quality: 0.75, Cost: 2}),
@@ -180,51 +226,72 @@ func TestPropertyGroupCommitReplayEqualsPerRecord(t *testing.T) {
 		),
 		Remove("cam"),
 	)
+	const held = 2 // steps 2..3 stage behind step 1's held flush
 
-	plainDir, groupDir := t.TempDir(), t.TempDir()
-	plainCfg := BaseConfig(plainDir)
-	plainCfg.Fsync = true
-	plainCfg.SegmentBytes = 256 // force rotations through both paths
-	groupCfg := groupConfig(groupDir)
-	groupCfg.SegmentBytes = 256
+	seqDir, batchDir := t.TempDir(), t.TempDir()
+	seqCfg := fsyncConfig(seqDir)
+	seqCfg.SegmentBytes = 512 // force rotations through both runs
+	seqEnv := Start(t, seqCfg)
+	seqEnv.Drive(script)
+	seqEnv.Crash()
 
-	plainEnv := Start(t, plainCfg)
-	plainEnv.Drive(script)
-	plainEnv.Crash()
-	groupEnv := Start(t, groupCfg)
-	groupEnv.Drive(script)
-	groupEnv.Crash()
-
-	plainSegs := segmentFiles(t, plainDir)
-	groupSegs := segmentFiles(t, groupDir)
-	if len(plainSegs) != len(groupSegs) || len(plainSegs) < 2 {
-		t.Fatalf("segment counts differ (or no rotation): per-record %d, group %d",
-			len(plainSegs), len(groupSegs))
-	}
-	for i := range plainSegs {
-		if filepath.Base(plainSegs[i]) != filepath.Base(groupSegs[i]) {
-			t.Fatalf("segment %d named %s vs %s", i,
-				filepath.Base(plainSegs[i]), filepath.Base(groupSegs[i]))
+	gate := make(chan struct{})
+	batchCfg := BaseConfig(batchDir)
+	batchCfg.SegmentBytes = 512
+	batchEnv, fsys := StartFaulty(t, batchCfg,
+		errfs.Fault{Op: errfs.OpSync, Path: "wal-", Times: 1, Gate: gate})
+	errs := make(chan error, 1+held)
+	for i, step := range script[:1+held] {
+		go func(step Step) { errs <- step(batchEnv) }(step)
+		if i == 0 {
+			waitForInjection(t, fsys, 1) // step 1 leads the held flush
+		} else {
+			waitNextLSN(t, batchEnv, uint64(i+2)) // staged in script order
 		}
-		a, err := os.ReadFile(plainSegs[i])
+	}
+	close(gate)
+	for range 1 + held {
+		if err := <-errs; err != nil {
+			t.Fatalf("batched step: %v", err)
+		}
+	}
+	batchEnv.Drive(script[1+held:])
+	// One flush per step, except that the held steps share one.
+	if want := fmt.Sprintf("juryd_wal_batch_records_count %d\n", len(script)-held+1); !strings.Contains(metricsText(t, batchEnv), want) {
+		t.Fatalf("/metrics lacks %q: the %d steps staged behind the held flush must share one", want, held)
+	}
+	batchEnv.Crash()
+
+	seqSegs := segmentFiles(t, seqDir)
+	batchSegs := segmentFiles(t, batchDir)
+	if len(seqSegs) != len(batchSegs) || len(seqSegs) < 2 {
+		t.Fatalf("segment counts differ (or no rotation): sequential %d, batched %d",
+			len(seqSegs), len(batchSegs))
+	}
+	for i := range seqSegs {
+		if filepath.Base(seqSegs[i]) != filepath.Base(batchSegs[i]) {
+			t.Fatalf("segment %d named %s vs %s", i,
+				filepath.Base(seqSegs[i]), filepath.Base(batchSegs[i]))
+		}
+		a, err := os.ReadFile(seqSegs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(groupSegs[i])
+		b, err := os.ReadFile(batchSegs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Fatalf("segment %s differs between per-record and group-commit runs",
-				filepath.Base(plainSegs[i]))
+			t.Fatalf("segment %s differs between the sequential and batched runs",
+				filepath.Base(seqSegs[i]))
 		}
 	}
 
-	recoveredPlain := Start(t, BaseConfig(plainDir))
-	recoveredGroup := Start(t, BaseConfig(groupDir))
-	AssertSameState(t, recoveredPlain, recoveredGroup)
-	reference := Reference(t, BaseConfig(plainDir), script, len(script))
-	AssertSameState(t, reference, recoveredGroup)
+	recoveredSeq := Start(t, BaseConfig(seqDir))
+	recoveredBatch := Start(t, BaseConfig(batchDir))
+	AssertSameState(t, recoveredSeq, recoveredBatch)
+	reference := Reference(t, BaseConfig(seqDir), script, len(script))
+	AssertSameState(t, reference, recoveredBatch)
 }
 
 // segmentFiles lists dir's WAL segments in LSN order.
@@ -238,14 +305,14 @@ func segmentFiles(t testing.TB, dir string) []string {
 	return paths
 }
 
-// TestChaosGroupCommitConcurrentLoadRecovers hammers a group-commit
-// server with concurrent keyed ingests (no faults), crashes it, and
+// TestChaosGroupCommitConcurrentLoadRecovers hammers an -fsync server
+// with concurrent keyed ingests (no faults), crashes it, and
 // checks the recovered vote totals equal exactly what was acked — the
 // durability watermark must never ack a record a clean replay cannot
 // produce.
 func TestChaosGroupCommitConcurrentLoadRecovers(t *testing.T) {
 	dir := t.TempDir()
-	env := Start(t, groupConfig(dir))
+	env := Start(t, fsyncConfig(dir))
 	register := Register(
 		serve.WorkerSpec{ID: "ann", Quality: 0.9, Cost: 4},
 		serve.WorkerSpec{ID: "bob", Quality: 0.7, Cost: 2},
@@ -289,33 +356,45 @@ func TestChaosGroupCommitConcurrentLoadRecovers(t *testing.T) {
 	}
 }
 
-// TestChaosGroupCommitSnapshotWhileDegraded: under group commit a refused
-// ingest is applied in memory before its flush fails, so a snapshot taken
-// afterwards would cover an LSN the power loss dropped. The snapshot must
-// be refused with ErrDegraded (and counted), and recovery must land on
-// exactly the acked prefix instead of failing on a snapshot that runs
-// past the end of the log. A degraded per-record server refuses the same
-// way: any poisoned log refuses snapshots.
+// TestChaosGroupCommitSnapshotWhileDegraded: refused ingests are
+// applied in memory before their flush fails, and the restore takes
+// them back out before the server degrades. In the per-record row the
+// failed flush carries one ingest; in the group-commit row it carries
+// two that staged behind a held flush, after whose ingest was acked. A
+// snapshot taken afterwards must still be refused with ErrDegraded (and
+// counted) — a poisoned log refuses snapshots — and recovery must land
+// on exactly the acked prefix instead of failing on a snapshot that
+// runs past the end of the log.
 func TestChaosGroupCommitSnapshotWhileDegraded(t *testing.T) {
+	register := Register(
+		serve.WorkerSpec{ID: "ann", Quality: 0.9, Cost: 4},
+		serve.WorkerSpec{ID: "bob", Quality: 0.7, Cost: 2},
+		serve.WorkerSpec{ID: "cam", Quality: 0.6, Cost: 1},
+	)
 	for _, tc := range []struct {
 		name  string
 		group bool
 	}{{"per-record", false}, {"group-commit", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := BaseConfig(dir)
-			cfg.GroupCommit = tc.group // StartFaulty turns on Fsync
-			env, _ := StartFaulty(t, cfg, errfs.Fault{
-				Op: errfs.OpSync, Path: "wal-", After: 1, Times: 1, DropUnsynced: true,
-			})
-			register := Register(
-				serve.WorkerSpec{ID: "ann", Quality: 0.9, Cost: 4},
-				serve.WorkerSpec{ID: "bob", Quality: 0.7, Cost: 2},
-			)
 			script := []Step{register, Ingest(serve.VoteEvent{WorkerID: "ann", Correct: true})}
-			if acked := env.DriveToFailure(script); acked != 1 {
-				t.Fatalf("acked %d steps, want 1 (the registration)", acked)
+			var env *Env
+			acked := 1
+			if !tc.group {
+				env, _ = StartFaulty(t, BaseConfig(dir), errfs.Fault{
+					Op: errfs.OpSync, Path: "wal-", After: 1, Times: 1, DropUnsynced: true,
+				})
+				if got := env.DriveToFailure(script); got != acked {
+					t.Fatalf("acked %d steps, want 1 (the registration)", got)
+				}
+			} else {
+				script = append(script,
+					Ingest(serve.VoteEvent{WorkerID: "bob", Correct: false}),
+					Ingest(serve.VoteEvent{WorkerID: "cam", Correct: true}))
+				acked = 2
+				env = driveSharedFlushFailure(t, dir, script)
 			}
+			AssertRestored(t, env)
 			if err := env.Srv.SnapshotNow(); !errors.Is(err, server.ErrDegraded) {
 				t.Errorf("SnapshotNow on a degraded server = %v, want ErrDegraded", err)
 			}
@@ -325,8 +404,50 @@ func TestChaosGroupCommitSnapshotWhileDegraded(t *testing.T) {
 			env.CrashDirty()
 
 			recovered := Start(t, BaseConfig(dir))
-			reference := Reference(t, BaseConfig(dir), script, 1)
+			reference := Reference(t, BaseConfig(dir), script, acked)
 			AssertSameState(t, reference, recovered)
 		})
 	}
+}
+
+// driveSharedFlushFailure starts an -fsync server on dir and fails one
+// flush that carries several records: script[0] is acked alone,
+// script[1] leads a flush held inside its sync, every later step stages
+// behind it, and once the gate opens script[1] is acked while the
+// flush the later steps share fails with the unsynced tail dropped.
+// Each later step must be refused with 503.
+func driveSharedFlushFailure(t *testing.T, dir string, script []Step) *Env {
+	t.Helper()
+	gate := make(chan struct{})
+	// Faults are consulted in order: sync #2 is held then passes, and
+	// sync #3 fails.
+	env, fsys := StartFaulty(t, BaseConfig(dir),
+		errfs.Fault{Op: errfs.OpSync, Path: "wal-", After: 2, Times: 1, DropUnsynced: true},
+		errfs.Fault{Op: errfs.OpSync, Path: "wal-", After: 1, Times: 1, Gate: gate},
+	)
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(release) // before the HTTP server's: a failed check must not hang it
+	if err := script[0](env); err != nil {
+		t.Fatalf("first step: %v", err)
+	}
+	leaderErr := make(chan error, 1)
+	go func() { leaderErr <- script[1](env) }()
+	waitForInjection(t, fsys, 1) // script[1] is inside its held sync
+	errs := make(chan error, len(script)-2)
+	for i, step := range script[2:] {
+		go func(step Step) { errs <- step(env) }(step)
+		waitNextLSN(t, env, uint64(i+4)) // staged in script order
+	}
+	release()
+	if err := <-leaderErr; err != nil {
+		t.Fatalf("held step: %v", err)
+	}
+	for range len(script) - 2 {
+		var apiErr *serve.APIError
+		if err := <-errs; !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
+			t.Fatalf("step in the failed shared flush = %v, want 503", err)
+		}
+	}
+	return env
 }

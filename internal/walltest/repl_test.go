@@ -200,16 +200,16 @@ func TestReplStreamSevering(t *testing.T) {
 }
 
 // TestReplFollowerLocalWALFault fails the follower's own journal mid-
-// replication, journaling per record and under -fsync -group-commit:
-// the follower must degrade (stop advancing), report only the records
-// its log holds as applied, keep serving reads at its last applied
-// state, report the primary's lead as lag, and — restarted against a
-// healthy disk — recover its local prefix and converge.
+// replication, with and without -fsync: the follower must degrade (stop
+// advancing), report only the records its log holds as applied, keep
+// serving reads at its last applied state, report the primary's lead as
+// lag, and — restarted against a healthy disk — recover its local prefix
+// and converge.
 func TestReplFollowerLocalWALFault(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		group bool
-	}{{"per-record", false}, {"group-commit", true}} {
+		fsync bool
+	}{{"no-fsync", false}, {"fsync", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			primary := Start(t, BaseConfig(t.TempDir()))
 			script := []Step{
@@ -226,7 +226,7 @@ func TestReplFollowerLocalWALFault(t *testing.T) {
 
 			fDir := t.TempDir()
 			cfgF := BaseConfig(fDir)
-			cfgF.Fsync, cfgF.GroupCommit = tc.group, tc.group
+			cfgF.Fsync = tc.fsync
 			cfgF.FS = errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpWrite, Path: "wal-", After: 4})
 			f := StartFollower(t, cfgF, primary.HTTP.URL)
 			if err := f.WaitDone(10 * time.Second); !errors.Is(err, server.ErrDegraded) {
@@ -282,6 +282,7 @@ func TestReplPrimaryDegradesFollowerHoldsDurable(t *testing.T) {
 		t.Fatalf("acked %d steps, want 3", acked)
 	}
 	AssertDegradedReads(t, primary)
+	AssertRestored(t, primary)
 
 	WaitCaughtUp(t, primary, f)
 	durable := primary.Srv.PersistenceStatus().DurableLSN
