@@ -37,7 +37,10 @@
 // retire many requests; appenders stall while 1 MiB waits to be
 // flushed. -fsync syncs each flush (survives power loss, slower);
 // without it writes survive a process kill but ride the OS page cache.
-// GET /debug/persistence reports recovery and LSN state.
+// Snapshots, the fence marker (fence.json) and a follower's identity
+// (follower-id) are installed whole and synced, file and directory,
+// with or without -fsync. GET /debug/persistence reports recovery and
+// LSN state.
 //
 // With -follow the daemon is a read-only replica of another durable
 // juryd: on first boot it bootstraps from the primary's snapshot, then
@@ -147,8 +150,6 @@ package main
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -159,7 +160,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -169,6 +169,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/wal"
 	"repro/internal/wal/errfs"
+	"repro/jury/serve"
 )
 
 func main() {
@@ -237,6 +238,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return runPromote(ctx, *promote, *advertise, out)
 	}
 
+	var fsys wal.FS = wal.OSFS()
+	if *chaosFsyncAfter > 0 {
+		fsys = errfs.New(fsys, errfs.Fault{
+			Op: errfs.OpSync, Path: "wal-", After: *chaosFsyncAfter, DropUnsynced: true,
+		})
+	}
 	primary := strings.TrimRight(*follow, "/")
 	if primary != "" {
 		if *dataDir == "" {
@@ -245,12 +252,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if *poolFile != "" || *multiPoolFile != "" {
 			return errors.New("-follow excludes -pool/-multi-pool: preloads would journal locally and diverge from the primary; load pools on the primary instead")
 		}
-		has, err := repl.DirHasState(*dataDir)
+		has, err := wal.HasState(fsys, *dataDir)
 		if err != nil {
 			return err
 		}
 		if !has {
-			lsn, err := repl.Bootstrap(ctx, nil, primary, *dataDir)
+			lsn, err := repl.Bootstrap(ctx, fsys, primary, *dataDir)
 			if err != nil {
 				return fmt.Errorf("bootstrap from %s: %w", primary, err)
 			}
@@ -258,12 +265,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	var fsys wal.FS
-	if *chaosFsyncAfter > 0 {
-		fsys = errfs.New(wal.OSFS(), errfs.Fault{
-			Op: errfs.OpSync, Path: "wal-", After: *chaosFsyncAfter, DropUnsynced: true,
-		})
-	}
 	srv, err := server.Open(server.Config{
 		Alpha:          *alpha,
 		Seed:           *seed,
@@ -298,12 +299,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	// Follower mode flips on before the listener opens, so no mutation can
 	// ever slip into the local journal outside the replication stream.
-	var replID string
+	var follower *repl.Follower
 	if primary != "" {
-		if replID, err = followerID(*dataDir); err != nil {
-			return fmt.Errorf("follower id: %w", err)
-		}
 		srv.SetFollower(primary)
+		follower, err = repl.NewFollower(srv, primary, repl.Options{
+			Logf: func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) },
+		})
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "juryd: following %s (read-only replica)\n", primary)
 	}
 	// Preloads tolerate already-registered state on a durable restart: a
@@ -392,12 +396,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// The replication stream runs until shutdown (nil), a terminal
 	// condition (handled in the wait loop below), or a degraded local WAL.
 	replErr := make(chan error, 1)
-	if primary != "" {
-		f := repl.NewFollower(srv, primary, repl.Options{
-			ID:   replID,
-			Logf: func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) },
-		})
-		go func() { replErr <- f.Run(ctx) }()
+	if follower != nil {
+		go func() { replErr <- follower.Run(ctx) }()
 	}
 
 	// Periodic checkpoint: snapshot the state and truncate the WAL
@@ -502,84 +502,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// followerIDFile holds a follower's replication identity in its data dir.
-const followerIDFile = "follower-id"
-
-// followerID returns the replication identity kept in dir, drawing and
-// installing a random one on first use. The primary counts -quorum
-// confirmations per id, so the id must outlive the process: under a
-// fresh id, a restarted follower would confirm the LSNs it had already
-// confirmed a second time and count twice. The id belongs to the data
-// dir, so wiping the dir draws a new one.
-func followerID(dir string) (string, error) {
-	path := filepath.Join(dir, followerIDFile)
-	data, err := os.ReadFile(path)
-	if err == nil {
-		id := strings.TrimSpace(string(data))
-		if id == "" {
-			return "", fmt.Errorf("%s is empty", path)
-		}
-		return id, nil
-	}
-	if !errors.Is(err, os.ErrNotExist) {
-		return "", err
-	}
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", err
-	}
-	id := "follower-" + hex.EncodeToString(b[:])
-	// Write a temp file, sync, rename: a crash leaves either no id or
-	// the whole id, never a torn one.
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return "", err
-	}
-	_, err = f.WriteString(id + "\n")
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	return id, nil
-}
-
 // runPromote is the -promote one-shot: ask the follower at base to
-// promote itself (POST /v1/repl/promote) and report the outcome.
+// promote itself (POST /v1/repl/promote, one attempt) and report the
+// outcome.
 func runPromote(ctx context.Context, base, advertise string, out io.Writer) error {
 	base = strings.TrimRight(base, "/")
-	body, err := json.Marshal(server.PromoteRequest{Advertise: advertise})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		base+"/v1/repl/promote", strings.NewReader(string(body)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := client.Do(req)
+	c := serve.NewClient(base).
+		WithHTTPClient(&http.Client{Timeout: 30 * time.Second}).
+		WithRetry(serve.RetryPolicy{MaxAttempts: 1})
+	res, err := c.Promote(ctx, serve.PromoteRequest{Advertise: advertise})
 	if err != nil {
 		return fmt.Errorf("promote %s: %w", base, err)
-	}
-	defer resp.Body.Close()
-	payload, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("promote %s: %s: %s", base, resp.Status, strings.TrimSpace(string(payload)))
-	}
-	var res server.PromoteResponse
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return fmt.Errorf("promote %s: bad response: %w", base, err)
 	}
 	switch {
 	case res.AlreadyPrimary:

@@ -4,10 +4,13 @@
 // applies the shipped frames through Server.ApplyReplicated (journal to
 // the local log, then the same Apply paths crash recovery uses — so the
 // replica's state is bit-identical to the primary's at every LSN), and
-// reconnects with jittered exponential backoff on stream loss. Bootstrap
-// installs a primary's snapshot into an empty data directory so a brand
-// new (or truncation-stranded) follower can join without replaying the
-// primary's full history.
+// reconnects with jittered exponential backoff on stream loss. Every
+// stream request names the follower by the identity its data dir keeps
+// (follower-id, Server.FollowerID), so the primary counts a restarted
+// follower's quorum confirmations once. Bootstrap installs a primary's
+// snapshot into a data directory without log state (wal.HasState) so a
+// brand new (or truncation-stranded) follower can join without
+// replaying the primary's full history.
 package repl
 
 import (
@@ -19,7 +22,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -50,14 +52,9 @@ var (
 
 // Options tunes a Follower. The zero value is production-ready.
 type Options struct {
-	// Client performs the HTTP requests; nil selects a client with no
-	// overall timeout (the stream long-poll outlives any sane default).
-	Client *http.Client
 	// Wait is the long-poll duration the primary should hold an empty
 	// stream request open; 0 selects 10s.
 	Wait time.Duration
-	// MaxBytes bounds one stream response; 0 selects the server default.
-	MaxBytes int
 	// MinBackoff and MaxBackoff bound the jittered exponential reconnect
 	// backoff after a failed stream request; 0 selects 100ms and 5s.
 	MinBackoff time.Duration
@@ -65,14 +62,6 @@ type Options struct {
 	// Logf, when set, receives connection-lifecycle lines ("connected",
 	// "stream error ..., retrying"). nil discards them.
 	Logf func(format string, args ...any)
-	// ID identifies this follower on the primary's quorum-ack table
-	// (sent as follower_id on every stream request). Empty selects a
-	// random per-process id. That is unsafe under a quorum of 3 or more:
-	// the primary keeps the old process's entry, so a restarted follower
-	// confirms the same LSNs under two ids and counts twice. A durable
-	// follower should pass an id that outlives the process (juryd keeps
-	// one in <data-dir>/follower-id).
-	ID string
 }
 
 // Follower replicates one primary into one local Server. Create with
@@ -81,17 +70,27 @@ type Follower struct {
 	srv     *server.Server
 	primary string
 	opts    Options
-	rng     *rand.Rand
+	// id keys this follower's row in the primary's quorum-ack table (sent
+	// as follower_id on every stream request); it is the data dir's
+	// durable identity, so a restarted follower confirms under it again.
+	id string
+	// client has a private transport (not http.DefaultTransport): the
+	// follower's keep-alive connections to the primary must not mingle
+	// with the process-wide pool, so Run can drop them all when it exits.
+	// It sets no overall timeout: the stream long-poll outlives any sane
+	// default.
+	client *http.Client
+	rng    *rand.Rand
 }
 
 // NewFollower binds a local server (opened on its own data dir, with
-// SetFollower already called) to a primary's base URL.
-func NewFollower(srv *server.Server, primary string, opts Options) *Follower {
-	if opts.Client == nil {
-		// A private transport (not http.DefaultTransport): the follower's
-		// keep-alive connections to the primary must not mingle with the
-		// process-wide pool, so Run can drop them all when it exits.
-		opts.Client = &http.Client{Transport: &http.Transport{}}
+// SetFollower already called) to a primary's base URL. It reads the
+// follower identity from the data dir, creating it on first use
+// (Server.FollowerID), and fails if that is impossible.
+func NewFollower(srv *server.Server, primary string, opts Options) (*Follower, error) {
+	id, err := srv.FollowerID()
+	if err != nil {
+		return nil, fmt.Errorf("repl: follower id: %w", err)
 	}
 	if opts.Wait <= 0 {
 		opts.Wait = 10 * time.Second
@@ -105,17 +104,16 @@ func NewFollower(srv *server.Server, primary string, opts Options) *Follower {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	if opts.ID == "" {
-		opts.ID = fmt.Sprintf("follower-%08x", rand.Uint32())
-	}
 	return &Follower{
 		srv:     srv,
 		primary: strings.TrimRight(primary, "/"),
 		opts:    opts,
+		id:      id,
+		client:  &http.Client{Transport: &http.Transport{}},
 		// Math/rand with a time seed is fine here: the jitter only spreads
 		// reconnects, it carries no replayed state.
 		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
+	}, nil
 }
 
 // Run streams and applies records until ctx is canceled (returns nil), a
@@ -128,7 +126,7 @@ func (f *Follower) Run(ctx context.Context) error {
 	// Leave no keep-alive connections behind: a dialed-but-never-used conn
 	// sits in http.Server's StateNew, which graceful Shutdown on the
 	// primary waits out forever.
-	defer f.opts.Client.CloseIdleConnections()
+	defer f.client.CloseIdleConnections()
 	failures := 0
 	for {
 		if ctx.Err() != nil {
@@ -204,15 +202,12 @@ func (f *Follower) poll(ctx context.Context) (advanced bool, err error) {
 	// node's row in the primary's quorum-ack table.
 	u := fmt.Sprintf("%s/v1/repl/stream?from=%d&wait_ms=%d&epoch=%d&follower_id=%s",
 		primary, uint64(from), f.opts.Wait.Milliseconds(),
-		f.srv.EpochAt(from), url.QueryEscape(f.opts.ID))
-	if f.opts.MaxBytes > 0 {
-		u += "&max_bytes=" + strconv.Itoa(f.opts.MaxBytes)
-	}
+		f.srv.EpochAt(from), url.QueryEscape(f.id))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return false, err
 	}
-	resp, err := f.opts.Client.Do(req)
+	resp, err := f.client.Do(req)
 	if err != nil {
 		return false, err
 	}
@@ -297,43 +292,18 @@ func readErrorBody(r io.Reader) string {
 // ---------------------------------------------------------------------------
 // Bootstrap.
 
-// DirHasState reports whether dir already holds WAL segments or a
-// snapshot — i.e. whether a follower booting on it should recover
-// normally instead of bootstrapping from the primary. A missing dir is
-// simply empty, and so is one holding only a follower's identity
-// (follower-id) or fence marker (fence.json), which are not log state.
-// The probe is a pure directory listing: it must not create files, or a
-// later bootstrap into the "empty" dir would refuse.
-func DirHasState(dir string) (bool, error) {
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log") {
-			return true, nil
-		}
-		if strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".json") {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// Bootstrap fetches the primary's snapshot and installs it into dir so a
-// subsequent server.Open recovers the snapshot state and appends shipped
+// Bootstrap fetches the primary's snapshot and installs it into dir on
+// fsys (nil selects the real filesystem) so a subsequent server.Open on
+// the same filesystem recovers the snapshot state and appends shipped
 // records from exactly the right LSN. dir must not already hold log
-// state (it may be freshly created). Returns the LSN the snapshot
-// covers; 0 means the primary had nothing journaled and the follower
-// starts empty.
-func Bootstrap(ctx context.Context, client *http.Client, primary, dir string) (wal.LSN, error) {
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Minute}
+// state (wal.HasState; it may be freshly created). Returns the LSN the
+// snapshot covers; 0 means the primary had nothing journaled and the
+// follower starts empty.
+func Bootstrap(ctx context.Context, fsys wal.FS, primary, dir string) (wal.LSN, error) {
+	if fsys == nil {
+		fsys = wal.OSFS()
 	}
+	client := &http.Client{Timeout: 5 * time.Minute}
 	base := strings.TrimRight(primary, "/")
 	u, err := url.Parse(base + "/v1/repl/snapshot")
 	if err != nil {
@@ -364,10 +334,10 @@ func Bootstrap(ctx context.Context, client *http.Client, primary, dir string) (w
 	if err != nil {
 		return 0, fmt.Errorf("repl: bootstrap read: %w", err)
 	}
-	if err := wal.WriteSnapshotFS(wal.OSFS(), dir, lsn, payload); err != nil {
+	if err := wal.WriteSnapshotFS(fsys, dir, lsn, payload); err != nil {
 		return 0, fmt.Errorf("repl: bootstrap install: %w", err)
 	}
-	if err := wal.InitAtFS(wal.OSFS(), dir, lsn+1); err != nil {
+	if err := wal.InitAtFS(fsys, dir, lsn+1); err != nil {
 		return 0, fmt.Errorf("repl: bootstrap init log: %w", err)
 	}
 	return lsn, nil

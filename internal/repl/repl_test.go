@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/wal"
+	"repro/internal/wal/errfs"
 )
 
 // The end-to-end behavior of Follower.Run — streaming, faults, kill/restart,
@@ -21,10 +22,18 @@ import (
 // and cmd/juryd suites. This file covers the package's pure pieces.
 
 func TestBackoffBounds(t *testing.T) {
-	f := NewFollower(nil, "http://primary", Options{
+	srv, err := server.Open(server.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.ClosePersistence()
+	f, err := NewFollower(srv, "http://primary", Options{
 		MinBackoff: 10 * time.Millisecond,
 		MaxBackoff: 500 * time.Millisecond,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for n := 1; n <= 40; n++ {
 		for i := 0; i < 50; i++ {
 			d := f.backoff(n)
@@ -39,41 +48,46 @@ func TestBackoffBounds(t *testing.T) {
 	}
 }
 
-func TestDirHasState(t *testing.T) {
-	cases := []struct {
-		name  string
-		files []string
-		want  bool
-	}{
-		{"missing dir", nil, false},
-		{"empty dir", []string{}, false},
-		{"unrelated files", []string{"notes.txt", "wal.log.bak"}, false},
-		{"identity and fence", []string{"follower-id", "fence.json"}, false},
-		{"wal segment", []string{"wal-00000001.log"}, true},
-		{"snapshot", []string{"snapshot-00000042.json"}, true},
-		{"both", []string{"wal-00000007.log", "snapshot-00000006.json"}, true},
+// TestNewFollowerKeepsDataDirIdentity: the follower sends the identity
+// its data dir keeps — one in the format juryd has always written is
+// read back unchanged, a fresh dir draws and keeps one, and a server
+// without a data dir has none to keep.
+func TestNewFollowerKeepsDataDirIdentity(t *testing.T) {
+	dir := t.TempDir()
+	const kept = "follower-0123456789abcdef"
+	if err := os.WriteFile(filepath.Join(dir, "follower-id"), []byte(kept+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "data")
-			if tc.files != nil {
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					t.Fatal(err)
-				}
-				for _, name := range tc.files {
-					if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			got, err := DirHasState(dir)
-			if err != nil {
-				t.Fatalf("DirHasState: %v", err)
-			}
-			if got != tc.want {
-				t.Fatalf("DirHasState(%v) = %v, want %v", tc.files, got, tc.want)
-			}
-		})
+	open := func(dir string) *server.Server {
+		srv, err := server.Open(server.Config{DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.ClosePersistence() })
+		return srv
+	}
+	idOf := func(srv *server.Server) string {
+		f, err := NewFollower(srv, "http://primary", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.id
+	}
+	if got := idOf(open(dir)); got != kept {
+		t.Fatalf("follower id = %q, want the kept %q", got, kept)
+	}
+
+	fresh := t.TempDir()
+	first := idOf(open(fresh))
+	if !strings.HasPrefix(first, "follower-") {
+		t.Fatalf("drawn follower id = %q, want follower-<hex>", first)
+	}
+	if again := idOf(open(fresh)); again != first {
+		t.Fatalf("follower id changed across opens: %q -> %q", first, again)
+	}
+
+	if _, err := NewFollower(server.New(server.Config{}), "http://primary", Options{}); err == nil {
+		t.Fatal("NewFollower on an in-memory server kept no identity but did not fail")
 	}
 }
 
@@ -122,9 +136,30 @@ func TestBootstrapInstallsSnapshot(t *testing.T) {
 	if gotLSN != snapLSN || string(got) != string(payload) {
 		t.Fatalf("installed snapshot = (%d, %q), want (%d, %q)", gotLSN, got, snapLSN, payload)
 	}
-	has, err := DirHasState(dir)
+	has, err := wal.HasState(wal.OSFS(), dir)
 	if err != nil || !has {
-		t.Fatalf("DirHasState after bootstrap = (%v, %v), want (true, nil)", has, err)
+		t.Fatalf("HasState after bootstrap = (%v, %v), want (true, nil)", has, err)
+	}
+}
+
+// TestBootstrapUsesCallerFS: Bootstrap writes through the filesystem it
+// is given, so a fault scripted there fails the install and leaves no
+// log state behind.
+func TestBootstrapUsesCallerFS(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(server.ReplSnapshotLSNHeader, "7")
+		w.Write([]byte(`{}`))
+	}))
+	defer ts.Close()
+	dir := t.TempDir()
+	fsys := errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpRename, Path: "snapshot-"})
+	_, err := Bootstrap(context.Background(), fsys, ts.URL, dir)
+	var ioErr *wal.IOError
+	if !errors.As(err, &ioErr) || ioErr.Op != "rename" {
+		t.Fatalf("Bootstrap = %v, want the injected rename *IOError", err)
+	}
+	if has, err := wal.HasState(fsys, dir); has || err != nil {
+		t.Fatalf("HasState after a failed bootstrap = (%v, %v), want (false, nil)", has, err)
 	}
 }
 
@@ -144,7 +179,7 @@ func TestBootstrapEmptyPrimary(t *testing.T) {
 		t.Fatalf("Bootstrap lsn = %d, want 0 for a never-journaled primary", lsn)
 	}
 	// Nothing installed: the follower starts empty and streams from 0.
-	if has, _ := DirHasState(dir); has {
+	if has, _ := wal.HasState(wal.OSFS(), dir); has {
 		t.Fatal("bootstrap from an empty primary must not install state")
 	}
 }

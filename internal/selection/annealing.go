@@ -1,11 +1,11 @@
 package selection
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
 
-	"repro/internal/anneal"
 	"repro/internal/conc"
 	"repro/internal/worker"
 )
@@ -13,6 +13,14 @@ import (
 // restartSeedStride separates the derived RNG seeds of annealing
 // restarts; restart r runs on Seed + r·restartSeedStride.
 const restartSeedStride = 0x9E3779B9
+
+// Algorithm 3's cooling schedule: the temperature starts at initialTemp
+// and halves after every level until it falls below epsilon (27 levels).
+const (
+	initialTemp = 1.0
+	cooling     = 0.5
+	epsilon     = 1e-8
+)
 
 // Annealing is the simulated-annealing JSP heuristic of Algorithm 3, with
 // the add-or-swap local search of Algorithm 4. The state is the selection
@@ -32,8 +40,6 @@ type Annealing struct {
 	// Objective is the quality model Select maximizes; Search takes its
 	// space ready-made and ignores it.
 	Objective Objective
-	// Schedule defaults to anneal.DefaultSchedule() when zero.
-	Schedule anneal.Schedule
 	// Seed makes runs reproducible. Two selectors with equal seeds and
 	// inputs return identical juries.
 	Seed int64
@@ -71,13 +77,6 @@ func (a Annealing) Select(pool worker.Pool, budget, alpha float64) (Result, erro
 // jury's Indices, JQ, Cost and Evaluations; Jury is left nil. The
 // evaluation of the empty starting jury counts.
 func (a Annealing) Search(sp Space, budget float64) (Result, error) {
-	schedule := a.Schedule
-	if schedule == (anneal.Schedule{}) {
-		schedule = anneal.DefaultSchedule()
-	}
-	if err := schedule.Validate(); err != nil {
-		return Result{}, err
-	}
 	restarts := a.Restarts
 	if restarts < 1 {
 		restarts = 1
@@ -86,7 +85,7 @@ func (a Annealing) Search(sp Space, budget float64) (Result, error) {
 	errs := make([]error, restarts)
 	conc.ForEach(runtime.GOMAXPROCS(0), restarts, func(r int) {
 		rng := rand.New(rand.NewSource(a.Seed + int64(r)*restartSeedStride))
-		results[r], errs[r] = a.run(sp, budget, schedule, rng)
+		results[r], errs[r] = a.run(sp, budget, rng)
 	})
 	// Fold in restart order so the result matches a sequential run
 	// bit for bit: the first error wins, ties keep the earlier restart.
@@ -150,7 +149,7 @@ func (s *annealSearch) objective(indices []int) (float64, error) {
 }
 
 // run executes one annealing pass (Algorithm 3).
-func (a Annealing) run(sp Space, budget float64, schedule anneal.Schedule, rng *rand.Rand) (Result, error) {
+func (a Annealing) run(sp Space, budget float64, rng *rand.Rand) (Result, error) {
 	n := len(sp.Costs)
 	eval, err := sp.NewEvaluator()
 	if err != nil {
@@ -165,15 +164,10 @@ func (a Annealing) run(sp Space, budget float64, schedule anneal.Schedule, rng *
 	bestMembers := append([]int(nil), s.members...)
 	bestCost := s.cost
 
-	var loopErr error
-	_, err = anneal.Run(schedule, func(temp float64) {
-		if loopErr != nil {
-			return
-		}
+	for temp := initialTemp; temp >= epsilon; temp *= cooling {
 		for step := 0; step < n; step++ {
 			if err := s.move(temp); err != nil {
-				loopErr = err
-				return
+				return Result{}, err
 			}
 			if s.curJQ > bestJQ {
 				bestJQ = s.curJQ
@@ -181,12 +175,6 @@ func (a Annealing) run(sp Space, budget float64, schedule anneal.Schedule, rng *
 				bestCost = s.cost
 			}
 		}
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	if loopErr != nil {
-		return Result{}, loopErr
 	}
 	sort.Ints(bestMembers)
 	return Result{
@@ -195,6 +183,19 @@ func (a Annealing) run(sp Space, budget float64, schedule anneal.Schedule, rng *
 		Cost:        bestCost,
 		Evaluations: s.evals,
 	}, nil
+}
+
+// accept is the Boltzmann acceptance rule for a maximization problem: a
+// move with objective change delta ≥ 0 is always accepted; a worsening
+// move is accepted with probability exp(delta/temp).
+func accept(delta, temp float64, rng *rand.Rand) bool {
+	if delta >= 0 {
+		return true
+	}
+	if temp <= 0 {
+		return false
+	}
+	return rng.Float64() <= math.Exp(delta/temp)
 }
 
 // move is one local search of Algorithm 3: draw a candidate r, add it
@@ -260,7 +261,7 @@ func (s *annealSearch) swap(r int, temp float64) error {
 		if err != nil {
 			return err
 		}
-		if anneal.Accept(newJQ-s.curJQ, temp, s.rng) {
+		if accept(newJQ-s.curJQ, temp, s.rng) {
 			s.selected[out] = false
 			s.members, s.spare = candidate, s.members
 			s.cost -= s.costs[out]
@@ -273,7 +274,7 @@ func (s *annealSearch) swap(r int, temp float64) error {
 	if err != nil {
 		return err
 	}
-	if anneal.Accept(newJQ-s.curJQ, temp, s.rng) {
+	if accept(newJQ-s.curJQ, temp, s.rng) {
 		s.selected[out] = false
 		s.selected[in] = true
 		s.members, s.spare = candidate, s.members

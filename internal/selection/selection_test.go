@@ -132,6 +132,70 @@ func TestSelectInputValidation(t *testing.T) {
 	}
 }
 
+// TestAcceptImprovingAlways: Algorithm 3's Boltzmann rule always takes
+// a move that does not worsen the objective, however cold.
+func TestAcceptImprovingAlways(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		if !accept(rng.Float64(), 1e-12, rng) {
+			t.Fatal("improving move rejected")
+		}
+	}
+	if !accept(0, 1e-12, rng) {
+		t.Fatal("neutral move rejected")
+	}
+}
+
+func TestAcceptWorseningFrequency(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	delta, temp := -0.5, 1.0
+	want := math.Exp(delta / temp)
+	accepted := 0
+	const trials = 100000
+	for i := 0; i < trials; i++ {
+		if accept(delta, temp, rng) {
+			accepted++
+		}
+	}
+	got := float64(accepted) / trials
+	if math.Abs(got-want) > 0.01 {
+		t.Fatalf("acceptance rate = %v, want ~%v", got, want)
+	}
+}
+
+func TestAcceptFrozenRejectsWorsening(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	if accept(-0.01, 0, rng) {
+		t.Fatal("worsening move accepted at T=0")
+	}
+}
+
+// Property: acceptance probability of worsening moves is monotone in
+// temperature — colder never accepts more often (statistically).
+func TestAcceptMonotoneInTemperatureProperty(t *testing.T) {
+	f := func(seed int64, dRaw, tRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		delta := -(float64(dRaw%100) + 1) / 100 // in [-1.01, -0.01]
+		hot := (float64(tRaw%50) + 51) / 100    // in (0.5, 1.01]
+		cold := hot / 4
+		const trials = 4000
+		hotAcc, coldAcc := 0, 0
+		for i := 0; i < trials; i++ {
+			if accept(delta, hot, rng) {
+				hotAcc++
+			}
+			if accept(delta, cold, rng) {
+				coldAcc++
+			}
+		}
+		// Allow statistical slack: 4 sigma ≈ 4·sqrt(0.25/4000) ≈ 0.032.
+		return float64(hotAcc-coldAcc)/trials > -0.05
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAnnealingFindsFigure1Optimum(t *testing.T) {
 	pool := figure1Pool()
 	sel := Annealing{Objective: BVExactObjective{}, Seed: 1}

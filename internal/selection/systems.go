@@ -3,7 +3,6 @@ package selection
 import (
 	"math"
 
-	"repro/internal/anneal"
 	"repro/internal/worker"
 )
 
@@ -28,8 +27,6 @@ type Auto struct {
 	MaxN int
 	// Seed drives the annealing path.
 	Seed int64
-	// Schedule configures annealing; zero uses the paper's schedule.
-	Schedule anneal.Schedule
 }
 
 // Name implements Selector.
@@ -40,7 +37,7 @@ func (a Auto) Select(pool worker.Pool, budget, alpha float64) (Result, error) {
 	if n := len(pool); n <= a.MaxN || (a.MaxN == 0 && n <= AutoExhaustiveMaxN) {
 		return Exhaustive{Objective: a.Objective}.Select(pool, budget, alpha)
 	}
-	return Annealing{Objective: a.Objective, Seed: a.Seed, Schedule: a.Schedule}.Select(pool, budget, alpha)
+	return Annealing{Objective: a.Objective, Seed: a.Seed}.Select(pool, budget, alpha)
 }
 
 // served is the search OPTJS and MVJS run: Auto, with two restarts and

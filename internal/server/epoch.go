@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -48,7 +51,7 @@ const EpochHeader = "X-Juryd-Epoch"
 const ReplEpochHeader = "X-Repl-Epoch"
 
 // fenceFile is the durable fence marker in the data dir. It is not log
-// state (DirHasState ignores it): a wiped-and-rebootstrapped node starts
+// state (wal.HasState ignores it): a wiped-and-rebootstrapped node starts
 // unfenced by construction.
 const fenceFile = "fence.json"
 
@@ -212,34 +215,53 @@ func loadFence(fsys wal.FS, dir string) (fenceDoc, bool, error) {
 	return doc, true, nil
 }
 
-// saveFence atomically installs the fence marker (write temp, sync,
-// rename) so a crash mid-write leaves either the old fence or the new.
+// saveFence installs the fence marker (wal.Install), so a crash leaves
+// either the old fence or the new, and a nil return means the fence
+// survives power loss.
 func saveFence(fsys wal.FS, dir string, doc fenceDoc) error {
 	payload, err := json.Marshal(doc)
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, fenceFile)
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
+	return wal.Install(fsys, dir, fenceFile, payload)
+}
+
+// followerIDFile holds a follower's replication identity in its data dir.
+const followerIDFile = "follower-id"
+
+// FollowerID returns the replication identity kept in the data dir,
+// drawing and installing (wal.Install) a random one on first use. The
+// primary counts -quorum confirmations per id, so the id must outlive
+// the process: under a fresh id, a restarted follower would confirm the
+// LSNs it had already confirmed a second time and count twice. The id
+// belongs to the data dir, so wiping the dir draws a new one; a server
+// without one has no identity to keep and gets an error.
+func (s *Server) FollowerID() (string, error) {
+	p := s.persist
+	if p == nil {
+		return "", errors.New("server: a follower identity needs a data dir")
 	}
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	path := filepath.Join(p.dir, followerIDFile)
+	data, err := p.fs.ReadFile(path)
+	if err == nil {
+		id := strings.TrimSpace(string(data))
+		if id == "" {
+			return "", fmt.Errorf("server: %s is empty", path)
+		}
+		return id, nil
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	if !errors.Is(err, os.ErrNotExist) {
+		return "", err
 	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "", err
 	}
-	return fsys.Rename(tmp, path)
+	id := "follower-" + hex.EncodeToString(b[:])
+	if err := wal.Install(p.fs, p.dir, followerIDFile, []byte(id+"\n")); err != nil {
+		return "", err
+	}
+	return id, nil
 }
 
 // FencedState reports whether the node is currently fenced, and by which

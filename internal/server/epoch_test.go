@@ -1,11 +1,17 @@
 package server
 
 import (
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/wal"
+	"repro/internal/wal/errfs"
 )
 
 // TestEpochTableLookup: the zero table is the implicit epoch 1
@@ -243,5 +249,86 @@ func TestPromoteRequiresPersistence(t *testing.T) {
 	resp, raw := postJSON(t, ts.URL+"/v1/repl/promote", PromoteRequest{})
 	if resp.StatusCode == http.StatusOK {
 		t.Fatalf("memory-only follower promoted: %s", raw)
+	}
+}
+
+// openOnInjector opens a durable server whose data dir lives behind a
+// fault injector with no rules yet: a test adds the one it needs once
+// boot is done.
+func openOnInjector(t *testing.T) (*Server, *errfs.FS, string) {
+	t.Helper()
+	dir := t.TempDir()
+	fsys := errfs.New(wal.OSFS())
+	s, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: dir, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.ClosePersistence() })
+	return s, fsys, dir
+}
+
+// TestMetadataInstallSyncsDataDir: fence.json and follower-id are
+// installed with a directory fsync after the rename, so neither can
+// vanish on power loss once the call returns. A sync rule on the data
+// dir's path lets the first sync under it (the temp file) pass and
+// fires on the second, which must be the directory itself.
+func TestMetadataInstallSyncsDataDir(t *testing.T) {
+	for _, tc := range []struct {
+		file    string
+		install func(*Server) error
+	}{
+		{fenceFile, func(s *Server) error { return s.Fence(2, "") }},
+		{followerIDFile, func(s *Server) error { _, err := s.FollowerID(); return err }},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			s, fsys, dir := openOnInjector(t)
+			fsys.Add(errfs.Fault{Op: errfs.OpSync, Path: dir, After: 1, Times: 1})
+			err := tc.install(s)
+			var ioErr *wal.IOError
+			if !errors.As(err, &ioErr) || ioErr.Op != "dirsync" || ioErr.Path != dir {
+				t.Fatalf("installing %s = %v, want the injected dirsync *IOError on %s", tc.file, err, dir)
+			}
+		})
+	}
+}
+
+// TestFenceInstallFailureKeepsMemoryFence: Fence's failure contract.
+// When fence.json cannot be installed, Fence returns the error but the
+// in-memory fence holds, and a fence delivered by a higher-epoch stream
+// poll counts the failure in juryd_fence_errors_total.
+func TestFenceInstallFailureKeepsMemoryFence(t *testing.T) {
+	s, fsys, dir := openOnInjector(t)
+	fsys.Add(errfs.Fault{Op: errfs.OpRename, Path: fenceFile})
+	if err := s.Fence(2, "http://new"); err == nil {
+		t.Fatal("Fence reported success with fence.json uninstallable")
+	}
+	if fenced, epoch, primary := s.FencedState(); !fenced || epoch != 2 || primary != "http://new" {
+		t.Fatalf("fenced state after a failed install = %v/%d/%q, want fenced at 2 by http://new", fenced, epoch, primary)
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	resp, err := http.Get(ts.URL + "/v1/repl/stream?from=0&epoch=3&follower_id=f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("higher-epoch poll: %d, want 409", resp.StatusCode)
+	}
+	if fenced, epoch, _ := s.FencedState(); !fenced || epoch != 3 {
+		t.Fatalf("fenced state after the poll = %v/%d, want fenced at 3", fenced, epoch)
+	}
+	mResp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(mResp.Body)
+	mResp.Body.Close()
+	if !strings.Contains(string(body), "juryd_fence_errors_total 1\n") {
+		t.Fatalf("metrics lack juryd_fence_errors_total 1:\n%s", body)
+	}
+	if _, err := os.Stat(filepath.Join(dir, fenceFile)); !os.IsNotExist(err) {
+		t.Fatalf("fence.json exists after every install failed: %v", err)
 	}
 }

@@ -184,6 +184,47 @@ func TestSnapshotRenameFault(t *testing.T) {
 	}
 }
 
+// TestInstallNamesFailedStep fails each step of wal.Install in turn: the
+// error names the step, and a failure before the rename leaves the old
+// file and no temp file behind. The last row is the directory fsync
+// after the rename: Install's second sync on a path under dir.
+func TestInstallNamesFailedStep(t *testing.T) {
+	for _, tc := range []struct {
+		op     string
+		fault  Fault
+		landed bool
+	}{
+		{"create", Fault{Op: OpCreate, Path: "meta.tmp"}, false},
+		{"write", Fault{Op: OpWrite, Path: "meta.tmp"}, false},
+		{"fsync", Fault{Op: OpSync, Path: "meta.tmp"}, false},
+		{"rename", Fault{Op: OpRename, Path: "meta"}, false},
+		{"dirsync", Fault{Op: OpSync, After: 1}, true},
+	} {
+		t.Run(tc.op, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := wal.Install(wal.OSFS(), dir, "meta", []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			fsys := New(wal.OSFS(), tc.fault)
+			err := wal.Install(fsys, dir, "meta", []byte("new"))
+			var ioErr *wal.IOError
+			if !errors.As(err, &ioErr) || ioErr.Op != tc.op {
+				t.Fatalf("err = %v, want *IOError with Op=%s", err, tc.op)
+			}
+			want := "old"
+			if tc.landed {
+				want = "new"
+			}
+			if got, err := os.ReadFile(filepath.Join(dir, "meta")); err != nil || string(got) != want {
+				t.Fatalf("meta = %q (%v), want %q", got, err, want)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "meta.tmp")); !os.IsNotExist(err) {
+				t.Fatalf("temp file left behind: %v", err)
+			}
+		})
+	}
+}
+
 func TestFaultTimesAndAfter(t *testing.T) {
 	fsys := New(wal.OSFS(), Fault{Op: OpRemove, After: 2, Times: 2})
 	dir := t.TempDir()

@@ -74,7 +74,10 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(release) // runs before Close, which waits on a held flush
 
 	p1, err := l.Begin([]byte("r1"))
 	if err != nil {
@@ -93,7 +96,7 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 		}
 		pending[i] = p
 	}
-	close(gate)
+	release()
 	if err := <-lead; err != nil {
 		t.Fatalf("leader Wait: %v", err)
 	}
@@ -132,7 +135,10 @@ func TestGroupCommitLeaderFailureDegradesWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(release) // runs before Close, which waits on a held flush
 
 	p1, err := l.Begin([]byte("doomed"))
 	if err != nil {
@@ -151,7 +157,7 @@ func TestGroupCommitLeaderFailureDegradesWaiters(t *testing.T) {
 		}
 		pending[i] = p
 	}
-	close(gate)
+	release()
 
 	leadErr := <-lead
 	var ioErr *wal.IOError
@@ -217,6 +223,9 @@ func TestGroupCommitLayoutMatchesPerRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(release) // a failed check must not leave a waiter held
 	var wg sync.WaitGroup
 	errs := make(chan error, len(payloads))
 	begin := func(p []byte) {
@@ -236,7 +245,7 @@ func TestGroupCommitLayoutMatchesPerRecord(t *testing.T) {
 	for _, p := range payloads[1 : 1+held] {
 		begin(p)
 	}
-	close(gate)
+	release()
 	wg.Wait()
 	for _, p := range payloads[1+held:] {
 		begin(p)

@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -40,7 +41,10 @@ func TestBeginBackpressureAtStagingCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(release) // runs before Close, which waits on a held flush
 
 	payload := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 64<<10) }
 	first, err := l.Begin(payload(0))
@@ -70,7 +74,7 @@ func TestBeginBackpressureAtStagingCap(t *testing.T) {
 		done <- err
 	}()
 	stillBlocked(t, done, "Begin past the staging cap")
-	close(gate)
+	release()
 	if err := <-lead; err != nil {
 		t.Fatalf("leader Wait: %v", err)
 	}

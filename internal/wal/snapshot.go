@@ -11,10 +11,10 @@ import (
 // Snapshots are whole-state JSON documents named snapshot-<lsn>.json,
 // where <lsn> (16 hex digits) is the last WAL record the state includes:
 // recovery loads the newest snapshot and replays records lsn+1... on top.
-// A snapshot is written to a temp file and renamed into place, so a crash
-// mid-write leaves the previous snapshot intact; once the rename lands,
-// older snapshots (and, via Log.TruncateBefore, fully-covered WAL
-// segments) are garbage and are removed.
+// A snapshot is installed whole (Install), so a crash mid-write leaves
+// the previous snapshot intact; once the rename lands, older snapshots
+// (and, via Log.TruncateBefore, fully-covered WAL segments) are garbage
+// and are removed.
 
 // snapshotName renders the file name of the snapshot covering lsn.
 func snapshotName(lsn LSN) string {
@@ -37,50 +37,20 @@ func parseSnapshotName(name string) (LSN, bool) {
 	return LSN(n), true
 }
 
-// WriteSnapshot atomically installs payload as the snapshot covering
-// records 1..lsn and removes older snapshot files. The temp file is
-// fsynced before the rename and the directory after it — a snapshot
-// whose data or directory entry could evaporate on power loss would be
-// worse than none, because installing it deletes its predecessor (and
-// lets the caller truncate the WAL the predecessor needed).
-func WriteSnapshot(dir string, lsn LSN, payload []byte) error {
-	return WriteSnapshotFS(OSFS(), dir, lsn, payload)
-}
-
-// WriteSnapshotFS is WriteSnapshot on an explicit filesystem. Failures
-// surface as *IOError naming the stage that broke (write, fsync, the
-// installing rename, the directory sync); on any failure before the
-// rename lands the previous snapshot is untouched.
+// WriteSnapshotFS installs payload as the snapshot covering records
+// 1..lsn (Install: temp file, fsync, rename, directory fsync) and removes
+// older snapshot files. Both syncs matter: a snapshot whose data or
+// directory entry could evaporate on power loss would be worse than
+// none, because installing it deletes its predecessor (and lets the
+// caller truncate the WAL the predecessor needed). Failures surface as
+// Install's *IOError; on any failure before the rename lands the
+// previous snapshot is untouched.
 func WriteSnapshotFS(fsys FS, dir string, lsn LSN, payload []byte) error {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(dir, snapshotName(lsn))
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return &IOError{Op: "create", Path: tmp, Err: err}
-	}
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return &IOError{Op: "write", Path: tmp, Err: err}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return &IOError{Op: "fsync", Path: tmp, Err: err}
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return &IOError{Op: "close", Path: tmp, Err: err}
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return &IOError{Op: "rename", Path: path, Err: err}
-	}
-	if err := syncDir(fsys, dir); err != nil {
-		return &IOError{Op: "dirsync", Path: dir, Err: err}
+	if err := Install(fsys, dir, snapshotName(lsn), payload); err != nil {
+		return err
 	}
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -96,13 +66,8 @@ func WriteSnapshotFS(fsys FS, dir string, lsn LSN, payload []byte) error {
 	return nil
 }
 
-// LatestSnapshot loads the newest snapshot in dir. found is false when
+// LatestSnapshotFS loads the newest snapshot in dir. found is false when
 // the directory holds no snapshot (or does not exist yet).
-func LatestSnapshot(dir string) (lsn LSN, payload []byte, found bool, err error) {
-	return LatestSnapshotFS(OSFS(), dir)
-}
-
-// LatestSnapshotFS is LatestSnapshot on an explicit filesystem.
 func LatestSnapshotFS(fsys FS, dir string) (lsn LSN, payload []byte, found bool, err error) {
 	entries, err := fsys.ReadDir(dir)
 	if os.IsNotExist(err) {

@@ -1,7 +1,8 @@
 // Package wal implements the write-ahead log behind the durable juryd
 // daemon: an append-only sequence of length-prefixed, CRC32-checksummed
 // records split across rotating segment files, plus atomically-replaced
-// JSON snapshots that bound replay time (snapshot.go).
+// JSON snapshots that bound replay time (snapshot.go). It owns every
+// write to the data directory those files share (dir.go).
 //
 // Format. A segment file is named wal-<first>.log, where <first> is the
 // 16-hex-digit LSN of its first record; a record is

@@ -284,16 +284,16 @@ func TestOversizedAppendRejected(t *testing.T) {
 
 func TestSnapshotWriteAndLatest(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, found, err := LatestSnapshot(dir); err != nil || found {
+	if _, _, found, err := LatestSnapshotFS(OSFS(), dir); err != nil || found {
 		t.Fatalf("LatestSnapshot(empty) = found %v, err %v", found, err)
 	}
-	if err := WriteSnapshot(dir, 5, []byte(`{"v":1}`)); err != nil {
+	if err := WriteSnapshotFS(OSFS(), dir, 5, []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshot(dir, 9, []byte(`{"v":2}`)); err != nil {
+	if err := WriteSnapshotFS(OSFS(), dir, 9, []byte(`{"v":2}`)); err != nil {
 		t.Fatal(err)
 	}
-	lsn, payload, found, err := LatestSnapshot(dir)
+	lsn, payload, found, err := LatestSnapshotFS(OSFS(), dir)
 	if err != nil || !found {
 		t.Fatalf("LatestSnapshot: found %v, err %v", found, err)
 	}
@@ -351,5 +351,47 @@ func TestScanSegmentValidPrefixProperty(t *testing.T) {
 	}
 	if fmt.Sprint(first) != fmt.Sprint(second) {
 		t.Fatalf("rescan records %q != first scan %q", second, first)
+	}
+}
+
+// TestHasState: only segments and snapshots, under the names Open and
+// recovery read, are log state; a missing dir, node metadata and
+// look-alike names are not.
+func TestHasState(t *testing.T) {
+	cases := []struct {
+		name  string
+		files []string
+		want  bool
+	}{
+		{"missing dir", nil, false},
+		{"empty dir", []string{}, false},
+		{"unrelated files", []string{"notes.txt", "wal.log.bak"}, false},
+		{"identity and fence", []string{"follower-id", "fence.json"}, false},
+		{"malformed names", []string{"wal-00000001.log", "snapshot-42.json", "snapshot-0000000000000042.json.tmp"}, false},
+		{"wal segment", []string{segmentName(1)}, true},
+		{"snapshot", []string{snapshotName(0x42)}, true},
+		{"both", []string{segmentName(7), snapshotName(6)}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "data")
+			if tc.files != nil {
+				if err := os.MkdirAll(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range tc.files {
+					if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			got, err := HasState(OSFS(), dir)
+			if err != nil {
+				t.Fatalf("HasState: %v", err)
+			}
+			if got != tc.want {
+				t.Fatalf("HasState(%v) = %v, want %v", tc.files, got, tc.want)
+			}
+		})
 	}
 }

@@ -64,6 +64,9 @@ func TestChaosGroupCommitFaultMidBatch(t *testing.T) {
 		Op: errfs.OpSync, Path: "wal-", After: 3, Times: 1,
 		Gate: gate, DropUnsynced: true, Err: errfs.ErrInjected,
 	})
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(release) // before the HTTP server's: a failed check must not hang it
 
 	setup := []Step{
 		Register(
@@ -106,7 +109,7 @@ func TestChaosGroupCommitFaultMidBatch(t *testing.T) {
 		// setup=1..3, leader=4, followers 5.. staged in order
 		waitNextLSN(t, env, uint64(len(setup)+2+i+1))
 	}
-	close(gate)
+	release()
 
 	for i := 0; i < 1+len(followerSteps); i++ {
 		var err error
@@ -240,6 +243,9 @@ func TestPropertyGroupCommitReplayEqualsPerRecord(t *testing.T) {
 	batchCfg.SegmentBytes = 512
 	batchEnv, fsys := StartFaulty(t, batchCfg,
 		errfs.Fault{Op: errfs.OpSync, Path: "wal-", Times: 1, Gate: gate})
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(release) // before the HTTP server's: a failed check must not hang it
 	errs := make(chan error, 1+held)
 	for i, step := range script[:1+held] {
 		go func(step Step) { errs <- step(batchEnv) }(step)
@@ -249,7 +255,7 @@ func TestPropertyGroupCommitReplayEqualsPerRecord(t *testing.T) {
 			waitNextLSN(t, batchEnv, uint64(i+2)) // staged in script order
 		}
 	}
-	close(gate)
+	release()
 	for range 1 + held {
 		if err := <-errs; err != nil {
 			t.Fatalf("batched step: %v", err)

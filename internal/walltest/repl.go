@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/repl"
 	"repro/internal/server"
+	"repro/internal/wal"
 )
 
 // FollowerEnv is one follower: a durable Env in follower mode plus its
@@ -66,12 +67,12 @@ func StartFollower(t testing.TB, cfg server.Config, primaryURL string) *Follower
 // then streams only the tail.
 func BootstrapFollower(t testing.TB, cfg server.Config, primaryURL string) *FollowerEnv {
 	t.Helper()
-	has, err := repl.DirHasState(cfg.DataDir)
+	has, err := wal.HasState(cfg.FS, cfg.DataDir)
 	if err != nil {
 		t.Fatalf("walltest: probe %s: %v", cfg.DataDir, err)
 	}
 	if !has {
-		if _, err := repl.Bootstrap(context.Background(), nil, primaryURL, cfg.DataDir); err != nil {
+		if _, err := repl.Bootstrap(context.Background(), cfg.FS, primaryURL, cfg.DataDir); err != nil {
 			t.Fatalf("walltest: bootstrap follower: %v", err)
 		}
 	}
@@ -79,10 +80,13 @@ func BootstrapFollower(t testing.TB, cfg server.Config, primaryURL string) *Foll
 }
 
 func (fe *FollowerEnv) startLoop() {
+	f, err := repl.NewFollower(fe.Srv, fe.Primary, fastOpts())
+	if err != nil {
+		fe.t.Fatalf("walltest: %v", err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	fe.cancel = cancel
 	fe.exited = make(chan struct{})
-	f := repl.NewFollower(fe.Srv, fe.Primary, fastOpts())
 	go func() {
 		fe.err = f.Run(ctx)
 		close(fe.exited)

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -54,6 +57,69 @@ func TestReplFollowersConverge(t *testing.T) {
 		t.Fatalf("follower readyz: %v %d, want 200", err, resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestReplFollowerRestartKeepsQuorumIdentity is the in-process twin of
+// cmd/juryd's TestDaemonFollowerRestartKeepsQuorumIdentity: a follower
+// restarted on the same data dir confirms under the identity it had
+// before, so one copy of the log never counts twice toward the quorum.
+// With quorum 3 and one follower, a write that the follower confirms,
+// and confirms again after a restart, must time out with 503.
+func TestReplFollowerRestartKeepsQuorumIdentity(t *testing.T) {
+	cfg := BaseConfig(t.TempDir())
+	cfg.Quorum, cfg.QuorumTimeout = 3, 2*time.Second
+	primary := Start(t, cfg)
+	// The follower streams through front, which reports the first poll
+	// from LSN 1 once the primary has answered it: by then the primary
+	// has recorded the follower's confirmation of the write.
+	confirmed := make(chan struct{})
+	var once sync.Once
+	h := primary.Srv.Handler()
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.URL.Path == "/v1/repl/stream" && r.URL.Query().Get("from") == "1" {
+			once.Do(func() { close(confirmed) })
+		}
+	}))
+	t.Cleanup(front.Close)
+	fDir := t.TempDir()
+	f := StartFollower(t, BaseConfig(fDir), front.URL)
+	idBefore, err := os.ReadFile(filepath.Join(fDir, "follower-id"))
+	if err != nil {
+		t.Fatalf("follower kept no identity: %v", err)
+	}
+
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(primary.HTTP.URL+"/v1/workers", "application/json",
+			strings.NewReader(`{"workers":[{"id":"a","quality":0.8,"cost":1}]}`))
+		if err != nil {
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	select {
+	case <-confirmed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower never confirmed the write")
+	}
+	f.Kill()
+	f.Restart(t)
+
+	select {
+	case code := <-status:
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("write confirmed by one follower across a restart answered %d, want 503", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("quorum-gated write never answered")
+	}
+	idAfter, err := os.ReadFile(filepath.Join(fDir, "follower-id"))
+	if err != nil || string(idAfter) != string(idBefore) {
+		t.Fatalf("follower identity changed across a restart: %q -> %q (%v)", idBefore, idAfter, err)
+	}
 }
 
 // TestReplFollowerRejectsMutations asserts the write-path fence: a
