@@ -370,27 +370,22 @@ func BenchmarkAblationSweepParallel(b *testing.B) {
 // the serving subsystem exists to provide. The cached-untraced variant
 // disables request tracing (TraceBuffer: -1); comparing it against
 // cached bounds the span recorder's overhead on the hottest path.
+//
+// uncached-N128 is jurybench's select-uncached-N128 request stream in
+// process: a 128-worker pool of the benchmark's shape, budgets 5, 10, 15
+// and 20 in turn and a fresh seed per request, so its allocs/op and B/op
+// show what one served select costs the garbage collector.
 func BenchmarkServerSelect(b *testing.B) {
-	run := func(b *testing.B, cacheSize, traceBuffer int) {
+	run := func(b *testing.B, cacheSize, traceBuffer int, specs []server.WorkerSpec, body func(i int) []byte) {
 		srv := server.New(server.Config{Alpha: 0.5, Seed: 1, CacheSize: cacheSize, TraceBuffer: traceBuffer})
-		rng := rand.New(rand.NewSource(42))
-		specs := make([]server.WorkerSpec, 60)
-		for i := range specs {
-			specs[i] = server.WorkerSpec{
-				ID:      "w" + strconv.Itoa(i),
-				Quality: 0.55 + 0.4*rng.Float64(),
-				Cost:    1 + 9*rng.Float64(),
-			}
-		}
 		if _, err := srv.Registry().Register(context.Background(), specs, 0); err != nil {
 			b.Fatal(err)
 		}
 		h := srv.Handler()
-		body := []byte(`{"budget":40}`)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest(http.MethodPost, "/v1/select", bytes.NewReader(body))
+			req := httptest.NewRequest(http.MethodPost, "/v1/select", bytes.NewReader(body(i)))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			if w.Code != http.StatusOK {
@@ -398,9 +393,42 @@ func BenchmarkServerSelect(b *testing.B) {
 			}
 		}
 	}
-	b.Run("cached", func(b *testing.B) { run(b, 0, 0) })
-	b.Run("cached-untraced", func(b *testing.B) { run(b, 0, -1) })
-	b.Run("uncached", func(b *testing.B) { run(b, -1, 0) })
+	rng := rand.New(rand.NewSource(42))
+	specs := make([]server.WorkerSpec, 60)
+	for i := range specs {
+		specs[i] = server.WorkerSpec{
+			ID:      "w" + strconv.Itoa(i),
+			Quality: 0.55 + 0.4*rng.Float64(),
+			Cost:    1 + 9*rng.Float64(),
+		}
+	}
+	budget40 := []byte(`{"budget":40}`)
+	fixed := func(int) []byte { return budget40 }
+	b.Run("cached", func(b *testing.B) { run(b, 0, 0, specs, fixed) })
+	b.Run("cached-untraced", func(b *testing.B) { run(b, 0, -1, specs, fixed) })
+	b.Run("uncached", func(b *testing.B) { run(b, -1, 0, specs, fixed) })
+
+	// The worker of quality rank i draws its quality inside the i-th of
+	// 128 equal strata of [0.55, 0.95) and costs 1 + 2i mod 5; the
+	// registration order is a random permutation.
+	shaped := make([]server.WorkerSpec, 128)
+	for i, slot := range rng.Perm(len(shaped)) {
+		shaped[slot] = server.WorkerSpec{
+			ID:      "n128-w" + strconv.Itoa(slot),
+			Quality: 0.55 + 0.4*(float64(i)+rng.Float64())/float64(len(shaped)),
+			Cost:    float64(1 + 2*i%5),
+		}
+	}
+	budgets := []int{5, 10, 15, 20}
+	var buf []byte
+	fresh := func(i int) []byte {
+		buf = append(buf[:0], `{"budget":`...)
+		buf = strconv.AppendInt(buf, int64(budgets[i%len(budgets)]), 10)
+		buf = append(buf, `,"seed":`...)
+		buf = strconv.AppendInt(buf, int64(i)+1, 10)
+		return append(buf, '}')
+	}
+	b.Run("uncached-N128", func(b *testing.B) { run(b, -1, 0, shaped, fresh) })
 }
 
 // BenchmarkServerMultiSelect measures the multi-choice serving path end

@@ -42,7 +42,13 @@
 // score, and a factory for a selection.Evaluator that scores juries as
 // index slices. Every Objective (BV, MV, BV-exact) builds that
 // evaluator from its jq engine, so the annealing swap loop allocates
-// nothing per move. The multi-choice selectors of internal/multichoice
+// nothing per move. Nor does a whole search allocate much: an Estimator's
+// tables, DP lists and memo map come from a sync.Pool, and every search
+// hands them back through Estimator.Release, memo cleared, when its pass
+// ends; annealing recycles its restarts' RNGs the same way. A served N = 128 select so
+// allocates ~10 KB instead of ~200 KB, which cuts the CPU the garbage
+// collector spends per request (BenchmarkServerSelect/uncached-N128
+// reports it in process). The multi-choice selectors of internal/multichoice
 // build their own Space, whose evaluator scores the materialized
 // subset, and run the same searches. Evaluators are single-goroutine;
 // parallel searches build one each. Annealing restarts fan out across a

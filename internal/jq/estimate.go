@@ -75,16 +75,18 @@ type Result struct {
 // O(n · live keys) ≤ O(numBuckets · n²).
 //
 // Estimate is a one-shot, memo-less Estimator over the whole pool, so the
-// two are bit-identical by construction.
+// two are bit-identical by construction; it releases the Estimator's
+// memory before returning.
 func Estimate(pool worker.Pool, alpha float64, opts Options) (Result, error) {
 	opts.DisableMemo = true
 	e, err := NewEstimator(pool, alpha, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	e.idx = make([]int, len(pool))
-	for i := range e.idx {
-		e.idx[i] = i
+	defer e.Release()
+	e.idx = e.idx[:0]
+	for i := range pool {
+		e.idx = append(e.idx, i)
 	}
 	return e.evalSubset(), nil
 }

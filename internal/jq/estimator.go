@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/worker"
 )
@@ -15,6 +16,14 @@ import (
 // annealing run visits, while keeping a runaway caller from exhausting
 // memory.
 const DefaultMemoLimit = 1 << 17
+
+// maxPooledMemo is the largest memo a released Estimator's scratch may
+// carry back into scratchPool. A cleared map keeps its buckets, so a
+// scratch whose memo outgrew this (an exhaustive search over a 15-worker
+// pool memoizes 32,768 juries) is dropped rather than pinning megabytes
+// for the next request; one annealing pass over N = 128 memoizes a few
+// hundred.
+const maxPooledMemo = 8192
 
 // ErrIndexRange is returned when a subset refers to a worker outside the
 // evaluator's candidate pool.
@@ -51,31 +60,48 @@ type EstimatorStats struct {
 //
 // An Estimator is NOT safe for concurrent use: it owns scratch buffers
 // and the memo table. Parallel searches must construct one each.
+//
+// An Estimator's memory comes from a package-level pool: Release hands
+// it back with the memo cleared, so a search that releases its
+// Estimator lets the next one evaluate without growing DP lists or a
+// memo map from empty. An Estimator that is never released is simply
+// garbage-collected.
 type Estimator struct {
 	alpha    float64
 	opts     Options
 	poolSize int
 
-	// Per-worker precomputation over the normalized pool (Section 3.3:
-	// q < 0.5 reinterpreted as 1−q), plus the Theorem 3 pseudo-worker
-	// when α ≠ 0.5.
-	qs       []float64 // normalized qualities, by pool index
-	phis     []float64 // φ(q_i) = ln(q_i/(1−q_i)), by pool index
+	// The Theorem 3 pseudo-worker, when α ≠ 0.5.
 	hasPrior bool
 	priorQ   float64
 	priorPhi float64
 
-	// Scratch, reused across evaluations.
+	*scratch
+
+	// memoLimit caps the memo; zero means the memo is off.
+	memoLimit int
+	stats     EstimatorStats
+}
+
+// scratch is the memory an Estimator recycles through scratchPool: the
+// per-worker precomputation over the normalized pool (Section 3.3: q <
+// 0.5 reinterpreted as 1−q), the buffers one evaluation works in, and
+// the memo table. The buffers only grow, so an Estimator built on a
+// recycled scratch stops allocating once they fit its largest jury.
+type scratch struct {
+	qs   []float64 // normalized qualities, by pool index
+	phis []float64 // φ(q_i) = ln(q_i/(1−q_i)), by pool index
+
 	idx       []int
 	workers   []bucketedWorker
 	aggregate []int
 	lists     [2][]keyMass
 	keyBuf    []byte
 
-	memo      map[string]Result
-	memoLimit int
-	stats     EstimatorStats
+	memo map[string]Result
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // phiOf is the Bayesian log-odds weight of a normalized quality.
 func phiOf(q float64) float64 { return math.Log(q / (1 - q)) }
@@ -99,9 +125,10 @@ func NewEstimator(pool worker.Pool, alpha float64, opts Options) (*Estimator, er
 		alpha:    alpha,
 		opts:     opts,
 		poolSize: len(pool),
-		qs:       make([]float64, len(pool)),
-		phis:     make([]float64, len(pool)),
+		scratch:  scratchPool.Get().(*scratch),
 	}
+	e.qs = slices.Grow(e.qs[:0], len(pool))[:len(pool)]
+	e.phis = slices.Grow(e.phis[:0], len(pool))[:len(pool)]
 	for i, w := range pool {
 		q := w.Quality
 		if q < 0.5 {
@@ -124,9 +151,28 @@ func NewEstimator(pool worker.Pool, alpha float64, opts Options) (*Estimator, er
 		if e.memoLimit == 0 {
 			e.memoLimit = DefaultMemoLimit
 		}
-		e.memo = make(map[string]Result)
+		if e.memo == nil {
+			e.memo = make(map[string]Result)
+		}
 	}
 	return e, nil
+}
+
+// Release clears the memo and returns the Estimator's memory for a later
+// NewEstimator to reuse; no later result can depend on this Estimator's
+// evaluations. The Estimator must not be used afterwards. Releasing
+// twice is harmless.
+func (e *Estimator) Release() {
+	s := e.scratch
+	if s == nil {
+		return
+	}
+	e.scratch = nil
+	if len(s.memo) > maxPooledMemo {
+		return
+	}
+	clear(s.memo)
+	scratchPool.Put(s)
 }
 
 // Alpha returns the prior the estimator was built for.
@@ -175,7 +221,8 @@ func (e *Estimator) evalCanonical() (Result, error) {
 		return Result{}, fmt.Errorf("%w: n=%d, indices %v", ErrIndexRange, e.poolSize, e.idx)
 	}
 	e.stats.Evals++
-	if e.memo != nil {
+	memoOn := e.memoLimit > 0
+	if memoOn {
 		e.signature()
 		if res, ok := e.memo[string(e.keyBuf)]; ok {
 			e.stats.Hits++
@@ -184,7 +231,7 @@ func (e *Estimator) evalCanonical() (Result, error) {
 	}
 	e.stats.Misses++
 	res := e.evalSubset()
-	if e.memo != nil && len(e.memo) < e.memoLimit {
+	if memoOn && len(e.memo) < e.memoLimit {
 		e.memo[string(e.keyBuf)] = res
 	}
 	return res, nil

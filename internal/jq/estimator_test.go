@@ -95,6 +95,83 @@ func TestEstimatorMatchesEstimateBitIdentical(t *testing.T) {
 	}
 }
 
+// TestEstimatorRecyclingMatchesEstimate: an Estimator built on memory
+// another Estimator released answers exactly as a fresh one. Four
+// Estimators over different pools (N from 1 to 128, priors at and off
+// 0.5, memo on and off, 5, 50 and 200 buckets) are alive at once and
+// their evaluations interleave; after each round one is released and a
+// new one built in its place, so it starts on DP lists, tables and a
+// memo map that another pool grew. Juries are revisited so the memo
+// answers too. Every Result field — JQ, Bound, KeysVisited, KeysPruned
+// and ShortCircuited — must equal a fresh Estimate's, bit for bit; a
+// memo entry that survived Release would answer for the wrong pool.
+func TestEstimatorRecyclingMatchesEstimate(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	type live struct {
+		est   *Estimator
+		pool  worker.Pool
+		alpha float64
+		opts  Options
+		seen  [][]int
+	}
+	build := func() *live {
+		// Small pools make juries, and so memo keys, repeat across pools.
+		n := 1 + rng.Intn(8)
+		if rng.Intn(2) == 0 {
+			n = 1 + rng.Intn(128)
+		}
+		l := &live{
+			pool:  randomPool(rng, n),
+			alpha: []float64{0.5, 0.5, 0.3, 0.9}[rng.Intn(4)],
+			opts: Options{
+				NumBuckets:  []int{5, 50, 200}[rng.Intn(3)],
+				DisableMemo: rng.Intn(3) == 0,
+			},
+		}
+		if rng.Intn(2) == 0 {
+			// No short-circuiting worker, so every jury runs the DP.
+			for i := range l.pool {
+				l.pool[i].Quality = 0.05 + 0.9*rng.Float64()
+			}
+		}
+		var err error
+		if l.est, err = NewEstimator(l.pool, l.alpha, l.opts); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	lives := []*live{build(), build(), build(), build()}
+	for round := 0; round < 150; round++ {
+		for _, l := range lives {
+			for range 3 {
+				subset := randomSubset(rng, len(l.pool))
+				if len(l.seen) > 0 && rng.Intn(3) == 0 {
+					subset = l.seen[rng.Intn(len(l.seen))]
+				}
+				l.seen = append(l.seen, subset)
+				got, err := l.est.Eval(subset)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Estimate(l.pool.Subset(sortedInts(subset)), l.alpha, l.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("round %d, N=%d alpha %v opts %+v, subset %v:\n got %+v\nwant %+v",
+						round, len(l.pool), l.alpha, l.opts, subset, got, want)
+				}
+			}
+		}
+		k := rng.Intn(len(lives))
+		lives[k].est.Release()
+		lives[k] = build()
+	}
+	for _, l := range lives {
+		l.est.Release()
+	}
+}
+
 // Revisiting a jury — in any index order — must hit the memo and return
 // the identical Result.
 func TestEstimatorMemoization(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/conc"
 	"repro/internal/worker"
@@ -13,6 +14,11 @@ import (
 // restartSeedStride separates the derived RNG seeds of annealing
 // restarts; restart r runs on Seed + r·restartSeedStride.
 const restartSeedStride = 0x9E3779B9
+
+// rngPool recycles the restarts' generators: a math/rand source is 4.9 KB,
+// and Seed puts a recycled one in exactly the state rand.NewSource would
+// build.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
 // Algorithm 3's cooling schedule: the temperature starts at initialTemp
 // and halves after every level until it falls below epsilon (27 levels).
@@ -84,8 +90,10 @@ func (a Annealing) Search(sp Space, budget float64) (Result, error) {
 	results := make([]Result, restarts)
 	errs := make([]error, restarts)
 	conc.ForEach(runtime.GOMAXPROCS(0), restarts, func(r int) {
-		rng := rand.New(rand.NewSource(a.Seed + int64(r)*restartSeedStride))
+		rng := rngPool.Get().(*rand.Rand)
+		rng.Seed(a.Seed + int64(r)*restartSeedStride)
 		results[r], errs[r] = a.run(sp, budget, rng)
+		rngPool.Put(rng)
 	})
 	// Fold in restart order so the result matches a sequential run
 	// bit for bit: the first error wins, ties keep the earlier restart.
@@ -155,6 +163,7 @@ func (a Annealing) run(sp Space, budget float64, rng *rand.Rand) (Result, error)
 	if err != nil {
 		return Result{}, err
 	}
+	defer release(eval)
 	s := newAnnealSearch(sp, eval, budget, rng, a.AllowRemoval)
 	s.curJQ, err = s.objective(s.members)
 	if err != nil {

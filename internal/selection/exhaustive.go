@@ -49,6 +49,7 @@ func (e Exhaustive) Search(sp Space, budget float64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer release(eval)
 	best := Result{JQ: -1, Indices: []int{}}
 	evals := 0
 	indices := make([]int, 0, n)

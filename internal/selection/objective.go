@@ -44,6 +44,17 @@ type Evaluator interface {
 	Eval(indices []int) (float64, error)
 }
 
+// releaser is implemented by evaluators whose memory is recycled across
+// searches (the jq.Estimator behind BVObjective).
+type releaser interface{ Release() }
+
+// release hands eval's memory back once a search is done with it.
+func release(eval Evaluator) {
+	if r, ok := eval.(releaser); ok {
+		r.Release()
+	}
+}
+
 // Space is the index-level view of a candidate pool that every search
 // runs on: binary pools build one from their Objective, and the
 // multi-choice selectors of package multichoice build their own.
@@ -81,7 +92,9 @@ func (sp Space) scoreOne(indices []int, cost float64) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		if score, err = eval.Eval(indices); err != nil {
+		score, err = eval.Eval(indices)
+		release(eval)
+		if err != nil {
 			return Result{}, err
 		}
 	}
@@ -102,6 +115,8 @@ func (e bvEvaluator) Eval(indices []int) (float64, error) {
 	return res.JQ, nil
 }
 
+func (e bvEvaluator) Release() { e.est.Release() }
+
 // BVObjective scores juries with the bucket-approximated JQ under Bayesian
 // Voting (Algorithm 1). This is the OPTJS objective.
 type BVObjective struct {
@@ -113,7 +128,7 @@ type BVObjective struct {
 func (o BVObjective) Name() string { return "BV" }
 
 // NewEvaluator implements Objective with a memoizing jq.Estimator built
-// once for the pool.
+// once for the pool; the searches release it when their pass ends.
 func (o BVObjective) NewEvaluator(pool worker.Pool, alpha float64) (Evaluator, error) {
 	est, err := jq.NewEstimator(pool, alpha, jq.Options{NumBuckets: o.NumBuckets})
 	if err != nil {

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"cmp"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strconv"
 	"sync"
@@ -323,4 +327,94 @@ func TestSignatureNamesJuryState(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no select was served from the cache")
 	}
+}
+
+// TestConcurrentSelectsShareNoScratch: the estimator memory a select
+// recycles is never shared between selects in flight. Uncached selects
+// over three pools of one server (40 workers: the removal search, whose
+// two restarts run in parallel; 20; and 12: exhaustive search) run
+// concurrently as single and batch requests, and each must return the
+// jury and JQ, to the bit, that the same select returned run alone. Run
+// it under -race: a scratch handed to two selects at once races, and a
+// memo carried from one select into the next returns a stale JQ.
+func TestConcurrentSelectsShareNoScratch(t *testing.T) {
+	s := New(Config{Alpha: 0.5, Seed: 1, CacheSize: -1, Workers: 4})
+	specs := make([]WorkerSpec, 40)
+	ids := make([]string, len(specs))
+	for i := range specs {
+		ids[i] = fmt.Sprintf("w%02d", i)
+		specs[i] = WorkerSpec{ID: ids[i], Quality: 0.55 + 0.4*float64((i*17)%40)/40, Cost: float64(1 + 2*i%5)}
+	}
+	if _, err := s.registry.Register(context.Background(), specs, 0); err != nil {
+		t.Fatal(err)
+	}
+	pools := [][]string{ids, ids[:20], ids[28:]}
+	budgets := []float64{5, 10, 15, 20}
+	seeds := []int64{1, 2}
+	type query struct {
+		pool   int
+		seed   int64
+		budget float64
+	}
+	request := func(q query) SelectRequest {
+		return SelectRequest{Budget: q.budget, Seed: &q.seed, WorkerIDs: pools[q.pool]}
+	}
+	want := map[query]SelectResponse{}
+	var queries []query
+	for p := range pools {
+		for _, seed := range seeds {
+			for _, b := range budgets {
+				q := query{p, seed, b}
+				res, err := s.selectOne(context.Background(), request(q))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[q], queries = res, append(queries, q)
+			}
+		}
+	}
+	same := func(got, want SelectResponse) bool {
+		return math.Float64bits(got.JQ) == math.Float64bits(want.JQ) && slices.Equal(got.Jury, want.Jury)
+	}
+
+	h := s.Handler()
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(queries); i += 4 {
+				q := queries[i]
+				code, raw := serveJSON(h, "/v1/select", request(q))
+				var got SelectResponse
+				if code != 200 || json.Unmarshal(raw, &got) != nil || !same(got, want[q]) {
+					t.Errorf("select %+v: %d %s, want %+v", q, code, raw, want[q])
+				}
+				if q.budget != budgets[0] {
+					continue
+				}
+				// One batch per (pool, seed): every budget at once.
+				code, raw = serveJSON(h, "/v1/select/batch", BatchSelectRequest{Budgets: budgets, Seed: &q.seed, WorkerIDs: pools[q.pool]})
+				var batch BatchSelectResponse
+				if code != 200 || json.Unmarshal(raw, &batch) != nil || len(batch.Selections) != len(budgets) {
+					t.Errorf("batch %+v: %d %s", q, code, raw)
+					continue
+				}
+				for j, b := range budgets {
+					if w := want[query{q.pool, q.seed, b}]; !same(batch.Selections[j], w) {
+						t.Errorf("batch %+v budget %v: %+v, want %+v", q, b, batch.Selections[j], w)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// serveJSON posts body as JSON to path on h and returns the status and body.
+func serveJSON(h http.Handler, path string, body any) (int, []byte) {
+	data, _ := json.Marshal(body)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+	return w.Code, w.Body.Bytes()
 }

@@ -592,7 +592,9 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 // handleFence is POST /v1/repl/fence: record that a newer primary holds
 // the given epoch; this node stops acknowledging writes (421) until it
-// catches up past that epoch as a follower.
+// catches up past that epoch as a follower. When fence.json cannot be
+// installed the fence still holds in memory, and the route answers 500
+// and counts juryd_fence_errors_total.
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 	var req FenceRequest
 	if err := decodeJSON(w, r, &req); err != nil {
@@ -604,6 +606,11 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.Fence(req.Epoch, req.Primary); err != nil {
+		if !errors.Is(err, ErrFenceStale) {
+			// Fenced in memory, but the marker did not persist: count
+			// it as the stream's self-fence does.
+			s.metrics.FenceError()
+		}
 		writeError(w, r, err)
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/wal"
@@ -330,5 +331,66 @@ func TestFenceInstallFailureKeepsMemoryFence(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, fenceFile)); !os.IsNotExist(err) {
 		t.Fatalf("fence.json exists after every install failed: %v", err)
+	}
+}
+
+// TestFenceInstallFailureAnswers5xx: when fence.json cannot be installed,
+// the fence route answers a server error, not 400 — the request was
+// sound, the data directory failed — and counts the failure in
+// juryd_fence_errors_total. The fence reaches the faulted node either
+// directly or from a follower's promotion, which fences its old primary;
+// that promotion still succeeds and reports the fence as not landed.
+func TestFenceInstallFailureAnswers5xx(t *testing.T) {
+	for _, op := range []errfs.Op{errfs.OpRename, errfs.OpSync} {
+		for _, route := range []string{"/v1/repl/fence", "/v1/repl/promote"} {
+			t.Run(string(op)+route, func(t *testing.T) {
+				s, fsys, _ := openOnInjector(t)
+				fsys.Add(errfs.Fault{Op: op, Path: fenceFile})
+				var fenceStatus atomic.Int32
+				h := s.Handler()
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					sw := &statusWriter{ResponseWriter: w}
+					h.ServeHTTP(sw, r)
+					if r.URL.Path == "/v1/repl/fence" {
+						fenceStatus.Store(int32(sw.status))
+					}
+				}))
+				t.Cleanup(ts.Close)
+
+				if route == "/v1/repl/fence" {
+					postJSON(t, ts.URL+route, FenceRequest{Epoch: 2, Primary: "http://new"})
+				} else {
+					f, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { f.ClosePersistence() })
+					f.SetFollower(ts.URL)
+					fts := httptest.NewServer(f.Handler())
+					t.Cleanup(fts.Close)
+					resp, raw := postJSON(t, fts.URL+route, PromoteRequest{Advertise: fts.URL})
+					var out PromoteResponse
+					mustDecode(t, raw, &out)
+					if resp.StatusCode != http.StatusOK || !out.Promoted || out.OldPrimaryFenced {
+						t.Fatalf("promote: %d %s, want promoted with the old primary's fence not landed", resp.StatusCode, raw)
+					}
+				}
+				if code := fenceStatus.Load(); code < 500 {
+					t.Fatalf("fence with fence.json uninstallable answered %d, want a 5xx", code)
+				}
+				if fenced, epoch, _ := s.FencedState(); !fenced || epoch != 2 {
+					t.Fatalf("fenced state = %v/%d, want the memory fence at 2", fenced, epoch)
+				}
+				mResp, err := http.Get(ts.URL + "/metrics")
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(mResp.Body)
+				mResp.Body.Close()
+				if !strings.Contains(string(body), "juryd_fence_errors_total 1\n") {
+					t.Fatalf("metrics lack juryd_fence_errors_total 1:\n%s", body)
+				}
+			})
+		}
 	}
 }

@@ -427,6 +427,7 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	var follower *FollowerError
 	var fenced *FencedError
 	var tooBig *http.MaxBytesError
+	var ioErr *wal.IOError
 	switch {
 	case errors.As(err, &tooBig):
 		status = http.StatusRequestEntityTooLarge
@@ -471,6 +472,9 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 		// A drain resolves in seconds (restart, or a peer takes over).
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "2")
+	case errors.As(err, &ioErr):
+		// The request was sound; the data directory failed under it.
+		status = http.StatusInternalServerError
 	}
 	writeJSON(w, r, status, ErrorResponse{Error: err.Error()})
 }
