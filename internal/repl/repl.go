@@ -81,6 +81,14 @@ type Follower struct {
 	// default.
 	client *http.Client
 	rng    *rand.Rand
+
+	// The stream request's target, parsed once per primary: streamFor
+	// is the primary URL it was parsed from, stream its
+	// /v1/repl/stream URL, and idQuery the escaped follower_id
+	// parameter every poll ends its query with.
+	streamFor string
+	stream    url.URL
+	idQuery   string
 }
 
 // NewFollower binds a local server (opened on its own data dir, with
@@ -109,6 +117,7 @@ func NewFollower(srv *server.Server, primary string, opts Options) (*Follower, e
 		primary: strings.TrimRight(primary, "/"),
 		opts:    opts,
 		id:      id,
+		idQuery: "&follower_id=" + url.QueryEscape(id),
 		client:  &http.Client{Transport: &http.Transport{}},
 		// Math/rand with a time seed is fine here: the jitter only spreads
 		// reconnects, it carries no replayed state.
@@ -195,18 +204,35 @@ func (f *Follower) poll(ctx context.Context) (advanced bool, err error) {
 	if primary == "" {
 		primary = f.primary
 	}
-	primary = strings.TrimRight(primary, "/")
+	if primary != f.streamFor {
+		u, err := url.Parse(strings.TrimRight(primary, "/") + "/v1/repl/stream")
+		if err != nil {
+			return false, err
+		}
+		f.streamFor, f.stream = primary, *u
+	}
 	from := f.srv.AppliedLSN()
 	// epoch names the epoch the follower applied `from` under, so the
 	// primary can run its log-matching check; follower_id keys this
 	// node's row in the primary's quorum-ack table.
-	u := fmt.Sprintf("%s/v1/repl/stream?from=%d&wait_ms=%d&epoch=%d&follower_id=%s",
-		primary, uint64(from), f.opts.Wait.Milliseconds(),
-		f.srv.EpochAt(from), url.QueryEscape(f.id))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return false, err
-	}
+	var buf [128]byte
+	q := append(buf[:0], "from="...)
+	q = strconv.AppendUint(q, uint64(from), 10)
+	q = append(q, "&wait_ms="...)
+	q = strconv.AppendInt(q, f.opts.Wait.Milliseconds(), 10)
+	q = append(q, "&epoch="...)
+	q = strconv.AppendUint(q, f.srv.EpochAt(from), 10)
+	q = append(q, f.idQuery...)
+	u := f.stream
+	u.RawQuery = string(q)
+	req := (&http.Request{
+		Method:     http.MethodGet,
+		URL:        &u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header),
+	}).WithContext(ctx)
 	resp, err := f.client.Do(req)
 	if err != nil {
 		return false, err
@@ -228,7 +254,7 @@ func (f *Follower) poll(ctx context.Context) (advanced bool, err error) {
 		// repoint, the *new* one — so the operator (or harness) re-
 		// bootstraps from a live node, not the dead address it booted with.
 		return false, fmt.Errorf("%w (primary %s, its oldest retained lsn: %d, local applied: %d)",
-			ErrSnapshotNeeded, primary, uint64(headerLSN(resp.Header, server.ReplOldestLSNHeader)), uint64(from))
+			ErrSnapshotNeeded, strings.TrimRight(primary, "/"), uint64(headerLSN(resp.Header, server.ReplOldestLSNHeader)), uint64(from))
 	case http.StatusConflict:
 		// Two very different 409s: a genuinely forked log (terminal), or
 		// a deposed primary that has not caught up to our epoch yet (its
@@ -241,7 +267,7 @@ func (f *Follower) poll(ctx context.Context) (advanced bool, err error) {
 		}
 		return false, fmt.Errorf("%w: %s", ErrDiverged, readErrorBody(resp.Body))
 	default:
-		return false, fmt.Errorf("repl: stream %s: %s: %s", u, resp.Status, readErrorBody(resp.Body))
+		return false, fmt.Errorf("repl: stream %s: %s: %s", &u, resp.Status, readErrorBody(resp.Body))
 	}
 
 	first := headerLSN(resp.Header, server.ReplFirstLSNHeader)

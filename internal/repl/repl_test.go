@@ -210,3 +210,47 @@ func TestTerminalErrorsAreDistinguishable(t *testing.T) {
 		t.Fatal("terminal errors must survive wrapping and stay distinct")
 	}
 }
+
+// TestPollTargetsCurrentPrimary pins the stream request a poll builds
+// from its once-parsed primary URL: the exact query, a trailing slash
+// on the primary tolerated, and a Repoint followed by the next poll.
+func TestPollTargetsCurrentPrimary(t *testing.T) {
+	primaries := make([]chan string, 2)
+	urls := make([]string, 2)
+	for i := range primaries {
+		got := make(chan string, 4)
+		primaries[i] = got
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			got <- r.URL.Path + "?" + r.URL.RawQuery
+			w.Header().Set(server.ReplDurableLSNHeader, "0")
+			w.WriteHeader(http.StatusNoContent)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	srv, err := server.Open(server.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.ClosePersistence() })
+	srv.SetFollower(urls[0] + "/")
+	f, err := NewFollower(srv, urls[0], Options{Wait: 1500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.client.CloseIdleConnections)
+	want := "/v1/repl/stream?from=0&wait_ms=1500&epoch=" + strconv.FormatUint(srv.EpochAt(0), 10) + "&follower_id=" + f.id
+	for i, target := range []int{0, 0, 1} {
+		if i == 2 {
+			if err := srv.Repoint(urls[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if advanced, err := f.poll(context.Background()); err != nil || advanced {
+			t.Fatalf("poll %d: advanced %v, err %v", i, advanced, err)
+		}
+		if got := <-primaries[target]; got != want {
+			t.Fatalf("poll %d asked primary %d for %q, want %q", i, target, got, want)
+		}
+	}
+}

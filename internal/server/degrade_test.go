@@ -297,3 +297,120 @@ func TestIdemTableEviction(t *testing.T) {
 		}
 	}
 }
+
+// mutationRoute is one journaling route: setup prepares what the
+// request needs (a session, a pool) and returns the path argument that
+// replaces "{}" in path.
+type mutationRoute struct {
+	method, path string
+	body         any
+	setup        func(t *testing.T, url string) string
+}
+
+// call issues the route's request and returns its status.
+func (rt mutationRoute) call(t *testing.T, url, arg string) int {
+	t.Helper()
+	var body []byte
+	if rt.body != nil {
+		var err error
+		if body, err = json.Marshal(rt.body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req, err := http.NewRequest(rt.method, url+strings.ReplaceAll(rt.path, "{}", arg), bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// openSession opens a session and returns its id.
+func openSession(t *testing.T, url string) string {
+	t.Helper()
+	resp, raw := postJSON(t, url+"/v1/sessions", SessionRequest{Confidence: 0.99})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("open session: %d %s", resp.StatusCode, raw)
+	}
+	var st SessionState
+	mustDecode(t, raw, &st)
+	return st.ID
+}
+
+// createColors creates the multi-choice "colors" pool.
+func createColors(t *testing.T, url string) string {
+	t.Helper()
+	if resp, raw := postJSON(t, url+"/v1/multi/pools", colorPoolRequest()); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create pool: %d %s", resp.StatusCode, raw)
+	}
+	return "colors"
+}
+
+// mutationRoutes lists every route that journals a record, each run on
+// a server holding the paper pool.
+func mutationRoutes() []mutationRoute {
+	none := func(*testing.T, string) string { return "" }
+	return []mutationRoute{
+		{"POST", "/v1/workers", RegisterRequest{Workers: []WorkerSpec{{ID: "new", Quality: 0.7, Cost: 1}}}, none},
+		{"PUT", "/v1/workers/w0", WorkerSpec{Quality: 0.75, Cost: 9}, none},
+		{"DELETE", "/v1/workers/w0", nil, none},
+		{"POST", "/v1/votes", VoteEvent{WorkerID: "w0", Correct: true}, none},
+		{"POST", "/v1/votes/batch", IngestRequest{Events: []VoteEvent{{WorkerID: "w0", Correct: true}}}, none},
+		{"POST", "/v1/sessions", SessionRequest{Confidence: 0.99}, none},
+		{"POST", "/v1/sessions/{}/votes", SessionVoteRequest{WorkerID: "w0", Vote: 1}, openSession},
+		{"DELETE", "/v1/sessions/{}", nil, openSession},
+		{"POST", "/v1/multi/pools", colorPoolRequest(), none},
+		{"POST", "/v1/multi/pools/{}/workers", MultiRegisterRequest{Workers: []MultiWorkerSpec{{ID: "m9", Quality: fp(0.7), Cost: 1}}}, createColors},
+		{"POST", "/v1/multi/pools/{}/votes", MultiIngestRequest{Events: []MultiVoteEvent{{WorkerID: "m0", Truth: 0, Vote: 0}}}, createColors},
+		{"DELETE", "/v1/multi/pools/{}", nil, createColors},
+	}
+}
+
+// TestMutationRoutesDiskFaultsAnswer5xx sweeps every journaling route
+// over the disk faults its flush can hit — a failed write and a failed
+// fsync of the segment — and holds each to the documented answer: a
+// server error (503 from degraded mode, never a 4xx), juryd_degraded 1
+// and one counted WAL error.
+func TestMutationRoutesDiskFaultsAnswer5xx(t *testing.T) {
+	for _, op := range []errfs.Op{errfs.OpWrite, errfs.OpSync} {
+		for _, rt := range mutationRoutes() {
+			t.Run(string(op)+" "+rt.method+" "+rt.path, func(t *testing.T) {
+				_, ts, fsys := newDurableFaultServer(t)
+				arg := rt.setup(t, ts.URL)
+				fsys.Add(errfs.Fault{Op: op, Path: "wal-"})
+				if code := rt.call(t, ts.URL, arg); code < 500 {
+					t.Fatalf("%s %s with a %s fault on the segment answered %d, want a 5xx (503)", rt.method, rt.path, op, code)
+				}
+				m := metricsText(t, ts.URL)
+				for _, line := range []string{"juryd_degraded 1\n", "juryd_wal_errors_total 1\n"} {
+					if !strings.Contains(m, line) {
+						t.Fatalf("metrics lack %q:\n%s", line, m)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestMutationRoutesReachNoRename arms a rename fault on every path and
+// drives every journaling route: none renames a file (only snapshots,
+// the fence marker and the follower id are installed by rename), so the
+// fault never fires and every route succeeds. A route that starts to
+// rename fails here and needs a rename row in the sweep above.
+func TestMutationRoutesReachNoRename(t *testing.T) {
+	for _, rt := range mutationRoutes() {
+		t.Run(rt.method+" "+rt.path, func(t *testing.T) {
+			_, ts, fsys := newDurableFaultServer(t, errfs.Fault{Op: errfs.OpRename})
+			if code := rt.call(t, ts.URL, rt.setup(t, ts.URL)); code >= 400 {
+				t.Fatalf("%s %s answered %d", rt.method, rt.path, code)
+			}
+			if n := fsys.Injected(); n != 0 {
+				t.Fatalf("%s %s reached %d renames", rt.method, rt.path, n)
+			}
+		})
+	}
+}

@@ -44,6 +44,9 @@ type Metrics struct {
 	ingestDuplicates atomic.Uint64 // keyed ingests answered from the dedup table
 	quorumTimeouts   atomic.Uint64 // mutations durable locally but unconfirmed by the follower quorum
 	fenceErrors      atomic.Uint64 // fence marker persist failures (fence held in memory only)
+	// streamReads counts replication stream reads by where the log
+	// answered them: [0] the segment files, [1] the newest-segment tail.
+	streamReads [2]atomic.Uint64
 
 	// walBatch counts records per WAL flush: how many journal records
 	// one write (and under -fsync one sync) absorbed, in powers of two up
@@ -127,6 +130,16 @@ func (m *Metrics) QuorumTimeout() { m.quorumTimeouts.Add(1) }
 // memory but would not survive a restart until delivered again.
 func (m *Metrics) FenceError() { m.fenceErrors.Add(1) }
 
+// ReplStreamRead records one replication stream read of the log,
+// answered from the newest-segment tail or from the segment files.
+func (m *Metrics) ReplStreamRead(fromTail bool) {
+	if fromTail {
+		m.streamReads[1].Add(1)
+	} else {
+		m.streamReads[0].Add(1)
+	}
+}
+
 // WALBatch records one WAL flush that made n records durable with a
 // single write (and under -fsync a single sync).
 func (m *Metrics) WALBatch(n int) {
@@ -204,6 +217,8 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats, poolSize int, generat
 	fmt.Fprintf(w, "juryd_ingest_duplicates_total %d\n", m.ingestDuplicates.Load())
 	fmt.Fprintf(w, "juryd_quorum_timeouts_total %d\n", m.quorumTimeouts.Load())
 	fmt.Fprintf(w, "juryd_fence_errors_total %d\n", m.fenceErrors.Load())
+	fmt.Fprintf(w, "juryd_repl_stream_reads_total{source=\"tail\"} %d\n", m.streamReads[1].Load())
+	fmt.Fprintf(w, "juryd_repl_stream_reads_total{source=\"disk\"} %d\n", m.streamReads[0].Load())
 }
 
 // writeRuntimeMetrics renders process-level gauges: build identity,

@@ -215,6 +215,7 @@ func Open(cfg Config) (*Server, error) {
 		// filesystem than them.
 		FS:      fsys,
 		OnFlush: func(records int) { s.metrics.WALBatch(records) },
+		OnRead:  s.metrics.ReplStreamRead,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: open wal: %w", err)

@@ -600,3 +600,63 @@ func TestReplStreamReadFaults(t *testing.T) {
 		t.Fatalf("410 without %s", ReplOldestLSNHeader)
 	}
 }
+
+// metricsText scrapes a server's /metrics exposition.
+func metricsText(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// TestReplStreamReadsBySource pins juryd_repl_stream_reads_total: a
+// caught-up poll is answered from the newest segment's in-memory tail
+// and counts source="tail"; a poll from LSN 1, which a rotation sealed
+// into an older segment, reads the files and counts source="disk".
+func TestReplStreamReadsBySource(t *testing.T) {
+	s, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(), SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.ClosePersistence() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	journalSome(t, ts.URL, 4) // 5 records, one segment each
+
+	poll := func(from int, want int) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/repl/stream?wait_ms=10&from=" + strconv.Itoa(from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || len(scanStream(t, body)) != want {
+			t.Fatalf("stream from %d: %d, want 200 with %d records", from, resp.StatusCode, want)
+		}
+	}
+	counts := func(tail, disk int) {
+		t.Helper()
+		m := metricsText(t, ts.URL)
+		for _, line := range []string{
+			`juryd_repl_stream_reads_total{source="tail"} ` + strconv.Itoa(tail) + "\n",
+			`juryd_repl_stream_reads_total{source="disk"} ` + strconv.Itoa(disk) + "\n",
+		} {
+			if !strings.Contains(m, line) {
+				t.Fatalf("metrics lack %q:\n%s", line, m)
+			}
+		}
+	}
+	counts(0, 0)
+	poll(4, 1) // caught up: the newest record
+	counts(1, 0)
+	poll(0, 5) // from LSN 1, behind the rotation
+	counts(1, 1)
+}

@@ -18,6 +18,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 )
 
@@ -116,11 +117,14 @@ func (l *Log) OldestLSN() LSN {
 // prefix itself fails verification. A from beyond the watermark returns
 // (nil, 0, nil).
 //
-// The scan of each segment starts at its last mark at or below from, so a
-// tail read costs the returned bytes plus at most one mark interval, not
-// the whole segment. The result depends only on from, maxBytes, the
-// watermark and the segment bytes: marks are positions the log already
-// knows, never a record of earlier reads.
+// A from inside the newest-segment tail is answered from memory: the
+// bytes are copied under the lock and every shipped frame's CRC is
+// verified after it. Any other read scans the segment files, starting
+// each at its last mark at or below from, so it costs the returned
+// bytes plus at most one mark interval, not the whole segment. Either
+// way the result depends only on from, maxBytes, the watermark and the
+// segment bytes: the tail holds the bytes a flush wrote, and marks are
+// positions the log already knows, never a record of earlier reads.
 func (l *Log) ReadCommitted(from LSN, maxBytes int) ([]byte, int, error) {
 	if from == 0 {
 		from = 1
@@ -130,14 +134,75 @@ func (l *Log) ReadCommitted(from LSN, maxBytes int) ([]byte, int, error) {
 	}
 	l.mu.Lock()
 	synced := l.synced
-	segs := append([]segment(nil), l.segs...)
-	l.mu.Unlock()
 	if from > synced {
+		l.mu.Unlock()
 		return nil, 0, nil
 	}
-	if len(segs) == 0 || from < segs[0].first {
+	if len(l.segs) == 0 || from < l.segs[0].first {
+		l.mu.Unlock()
 		return nil, 0, fmt.Errorf("%w: lsn %d predates the oldest retained segment", ErrTruncated, from)
 	}
+	if from >= l.tailFirst {
+		out, count := l.copyTailLocked(from, maxBytes)
+		l.mu.Unlock()
+		l.observeRead(true)
+		if err := verifyFrames(out, from); err != nil {
+			return nil, 0, err
+		}
+		return out, count, nil
+	}
+	segs := append([]segment(nil), l.segs...)
+	l.mu.Unlock()
+	l.observeRead(false)
+	return l.readSegments(segs, from, maxBytes, synced)
+}
+
+// observeRead reports where a ReadCommitted was answered from.
+func (l *Log) observeRead(fromTail bool) {
+	if l.opts.OnRead != nil {
+		l.opts.OnRead(fromTail)
+	}
+}
+
+// copyTailLocked copies records from.. out of the newest-segment tail,
+// bounded by maxBytes but at least one record. The caller holds l.mu
+// and has checked tailFirst <= from <= synced, so the tail holds from.
+func (l *Log) copyTailLocked(from LSN, maxBytes int) ([]byte, int) {
+	i := int(from - l.tailFirst)
+	base := l.tailOffs[0]
+	start := l.tailOffs[i] - base
+	count := len(l.tailOffs) - i
+	stop := int64(len(l.tail))
+	if stop-start > int64(maxBytes) {
+		// Record i+k ends where record i+k+1 starts; keep the records
+		// that end within maxBytes of start.
+		count = max(1, sort.Search(count-1, func(k int) bool {
+			return l.tailOffs[i+k+1]-base-start > int64(maxBytes)
+		}))
+		if i+count < len(l.tailOffs) {
+			stop = l.tailOffs[i+count] - base
+		}
+	}
+	return append([]byte(nil), l.tail[start:stop]...), count
+}
+
+// verifyFrames checks the CRC of every frame in a tail copy, as
+// ScanSegment does for the bytes it reads from disk.
+func verifyFrames(frames []byte, first LSN) error {
+	for p, lsn := 0, first; p < len(frames); lsn++ {
+		n := int(binary.LittleEndian.Uint32(frames[p:]))
+		payload := frames[p+headerSize : p+headerSize+n]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frames[p+4:]) {
+			return fmt.Errorf("%w: tail record at lsn %d fails its checksum", ErrCorrupt, lsn)
+		}
+		p += headerSize + n
+	}
+	return nil
+}
+
+// readSegments is ReadCommitted's file path: it scans the segments in
+// segs (a copy taken under l.mu) for records from..synced.
+func (l *Log) readSegments(segs []segment, from LSN, maxBytes int, synced LSN) ([]byte, int, error) {
 	var out []byte
 	count := 0
 	for i, seg := range segs {

@@ -310,9 +310,12 @@ func readCounted(t *testing.T, fsys *countingFS, l *Log, from LSN, maxBytes int)
 }
 
 // TestReadCommittedTailReadsOneMarkInterval pins the cost of a stream
-// poll: a tail read touches the returned bytes plus at most one mark
-// interval, not the records before it — on the live log, after a
-// reopen, and for a sealed segment found at Open once it is indexed.
+// poll: on the live log a caught-up read is answered from the
+// newest-segment tail and reads nothing from disk; a read that starts
+// before the tail — in the newest segment, after a reopen (which starts
+// the tail empty), or in a sealed segment found at Open once it is
+// indexed — touches the returned bytes plus at most one mark interval,
+// not the records before it.
 func TestReadCommittedTailReadsOneMarkInterval(t *testing.T) {
 	const records = 10000
 	dir := t.TempDir()
@@ -330,25 +333,36 @@ func TestReadCommittedTailReadsOneMarkInterval(t *testing.T) {
 		}
 	}
 	bound := func(returned int) int64 { return int64(returned + markEvery*frameBytes) }
-	tail := func(l *Log, what string) {
+	tail := func(l *Log, what string, limit func(returned int) int64) {
 		t.Helper()
 		next := l.NextLSN()
 		frames, count, read := readCounted(t, fsys, l, next-1, 0)
 		if count != 1 || scanFrames(t, frames)[0] != fixedPayload(int(next-2)) {
 			t.Fatalf("%s: tail read shipped %d records %q", what, count, frames)
 		}
-		if read > bound(len(frames)) {
-			t.Fatalf("%s: tail read of %d bytes read %d bytes, bound %d", what, len(frames), read, bound(len(frames)))
+		if read > limit(len(frames)) {
+			t.Fatalf("%s: tail read of %d bytes read %d bytes, bound %d", what, len(frames), read, limit(len(frames)))
 		}
 	}
-	tail(l, "live log")
+	tail(l, "live log", func(int) int64 { return 0 })
+	// Before the tail, the newest segment is read from its marks.
+	if l.tailFirst <= records-3000 {
+		t.Fatalf("tail starts at lsn %d, want it to hold fewer than 3000 records", l.tailFirst)
+	}
+	frames, count, read := readCounted(t, fsys, l, records-3000, 0)
+	if count != 3001 || scanFrames(t, frames)[0] != fixedPayload(records-3001) {
+		t.Fatalf("read before the tail shipped %d records", count)
+	}
+	if read > bound(len(frames)) {
+		t.Fatalf("read before the tail: %d bytes shipped, %d read, bound %d", len(frames), read, bound(len(frames)))
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if l, _, err = Open(dir, opts); err != nil {
 		t.Fatal(err)
 	}
-	tail(l, "reopened log")
+	tail(l, "reopened log", bound)
 
 	// Rotate, then reopen: the first segment is now sealed and unindexed.
 	for i := records; i < records+10; i++ {

@@ -68,6 +68,14 @@ const headerSize = 8
 // before the LSN it was asked for, however full the segment is.
 const markEvery = 64
 
+// tailBytes bounds the newest-segment tail: the last durable frames of
+// the newest segment that the log keeps in memory, so a caught-up
+// stream poll (ReadCommitted) is answered without opening the file.
+// Once a flush would push the tail past tailBytes it keeps only its
+// newest tailBytes/2, so compaction copies are amortised over at least
+// that many flushed bytes.
+const tailBytes = 64 << 10
+
 // castagnoli is the CRC32-C table used for record checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -123,6 +131,10 @@ type Options struct {
 	// observability. It runs with the log's internal lock held, so it must
 	// be fast and must not call back into the Log.
 	OnFlush func(records int)
+	// OnRead, if set, is called by every ReadCommitted that reads
+	// records, with whether the newest-segment tail answered it (true)
+	// or the segment files did (false). It runs without the log's lock.
+	OnRead func(fromTail bool)
 }
 
 // OpenInfo reports what Open found on disk.
@@ -178,6 +190,15 @@ type Log struct {
 	flushing   bool   // a leader is writing/syncing outside mu
 	synced     LSN
 	lastFsync  time.Duration // duration of the most recent flush's sync
+
+	// Newest-segment tail: the newest segment's last durable frames,
+	// byte-identical to the file, holding records tailFirst..synced;
+	// tailOffs[i] is the segment byte offset of record tailFirst+i. Only
+	// a successful flush appends to it; a new segment and Open start it
+	// empty (tailFirst = next). Bounded by tailBytes.
+	tail      []byte
+	tailOffs  []int64
+	tailFirst LSN
 }
 
 // segmentName renders the file name of the segment whose first record has
@@ -278,6 +299,7 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 		l.size = valid
 		l.next = last.first + LSN(records)
 		l.segs[len(l.segs)-1].marks = marks
+		l.tailFirst = l.next
 	}
 	l.synced = l.next - 1 // everything on disk at Open is the durable prefix
 	info.Segments = len(l.segs)
@@ -306,6 +328,7 @@ func (l *Log) createSegmentLocked(first LSN) error {
 	l.segs = append(l.segs, segment{first: first, path: path, marks: []int64{0}})
 	l.f = f
 	l.size = 0
+	l.tail, l.tailOffs, l.tailFirst = l.tail[:0], l.tailOffs[:0], first
 	return nil
 }
 
@@ -530,6 +553,7 @@ func (l *Log) flushLocked() error {
 	l.spare = nil
 	l.bufRecords = 0
 	l.flushing = true
+	off := l.size
 	l.size += int64(len(batch)) // so records staged meanwhile mark true offsets
 	f := l.f
 	path := l.segs[len(l.segs)-1].path
@@ -570,11 +594,43 @@ func (l *Log) flushLocked() error {
 	}
 	l.synced = upTo
 	l.lastFsync = syncDur
+	l.tailAppendLocked(batch, off)
 	l.cond.Broadcast()
 	if l.opts.OnFlush != nil {
 		l.opts.OnFlush(records)
 	}
 	return nil
+}
+
+// tailAppendLocked appends a flushed batch, which starts at segment
+// offset off, to the newest-segment tail, then cuts the tail back to
+// its newest tailBytes/2 if it outgrew tailBytes. Callers hold l.mu,
+// and the batch is already durable. Flushes are serial and a rotation
+// waits for them, so the batch starts at the tail's next LSN and byte.
+func (l *Log) tailAppendLocked(batch []byte, off int64) {
+	for p := 0; p < len(batch); p += headerSize + int(binary.LittleEndian.Uint32(batch[p:])) {
+		l.tailOffs = append(l.tailOffs, off+int64(p))
+	}
+	end := off + int64(len(batch))
+	if end-l.tailOffs[0] <= tailBytes {
+		l.tail = append(l.tail, batch...)
+		return
+	}
+	// Keep the longest suffix of records that fits in tailBytes/2; it
+	// may start inside the old tail or inside the batch.
+	k := sort.Search(len(l.tailOffs), func(i int) bool { return end-l.tailOffs[i] <= tailBytes/2 })
+	if k < len(l.tailOffs) {
+		if start := l.tailOffs[k]; start >= off {
+			l.tail = append(l.tail[:0], batch[start-off:]...)
+		} else {
+			n := copy(l.tail, l.tail[start-l.tailOffs[0]:])
+			l.tail = append(l.tail[:n], batch...)
+		}
+	} else {
+		l.tail = l.tail[:0]
+	}
+	l.tailFirst += LSN(k)
+	l.tailOffs = append(l.tailOffs[:0], l.tailOffs[k:]...)
 }
 
 // drainLocked makes every staged record durable before returning: it

@@ -3,6 +3,7 @@ package walltest
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -370,5 +371,47 @@ func TestReplPrimaryDegradesFollowerHoldsDurable(t *testing.T) {
 	st := f.Srv.ReplStatus()
 	if st == nil || !st.Connected || st.LagRecords != 0 {
 		t.Fatalf("follower ReplStatus = %+v, want connected at zero lag", st)
+	}
+}
+
+// TestReplPrimaryWriteFaultFollowerConverges is the write-fault twin of
+// TestReplPrimaryDegradesFollowerHoldsDurable: the primary's flush tears
+// a record onto disk and fails. A caught-up follower is served from the
+// primary's in-memory tail of its newest segment, which only a
+// successful flush extends, so the follower converges to exactly the
+// primary's durable prefix and its state, never the torn bytes.
+func TestReplPrimaryWriteFaultFollowerConverges(t *testing.T) {
+	script := chaosScript()
+	primary, _ := StartFaulty(t, BaseConfig(t.TempDir()),
+		errfs.Fault{Op: errfs.OpWrite, Path: "wal-", After: 3, Short: 6})
+	f := StartFollower(t, BaseConfig(t.TempDir()), primary.HTTP.URL)
+
+	acked := primary.DriveToFailure(script)
+	if acked != 3 {
+		t.Fatalf("acked %d steps, want 3", acked)
+	}
+	AssertRestored(t, primary)
+	WaitCaughtUp(t, primary, f)
+	if durable := primary.Srv.PersistenceStatus().DurableLSN; durable != 3 {
+		t.Fatalf("primary durable LSN = %d, want 3", durable)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if applied := uint64(f.Srv.AppliedLSN()); applied != 3 {
+		t.Fatalf("follower applied %d, want to hold at durable 3", applied)
+	}
+	if got, want := f.Srv.PersistenceStatus().StateSHA256, primary.Srv.PersistenceStatus().StateSHA256; got != want {
+		t.Fatalf("follower state_sha256 %s, primary %s", got, want)
+	}
+	AssertSameState(t, Reference(t, BaseConfig(""), script, acked), f.Env)
+
+	resp, err := http.Get(primary.HTTP.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if m := string(body); !strings.Contains(m, `juryd_repl_stream_reads_total{source="tail"} `) ||
+		strings.Contains(m, `juryd_repl_stream_reads_total{source="tail"} 0`+"\n") {
+		t.Fatalf("the caught-up follower was never served from the tail:\n%s", body)
 	}
 }
