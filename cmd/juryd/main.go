@@ -138,8 +138,9 @@
 // tests (TestDaemonChaosFsyncDegrades); it is not for production use.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: mutations are
-// refused with 503 while in-flight requests drain, then a final
-// checkpoint lands before exit. A request still being answered after
+// refused with 503 while in-flight requests drain, followers' parked
+// stream polls are answered at once, then a final checkpoint lands
+// before exit. A request still being answered after
 // -drain makes the exit an error; connections that never sent a
 // request are closed instead of waited on. A shutdown whose WAL close
 // cannot confirm the tail reached stable storage (a dirty close — the
@@ -302,7 +303,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var follower *repl.Follower
 	if primary != "" {
 		srv.SetFollower(primary)
-		follower, err = repl.NewFollower(srv, primary, repl.Options{
+		follower, err = repl.NewFollower(srv, repl.Options{
 			Logf: func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) },
 		})
 		if err != nil {

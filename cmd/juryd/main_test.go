@@ -714,13 +714,13 @@ func TestDaemonFollowerReplicates(t *testing.T) {
 	f.expect(http.MethodGet, "/readyz", "", http.StatusOK, `"ready":true`)
 	f.expect(http.MethodGet, "/metrics", "", http.StatusOK, "juryd_repl_connected 1\n")
 
-	// Follower first: a primary with a connected follower waits out the
-	// stream's long poll.
-	if err := f.Stop(); err != nil {
-		t.Fatalf("follower shutdown: %v", err)
-	}
+	// The drain ends the follower's parked poll, so the primary stops
+	// cleanly with its follower still attached.
 	if err := p.Stop(); err != nil {
 		t.Fatalf("primary shutdown: %v", err)
+	}
+	if err := f.Stop(); err != nil {
+		t.Fatalf("follower shutdown: %v", err)
 	}
 }
 

@@ -67,9 +67,8 @@ type Options struct {
 // Follower replicates one primary into one local Server. Create with
 // NewFollower, drive with Run.
 type Follower struct {
-	srv     *server.Server
-	primary string
-	opts    Options
+	srv  *server.Server
+	opts Options
 	// id keys this follower's row in the primary's quorum-ack table (sent
 	// as follower_id on every stream request); it is the data dir's
 	// durable identity, so a restarted follower confirms under it again.
@@ -91,11 +90,11 @@ type Follower struct {
 	idQuery   string
 }
 
-// NewFollower binds a local server (opened on its own data dir, with
-// SetFollower already called) to a primary's base URL. It reads the
-// follower identity from the data dir, creating it on first use
-// (Server.FollowerID), and fails if that is impossible.
-func NewFollower(srv *server.Server, primary string, opts Options) (*Follower, error) {
+// NewFollower binds a local server, opened on its own data dir, to the
+// primary it follows: the one SetFollower named, or a later Repoint
+// chose. It reads the follower identity from the data dir, creating it
+// on first use (Server.FollowerID), and fails if that is impossible.
+func NewFollower(srv *server.Server, opts Options) (*Follower, error) {
 	id, err := srv.FollowerID()
 	if err != nil {
 		return nil, fmt.Errorf("repl: follower id: %w", err)
@@ -114,7 +113,6 @@ func NewFollower(srv *server.Server, primary string, opts Options) (*Follower, e
 	}
 	return &Follower{
 		srv:     srv,
-		primary: strings.TrimRight(primary, "/"),
 		opts:    opts,
 		id:      id,
 		idQuery: "&follower_id=" + url.QueryEscape(id),
@@ -196,13 +194,14 @@ func (f *Follower) sleep(ctx context.Context, d time.Duration) bool {
 
 // poll performs one stream request from the local applied LSN and
 // applies whatever it ships. advanced reports whether any record was
-// applied (false on an empty long poll).
+// applied (false on an empty long poll). A node that is no longer a
+// follower gets server.ErrNotFollower and sends nothing.
 func (f *Follower) poll(ctx context.Context) (advanced bool, err error) {
 	// The target is re-read every poll so a Repoint (after a promotion
 	// elsewhere) takes effect without restarting the loop.
 	primary := f.srv.PrimaryURL()
 	if primary == "" {
-		primary = f.primary
+		return false, server.ErrNotFollower
 	}
 	if primary != f.streamFor {
 		u, err := url.Parse(strings.TrimRight(primary, "/") + "/v1/repl/stream")

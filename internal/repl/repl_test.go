@@ -27,7 +27,7 @@ func TestBackoffBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.ClosePersistence()
-	f, err := NewFollower(srv, "http://primary", Options{
+	f, err := NewFollower(srv, Options{
 		MinBackoff: 10 * time.Millisecond,
 		MaxBackoff: 500 * time.Millisecond,
 	})
@@ -67,7 +67,7 @@ func TestNewFollowerKeepsDataDirIdentity(t *testing.T) {
 		return srv
 	}
 	idOf := func(srv *server.Server) string {
-		f, err := NewFollower(srv, "http://primary", Options{})
+		f, err := NewFollower(srv, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestNewFollowerKeepsDataDirIdentity(t *testing.T) {
 		t.Fatalf("follower id changed across opens: %q -> %q", first, again)
 	}
 
-	if _, err := NewFollower(server.New(server.Config{}), "http://primary", Options{}); err == nil {
+	if _, err := NewFollower(server.New(server.Config{}), Options{}); err == nil {
 		t.Fatal("NewFollower on an in-memory server kept no identity but did not fail")
 	}
 }
@@ -234,7 +234,7 @@ func TestPollTargetsCurrentPrimary(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.ClosePersistence() })
 	srv.SetFollower(urls[0] + "/")
-	f, err := NewFollower(srv, urls[0], Options{Wait: 1500 * time.Millisecond})
+	f, err := NewFollower(srv, Options{Wait: 1500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,5 +252,46 @@ func TestPollTargetsCurrentPrimary(t *testing.T) {
 		if got := <-primaries[target]; got != want {
 			t.Fatalf("poll %d asked primary %d for %q, want %q", i, target, got, want)
 		}
+	}
+}
+
+// TestPollOnPromotedNodeSendsNothing: once the node is promoted it has
+// no primary to follow, so a poll answers server.ErrNotFollower without
+// another stream request to the old primary.
+func TestPollOnPromotedNodeSendsNothing(t *testing.T) {
+	streams := make(chan string, 4)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/repl/stream" {
+			streams <- r.URL.RawQuery
+		}
+		w.Header().Set(server.ReplDurableLSNHeader, "0")
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	t.Cleanup(ts.Close)
+	srv, err := server.Open(server.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.ClosePersistence() })
+	srv.SetFollower(ts.URL)
+	f, err := NewFollower(srv, Options{Wait: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.client.CloseIdleConnections)
+	if _, err := f.poll(context.Background()); err != nil {
+		t.Fatalf("follower poll: %v", err)
+	}
+	<-streams
+	if _, err := srv.Promote(context.Background(), ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.poll(context.Background()); !errors.Is(err, server.ErrNotFollower) {
+		t.Fatalf("poll after promotion = %v, want server.ErrNotFollower", err)
+	}
+	select {
+	case q := <-streams:
+		t.Fatalf("promoted node still polled the old primary (%s)", q)
+	default:
 	}
 }

@@ -56,12 +56,13 @@ func (s *Server) DegradedState() (bool, error) {
 }
 
 // BeginDrain refuses mutations from now on (503 + Retry-After) while
-// reads keep serving. Call it before http.Server.Shutdown so nothing
-// mutates state between the final checkpoint and process exit.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+// reads keep serving, and ends every parked stream poll. Call it before
+// http.Server.Shutdown so nothing mutates state between the final
+// checkpoint and process exit, and no follower's poll holds Shutdown.
+func (s *Server) BeginDrain() { s.beginDrain() }
 
 // Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.drain.Err() != nil }
 
 // mutable is the fast-path admission check for mutation routes: it
 // fails when the server is a read-only replica, degraded, or draining,
@@ -79,7 +80,7 @@ func (s *Server) mutable() error {
 	if degraded, cause := s.DegradedState(); degraded {
 		return fmt.Errorf("%w (%v)", ErrDegraded, cause)
 	}
-	if s.draining.Load() {
+	if s.Draining() {
 		return ErrDraining
 	}
 	return nil

@@ -324,19 +324,13 @@ func (s *Server) Fence(epoch uint64, primary string) error {
 // followers have confirmed its LSN — which is what makes "promote the
 // most-caught-up follower" provably preserve every acknowledged mutation.
 type quorumAcks struct {
-	mu      sync.Mutex
-	acks    map[string]uint64
-	waiters map[*quorumWaiter]struct{}
+	mu   sync.Mutex
+	cond sync.Cond // L is mu; broadcast when a confirmation advances
+	acks map[string]uint64
 }
 
-type quorumWaiter struct {
-	lsn  uint64
-	need int
-	ch   chan struct{}
-}
-
-// observe records follower id's confirmed applied LSN and releases any
-// waiter the new watermark satisfies.
+// observe records follower id's confirmed applied LSN and wakes the
+// waiters to recount.
 func (q *quorumAcks) observe(id string, lsn uint64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -347,12 +341,7 @@ func (q *quorumAcks) observe(id string, lsn uint64) {
 		return
 	}
 	q.acks[id] = lsn
-	for w := range q.waiters {
-		if q.confirmedLocked(w.lsn) >= w.need {
-			close(w.ch)
-			delete(q.waiters, w)
-		}
-	}
+	q.cond.Broadcast()
 }
 
 // confirmedLocked counts followers whose confirmed LSN covers lsn.
@@ -366,37 +355,28 @@ func (q *quorumAcks) confirmedLocked(lsn uint64) int {
 	return n
 }
 
-// wait blocks until need followers confirm lsn, or the timeout expires.
-func (q *quorumAcks) wait(lsn uint64, need int, timeout time.Duration) error {
+// wait blocks until need followers confirm lsn, or ctx ends.
+func (q *quorumAcks) wait(ctx context.Context, lsn uint64, need int) error {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.confirmedLocked(lsn) >= need {
-		q.mu.Unlock()
 		return nil
 	}
-	w := &quorumWaiter{lsn: lsn, need: need, ch: make(chan struct{})}
-	if q.waiters == nil {
-		q.waiters = make(map[*quorumWaiter]struct{})
-	}
-	q.waiters[w] = struct{}{}
-	q.mu.Unlock()
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-w.ch:
-		return nil
-	case <-t.C:
+	// As in wal.Log.WaitSynced: taking mu orders the broadcast after the
+	// waiter's ctx check.
+	stop := context.AfterFunc(ctx, func() {
 		q.mu.Lock()
-		delete(q.waiters, w)
 		q.mu.Unlock()
-		// Raced with a late observe: the waiter may have been satisfied
-		// between the timer firing and the delete.
-		select {
-		case <-w.ch:
-			return nil
-		default:
+		q.cond.Broadcast()
+	})
+	defer stop()
+	for q.confirmedLocked(lsn) < need {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return fmt.Errorf("timeout after %s", timeout)
+		q.cond.Wait()
 	}
+	return nil
 }
 
 // snapshot copies the ack table (for status/debug).
@@ -427,8 +407,9 @@ func (s *Server) quorumWait(ctx context.Context, lsn wal.LSN) error {
 	}
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
-	err := s.quorum.wait(uint64(lsn), need, timeout)
-	if err != nil {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	if err := s.quorum.wait(ctx, uint64(lsn), need); err != nil {
 		tr.AddErr(obs.StageQuorumWait, start, time.Since(start))
 		s.metrics.QuorumTimeout()
 		return fmt.Errorf("%w: lsn %d needs %d follower confirmation(s): %v", ErrQuorumTimeout, lsn, need, err)
@@ -465,7 +446,7 @@ func (s *Server) Promote(ctx context.Context, advertise string) (PromoteResponse
 	if degraded, cause := s.DegradedState(); degraded {
 		return PromoteResponse{}, fmt.Errorf("server: cannot promote a degraded follower: %w (%v)", ErrDegraded, cause)
 	}
-	if s.draining.Load() {
+	if s.Draining() {
 		return PromoteResponse{}, fmt.Errorf("server: cannot promote: %w", ErrDraining)
 	}
 	p := s.persist

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/wal"
 	"repro/internal/wal/errfs"
@@ -392,5 +394,25 @@ func TestFenceInstallFailureAnswers5xx(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestQuorumWaitEndsWithItsContext: the quorum wait ends with the
+// caller's context as well as at QuorumTimeout, so a 50 ms deadline
+// answers ErrQuorumTimeout long before a 30 s timeout.
+func TestQuorumWaitEndsWithItsContext(t *testing.T) {
+	s, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(), Quorum: 2, QuorumTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.ClosePersistence() })
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := s.quorumWait(ctx, 1); !errors.Is(err, ErrQuorumTimeout) {
+		t.Fatalf("quorumWait with no follower = %v, want ErrQuorumTimeout", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("quorumWait took %v under a 50 ms deadline", took)
 	}
 }

@@ -53,16 +53,10 @@ const (
 	ReplSnapshotLSNHeader = "X-Repl-Snapshot-Lsn"
 )
 
-// Stream request bounds.
+// Stream long-poll bounds.
 const (
 	defaultStreamWait = 10 * time.Second
 	maxStreamWait     = 60 * time.Second
-	// streamWaitSlice chunks the long poll so a vanished follower (closed
-	// request context) releases its handler quickly instead of pinning
-	// graceful shutdown for the full wait.
-	streamWaitSlice       = 250 * time.Millisecond
-	defaultStreamMaxBytes = 1 << 20
-	maxStreamMaxBytes     = 8 << 20
 )
 
 // FollowerError is the mutation-rejection error of a read-only replica:
@@ -278,11 +272,13 @@ func parseLSNParam(v string) (wal.LSN, error) {
 	return wal.LSN(n), nil
 }
 
-// handleReplStream is GET /v1/repl/stream?from=<lsn>: the log-shipping
-// long poll. from is the LSN the follower has applied through ("send me
-// from+1 onward"); the response body is raw WAL framing (ScanSegment
-// decodes it), covering only records at or below the durability
-// watermark. 204 means nothing new committed within the wait; 410 means
+// handleReplStream is GET /v1/repl/stream?from=<lsn>&epoch=<e>&
+// follower_id=<id>: the log-shipping long poll. from is the LSN the
+// follower has applied through ("send me from+1 onward") and epoch the
+// epoch it applied from under; the response body is raw WAL framing
+// (ScanSegment decodes it), covering only records at or below the
+// durability watermark. 204 means nothing new committed within the wait
+// or before the server began draining; 410 means
 // the requested records are behind the truncation horizon and the
 // follower must re-bootstrap from /v1/repl/snapshot; 409 means the
 // follower claims records this primary never committed (divergence).
@@ -308,22 +304,12 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = min(time.Duration(ms)*time.Millisecond, maxStreamWait)
 	}
-	maxBytes := defaultStreamMaxBytes
-	if v := q.Get("max_bytes"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 32)
-		if err != nil || n == 0 {
-			writeError(w, r, fmt.Errorf("server: bad max_bytes %q", v))
-			return
-		}
-		maxBytes = int(min(int64(n), maxStreamMaxBytes))
-	}
-	var reqEpoch uint64
-	if v := q.Get("epoch"); v != "" {
-		reqEpoch, err = strconv.ParseUint(v, 10, 64)
-		if err != nil || reqEpoch == 0 {
-			writeError(w, r, fmt.Errorf("server: bad epoch %q", v))
-			return
-		}
+	reqEpoch, err := strconv.ParseUint(q.Get("epoch"), 10, 64)
+	id := q.Get("follower_id")
+	if err != nil || reqEpoch == 0 || id == "" {
+		writeError(w, r, fmt.Errorf("server: a stream poll needs an epoch above 0 and a follower_id (got epoch %q, follower_id %q)",
+			q.Get("epoch"), id))
+		return
 	}
 	// Every stream response names this node's epoch, so a follower of a
 	// deposed primary can tell "stale primary" (retry elsewhere) from
@@ -349,7 +335,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	// Log matching: the epoch the follower applied `from` under must be
 	// the epoch this primary wrote it under, or the logs forked there —
 	// e.g. an old primary rejoining with acked-but-never-shipped records.
-	if reqEpoch > 0 && from > 0 {
+	if from > 0 {
 		if have := s.epochs.at(from); have != reqEpoch {
 			writeJSON(w, r, http.StatusConflict, ErrorResponse{Error: fmt.Sprintf(
 				"server: replication divergence: follower applied lsn %d under epoch %d but this primary wrote it under epoch %d",
@@ -365,36 +351,25 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// The follower's applied LSN doubles as its durability confirmation
 	// for quorum-gated acks (piggybacked: no extra round trips). Recorded
-	// only after every divergence check above passed, and only when the
-	// caller presented its epoch so the log-matching check actually ran: a
-	// diverged caller — e.g. a resurrected ex-primary whose `from` counts
-	// journaled-but-never-shipped records under a forked epoch — must not
-	// vouch for LSNs this log never shipped, or quorum could ack writes no
-	// genuine follower holds.
-	if id := q.Get("follower_id"); id != "" && reqEpoch > 0 {
-		s.quorum.observe(id, uint64(from))
-	}
-	synced := p.log.Synced()
-	// Long poll for new commits, in slices so a disconnected follower is
-	// noticed between waits. A poisoned (degraded) log will never advance
-	// the watermark again, but its committed prefix is still perfectly
-	// servable — followers converge to the durable LSN and hold there,
-	// which is exactly the invariant we want; so the poison error is not
-	// terminal here, it just ends the wait.
-	deadline := time.Now().Add(wait)
-	for synced <= from && r.Context().Err() == nil {
-		slice := min(time.Until(deadline), streamWaitSlice)
-		if slice <= 0 {
-			break
-		}
-		synced, err = p.log.WaitSynced(from, slice)
-		if err != nil {
-			if errors.Is(err, wal.ErrClosed) {
-				writeJSON(w, r, http.StatusServiceUnavailable, ErrorResponse{Error: "server: log closed"})
-				return
-			}
-			break
-		}
+	// only after every divergence check above passed: a diverged caller —
+	// e.g. a resurrected ex-primary whose `from` counts journaled-but-
+	// never-shipped records under a forked epoch — must not vouch for
+	// LSNs this log never shipped, or quorum could ack writes no genuine
+	// follower holds.
+	s.quorum.observe(id, uint64(from))
+	// Park until a newer record is durable, the wait runs out, the
+	// follower goes away or the server drains. A poisoned (degraded) log
+	// will never advance the watermark again, but its committed prefix
+	// is still servable — followers converge to the durable LSN and hold
+	// there — so the poison error just ends the wait.
+	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	defer cancel()
+	stop := context.AfterFunc(s.drain, cancel)
+	defer stop()
+	synced, err := p.log.WaitSynced(ctx, from)
+	if errors.Is(err, wal.ErrClosed) {
+		writeJSON(w, r, http.StatusServiceUnavailable, ErrorResponse{Error: "server: log closed"})
+		return
 	}
 	w.Header().Set(ReplDurableLSNHeader, strconv.FormatUint(uint64(synced), 10))
 	if synced <= from {
@@ -403,7 +378,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := obs.TraceFrom(r.Context())
 	span := tr.Begin(obs.StageReplRead)
-	frames, count, err := p.log.ReadCommitted(from+1, maxBytes)
+	frames, count, err := p.log.ReadCommitted(from+1, 0)
 	span.End()
 	switch {
 	case errors.Is(err, wal.ErrTruncated):

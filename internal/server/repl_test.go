@@ -64,7 +64,7 @@ func TestReplStreamProtocol(t *testing.T) {
 	journalSome(t, ts.URL, 4) // 5 records
 
 	// Full read from LSN 0.
-	resp, err := http.Get(ts.URL + "/v1/repl/stream?from=0&wait_ms=10")
+	resp, err := http.Get(ts.URL + "/v1/repl/stream?from=0&epoch=1&follower_id=f&wait_ms=10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestReplStreamProtocol(t *testing.T) {
 	}
 
 	// Mid-log read delivers only the tail.
-	resp, err = http.Get(ts.URL + "/v1/repl/stream?from=3&wait_ms=10")
+	resp, err = http.Get(ts.URL + "/v1/repl/stream?from=3&epoch=1&follower_id=f&wait_ms=10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestReplStreamProtocol(t *testing.T) {
 	}
 
 	// Caught up: 204 with the watermark, after the (short) long poll.
-	resp, err = http.Get(ts.URL + "/v1/repl/stream?from=5&wait_ms=10")
+	resp, err = http.Get(ts.URL + "/v1/repl/stream?from=5&epoch=1&follower_id=f&wait_ms=10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestReplStreamProtocol(t *testing.T) {
 	}
 
 	// A follower claiming records the log never committed: divergence.
-	resp, err = http.Get(ts.URL + "/v1/repl/stream?from=9")
+	resp, err = http.Get(ts.URL + "/v1/repl/stream?from=9&epoch=1&follower_id=f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,16 @@ func TestReplStreamProtocol(t *testing.T) {
 		t.Fatalf("diverged stream: %d, want 409", resp.StatusCode)
 	}
 
-	// Bad parameters.
-	for _, q := range []string{"from=x", "wait_ms=x", "max_bytes=0"} {
+	// Bad or missing parameters: every poll names its epoch and its
+	// follower.
+	for _, q := range []string{
+		"from=x&epoch=1&follower_id=f",
+		"from=0&wait_ms=x&epoch=1&follower_id=f",
+		"from=0&follower_id=f",
+		"from=0&epoch=0&follower_id=f",
+		"from=0&epoch=x&follower_id=f",
+		"from=0&epoch=1",
+	} {
 		resp, err := http.Get(ts.URL + "/v1/repl/stream?" + q)
 		if err != nil {
 			t.Fatal(err)
@@ -135,23 +143,12 @@ func TestReplStreamProtocol(t *testing.T) {
 		}
 	}
 
-	// max_bytes bounds a batch but still makes progress (>= 1 record).
-	resp, err = http.Get(ts.URL + "/v1/repl/stream?from=0&max_bytes=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(scanStream(t, body)) != 1 {
-		t.Fatalf("bounded stream: %d with %d records, want 200 with 1", resp.StatusCode, len(scanStream(t, body)))
-	}
-
 	// Snapshot + truncation strands pre-horizon readers: 410 with the
 	// oldest retained LSN advertised.
 	if err := s.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get(ts.URL + "/v1/repl/stream?from=0")
+	resp, err = http.Get(ts.URL + "/v1/repl/stream?from=0&epoch=1&follower_id=f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +201,8 @@ func TestQuorumRequiresDataDir(t *testing.T) {
 // diverged or stale caller (e.g. a resurrected ex-primary whose `from`
 // counts journaled-but-never-shipped records under a forked history)
 // must not vouch for LSNs this log never shipped, or quorum could ack
-// writes no genuine follower holds. A poll without `epoch` never ran
-// the log-matching check, so it never vouches either.
+// writes no genuine follower holds. A poll without `epoch` cannot run
+// the log-matching check, so it is refused and never vouches either.
 func TestQuorumAckRequiresLogMatch(t *testing.T) {
 	s, _ := durable(t)
 	ts := httptest.NewServer(s.Handler())
@@ -235,9 +232,9 @@ func TestQuorumAckRequiresLogMatch(t *testing.T) {
 	if code := get("from=9&epoch=1&follower_id=beyond"); code != http.StatusConflict {
 		t.Fatalf("beyond-log poll: %d, want 409", code)
 	}
-	// No epoch means the log-matching check never ran: served, no ack.
-	if code := get("from=2&follower_id=unverified&wait_ms=1"); code != http.StatusOK {
-		t.Fatalf("epochless poll: %d, want 200", code)
+	// No epoch means no log-matching check: refused, no ack.
+	if code := get("from=2&follower_id=unverified&wait_ms=1"); code != http.StatusBadRequest {
+		t.Fatalf("epochless poll: %d, want 400", code)
 	}
 	// A poll from a higher epoch self-fences this node: 409, no ack.
 	if code := get("from=2&epoch=5&follower_id=future"); code != http.StatusConflict {
@@ -267,7 +264,7 @@ func TestReplStreamLongPollWakesOnCommit(t *testing.T) {
 	}
 	ch := make(chan result, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + "/v1/repl/stream?from=1&wait_ms=30000")
+		resp, err := http.Get(ts.URL + "/v1/repl/stream?from=1&epoch=1&follower_id=f&wait_ms=30000")
 		if err != nil {
 			ch <- result{err: err}
 			return
@@ -293,6 +290,42 @@ func TestReplStreamLongPollWakesOnCommit(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("long poll did not wake on commit")
+	}
+}
+
+// TestReplStreamPollEndsAtDrain: BeginDrain releases a parked stream
+// poll at once, with a 204 naming the durable watermark, so a follower
+// cannot hold a draining primary's shutdown for its whole wait.
+func TestReplStreamPollEndsAtDrain(t *testing.T) {
+	s, _ := durable(t)
+	t.Cleanup(func() { s.ClosePersistence() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	journalSome(t, ts.URL, 0) // 1 record
+
+	done := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/repl/stream?from=1&epoch=1&follower_id=f&wait_ms=30000")
+		if err != nil {
+			t.Error(err)
+		} else {
+			resp.Body.Close()
+		}
+		done <- resp
+	}()
+	time.Sleep(30 * time.Millisecond) // let the poller park on the watermark
+	s.BeginDrain()
+	select {
+	case resp := <-done:
+		if resp == nil {
+			return
+		}
+		if resp.StatusCode != http.StatusNoContent || resp.Header.Get(ReplDurableLSNHeader) != "1" {
+			t.Fatalf("poll at drain: %d with %s %q, want 204 with 1",
+				resp.StatusCode, ReplDurableLSNHeader, resp.Header.Get(ReplDurableLSNHeader))
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a parked poll outlived BeginDrain by 1 s")
 	}
 }
 
@@ -567,7 +600,7 @@ func TestReplStreamReadFaults(t *testing.T) {
 
 	stream := func(want int) http.Header {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/repl/stream?from=0&wait_ms=10")
+		resp, err := http.Get(ts.URL + "/v1/repl/stream?from=0&epoch=1&follower_id=f&wait_ms=10")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -632,7 +665,7 @@ func TestReplStreamReadsBySource(t *testing.T) {
 
 	poll := func(from int, want int) {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/repl/stream?wait_ms=10&from=" + strconv.Itoa(from))
+		resp, err := http.Get(ts.URL + "/v1/repl/stream?epoch=1&follower_id=f&wait_ms=10&from=" + strconv.Itoa(from))
 		if err != nil {
 			t.Fatal(err)
 		}

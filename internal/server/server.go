@@ -140,9 +140,10 @@ type Server struct {
 	degradedMu    sync.Mutex
 	degradedCause error
 	unrestored    atomic.Pointer[error] // why a restore failed: reads answer 503 too
-	// draining refuses new mutations during shutdown while in-flight
-	// reads complete (BeginDrain).
-	draining atomic.Bool
+	// drain ends at BeginDrain: new mutations are refused and parked
+	// stream polls return while in-flight reads complete.
+	drain      context.Context
+	beginDrain context.CancelFunc
 	// inflight is the admission-control token bucket (nil when
 	// MaxInFlight is 0); a request that cannot take a token is shed.
 	inflight chan struct{}
@@ -186,6 +187,8 @@ func New(cfg Config) *Server {
 		logger:   cfg.Logger,
 		started:  time.Now(),
 	}
+	s.drain, s.beginDrain = context.WithCancel(context.Background())
+	s.quorum.cond.L = &s.quorum.mu
 	if cfg.TraceBuffer >= 0 {
 		s.recorder = obs.NewRecorder(cfg.TraceBuffer)
 	}

@@ -10,6 +10,7 @@ package wal
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 )
 
 // ErrTruncated reports that requested records were removed by snapshot
@@ -50,27 +50,27 @@ func (l *Log) Synced() LSN {
 	return l.synced
 }
 
-// WaitSynced blocks until the durability watermark passes after, the
-// timeout elapses, or the log closes or fails, and returns the watermark
-// at that moment. It is the long-poll primitive behind the replication
-// stream: a follower that has applied through `after` parks here until
-// the primary commits something newer. A non-positive timeout returns the
-// current watermark immediately.
-func (l *Log) WaitSynced(after LSN, timeout time.Duration) (LSN, error) {
+// WaitSynced blocks until the durability watermark passes after, ctx
+// ends, or the log closes or fails, and returns the watermark at that
+// moment. It is the long-poll primitive behind the replication stream:
+// a follower that has applied through `after` parks here until the
+// primary commits something newer. An ended ctx returns the current
+// watermark immediately.
+func (l *Log) WaitSynced(ctx context.Context, after LSN) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.synced > after || timeout <= 0 {
+	if l.synced > after || ctx.Err() != nil {
 		return l.synced, l.stateErrLocked()
 	}
-	expired := false
-	timer := time.AfterFunc(timeout, func() {
+	// Taking mu before the broadcast orders it after the waiter's
+	// ctx check: the waiter is either parked in Wait or sees ctx ended.
+	stop := context.AfterFunc(ctx, func() {
 		l.mu.Lock()
-		expired = true
 		l.mu.Unlock()
 		l.cond.Broadcast()
 	})
-	defer timer.Stop()
-	for l.synced <= after && !expired {
+	defer stop()
+	for l.synced <= after && ctx.Err() == nil {
 		if err := l.stateErrLocked(); err != nil {
 			return l.synced, err
 		}

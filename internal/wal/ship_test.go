@@ -3,6 +3,7 @@ package wal
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -193,24 +194,62 @@ func TestWaitSyncedWakesOnAppendAndTimesOut(t *testing.T) {
 	appendAll(t, l, "a")
 
 	// Already past: returns immediately.
-	if got, err := l.WaitSynced(0, time.Minute); err != nil || got != 1 {
+	if got, err := l.WaitSynced(context.Background(), 0); err != nil || got != 1 {
 		t.Fatalf("WaitSynced(0) = (%d, %v), want (1, nil)", got, err)
 	}
-	// Timeout: nothing new arrives; must return promptly, not hang.
+	// Deadline: nothing new arrives; must return promptly, not hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	if got, err := l.WaitSynced(1, 30*time.Millisecond); err != nil || got != 1 {
-		t.Fatalf("WaitSynced timeout = (%d, %v), want (1, nil)", got, err)
+	if got, err := l.WaitSynced(ctx, 1); err != nil || got != 1 {
+		t.Fatalf("WaitSynced past its deadline = (%d, %v), want (1, nil)", got, err)
 	}
 	if time.Since(start) > 5*time.Second {
-		t.Fatal("WaitSynced did not respect its timeout")
+		t.Fatal("WaitSynced did not respect its deadline")
 	}
 	// Wakes on a concurrent append.
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		l.Append([]byte("b"))
 	}()
-	if got, err := l.WaitSynced(1, 10*time.Second); err != nil || got != 2 {
+	if got, err := l.WaitSynced(context.Background(), 1); err != nil || got != 2 {
 		t.Fatalf("WaitSynced wake = (%d, %v), want (2, nil)", got, err)
+	}
+}
+
+// TestWaitSyncedReleasedByCancel: cancelling the context releases a
+// parked WaitSynced at once with the current watermark, and an already
+// cancelled context never parks.
+func TestWaitSyncedReleasedByCancel(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendAll(t, l, "a")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	type result struct {
+		synced LSN
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		synced, err := l.WaitSynced(ctx, 1)
+		done <- result{synced, err}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter park
+	cancel()
+	select {
+	case r := <-done:
+		if r.synced != 1 || r.err != nil {
+			t.Fatalf("cancelled WaitSynced = (%d, %v), want (1, nil)", r.synced, r.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("cancelling the context did not release WaitSynced")
+	}
+	if got, err := l.WaitSynced(ctx, 1); got != 1 || err != nil {
+		t.Fatalf("WaitSynced on a cancelled context = (%d, %v), want (1, nil)", got, err)
 	}
 }
 
@@ -225,7 +264,7 @@ func TestWaitSyncedClosedLog(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		l.Close()
 	}()
-	if _, err := l.WaitSynced(1, 10*time.Second); !errors.Is(err, ErrClosed) {
+	if _, err := l.WaitSynced(context.Background(), 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("WaitSynced on closing log: %v, want ErrClosed", err)
 	}
 }
@@ -726,7 +765,10 @@ func concurrentReaders(t *testing.T, opts Options, perWriter int) {
 					case <-done:
 						return
 					default:
-						if _, err := l.WaitSynced(from-1, 10*time.Millisecond); err != nil {
+						ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+						_, err := l.WaitSynced(ctx, from-1)
+						cancel()
+						if err != nil {
 							t.Error(err)
 							return
 						}

@@ -296,6 +296,14 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 		if err != nil {
 			return nil, OpenInfo{}, err
 		}
+		// A rotation does not sync the segment it seals, so under Fsync
+		// the cut is synced here, before a rotation could seal it.
+		if info.TornBytes > 0 && opts.Fsync {
+			if err := l.f.Sync(); err != nil {
+				l.f.Close()
+				return nil, OpenInfo{}, &IOError{Op: "fsync", Path: last.path, Err: err}
+			}
+		}
 		l.size = valid
 		l.next = last.first + LSN(records)
 		l.segs[len(l.segs)-1].marks = marks
@@ -372,12 +380,12 @@ func syncDir(fsys FS, dir string) error {
 	return closeErr
 }
 
-// rotateLocked closes the current segment and starts the next one.
+// rotateLocked closes the current segment and starts the next one. It
+// runs only once every staged record has flushed, so under Fsync the
+// segment's bytes are already synced, and without Fsync no sync is
+// promised: closing it syncs nothing.
 func (l *Log) rotateLocked() error {
 	path := l.segs[len(l.segs)-1].path
-	if err := l.f.Sync(); err != nil {
-		return &IOError{Op: "fsync", Path: path, Err: err}
-	}
 	if err := l.f.Close(); err != nil {
 		return &IOError{Op: "close", Path: path, Err: err}
 	}
@@ -662,7 +670,9 @@ func (l *Log) Failed() error {
 }
 
 // Sync makes every record accepted so far durable: it drains any staged
-// batch, then flushes the newest segment to stable storage.
+// batch, then flushes the newest segment to stable storage. Sealed
+// segments were synced by their flushes under Options.Fsync; without it
+// they ride the page cache.
 // It honors the poison contract Append does: a poisoned log refuses with
 // an error wrapping ErrFailed and the original cause (a Sync on a failed
 // log must never report success), and a Sync that itself fails records

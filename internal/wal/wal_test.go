@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -316,6 +318,92 @@ func TestFsyncOptionSmoke(t *testing.T) {
 	appendAll(t, l, "durable")
 	if got := replayAll(t, l, 1); len(got) != 1 || got[0] != "durable" {
 		t.Fatalf("replay = %q", got)
+	}
+}
+
+// syncCountFS counts Sync calls on the segment files it opens for
+// writing.
+type syncCountFS struct {
+	FS
+	syncs atomic.Int64
+}
+
+func (c *syncCountFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), "wal-") {
+		return f, err
+	}
+	return syncCountFile{File: f, syncs: &c.syncs}, nil
+}
+
+type syncCountFile struct {
+	File
+	syncs *atomic.Int64
+}
+
+func (f syncCountFile) Sync() error {
+	f.syncs.Add(1)
+	return f.File.Sync()
+}
+
+// TestRotationWithoutFsyncSyncsNoSegment: without Options.Fsync no
+// sync is promised, so a rotation only closes the sealed segment, and
+// the one segment Sync is Close's.
+func TestRotationWithoutFsyncSyncsNoSegment(t *testing.T) {
+	fsys := &syncCountFS{FS: OSFS()}
+	l, _, err := Open(t.TempDir(), Options{FS: fsys, SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		appendAll(t, l, fmt.Sprintf("record-%02d-padding-past-half-a-segment", i))
+	}
+	if n := l.Segments(); n < 4 {
+		t.Fatalf("%d segments, want a rotation per record", n)
+	}
+	if n := fsys.syncs.Load(); n != 0 {
+		t.Fatalf("%d segment syncs before Close, want 0", n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fsys.syncs.Load(); n != 1 {
+		t.Fatalf("%d segment syncs after Close, want Close's 1", n)
+	}
+}
+
+// TestOpenSyncsTornTailCutUnderFsync: a rotation does not sync the
+// segment it seals, so under Fsync Open syncs the segment whose torn
+// tail it cut; without Fsync it syncs nothing.
+func TestOpenSyncsTornTailCutUnderFsync(t *testing.T) {
+	for _, fsync := range []bool{true, false} {
+		dir := t.TempDir()
+		l, _, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, l, "kept")
+		l.Close()
+		f, err := os.OpenFile(filepath.Join(dir, segmentName(1)), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write([]byte{9, 0, 0}) // a torn header
+		f.Close()
+
+		fsys := &syncCountFS{FS: OSFS()}
+		l, info, err := Open(dir, Options{FS: fsys, Fsync: fsync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if fsync {
+			want = 1
+		}
+		if n := fsys.syncs.Load(); info.TornBytes != 3 || n != want {
+			t.Errorf("Fsync %v: Open cut %d torn bytes with %d segment syncs, want 3 with %d", fsync, info.TornBytes, n, want)
+		}
+		l.Close()
 	}
 }
 

@@ -80,7 +80,7 @@ func BootstrapFollower(t testing.TB, cfg server.Config, primaryURL string) *Foll
 }
 
 func (fe *FollowerEnv) startLoop() {
-	f, err := repl.NewFollower(fe.Srv, fe.Primary, fastOpts())
+	f, err := repl.NewFollower(fe.Srv, fastOpts())
 	if err != nil {
 		fe.t.Fatalf("walltest: %v", err)
 	}
