@@ -11,6 +11,7 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/jq"
 	"repro/internal/multichoice"
+	"repro/internal/repl"
 	"repro/internal/selection"
 	"repro/internal/server"
 	"repro/internal/voting"
@@ -515,5 +517,65 @@ func BenchmarkServerIngest(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkServerQuorumIngest is one acked vote under -quorum 2, end to
+// end in process: a keyed single vote over loopback HTTP to a primary
+// that acks it only once a follower — a second durable server fed by
+// repl.Follower over its replication stream — has applied it and
+// confirmed it up the stream. The loop is closed, one vote in flight,
+// so ns/op is the acked-write latency and allocs/op counts both nodes.
+func BenchmarkServerQuorumIngest(b *testing.B) {
+	primary, err := server.Open(server.Config{Alpha: 0.5, Seed: 1, DataDir: b.TempDir(), Quorum: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer primary.ClosePersistence()
+	ts := httptest.NewServer(primary.Handler())
+	defer ts.Close()
+	follower, err := server.Open(server.Config{Alpha: 0.5, Seed: 1, DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer follower.ClosePersistence()
+	follower.SetFollower(ts.URL)
+	f, err := repl.NewFollower(follower, repl.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	following := make(chan error, 1)
+	go func() { following <- f.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-following
+	}()
+
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	post := func(path, key string, body []byte) {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if key != "" {
+			req.Header.Set("Idempotency-Key", key)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			b.Fatalf("POST %s: %d", path, resp.StatusCode)
+		}
+	}
+	post("/v1/workers", "", []byte(`{"workers":[{"id":"w0","quality":0.8,"cost":2},{"id":"w1","quality":0.7,"cost":2}]}`))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		post("/v1/votes", "bench-"+strconv.Itoa(i), []byte(`{"worker_id":"w`+strconv.Itoa(i%2)+`","correct":true}`))
 	}
 }

@@ -44,9 +44,11 @@
 //
 // With -follow the daemon is a read-only replica of another durable
 // juryd: on first boot it bootstraps from the primary's snapshot, then
-// streams the primary's committed WAL records over GET /v1/repl/stream,
-// journaling each to its own -data-dir (required) before applying, so
-// a restarted follower resumes from its local log. Only records the
+// holds one GET /v1/repl/stream open, on which the primary ships its
+// committed WAL records as they commit and the follower confirms each
+// batch it applied, journaling each record to its own -data-dir
+// (required) before applying, so a restarted follower resumes from its
+// local log. Only records the
 // primary has made durable are ever shipped — a follower never holds a
 // record the primary could lose. The follower serves every read and
 // selection route from its own state and answers mutations with 421
@@ -104,7 +106,7 @@
 //	POST /v1/multi/pools/{pool}/votes     ingest graded multi-label votes
 //	POST /v1/multi/pools/{pool}/select    solve the multi-choice JSP (cached)
 //	POST /v1/multi/pools/{pool}/jq        Jury Quality of an explicit jury
-//	GET  /v1/repl/stream                  committed WAL records for followers (long-poll)
+//	GET  /v1/repl/stream                  a follower's replication stream (batches down, confirmations up)
 //	GET  /v1/repl/snapshot                state snapshot for follower bootstrap
 //	POST /v1/repl/promote                 switch this follower to writable primary (new epoch)
 //	POST /v1/repl/fence                   fence this node: a newer primary exists, refuse writes
@@ -138,8 +140,8 @@
 // tests (TestDaemonChaosFsyncDegrades); it is not for production use.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: mutations are
-// refused with 503 while in-flight requests drain, followers' parked
-// stream polls are answered at once, then a final checkpoint lands
+// refused with 503 while in-flight requests drain, followers'
+// replication streams end at once, then a final checkpoint lands
 // before exit. A request still being answered after
 // -drain makes the exit an error; connections that never sent a
 // request are closed instead of waited on. A shutdown whose WAL close

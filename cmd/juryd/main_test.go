@@ -714,7 +714,7 @@ func TestDaemonFollowerReplicates(t *testing.T) {
 	f.expect(http.MethodGet, "/readyz", "", http.StatusOK, `"ready":true`)
 	f.expect(http.MethodGet, "/metrics", "", http.StatusOK, "juryd_repl_connected 1\n")
 
-	// The drain ends the follower's parked poll, so the primary stops
+	// The drain ends the follower's stream, so the primary stops
 	// cleanly with its follower still attached.
 	if err := p.Stop(); err != nil {
 		t.Fatalf("primary shutdown: %v", err)
@@ -871,8 +871,8 @@ func TestDaemonFollowerRestartKeepsQuorumIdentity(t *testing.T) {
 		resp.Body.Close()
 		status <- resp.StatusCode
 	}()
-	// Once the follower has applied the write, its next stream poll
-	// confirms it; give that poll time to land, then restart.
+	// Once the follower has applied the write, its stream confirms it;
+	// give the confirmation time to land, then restart.
 	deadline := time.Now().Add(5 * time.Second)
 	for st := f.persistence(); st.Repl == nil || st.Repl.AppliedLSN < 1; st = f.persistence() {
 		if time.Now().After(deadline) {

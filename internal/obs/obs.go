@@ -82,9 +82,10 @@ const (
 	// StageQuorumWait is a quorum-gated ack's wait (-quorum above 1) for
 	// enough followers to confirm its record.
 	StageQuorumWait
-	// StageReplRead is the committed-prefix WAL read serving one
-	// replication-stream request on a primary (excluding the long-poll
-	// wait for new records, which is idle time, not work).
+	// StageReplRead is the committed-prefix WAL read behind one batch a
+	// replication stream ships (excluding the wait for new records, which
+	// is idle time, not work). A stream outlives any one request trace,
+	// so it feeds the stage histogram directly (Recorder.ObserveStage).
 	StageReplRead
 	// StageEncode is the response JSON encoding.
 	StageEncode
@@ -444,6 +445,15 @@ func (r *Recorder) Finish(t *Trace, status int) {
 	r.ring[slot].Store(t)
 	if !r.slowFull.Load() || int64(d) > r.slowMin.Load() {
 		r.admitSlow(t, d)
+	}
+}
+
+// ObserveStage records one span of stage that no request trace carries
+// into the stage histogram: the per-batch work of a long-lived stream,
+// whose trace would drop every span past maxSpans.
+func (r *Recorder) ObserveStage(stage Stage, d time.Duration) {
+	if r != nil {
+		r.stages[stage].ObserveDuration(d)
 	}
 }
 

@@ -1,25 +1,30 @@
 // Package repl drives the follower side of juryd's primary → follower
-// WAL log shipping. A Follower long-polls the primary's
-// GET /v1/repl/stream endpoint from its local applied LSN, verifies and
-// applies the shipped frames through Server.ApplyReplicated (journal to
-// the local log, then the same Apply paths crash recovery uses — so the
-// replica's state is bit-identical to the primary's at every LSN), and
-// reconnects with jittered exponential backoff on stream loss. Every
-// stream request names the follower by the identity its data dir keeps
-// (follower-id, Server.FollowerID), so the primary counts a restarted
-// follower's quorum confirmations once. Bootstrap installs a primary's
-// snapshot into a data directory without log state (wal.HasState) so a
-// brand new (or truncation-stranded) follower can join without
-// replaying the primary's full history.
+// WAL log shipping. A Follower opens one long-lived GET /v1/repl/stream
+// from its local applied LSN, applies each batch the primary ships
+// through Server.ApplyReplicated (journal to the local log, then the same
+// Apply paths crash recovery uses — so the replica's state is
+// bit-identical to the primary's at every LSN), and writes its applied
+// LSN up the request body after each batch: the confirmation the
+// primary's quorum-gated acks wait for. It reopens the stream when the
+// primary ends it, and reconnects with jittered exponential backoff on
+// stream loss. Every stream names the follower by the identity its data
+// dir keeps (follower-id, Server.FollowerID), so the primary counts a
+// restarted follower's quorum confirmations once. Bootstrap installs a
+// primary's snapshot into a data directory without log state
+// (wal.HasState) so a brand new (or truncation-stranded) follower can
+// join without replaying the primary's full history.
 package repl
 
 import (
-	"bytes"
+	"bufio"
 	"context"
+	"crypto/tls"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -52,8 +57,8 @@ var (
 
 // Options tunes a Follower. The zero value is production-ready.
 type Options struct {
-	// Wait is the long-poll duration the primary should hold an empty
-	// stream request open; 0 selects 10s.
+	// Wait is how long the primary should keep a stream open with
+	// nothing to ship (wait_ms); 0 selects 10s.
 	Wait time.Duration
 	// MinBackoff and MaxBackoff bound the jittered exponential reconnect
 	// backoff after a failed stream request; 0 selects 100ms and 5s.
@@ -72,22 +77,8 @@ type Follower struct {
 	// id keys this follower's row in the primary's quorum-ack table (sent
 	// as follower_id on every stream request); it is the data dir's
 	// durable identity, so a restarted follower confirms under it again.
-	id string
-	// client has a private transport (not http.DefaultTransport): the
-	// follower's keep-alive connections to the primary must not mingle
-	// with the process-wide pool, so Run can drop them all when it exits.
-	// It sets no overall timeout: the stream long-poll outlives any sane
-	// default.
-	client *http.Client
-	rng    *rand.Rand
-
-	// The stream request's target, parsed once per primary: streamFor
-	// is the primary URL it was parsed from, stream its
-	// /v1/repl/stream URL, and idQuery the escaped follower_id
-	// parameter every poll ends its query with.
-	streamFor string
-	stream    url.URL
-	idQuery   string
+	id  string
+	rng *rand.Rand
 }
 
 // NewFollower binds a local server, opened on its own data dir, to the
@@ -112,11 +103,9 @@ func NewFollower(srv *server.Server, opts Options) (*Follower, error) {
 		opts.Logf = func(string, ...any) {}
 	}
 	return &Follower{
-		srv:     srv,
-		opts:    opts,
-		id:      id,
-		idQuery: "&follower_id=" + url.QueryEscape(id),
-		client:  &http.Client{Transport: &http.Transport{}},
+		srv:  srv,
+		opts: opts,
+		id:   id,
 		// Math/rand with a time seed is fine here: the jitter only spreads
 		// reconnects, it carries no replayed state.
 		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
@@ -130,21 +119,17 @@ func NewFollower(srv *server.Server, opts Options) (*Follower, error) {
 // applied state). Transport errors and 5xx answers are retried forever
 // with backoff: a primary restart must not kill its followers.
 func (f *Follower) Run(ctx context.Context) error {
-	// Leave no keep-alive connections behind: a dialed-but-never-used conn
-	// sits in http.Server's StateNew, which graceful Shutdown on the
-	// primary waits out forever.
-	defer f.client.CloseIdleConnections()
 	failures := 0
 	for {
 		if ctx.Err() != nil {
 			return nil
 		}
-		advanced, err := f.poll(ctx)
+		advanced, err := f.stream(ctx)
 		switch {
 		case err == nil:
 			failures = 0
 			if !advanced {
-				continue // empty long poll: re-request immediately
+				continue // the primary ended an idle stream: reopen at once
 			}
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			if ctx.Err() != nil {
@@ -192,65 +177,80 @@ func (f *Follower) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// poll performs one stream request from the local applied LSN and
-// applies whatever it ships. advanced reports whether any record was
-// applied (false on an empty long poll). A node that is no longer a
-// follower gets server.ErrNotFollower and sends nothing.
-func (f *Follower) poll(ctx context.Context) (advanced bool, err error) {
-	// The target is re-read every poll so a Repoint (after a promotion
+// stream opens one replication stream from the local applied LSN and
+// applies what it ships until the primary ends it, a Repoint moves the
+// follower elsewhere (checked at every batch, before it is applied), or
+// something fails. advanced reports whether any record was applied. A
+// node that is no longer a follower gets server.ErrNotFollower and sends
+// nothing.
+//
+// The stream runs on a connection of its own rather than through an
+// http.Client: the request body (the confirmations) only ends with the
+// stream, and a client transport whose request fails before its answer
+// waits for the body to end first, so the connection's close is the one
+// way to end every read and write the stream has in flight.
+func (f *Follower) stream(ctx context.Context) (advanced bool, err error) {
+	// The target is re-read every stream so a Repoint (after a promotion
 	// elsewhere) takes effect without restarting the loop.
 	primary := f.srv.PrimaryURL()
 	if primary == "" {
 		return false, server.ErrNotFollower
 	}
-	if primary != f.streamFor {
-		u, err := url.Parse(strings.TrimRight(primary, "/") + "/v1/repl/stream")
-		if err != nil {
-			return false, err
-		}
-		f.streamFor, f.stream = primary, *u
-	}
-	from := f.srv.AppliedLSN()
-	// epoch names the epoch the follower applied `from` under, so the
-	// primary can run its log-matching check; follower_id keys this
-	// node's row in the primary's quorum-ack table.
-	var buf [128]byte
-	q := append(buf[:0], "from="...)
-	q = strconv.AppendUint(q, uint64(from), 10)
-	q = append(q, "&wait_ms="...)
-	q = strconv.AppendInt(q, f.opts.Wait.Milliseconds(), 10)
-	q = append(q, "&epoch="...)
-	q = strconv.AppendUint(q, f.srv.EpochAt(from), 10)
-	q = append(q, f.idQuery...)
-	u := f.stream
-	u.RawQuery = string(q)
-	req := (&http.Request{
-		Method:     http.MethodGet,
-		URL:        &u,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     make(http.Header),
-	}).WithContext(ctx)
-	resp, err := f.client.Do(req)
+	u, err := url.Parse(strings.TrimRight(primary, "/") + "/v1/repl/stream")
 	if err != nil {
 		return false, err
 	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
+	from := f.srv.AppliedLSN()
+	conn, err := dial(ctx, u)
+	if err != nil {
+		return false, streamErr(ctx, err)
+	}
+	defer conn.Close()
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
 
-	durable := headerLSN(resp.Header, server.ReplDurableLSNHeader)
+	// epoch names the epoch the follower applied `from` under, so the
+	// primary can run its log-matching check; follower_id keys this
+	// node's row in the primary's quorum-ack table. The confirmations are
+	// the chunked request body. Its 100-continue expectation tells a
+	// server that never reads the body (one that only answers 204, or an
+	// older primary) to answer without first draining a body that does
+	// not end until the answer arrives.
+	var buf [256]byte
+	req := append(buf[:0], "GET "...)
+	req = append(req, u.EscapedPath()...)
+	req = append(req, "?from="...)
+	req = strconv.AppendUint(req, uint64(from), 10)
+	req = append(req, "&wait_ms="...)
+	req = strconv.AppendInt(req, f.opts.Wait.Milliseconds(), 10)
+	req = append(req, "&epoch="...)
+	req = strconv.AppendUint(req, f.srv.EpochAt(from), 10)
+	req = append(req, "&follower_id="...)
+	req = append(req, url.QueryEscape(f.id)...)
+	req = append(req, " HTTP/1.1\r\nHost: "...)
+	req = append(req, u.Host...)
+	req = append(req, "\r\nTransfer-Encoding: chunked\r\nExpect: 100-continue\r\n\r\n"...)
+	if _, err := conn.Write(req); err != nil {
+		return false, streamErr(ctx, err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	for err == nil && resp.StatusCode == http.StatusContinue {
+		resp, err = http.ReadResponse(br, nil)
+	}
+	if err != nil {
+		return false, streamErr(ctx, err)
+	}
+
 	switch resp.StatusCode {
 	case http.StatusOK:
-		// fall through to the body below
+		// fall through to the batches below
 	case http.StatusNoContent:
-		f.srv.ReplObserve(durable, true)
+		f.srv.ReplObserve(headerLSN(resp.Header, server.ReplDurableLSNHeader), true)
 		return false, nil
 	case http.StatusGone:
-		// The diagnosis names the primary the poll actually hit — after a
-		// repoint, the *new* one — so the operator (or harness) re-
+		// The diagnosis names the primary the stream actually hit — after
+		// a repoint, the *new* one — so the operator (or harness) re-
 		// bootstraps from a live node, not the dead address it booted with.
 		return false, fmt.Errorf("%w (primary %s, its oldest retained lsn: %d, local applied: %d)",
 			ErrSnapshotNeeded, strings.TrimRight(primary, "/"), uint64(headerLSN(resp.Header, server.ReplOldestLSNHeader)), uint64(from))
@@ -266,37 +266,89 @@ func (f *Follower) poll(ctx context.Context) (advanced bool, err error) {
 		}
 		return false, fmt.Errorf("%w: %s", ErrDiverged, readErrorBody(resp.Body))
 	default:
-		return false, fmt.Errorf("repl: stream %s: %s: %s", &u, resp.Status, readErrorBody(resp.Body))
+		return false, fmt.Errorf("repl: stream %s: %s: %s", u, resp.Status, readErrorBody(resp.Body))
 	}
-
-	first := headerLSN(resp.Header, server.ReplFirstLSNHeader)
-	if first != from+1 {
+	if first := headerLSN(resp.Header, server.ReplFirstLSNHeader); first != from+1 {
 		return false, fmt.Errorf("repl: stream answered lsn %d, asked for %d", uint64(first), uint64(from+1))
 	}
-	// Record the primary's watermark before applying: if the local apply
-	// fails mid-batch, lag must still report how far ahead the primary is.
-	f.srv.ReplObserve(durable, true)
-	// The body is raw WAL framing: ScanSegment verifies each record's
-	// CRC and hands over the payloads in order. A torn tail (the
-	// connection died mid-frame) is not an error — the delivered prefix
-	// is applied and the next poll re-requests the rest.
-	body, err := io.ReadAll(resp.Body)
-	if err != nil && len(body) == 0 {
-		return false, fmt.Errorf("repl: stream read: %w", err)
-	}
-	lsn := first
-	_, _, scanErr := wal.ScanSegment(bytes.NewReader(body), func(payload []byte) error {
+
+	// Each batch is [u64 durable watermark][u32 byte length][raw WAL
+	// frames]. ScanSegment verifies each frame's CRC and hands over the
+	// payloads in order; a batch cut short (the connection died mid-
+	// frame) keeps its applied prefix and fails the stream, and the next
+	// one asks for the rest. Each confirmation is one body chunk.
+	var header [server.ReplBatchHeaderBytes]byte
+	confirm := []byte("8\r\n01234567\r\n")
+	frames := io.LimitedReader{R: resp.Body}
+	lsn := from + 1
+	apply := func(payload []byte) error {
 		if err := f.srv.ApplyReplicated(lsn, payload); err != nil {
 			return err
 		}
 		lsn++
+		advanced = true
 		return nil
-	})
-	if scanErr != nil {
-		return lsn > first, scanErr
 	}
-	f.srv.ReplObserve(durable, true)
-	return lsn > first, nil
+	for {
+		if _, err := io.ReadFull(resp.Body, header[:]); err != nil {
+			if err == io.EOF {
+				return advanced, nil // the primary ended the stream between batches
+			}
+			return advanced, streamErr(ctx, err)
+		}
+		if f.srv.PrimaryURL() != primary {
+			return advanced, nil // repointed (or promoted): reopen against the current target
+		}
+		// Record the primary's watermark before applying: if the local
+		// apply fails mid-batch, lag must still report how far ahead the
+		// primary is.
+		durable := wal.LSN(binary.LittleEndian.Uint64(header[0:8]))
+		f.srv.ReplObserve(durable, true)
+		n := int64(binary.LittleEndian.Uint32(header[8:12]))
+		frames.N = n
+		valid, torn, err := wal.ScanSegment(&frames, apply)
+		if err != nil {
+			return advanced, streamErr(ctx, err)
+		}
+		if torn || valid != n {
+			return advanced, fmt.Errorf("repl: stream batch cut short at byte %d of %d", valid, n)
+		}
+		f.srv.ReplObserve(durable, true)
+		binary.LittleEndian.PutUint64(confirm[3:11], uint64(lsn-1))
+		if _, err := conn.Write(confirm); err != nil {
+			return advanced, streamErr(ctx, err)
+		}
+	}
+}
+
+// dial connects to the host of u, over TLS for an https primary.
+func dial(ctx context.Context, u *url.URL) (net.Conn, error) {
+	port := u.Port()
+	if port == "" {
+		port = "80"
+		if u.Scheme == "https" {
+			port = "443"
+		}
+	}
+	conn, err := new(net.Dialer).DialContext(ctx, "tcp", net.JoinHostPort(u.Hostname(), port))
+	if err != nil || u.Scheme != "https" {
+		return conn, err
+	}
+	tc := tls.Client(conn, &tls.Config{ServerName: u.Hostname()})
+	if err := tc.HandshakeContext(ctx); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return tc, nil
+}
+
+// streamErr reports a stream's I/O failure as the end of its context
+// when that is what closed the connection.
+func streamErr(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return err
 }
 
 // headerLSN parses an LSN response header; absent or malformed is 0.

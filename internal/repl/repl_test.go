@@ -211,9 +211,9 @@ func TestTerminalErrorsAreDistinguishable(t *testing.T) {
 	}
 }
 
-// TestPollTargetsCurrentPrimary pins the stream request a poll builds
-// from its once-parsed primary URL: the exact query, a trailing slash
-// on the primary tolerated, and a Repoint followed by the next poll.
+// TestPollTargetsCurrentPrimary pins the stream request a follower
+// builds from its primary URL: the exact query, a trailing slash on the
+// primary tolerated, and a Repoint followed by the next stream.
 func TestPollTargetsCurrentPrimary(t *testing.T) {
 	primaries := make([]chan string, 2)
 	urls := make([]string, 2)
@@ -238,7 +238,6 @@ func TestPollTargetsCurrentPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(f.client.CloseIdleConnections)
 	want := "/v1/repl/stream?from=0&wait_ms=1500&epoch=" + strconv.FormatUint(srv.EpochAt(0), 10) + "&follower_id=" + f.id
 	for i, target := range []int{0, 0, 1} {
 		if i == 2 {
@@ -246,7 +245,7 @@ func TestPollTargetsCurrentPrimary(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if advanced, err := f.poll(context.Background()); err != nil || advanced {
+		if advanced, err := f.stream(context.Background()); err != nil || advanced {
 			t.Fatalf("poll %d: advanced %v, err %v", i, advanced, err)
 		}
 		if got := <-primaries[target]; got != want {
@@ -278,15 +277,14 @@ func TestPollOnPromotedNodeSendsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(f.client.CloseIdleConnections)
-	if _, err := f.poll(context.Background()); err != nil {
+	if _, err := f.stream(context.Background()); err != nil {
 		t.Fatalf("follower poll: %v", err)
 	}
 	<-streams
 	if _, err := srv.Promote(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.poll(context.Background()); !errors.Is(err, server.ErrNotFollower) {
+	if _, err := f.stream(context.Background()); !errors.Is(err, server.ErrNotFollower) {
 		t.Fatalf("poll after promotion = %v, want server.ErrNotFollower", err)
 	}
 	select {

@@ -56,9 +56,9 @@ func (s *Server) DegradedState() (bool, error) {
 }
 
 // BeginDrain refuses mutations from now on (503 + Retry-After) while
-// reads keep serving, and ends every parked stream poll. Call it before
+// reads keep serving, and ends every replication stream. Call it before
 // http.Server.Shutdown so nothing mutates state between the final
-// checkpoint and process exit, and no follower's poll holds Shutdown.
+// checkpoint and process exit, and no follower's stream holds Shutdown.
 func (s *Server) BeginDrain() { s.beginDrain() }
 
 // Draining reports whether BeginDrain was called.

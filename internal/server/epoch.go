@@ -319,14 +319,18 @@ func (s *Server) Fence(epoch uint64, primary string) error {
 // Quorum acks.
 
 // quorumAcks tracks, per follower, the highest applied LSN it has
-// confirmed (piggybacked on the stream long-poll's from parameter). With
-// Config.Quorum = N, a mutation is acknowledged only once N-1 distinct
-// followers have confirmed its LSN — which is what makes "promote the
-// most-caught-up follower" provably preserve every acknowledged mutation.
+// confirmed (on its replication stream: the from it opened with, then
+// one confirmation per batch applied). With Config.Quorum = N, a
+// mutation is acknowledged only once N-1 distinct followers have
+// confirmed its LSN — which is what makes "promote the most-caught-up
+// follower" provably preserve every acknowledged mutation.
 type quorumAcks struct {
 	mu   sync.Mutex
-	cond sync.Cond // L is mu; broadcast when a confirmation advances
 	acks map[string]uint64
+	// advanced is closed when a confirmation advances, waking every
+	// parked waiter to recount; the first waiter after that makes the
+	// next one.
+	advanced chan struct{}
 }
 
 // observe records follower id's confirmed applied LSN and wakes the
@@ -341,7 +345,10 @@ func (q *quorumAcks) observe(id string, lsn uint64) {
 		return
 	}
 	q.acks[id] = lsn
-	q.cond.Broadcast()
+	if q.advanced != nil {
+		close(q.advanced)
+		q.advanced = nil
+	}
 }
 
 // confirmedLocked counts followers whose confirmed LSN covers lsn.
@@ -355,28 +362,35 @@ func (q *quorumAcks) confirmedLocked(lsn uint64) int {
 	return n
 }
 
-// wait blocks until need followers confirm lsn, or ctx ends.
-func (q *quorumAcks) wait(ctx context.Context, lsn uint64, need int) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.confirmedLocked(lsn) >= need {
-		return nil
-	}
-	// As in wal.Log.WaitSynced: taking mu orders the broadcast after the
-	// waiter's ctx check.
-	stop := context.AfterFunc(ctx, func() {
+// wait blocks until need followers confirm lsn, ctx ends (its error),
+// or timeout passes (context.DeadlineExceeded). It derives no context
+// and registers nothing on ctx: one select on ctx, a plain timer and
+// the advance channel.
+func (q *quorumAcks) wait(ctx context.Context, lsn uint64, need int, timeout time.Duration) error {
+	var timer *time.Timer
+	for {
 		q.mu.Lock()
-		q.mu.Unlock()
-		q.cond.Broadcast()
-	})
-	defer stop()
-	for q.confirmedLocked(lsn) < need {
-		if err := ctx.Err(); err != nil {
-			return err
+		if q.confirmedLocked(lsn) >= need {
+			q.mu.Unlock()
+			return nil
 		}
-		q.cond.Wait()
+		if q.advanced == nil {
+			q.advanced = make(chan struct{})
+		}
+		advanced := q.advanced
+		q.mu.Unlock()
+		if timer == nil {
+			timer = time.NewTimer(timeout)
+			defer timer.Stop()
+		}
+		select {
+		case <-advanced:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-timer.C:
+			return context.DeadlineExceeded
+		}
 	}
-	return nil
 }
 
 // snapshot copies the ack table (for status/debug).
@@ -407,9 +421,7 @@ func (s *Server) quorumWait(ctx context.Context, lsn wal.LSN) error {
 	}
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	if err := s.quorum.wait(ctx, uint64(lsn), need); err != nil {
+	if err := s.quorum.wait(ctx, uint64(lsn), need, timeout); err != nil {
 		tr.AddErr(obs.StageQuorumWait, start, time.Since(start))
 		s.metrics.QuorumTimeout()
 		return fmt.Errorf("%w: lsn %d needs %d follower confirmation(s): %v", ErrQuorumTimeout, lsn, need, err)
@@ -531,7 +543,8 @@ func fenceRemote(ctx context.Context, base string, epoch uint64, advertise strin
 
 // Repoint retargets a follower's replication at a new primary base URL
 // (after a promotion elsewhere). The stream loop picks the new target up
-// on its next poll. ErrNotFollower on a primary.
+// at the next batch or stream, whichever comes first. ErrNotFollower on
+// a primary.
 func (s *Server) Repoint(primary string) error {
 	rs := s.repl.Load()
 	if rs == nil {
@@ -542,8 +555,8 @@ func (s *Server) Repoint(primary string) error {
 }
 
 // PrimaryURL is the primary this follower currently replicates from; ""
-// on a primary. The follower stream loop re-reads it every poll, so a
-// Repoint takes effect without restarting the loop.
+// on a primary. The follower stream loop re-reads it at every batch and
+// every stream, so a Repoint takes effect without restarting the loop.
 func (s *Server) PrimaryURL() string {
 	rs := s.repl.Load()
 	if rs == nil {

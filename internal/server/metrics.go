@@ -47,6 +47,9 @@ type Metrics struct {
 	// streamReads counts replication stream reads by where the log
 	// answered them: [0] the segment files, [1] the newest-segment tail.
 	streamReads [2]atomic.Uint64
+	// replStreamsOpen counts the replication streams this primary is
+	// serving: one per attached follower, back to 0 once they detach.
+	replStreamsOpen atomic.Int64
 
 	// walBatch counts records per WAL flush: how many journal records
 	// one write (and under -fsync one sync) absorbed, in powers of two up
@@ -219,6 +222,7 @@ func (m *Metrics) WriteText(w io.Writer, cache CacheStats, poolSize int, generat
 	fmt.Fprintf(w, "juryd_fence_errors_total %d\n", m.fenceErrors.Load())
 	fmt.Fprintf(w, "juryd_repl_stream_reads_total{source=\"tail\"} %d\n", m.streamReads[1].Load())
 	fmt.Fprintf(w, "juryd_repl_stream_reads_total{source=\"disk\"} %d\n", m.streamReads[0].Load())
+	fmt.Fprintf(w, "juryd_repl_streams_open %d\n", m.replStreamsOpen.Load())
 }
 
 // writeRuntimeMetrics renders process-level gauges: build identity,

@@ -597,3 +597,27 @@ func TestMetricsQuorumWaitStage(t *testing.T) {
 		t.Fatalf("quorum_wait count = %g, want 1", n)
 	}
 }
+
+// TestMetricsReplStreamsOpen pins juryd_repl_streams_open, the soak
+// gauge of attached followers: 0 on a primary without followers, 1
+// while one stream is open, and back to 0 once it ends.
+func TestMetricsReplStreamsOpen(t *testing.T) {
+	s, _ := durable(t)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	journalSome(t, ts.URL, 0) // 1 record
+	const open = "juryd_repl_streams_open"
+	if got := metricValue(t, ts.URL, open); got != 0 {
+		t.Fatalf("%s = %g before any stream, want 0", open, got)
+	}
+	resp, w := openStream(t, ts.URL, "from=0&epoch=1&follower_id=f&wait_ms=30000")
+	defer w.Close()
+	if _, err := readBatch(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(t, ts.URL, open); got != 1 {
+		t.Fatalf("%s = %g with one stream open, want 1", open, got)
+	}
+	resp.Body.Close()
+	waitMetric(t, ts.URL, open, 0)
+}

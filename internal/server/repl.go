@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -17,10 +19,13 @@ import (
 )
 
 // Replication. A durable primary serves its committed WAL prefix over
-// GET /v1/repl/stream (long-poll: the handler parks on the durability
-// watermark until new records commit) and its full state over
-// GET /v1/repl/snapshot (for followers bootstrapping from scratch or
-// stranded behind the log-truncation horizon). A follower (SetFollower)
+// GET /v1/repl/stream and its full state over GET /v1/repl/snapshot
+// (for followers bootstrapping from scratch or stranded behind the
+// log-truncation horizon). A stream is one long-lived full-duplex
+// exchange per follower: once it answers 200 the primary writes a batch
+// of raw WAL frames each time records commit, and the follower writes
+// its applied LSN up the request body after applying each batch — the
+// confirmation quorum-gated acks wait for. A follower (SetFollower)
 // appends the shipped frames to its own WAL and applies them through the
 // same Apply paths recovery uses, so its state — posteriors, sessions,
 // pool signatures, and therefore selection-cache keys — is bit-identical
@@ -39,12 +44,10 @@ const PrimaryHeader = "X-Juryd-Primary"
 
 // Replication stream/snapshot headers.
 const (
-	// ReplFirstLSNHeader is the LSN of the first record in a stream body.
+	// ReplFirstLSNHeader is the LSN of the first record a stream ships.
 	ReplFirstLSNHeader = "X-Repl-First-Lsn"
-	// ReplCountHeader is the number of records in a stream body.
-	ReplCountHeader = "X-Repl-Count"
-	// ReplDurableLSNHeader is the primary's durability watermark at
-	// response time (also on 204, so an idle follower still tracks lag).
+	// ReplDurableLSNHeader is the primary's durability watermark when the
+	// stream opened (also on 204, so an idle follower still tracks lag).
 	ReplDurableLSNHeader = "X-Repl-Durable-Lsn"
 	// ReplOldestLSNHeader is the primary's truncation horizon, sent with
 	// 410 so a stranded follower knows how far behind it is.
@@ -53,10 +56,27 @@ const (
 	ReplSnapshotLSNHeader = "X-Repl-Snapshot-Lsn"
 )
 
-// Stream long-poll bounds.
+// Stream framing. A 200 stream body is a sequence of batches, each
+// [u64 durable watermark][u32 byte length][raw WAL frames]; the request
+// body carries the follower's confirmations, each a u64 applied LSN.
+// Integers are little-endian, like the WAL framing they wrap.
 const (
+	// ReplBatchHeaderBytes is the size of a batch's header.
+	ReplBatchHeaderBytes = 12
+	// ReplConfirmBytes is the size of one confirmation.
+	ReplConfirmBytes = 8
+)
+
+// Stream bounds.
+const (
+	// defaultStreamWait and maxStreamWait bound wait_ms: how long a
+	// stream stays open with nothing to ship.
 	defaultStreamWait = 10 * time.Second
 	maxStreamWait     = 60 * time.Second
+	// streamWriteGrace is how long a batch write may still take once its
+	// stream has ended, so a follower that stopped reading cannot hold
+	// the handler past drain.
+	streamWriteGrace = time.Second
 )
 
 // FollowerError is the mutation-rejection error of a read-only replica:
@@ -273,21 +293,45 @@ func parseLSNParam(v string) (wal.LSN, error) {
 }
 
 // handleReplStream is GET /v1/repl/stream?from=<lsn>&epoch=<e>&
-// follower_id=<id>: the log-shipping long poll. from is the LSN the
-// follower has applied through ("send me from+1 onward") and epoch the
-// epoch it applied from under; the response body is raw WAL framing
-// (ScanSegment decodes it), covering only records at or below the
-// durability watermark. 204 means nothing new committed within the wait
-// or before the server began draining; 410 means
-// the requested records are behind the truncation horizon and the
-// follower must re-bootstrap from /v1/repl/snapshot; 409 means the
-// follower claims records this primary never committed (divergence).
+// follower_id=<id>[&wait_ms=<ms>]: one follower's replication stream.
+// from is the LSN the follower has applied through ("send me from+1
+// onward") and epoch the epoch it applied from under. The open answers
+// 409 when the follower claims records this primary never committed
+// (divergence) or names a newer epoch (this node fences itself), 410
+// when from+1 is behind the truncation horizon (bootstrap from
+// /v1/repl/snapshot), 503 when the log is closed, 204 when nothing
+// commits within wait_ms or before the server drains, and 200 once there
+// is a batch to ship. After the 200 the handler writes one batch per
+// commit it sees — only ever records at or below the durability
+// watermark — and reads the follower's confirmations off the request
+// body (readConfirms). The stream ends after wait_ms with nothing to
+// ship, at drain, when the log closes or a read fails (the reconnect
+// then gets its 503, 410 or 500), or when the follower goes away or
+// confirms what this stream did not ship it.
 func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	p := s.persist
 	if p == nil {
 		writeJSON(w, r, http.StatusPreconditionFailed,
 			ErrorResponse{Error: "server: replication requires a durable primary (start it with -data-dir)"})
 		return
+	}
+	// Confirmations come up the request body while batches go down: full
+	// duplex. No answer reads that body to its end, so the connection
+	// closes with the answer, and a past read deadline keeps the server's
+	// drain of the unread body after the handler from blocking; it also
+	// ends readConfirms' blocked read, so no goroutine outlives the
+	// request. A GET without a body confirms only its from.
+	rc := http.NewResponseController(w)
+	confirms := r.Body != http.NoBody && rc.EnableFullDuplex() == nil
+	var confirming chan struct{} // closed when readConfirms returns
+	if confirms {
+		w.Header().Set("Connection", "close")
+		defer func() {
+			rc.SetReadDeadline(time.Now())
+			if confirming != nil {
+				<-confirming
+			}
+		}()
 	}
 	q := r.URL.Query()
 	from, err := parseLSNParam(q.Get("from"))
@@ -307,7 +351,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	reqEpoch, err := strconv.ParseUint(q.Get("epoch"), 10, 64)
 	id := q.Get("follower_id")
 	if err != nil || reqEpoch == 0 || id == "" {
-		writeError(w, r, fmt.Errorf("server: a stream poll needs an epoch above 0 and a follower_id (got epoch %q, follower_id %q)",
+		writeError(w, r, fmt.Errorf("server: a stream needs an epoch above 0 and a follower_id (got epoch %q, follower_id %q)",
 			q.Get("epoch"), id))
 		return
 	}
@@ -318,11 +362,11 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(ReplEpochHeader, strconv.FormatUint(cur, 10))
 	if reqEpoch > cur {
 		// The caller has seen a newer epoch than we ever wrote: a newer
-		// primary exists, so this node must fence itself — a poll from the
-		// future is as much proof as an explicit fence call. The in-memory
-		// fence holds even if the durable marker fails, but a marker
-		// failure means a crash would resurrect this node unfenced — so it
-		// must not pass silently.
+		// primary exists, so this node must fence itself — a stream from
+		// the future is as much proof as an explicit fence call. The
+		// in-memory fence holds even if the durable marker fails, but a
+		// marker failure means a crash would resurrect this node unfenced
+		// — so it must not pass silently.
 		if ferr := s.Fence(reqEpoch, ""); ferr != nil {
 			s.metrics.FenceError()
 			s.logger.Error("durable fence marker failed; fence is memory-only until delivered again",
@@ -349,24 +393,28 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 			from, p.log.NextLSN()-1)})
 		return
 	}
-	// The follower's applied LSN doubles as its durability confirmation
-	// for quorum-gated acks (piggybacked: no extra round trips). Recorded
-	// only after every divergence check above passed: a diverged caller —
-	// e.g. a resurrected ex-primary whose `from` counts journaled-but-
-	// never-shipped records under a forked epoch — must not vouch for
-	// LSNs this log never shipped, or quorum could ack writes no genuine
-	// follower holds.
+	// The follower's applied LSN is its first durability confirmation for
+	// quorum-gated acks. Recorded only after every divergence check above
+	// passed: a diverged caller — e.g. a resurrected ex-primary whose
+	// `from` counts journaled-but-never-shipped records under a forked
+	// epoch — must not vouch for LSNs this log never shipped, or quorum
+	// could ack writes no genuine follower holds.
 	s.quorum.observe(id, uint64(from))
-	// Park until a newer record is durable, the wait runs out, the
-	// follower goes away or the server drains. A poisoned (degraded) log
-	// will never advance the watermark again, but its committed prefix
-	// is still servable — followers converge to the durable LSN and hold
-	// there — so the poison error just ends the wait.
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
-	defer cancel()
-	stop := context.AfterFunc(s.drain, cancel)
-	defer stop()
-	synced, err := p.log.WaitSynced(ctx, from)
+	s.metrics.replStreamsOpen.Add(1)
+	defer s.metrics.replStreamsOpen.Add(-1)
+	// The stream's context ends when wait_ms passes with nothing shipped
+	// (idle, re-armed after every batch), at drain, when the follower
+	// goes away, or when readConfirms ends it. Every wait below parks on
+	// it; nothing is registered per batch.
+	ctx, end := context.WithCancel(r.Context())
+	defer end()
+	stopDrain := context.AfterFunc(s.drain, end)
+	defer stopDrain()
+	idle := time.AfterFunc(wait, end)
+	defer idle.Stop()
+	waiter := p.log.WatchSynced(ctx)
+	defer waiter.Stop()
+	synced, err := waiter.Wait(from)
 	if errors.Is(err, wal.ErrClosed) {
 		writeJSON(w, r, http.StatusServiceUnavailable, ErrorResponse{Error: "server: log closed"})
 		return
@@ -376,10 +424,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	tr := obs.TraceFrom(r.Context())
-	span := tr.Begin(obs.StageReplRead)
-	frames, count, err := p.log.ReadCommitted(from+1, 0)
-	span.End()
+	frames, count, err := s.readBatch(from + 1)
 	switch {
 	case errors.Is(err, wal.ErrTruncated):
 		w.Header().Set(ReplOldestLSNHeader, strconv.FormatUint(uint64(p.log.OldestLSN()), 10))
@@ -393,11 +438,85 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(ReplFirstLSNHeader, strconv.FormatUint(uint64(from+1), 10))
-	w.Header().Set(ReplCountHeader, strconv.Itoa(count))
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set(ReplFirstLSNHeader, strconv.FormatUint(uint64(from+1), 10))
+	// The connection ends with the stream even without a request body:
+	// the write grace below may outlive the handler.
+	h.Set("Connection", "close")
 	w.WriteHeader(http.StatusOK)
-	w.Write(frames)
+	stopGrace := context.AfterFunc(ctx, func() { rc.SetWriteDeadline(time.Now().Add(streamWriteGrace)) })
+	defer stopGrace()
+	var shipped atomic.Uint64 // the last LSN this stream has shipped
+	if confirms {
+		confirming = make(chan struct{})
+		go func(prev uint64) {
+			defer close(confirming)
+			s.readConfirms(r.Body, id, prev, &shipped, end)
+		}(uint64(from))
+	}
+	var header [ReplBatchHeaderBytes]byte
+	for {
+		from += wal.LSN(count)
+		// Published before the write: a fast follower's confirmation of
+		// this batch must find it.
+		shipped.Store(uint64(from))
+		binary.LittleEndian.PutUint64(header[0:8], uint64(synced))
+		binary.LittleEndian.PutUint32(header[8:12], uint32(len(frames)))
+		if _, err := w.Write(header[:]); err != nil {
+			return
+		}
+		if _, err := w.Write(frames); err != nil {
+			return
+		}
+		if rc.Flush() != nil {
+			return
+		}
+		idle.Reset(wait)
+		if synced, err = waiter.Wait(from); err != nil || synced <= from {
+			return // closed, or the stream's context ended
+		}
+		if frames, count, err = s.readBatch(from + 1); err != nil || count == 0 {
+			return // the reconnect gets its 410 or 500
+		}
+	}
+}
+
+// readBatch reads the committed records from `from` on for one stream
+// answer or batch, feeding its time to the repl_read stage: a stream
+// outlives the per-request trace, which stores only the first spans.
+func (s *Server) readBatch(from wal.LSN) ([]byte, int, error) {
+	start := time.Now()
+	frames, count, err := s.persist.log.ReadCommitted(from, 0)
+	s.recorder.ObserveStage(obs.StageReplRead, time.Since(start))
+	return frames, count, err
+}
+
+// readConfirms reads follower id's confirmations off its stream's
+// request body and records each in the quorum table. A confirmation
+// counts only above the previous one (at first, the stream's from) and
+// at most the last LSN this stream has shipped; any other value ends
+// the stream with nothing recorded, as a failed read does. A body that
+// simply ends leaves the stream running: it confirms nothing more.
+func (s *Server) readConfirms(body io.Reader, id string, prev uint64, shipped *atomic.Uint64, end context.CancelFunc) {
+	var buf [ReplConfirmBytes]byte
+	for {
+		if _, err := io.ReadFull(body, buf[:]); err != nil {
+			if err != io.EOF {
+				end()
+			}
+			return
+		}
+		lsn := binary.LittleEndian.Uint64(buf[:])
+		if last := shipped.Load(); lsn <= prev || lsn > last {
+			s.logger.Warn("replication stream ended: confirmation out of range",
+				"follower_id", id, "confirmed", lsn, "previous", prev, "shipped", last)
+			end()
+			return
+		}
+		prev = lsn
+		s.quorum.observe(id, lsn)
+	}
 }
 
 // handleReplSnapshot is GET /v1/repl/snapshot: the follower bootstrap.

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -37,17 +39,56 @@ func journalSome(t *testing.T, url string, n int) {
 	}
 }
 
-// scanStream decodes a stream response body (raw WAL framing) into
-// payloads.
+// streamBatch is one decoded stream batch: the durability watermark its
+// header names and the payloads of its records.
+type streamBatch struct {
+	durable  wal.LSN
+	payloads [][]byte
+}
+
+// readBatch reads one batch off a stream body; io.EOF means the stream
+// ended cleanly before another batch.
+func readBatch(body io.Reader) (streamBatch, error) {
+	var header [ReplBatchHeaderBytes]byte
+	if _, err := io.ReadFull(body, header[:]); err != nil {
+		return streamBatch{}, err
+	}
+	b := streamBatch{durable: wal.LSN(binary.LittleEndian.Uint64(header[0:8]))}
+	frames := make([]byte, binary.LittleEndian.Uint32(header[8:12]))
+	if _, err := io.ReadFull(body, frames); err != nil {
+		return b, err
+	}
+	_, torn, err := wal.ScanSegment(bytes.NewReader(frames), func(p []byte) error {
+		b.payloads = append(b.payloads, append([]byte(nil), p...))
+		return nil
+	})
+	if err == nil && torn {
+		err = fmt.Errorf("batch of %d bytes holds a torn frame", len(frames))
+	}
+	return b, err
+}
+
+// decodeStream splits a whole stream body into its batches.
+func decodeStream(t *testing.T, body []byte) []streamBatch {
+	t.Helper()
+	var batches []streamBatch
+	for r := bytes.NewReader(body); r.Len() > 0; {
+		b, err := readBatch(r)
+		if err != nil {
+			t.Fatalf("stream body batch %d: %v", len(batches), err)
+		}
+		batches = append(batches, b)
+	}
+	return batches
+}
+
+// scanStream decodes a whole stream body into the payloads of all its
+// batches.
 func scanStream(t *testing.T, body []byte) [][]byte {
 	t.Helper()
 	var payloads [][]byte
-	_, torn, err := wal.ScanSegment(bytes.NewReader(body), func(p []byte) error {
-		payloads = append(payloads, append([]byte(nil), p...))
-		return nil
-	})
-	if err != nil || torn {
-		t.Fatalf("stream body scan: err %v, torn %v", err, torn)
+	for _, b := range decodeStream(t, body) {
+		payloads = append(payloads, b.payloads...)
 	}
 	return payloads
 }
@@ -76,8 +117,9 @@ func TestReplStreamProtocol(t *testing.T) {
 	if got := resp.Header.Get(ReplFirstLSNHeader); got != "1" {
 		t.Fatalf("%s = %q, want 1", ReplFirstLSNHeader, got)
 	}
-	if got := resp.Header.Get(ReplCountHeader); got != "5" {
-		t.Fatalf("%s = %q, want 5", ReplCountHeader, got)
+	if batches := decodeStream(t, body); len(batches[0].payloads) != 5 || batches[0].durable != 5 {
+		t.Fatalf("first batch holds %d records at watermark %d, want 5 at 5",
+			len(batches[0].payloads), batches[0].durable)
 	}
 	if got := resp.Header.Get(ReplDurableLSNHeader); got != "5" {
 		t.Fatalf("%s = %q, want 5", ReplDurableLSNHeader, got)
@@ -269,11 +311,9 @@ func TestReplStreamLongPollWakesOnCommit(t *testing.T) {
 			ch <- result{err: err}
 			return
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		n := 0
-		wal.ScanSegment(bytes.NewReader(body), func([]byte) error { n++; return nil })
-		ch <- result{status: resp.StatusCode, records: n}
+		defer resp.Body.Close()
+		b, err := readBatch(resp.Body)
+		ch <- result{status: resp.StatusCode, records: len(b.payloads), err: err}
 	}()
 
 	time.Sleep(30 * time.Millisecond) // let the poller park on the watermark
@@ -396,7 +436,13 @@ func TestApplyReplicatedContiguity(t *testing.T) {
 	if err != nil || count != 4 {
 		t.Fatalf("ReadCommitted: %d records, %v", count, err)
 	}
-	payloads := scanStream(t, frames)
+	var payloads [][]byte
+	if _, torn, err := wal.ScanSegment(bytes.NewReader(frames), func(p []byte) error {
+		payloads = append(payloads, append([]byte(nil), p...))
+		return nil
+	}); err != nil || torn {
+		t.Fatalf("committed frames scan: err %v, torn %v", err, torn)
+	}
 
 	f, _ := durable(t)
 	f.SetFollower(tsP.URL)
@@ -612,7 +658,7 @@ func TestReplStreamReadFaults(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 			t.Fatalf("stream %d shipped Content-Type %q, want a JSON error", want, ct)
 		}
-		if resp.Header.Get(ReplCountHeader) != "" || resp.Header.Get(ReplFirstLSNHeader) != "" {
+		if resp.Header.Get(ReplFirstLSNHeader) != "" {
 			t.Fatalf("stream %d carries frame headers: %v", want, resp.Header)
 		}
 		var e ErrorResponse

@@ -140,8 +140,8 @@ type Server struct {
 	degradedMu    sync.Mutex
 	degradedCause error
 	unrestored    atomic.Pointer[error] // why a restore failed: reads answer 503 too
-	// drain ends at BeginDrain: new mutations are refused and parked
-	// stream polls return while in-flight reads complete.
+	// drain ends at BeginDrain: new mutations are refused and
+	// replication streams end while in-flight reads complete.
 	drain      context.Context
 	beginDrain context.CancelFunc
 	// inflight is the admission-control token bucket (nil when
@@ -188,7 +188,6 @@ func New(cfg Config) *Server {
 		started:  time.Now(),
 	}
 	s.drain, s.beginDrain = context.WithCancel(context.Background())
-	s.quorum.cond.L = &s.quorum.mu
 	if cfg.TraceBuffer >= 0 {
 		s.recorder = obs.NewRecorder(cfg.TraceBuffer)
 	}
@@ -205,8 +204,9 @@ func New(cfg Config) *Server {
 	s.route("GET /debug/persistence", routeSys, s.handleDebugPersistence)
 	s.route("GET /debug/traces", routeSys, s.handleDebugTraces)
 	// Replication routes are system-plane: exempt from admission control
-	// and the request deadline (the stream is a long poll, and a degraded
-	// or overloaded primary must keep feeding its followers).
+	// and the request deadline (a stream lives as long as its follower
+	// stays attached, and a degraded or overloaded primary must keep
+	// feeding its followers).
 	s.route("GET /v1/repl/stream", routeSys, s.handleReplStream)
 	s.route("GET /v1/repl/snapshot", routeSys, s.handleReplSnapshot)
 	// Failover control plane: promotion, fencing, and follower
@@ -379,6 +379,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
 	w.ResponseWriter.WriteHeader(code)
 }
+
+// Unwrap exposes the connection's writer to http.ResponseController (the
+// replication stream's full duplex, flushes and deadlines).
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // maxBodyBytes bounds request bodies (1 MiB covers thousands of workers).
 const maxBodyBytes = 1 << 20

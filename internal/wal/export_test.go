@@ -1,5 +1,15 @@
 package wal
 
+import "context"
+
+// WaitSynced is one SyncWaiter wait under ctx: the one-shot wait the
+// tests drive.
+func (l *Log) WaitSynced(ctx context.Context, after LSN) (LSN, error) {
+	w := l.WatchSynced(ctx)
+	defer w.Stop()
+	return w.Wait(after)
+}
+
 // TailBytes is the newest-segment tail's bound, for external tests.
 const TailBytes = tailBytes
 

@@ -1,8 +1,8 @@
 // Log shipping: the committed-prefix reader API behind the replication
 // stream. A primary serves its durable record prefix as raw framed bytes
-// (ReadCommitted), long-polls on the durability watermark (WaitSynced),
-// and reports the truncation horizon (OldestLSN); a follower bootstraps
-// an empty data directory positioned after a shipped snapshot (InitAtFS)
+// (ReadCommitted), waits on the durability watermark (SyncWaiter), and
+// reports the truncation horizon (OldestLSN); a follower bootstraps an
+// empty data directory positioned after a shipped snapshot (InitAtFS)
 // and appends the shipped frames to its own log, so the two logs are
 // byte-identical over the shipped range.
 
@@ -50,46 +50,50 @@ func (l *Log) Synced() LSN {
 	return l.synced
 }
 
-// WaitSynced blocks until the durability watermark passes after, ctx
-// ends, or the log closes or fails, and returns the watermark at that
-// moment. It is the long-poll primitive behind the replication stream:
-// a follower that has applied through `after` parks here until the
-// primary commits something newer. An ended ctx returns the current
-// watermark immediately.
-func (l *Log) WaitSynced(ctx context.Context, after LSN) (LSN, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.synced > after || ctx.Err() != nil {
-		return l.synced, l.stateErrLocked()
-	}
-	// Taking mu before the broadcast orders it after the waiter's
-	// ctx check: the waiter is either parked in Wait or sees ctx ended.
-	stop := context.AfterFunc(ctx, func() {
+// A SyncWaiter parks one reader on the durability watermark, again and
+// again, under one context: the wait behind the replication stream,
+// whose handler waits once per commit it ships. It registers its
+// wake-up on the context once, so a Wait costs no allocation. Create
+// with WatchSynced; Stop releases it.
+type SyncWaiter struct {
+	l    *Log
+	ctx  context.Context
+	stop func() bool
+}
+
+// WatchSynced returns a SyncWaiter whose waits end when ctx does.
+func (l *Log) WatchSynced(ctx context.Context) *SyncWaiter {
+	// Taking mu before the broadcast orders it after a waiter's ctx
+	// check: the waiter is either parked in Wait or sees ctx ended.
+	return &SyncWaiter{l: l, ctx: ctx, stop: context.AfterFunc(ctx, func() {
 		l.mu.Lock()
 		l.mu.Unlock()
 		l.cond.Broadcast()
-	})
-	defer stop()
-	for l.synced <= after && ctx.Err() == nil {
-		if err := l.stateErrLocked(); err != nil {
-			return l.synced, err
-		}
+	})}
+}
+
+// Wait blocks until the durability watermark passes after, the
+// waiter's context ends, or the log closes, and returns the watermark
+// at that moment; ErrClosed once the log is closed. A failed (poisoned)
+// log never advances its watermark again, so Wait parks on it as on an
+// idle log: its committed prefix stays servable, and a reader that has
+// all of it holds there until its context ends instead of asking again
+// at once.
+func (w *SyncWaiter) Wait(after LSN) (LSN, error) {
+	l := w.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.f != nil && l.synced <= after && w.ctx.Err() == nil {
 		l.cond.Wait()
+	}
+	if l.f == nil {
+		return l.synced, ErrClosed
 	}
 	return l.synced, nil
 }
 
-// stateErrLocked reports the closed or poisoned state, if any. Callers
-// hold l.mu.
-func (l *Log) stateErrLocked() error {
-	if l.failed != nil {
-		return fmt.Errorf("%w: %w", ErrFailed, l.failed)
-	}
-	if l.f == nil {
-		return ErrClosed
-	}
-	return nil
-}
+// Stop releases the waiter's wake-up registration.
+func (w *SyncWaiter) Stop() { w.stop() }
 
 // OldestLSN returns the first LSN still present in the retained segments
 // — the replication stream's truncation horizon. On a fresh or fully

@@ -9,6 +9,7 @@ package walltest
 
 import (
 	"context"
+	"encoding/binary"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -33,9 +34,9 @@ type FollowerEnv struct {
 	err     error // loop exit error; read only after exited is closed
 }
 
-// fastOpts are repl options tuned for tests: short long-polls so
-// convergence waits settle in milliseconds, short backoff so severed
-// streams retry immediately.
+// fastOpts are repl options tuned for tests: idle streams end after
+// 150 ms so a repointed or reopened stream settles fast, and a short
+// backoff lets severed streams retry immediately.
 func fastOpts() repl.Options {
 	return repl.Options{
 		Wait:       150 * time.Millisecond,
@@ -186,18 +187,20 @@ func AssertConverged(t testing.TB, primary *Env, followers ...*FollowerEnv) {
 // ---------------------------------------------------------------------------
 // Stream severing.
 
-// SeveringProxy fronts a primary and truncates stream response bodies at
-// byte counts chosen by cut — the injector for "the connection died at
-// an arbitrary byte boundary, possibly mid-frame". Every other route
-// passes through untouched.
+// SeveringProxy fronts a primary and severs replication streams at byte
+// counts chosen by cut — the injector for "the connection died at an
+// arbitrary byte boundary, possibly mid-frame". It relays a stream batch
+// by batch, batches down and confirmations up; every other answer passes
+// through whole.
 type SeveringProxy struct {
 	*httptest.Server
 	target string
 	cut    func(bodyLen int) int
 }
 
-// StartSeveringProxy builds the proxy; cut receives each stream body's
-// length and returns how many bytes to deliver (>= len passes it whole).
+// StartSeveringProxy builds the proxy; cut receives the length of each
+// stream batch (header and frames) and returns how many of its bytes to
+// deliver before the connection dies (>= len passes it whole).
 func StartSeveringProxy(t testing.TB, target string, cut func(bodyLen int) int) *SeveringProxy {
 	t.Helper()
 	p := &SeveringProxy{target: target, cut: cut}
@@ -207,34 +210,57 @@ func StartSeveringProxy(t testing.TB, target string, cut func(bodyLen int) int) 
 }
 
 func (p *SeveringProxy) serve(w http.ResponseWriter, r *http.Request) {
+	rc := http.NewResponseController(w)
+	rc.EnableFullDuplex() // confirmations keep coming up while batches go down
+	// The upstream transport reads the follower's body until it ends, and
+	// net/http closes a connection only after closing that body: a past
+	// read deadline ends the read, so a severed stream's connection closes.
+	defer rc.SetReadDeadline(time.Now())
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, p.target+r.URL.RequestURI(), r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	req.Header = r.Header.Clone()
+	if r.Body != http.NoBody {
+		// Relay the body as it arrives: no wait for a 100 Continue the
+		// primary never sends, no probe of a GET body.
+		req.Header.Del("Expect")
+		req.TransferEncoding = []string{"chunked"}
+	}
 	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	if r.URL.Path == "/v1/repl/stream" && resp.StatusCode == http.StatusOK {
-		if k := p.cut(len(body)); k < len(body) {
-			body = body[:k]
-		}
-	}
 	for key, vals := range resp.Header {
 		if key == "Content-Length" {
-			continue // the truncated body sets its own
+			continue // the relay frames the body itself
 		}
 		w.Header()[key] = vals
 	}
 	w.WriteHeader(resp.StatusCode)
-	w.Write(body)
+	if r.URL.Path != "/v1/repl/stream" || resp.StatusCode != http.StatusOK {
+		io.Copy(w, resp.Body)
+		return
+	}
+	for {
+		var header [server.ReplBatchHeaderBytes]byte
+		if _, err := io.ReadFull(resp.Body, header[:]); err == io.EOF {
+			return // the primary ended the stream between batches
+		} else if err != nil {
+			panic(http.ErrAbortHandler)
+		}
+		batch := append(header[:], make([]byte, binary.LittleEndian.Uint32(header[8:12]))...)
+		if _, err := io.ReadFull(resp.Body, batch[len(header):]); err != nil {
+			panic(http.ErrAbortHandler)
+		}
+		k := min(p.cut(len(batch)), len(batch))
+		w.Write(batch[:k])
+		rc.Flush()
+		if k < len(batch) {
+			panic(http.ErrAbortHandler) // sever: the follower sees the stream die here
+		}
+	}
 }

@@ -384,8 +384,8 @@ func (c *Client) Fence(ctx context.Context, req FenceRequest) (FenceResponse, er
 }
 
 // Repoint re-targets the follower at the client's base URL at a new
-// primary URL, effective from its next replication poll. Addressed to
-// that one node; safe to replay.
+// primary URL, effective from its next replication batch or stream.
+// Addressed to that one node; safe to replay.
 func (c *Client) Repoint(ctx context.Context, req RepointRequest) (RepointResponse, error) {
 	var out RepointResponse
 	err := c.call(ctx, http.MethodPost, "/v1/repl/repoint", req, &out, callOpts{idempotent: true, sticky: true})
