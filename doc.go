@@ -203,7 +203,7 @@
 //     the record sequence. A failed flush refuses the whole batch with
 //     503; nothing unacked survives recovery.
 //   - Failure contract: the first WAL failure (append, flush, or fsync)
-//     poisons the log — every later operation, Sync and Close included,
+//     poisons the log — every later append, durability wait and Close
 //     refuses with the original typed IOError. Before the daemon degrades
 //     and any refused mutation answers 503, the live state is restored
 //     to the durable prefix by boot recovery's own snapshot load and

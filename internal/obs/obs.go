@@ -165,6 +165,8 @@ type Trace struct {
 	dur     time.Duration
 	spans   []Span
 	dropped int
+	// unranked keeps the trace off the slow board (Unranked).
+	unranked bool
 	// spanBuf backs spans for the typical request (one span per stage),
 	// so recording costs no allocation until a request exceeds it.
 	spanBuf [12]Span
@@ -185,6 +187,20 @@ func (t *Trace) ID() string {
 		return ""
 	}
 	return t.id
+}
+
+// Unranked keeps the trace off the recorder's slow board: its duration
+// is how long a peer stayed attached, as on a replication stream, not
+// work the server did, and ranking it would crowd out slow requests.
+// The trace still enters the ring and the stage histograms. Safe on a
+// nil trace.
+func (t *Trace) Unranked() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.unranked = true
+	t.mu.Unlock()
 }
 
 // SpanTimer times one stage; obtain with Begin, finish with End. The
@@ -426,7 +442,8 @@ func NewRecorder(size int) *Recorder {
 
 // Finish seals the trace with its response status, publishes it into
 // the ring (overwriting the oldest), feeds its spans into the stage
-// histograms, and admits it to the slow board if it qualifies.
+// histograms, and admits it to the slow board if it qualifies and is
+// not Unranked.
 func (r *Recorder) Finish(t *Trace, status int) {
 	if r == nil || t == nil {
 		return
@@ -437,13 +454,14 @@ func (r *Recorder) Finish(t *Trace, status int) {
 	t.status = status
 	t.dur = d
 	spans := t.spans // sealed: no writer appends once done is set
+	ranked := !t.unranked
 	t.mu.Unlock()
 	for _, sp := range spans {
 		r.stages[sp.Stage].ObserveDuration(sp.Dur)
 	}
 	slot := (r.next.Add(1) - 1) % uint64(len(r.ring))
 	r.ring[slot].Store(t)
-	if !r.slowFull.Load() || int64(d) > r.slowMin.Load() {
+	if ranked && (!r.slowFull.Load() || int64(d) > r.slowMin.Load()) {
 		r.admitSlow(t, d)
 	}
 }

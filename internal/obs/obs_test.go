@@ -167,6 +167,25 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// TestUnrankedTraceStaysOffSlowBoard: an Unranked trace is published
+// to the ring but never ranked, however long it ran.
+func TestUnrankedTraceStaysOffSlowBoard(t *testing.T) {
+	r := NewRecorder(4)
+	long := NewTrace("stream", "GET /v1/repl/stream")
+	long.Unranked()
+	time.Sleep(2 * time.Millisecond)
+	r.Finish(long, 204)
+	r.Finish(NewTrace("select", "POST /v1/select"), 200)
+	if slow := r.Slowest(); len(slow) != 1 || slow[0].ID != "select" {
+		t.Fatalf("Slowest() = %+v, want only the ranked trace", slow)
+	}
+	if recent := r.Recent(2); len(recent) != 2 || recent[1].ID != "stream" {
+		t.Fatalf("Recent(2) = %+v, want the unranked trace in the ring", recent)
+	}
+	var none *Trace
+	none.Unranked() // nil-safe, like every Trace method
+}
+
 func TestSlowestBoard(t *testing.T) {
 	r := NewRecorder(4) // ring smaller than the slow board on purpose
 	for i := 0; i < 40; i++ {

@@ -283,6 +283,11 @@ func (s *Server) recoverDurable(fsys wal.FS, dir string, log *wal.Log) (Recovery
 		return nil
 	})
 	if err != nil {
+		if start := log.OldestLSN(); errors.Is(err, wal.ErrTruncated) && start > lsn+1 {
+			// The records between the snapshot and the retained log are
+			// gone: booting would silently drop acknowledged writes.
+			return rs, fmt.Errorf("%w: snapshot covers lsn %d but the log starts at %d", wal.ErrCorrupt, lsn, start)
+		}
 		return rs, fmt.Errorf("server: replay: %w", err)
 	}
 	return rs, nil

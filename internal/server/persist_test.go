@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -475,5 +477,47 @@ func TestCapturedStateDoesNotAliasLiveState(t *testing.T) {
 	}
 	if now, _ := s.DebugState(); bytes.Equal(now, want) {
 		t.Fatal("the ingests left the live state unchanged; the test proves nothing")
+	}
+}
+
+// TestRecoveryRefusesLogStartingAfterSnapshot: with the snapshot gone,
+// the log truncated under it starts after the last record the data dir
+// still describes. Recovery must refuse rather than boot the retained
+// suffix alone, which would drop every worker the snapshot held.
+func TestRecoveryRefusesLogStartingAfterSnapshot(t *testing.T) {
+	s, cfg := durable(t)
+	cfg.SegmentBytes = 256 // a few records a segment, so the snapshot truncates
+	s = reopen(t, s, cfg)
+	register := func(n int) {
+		t.Helper()
+		for range n {
+			id := fmt.Sprintf("w%02d", s.registry.Len())
+			if _, err := s.registry.Register(context.Background(), []WorkerSpec{{ID: id, Quality: 0.7, Cost: 1}}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	register(18)
+	if err := s.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	register(5)
+	snap, oldest := s.persist.lastSnapshot, s.persist.log.OldestLSN()
+	if oldest <= 1 {
+		t.Fatalf("the snapshot at lsn %d truncated nothing (log starts at %d)", snap, oldest)
+	}
+	if err := s.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(cfg.DataDir, fmt.Sprintf("snapshot-%016x.json", uint64(snap)))); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(cfg)
+	if err == nil {
+		t.Fatalf("recovery without the snapshot booted with %d of 23 workers", s2.registry.Len())
+	}
+	if want := fmt.Sprintf("snapshot covers lsn 0 but the log starts at %d", oldest); !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("recovery error = %v, want wal.ErrCorrupt naming %q", err, want)
 	}
 }

@@ -307,8 +307,10 @@ func parseLSNParam(v string) (wal.LSN, error) {
 // body (readConfirms). The stream ends after wait_ms with nothing to
 // ship, at drain, when the log closes or a read fails (the reconnect
 // then gets its 503, 410 or 500), or when the follower goes away or
-// confirms what this stream did not ship it.
+// confirms what this stream did not ship it. Its trace stays off the
+// slowest board: a stream lasts as long as its follower stays attached.
 func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
+	obs.TraceFrom(r.Context()).Unranked()
 	p := s.persist
 	if p == nil {
 		writeJSON(w, r, http.StatusPreconditionFailed,

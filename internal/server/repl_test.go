@@ -739,3 +739,65 @@ func TestReplStreamReadsBySource(t *testing.T) {
 	poll(0, 5) // from LSN 1, behind the rotation
 	counts(1, 1)
 }
+
+// TestIdleStreamsStayOffSlowestBoard: a replication stream lasts as
+// long as its follower stays attached, at least wait_ms, so ranking its
+// trace would fill /debug/traces' slowest board with streams. After 20
+// idle streams an ordinary request must still reach the board and no
+// stream may be on it, while the streams still count in the route's
+// metrics.
+func TestIdleStreamsStayOffSlowestBoard(t *testing.T) {
+	s, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.ClosePersistence() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	journalSome(t, ts.URL, 0) // one record; a stream from it is caught up
+
+	const streams = 20
+	done := make(chan error, streams)
+	for i := range streams {
+		go func() {
+			resp, err := http.Get(ts.URL + "/v1/repl/stream?from=1&epoch=1&wait_ms=50&follower_id=f" + strconv.Itoa(i))
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusNoContent {
+					err = fmt.Errorf("idle stream answered %d, want 204", resp.StatusCode)
+				}
+			}
+			done <- err
+		}()
+	}
+	for range streams {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resp, err := http.Get(ts.URL + "/v1/workers"); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+
+	listed := false
+	for _, tr := range s.recorder.Slowest() {
+		if tr.Route == "GET /v1/repl/stream" {
+			t.Fatalf("slowest board holds a stream trace: %+v", tr)
+		}
+		listed = listed || tr.Route == "GET /v1/workers"
+	}
+	if !listed {
+		t.Fatalf("slowest board lacks the ordinary request: %+v", s.recorder.Slowest())
+	}
+	m := metricsText(t, ts.URL)
+	for _, line := range []string{
+		`juryd_requests_total{route="GET /v1/repl/stream"} 20` + "\n",
+		`juryd_request_duration_seconds_count{route="GET /v1/repl/stream"} 20` + "\n",
+	} {
+		if !strings.Contains(m, line) {
+			t.Fatalf("metrics lack %q:\n%s", line, m)
+		}
+	}
+}

@@ -69,8 +69,8 @@ func TestWriteFaultPoisonsLog(t *testing.T) {
 	if !errors.As(err, &ioErr) {
 		t.Fatalf("later append should still expose the root IOError: %v", err)
 	}
-	if l.Failed() == nil {
-		t.Fatal("Failed() = nil after poisoning")
+	if err := l.WaitDurable(); !errors.Is(err, wal.ErrFailed) {
+		t.Fatalf("WaitDurable on poisoned log = %v, want ErrFailed", err)
 	}
 	if fsys.Injected() != 1 {
 		t.Fatalf("Injected() = %d, want 1 (write fault fires once, poison stops retries)", fsys.Injected())

@@ -16,20 +16,7 @@ const TailBytes = tailBytes
 // FileRead is ReadCommitted's file path over the log's current segments,
 // whether or not the tail holds from: the read a tail answer must equal.
 func (l *Log) FileRead(from LSN, maxBytes int) ([]byte, int, error) {
-	if from == 0 {
-		from = 1
-	}
-	if maxBytes <= 0 {
-		maxBytes = MaxBatchBytes
-	}
-	l.mu.Lock()
-	synced := l.synced
-	segs := append([]segment(nil), l.segs...)
-	l.mu.Unlock()
-	if from > synced {
-		return nil, 0, nil
-	}
-	return l.readSegments(segs, from, maxBytes, synced)
+	return l.readSegments(readBounds(from, maxBytes))
 }
 
 // TailState reports the newest-segment tail: the LSN after its last

@@ -352,58 +352,6 @@ func concurrentReplayComplete(t *testing.T, opts wal.Options) {
 	}
 }
 
-// TestSyncFailurePoisonsLog pins the Sync half of the poison contract:
-// the failing Sync surfaces the *IOError itself, and afterwards both
-// Sync and Append refuse with the ErrFailed wrap instead of pretending
-// a later retry could make the lost pages durable.
-func TestSyncFailurePoisonsLog(t *testing.T) {
-	dir := t.TempDir()
-	fs := errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpSync, Path: "wal-"})
-	l, _, err := wal.Open(dir, wal.Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if _, err := l.Append([]byte("one")); err != nil {
-		t.Fatal(err) // no Fsync option: the append itself does not sync
-	}
-	err = l.Sync()
-	var ioErr *wal.IOError
-	if !errors.As(err, &ioErr) || ioErr.Op != "fsync" {
-		t.Fatalf("Sync error = %v, want fsync *IOError", err)
-	}
-	if errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("first Sync failure %v wraps ErrFailed; it must surface the IOError itself", err)
-	}
-	if err := l.Sync(); !errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("Sync on poisoned log = %v, want ErrFailed wrap", err)
-	}
-	if _, err := l.Append([]byte("two")); !errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("Append on poisoned log = %v, want ErrFailed wrap", err)
-	}
-	if l.Failed() == nil {
-		t.Fatal("Failed() = nil after a Sync failure")
-	}
-}
-
-// TestSyncOnPoisonedLogRefuses: a log poisoned by a write failure must
-// never let a later Sync report success.
-func TestSyncOnPoisonedLogRefuses(t *testing.T) {
-	dir := t.TempDir()
-	fs := errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpWrite, Path: "wal-"})
-	l, _, err := wal.Open(dir, wal.Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if _, err := l.Append([]byte("boom")); err == nil {
-		t.Fatal("Append with write fault succeeded")
-	}
-	if err := l.Sync(); !errors.Is(err, wal.ErrFailed) {
-		t.Fatalf("Sync after poisoned write = %v, want ErrFailed wrap", err)
-	}
-}
-
 // TestCloseReportsDirtyShutdown pins the Close half of the contract: a
 // final flush that fails is reported (not swallowed), recorded as the
 // sticky poison, and re-reported by a second Close.

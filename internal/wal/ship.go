@@ -130,23 +130,9 @@ func (l *Log) OldestLSN() LSN {
 // segment bytes: the tail holds the bytes a flush wrote, and marks are
 // positions the log already knows, never a record of earlier reads.
 func (l *Log) ReadCommitted(from LSN, maxBytes int) ([]byte, int, error) {
-	if from == 0 {
-		from = 1
-	}
-	if maxBytes <= 0 {
-		maxBytes = MaxBatchBytes
-	}
+	from, maxBytes = readBounds(from, maxBytes)
 	l.mu.Lock()
-	synced := l.synced
-	if from > synced {
-		l.mu.Unlock()
-		return nil, 0, nil
-	}
-	if len(l.segs) == 0 || from < l.segs[0].first {
-		l.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w: lsn %d predates the oldest retained segment", ErrTruncated, from)
-	}
-	if from >= l.tailFirst {
+	if from >= l.tailFirst && from <= l.synced {
 		out, count := l.copyTailLocked(from, maxBytes)
 		l.mu.Unlock()
 		l.observeRead(true)
@@ -155,10 +141,21 @@ func (l *Log) ReadCommitted(from LSN, maxBytes int) ([]byte, int, error) {
 		}
 		return out, count, nil
 	}
-	segs := append([]segment(nil), l.segs...)
 	l.mu.Unlock()
-	l.observeRead(false)
-	return l.readSegments(segs, from, maxBytes, synced)
+	out, count, err := l.readSegments(from, maxBytes)
+	if count > 0 {
+		l.observeRead(false)
+	}
+	return out, count, err
+}
+
+// readBounds applies ReadCommitted's defaults: from 0 reads from LSN 1,
+// and a maxBytes of 0 or less selects MaxBatchBytes.
+func readBounds(from LSN, maxBytes int) (LSN, int) {
+	if maxBytes <= 0 {
+		maxBytes = MaxBatchBytes
+	}
+	return max(from, 1), maxBytes
 }
 
 // observeRead reports where a ReadCommitted was answered from.
@@ -204,9 +201,25 @@ func verifyFrames(frames []byte, first LSN) error {
 	return nil
 }
 
-// readSegments is ReadCommitted's file path: it scans the segments in
-// segs (a copy taken under l.mu) for records from..synced.
-func (l *Log) readSegments(segs []segment, from LSN, maxBytes int, synced LSN) ([]byte, int, error) {
+// readSegments is the one reader of the durable prefix in the segment
+// files, behind ReadCommitted and Replay: the records from..Synced(),
+// framed and bounded by maxBytes as ReadCommitted documents. It copies
+// the watermark and the segment list under l.mu, refuses a from below
+// the oldest retained segment with ErrTruncated, and starts each
+// segment's scan at its last mark at or below from.
+func (l *Log) readSegments(from LSN, maxBytes int) ([]byte, int, error) {
+	l.mu.Lock()
+	synced := l.synced
+	if from > synced {
+		l.mu.Unlock()
+		return nil, 0, nil
+	}
+	if len(l.segs) == 0 || from < l.segs[0].first {
+		l.mu.Unlock()
+		return nil, 0, fmt.Errorf("%w: lsn %d predates the oldest retained segment", ErrTruncated, from)
+	}
+	segs := append([]segment(nil), l.segs...)
+	l.mu.Unlock()
 	var out []byte
 	count := 0
 	for i, seg := range segs {
@@ -225,21 +238,12 @@ func (l *Log) readSegments(segs []segment, from LSN, maxBytes int, synced LSN) (
 			}
 			return nil, 0, err
 		}
-		marks := seg.marks
-		if marks == nil {
-			var idxErr error
-			if marks, _, _, idxErr = indexSegment(f); idxErr != nil {
-				f.Close()
-				return nil, 0, fmt.Errorf("segment %s: %w", filepath.Base(seg.path), idxErr)
-			}
-			l.setMarks(seg.first, marks)
-		}
 		k := 0
 		if from > seg.first {
-			k = int(min((from-seg.first)/markEvery, LSN(len(marks)-1)))
+			k = int(min((from-seg.first)/markEvery, LSN(len(seg.marks)-1)))
 		}
 		lsn := seg.first + LSN(k)*markEvery
-		section := io.NewSectionReader(f, marks[k], math.MaxInt64-marks[k])
+		section := io.NewSectionReader(f, seg.marks[k], math.MaxInt64-seg.marks[k])
 		stopped := false
 		_, _, scanErr := ScanSegment(bufio.NewReader(section), func(payload []byte) error {
 			this := lsn
@@ -284,18 +288,6 @@ func (l *Log) readSegments(segs []segment, from LSN, maxBytes int, synced LSN) (
 		return nil, 0, fmt.Errorf("%w: lsn %d no longer on disk", ErrTruncated, from)
 	}
 	return out, count, nil
-}
-
-// setMarks installs the marks a reader built for the sealed segment
-// starting at first, unless truncation removed it in the meantime.
-func (l *Log) setMarks(first LSN, marks []int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := range l.segs {
-		if l.segs[i].first == first && l.segs[i].marks == nil {
-			l.segs[i].marks = marks
-		}
-	}
 }
 
 // InitAtFS prepares dir as an empty log positioned so the next append

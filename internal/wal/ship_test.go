@@ -352,9 +352,9 @@ func readCounted(t *testing.T, fsys *countingFS, l *Log, from LSN, maxBytes int)
 // poll: on the live log a caught-up read is answered from the
 // newest-segment tail and reads nothing from disk; a read that starts
 // before the tail — in the newest segment, after a reopen (which starts
-// the tail empty), or in a sealed segment found at Open once it is
-// indexed — touches the returned bytes plus at most one mark interval,
-// not the records before it.
+// the tail empty), or in a sealed segment found at Open, which indexes
+// it — touches the returned bytes plus at most one mark interval, not
+// the records before it.
 func TestReadCommittedTailReadsOneMarkInterval(t *testing.T) {
 	const records = 10000
 	dir := t.TempDir()
@@ -403,7 +403,7 @@ func TestReadCommittedTailReadsOneMarkInterval(t *testing.T) {
 	}
 	tail(l, "reopened log", bound)
 
-	// Rotate, then reopen: the first segment is now sealed and unindexed.
+	// Rotate, then reopen: the first segment is now sealed.
 	for i := records; i < records+10; i++ {
 		if _, err := l.Append([]byte(fixedPayload(i))); err != nil {
 			t.Fatal(err)
@@ -419,11 +419,7 @@ func TestReadCommittedTailReadsOneMarkInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	// The first read into the sealed segment indexes it with one scan.
-	if _, count, _ := readCounted(t, fsys, l, records/2, 0); count != records/2+11 {
-		t.Fatalf("first read into sealed segment shipped %d records", count)
-	}
-	for _, from := range []LSN{records - 3, records - 100} {
+	for _, from := range []LSN{records / 2, records - 3, records - 100} {
 		frames, count, read := readCounted(t, fsys, l, from, 0)
 		if want := records + 11 - int(from); count != want {
 			t.Fatalf("read from %d shipped %d records, want %d", from, count, want)

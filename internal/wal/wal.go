@@ -12,22 +12,29 @@
 // Records are numbered by position: the i-th record of a segment has LSN
 // first+i, so the file names and record counts locate every record. In
 // memory each segment also keeps a sparse LSN → byte-offset index (one
-// mark every markEvery records) so the replication stream can start
-// reading at a mark instead of byte 0; the index is never written to
+// mark every markEvery records), built by Open's scan of every segment
+// and extended as records are appended, so a read of the durable prefix
+// starts at a mark instead of byte 0; the index is never written to
 // disk. Appends go to the newest segment and rotate to a fresh one when
 // the configured size is exceeded.
+//
+// Reads. One reader walks the durable prefix in the segment files:
+// ReadCommitted (the replication stream) and Replay (recovery) both go
+// through it, so both refuse a from below the oldest retained segment
+// with ErrTruncated and a damaged prefix with ErrCorrupt.
 //
 // Crash semantics. Only the tail of the newest segment can be torn by a
 // crash (appends are sequential); Open scans that segment, truncates
 // anything after the last record whose length and checksum verify, and
 // reports how many bytes were dropped. A record that fails verification
-// anywhere else is corruption, and Replay fails with ErrCorrupt rather
+// anywhere else is corruption, and reads fail with ErrCorrupt rather
 // than silently skipping it. Decoding never panics on arbitrary bytes
 // (fuzzed in fuzz_test.go).
 package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -153,12 +160,11 @@ type segment struct {
 	first LSN
 	path  string
 	// marks[k] is the byte offset of record first+k*markEvery, so
-	// marks[0] is 0. Marks are appended as records are staged and cut
-	// back only past the watermark by a failed flush, so the marks a copy
-	// taken under Log.mu uses (those at or below the watermark then) stay
-	// valid while appends go on. nil
-	// means not indexed yet: a sealed segment found at Open gets its
-	// marks from the first read that needs them (it never changes).
+	// marks[0] is 0. Open builds them for every segment it finds; after
+	// that they are appended as records are staged and cut back only
+	// past the watermark by a failed flush, so the marks a copy taken
+	// under Log.mu uses (those at or below the watermark then) stay valid
+	// while appends go on.
 	marks []int64
 }
 
@@ -242,9 +248,9 @@ func listSegments(fsys FS, dir string) ([]segment, error) {
 	return segs, nil
 }
 
-// Open opens (creating if needed) the log in dir, truncating any torn
-// record off the tail of the newest segment so the log ends on a clean
-// record boundary.
+// Open opens (creating if needed) the log in dir, indexing every
+// segment and truncating any torn record off the tail of the newest one
+// so the log ends on a clean record boundary.
 func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -269,19 +275,16 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 			return nil, OpenInfo{}, err
 		}
 	} else {
+		// A sealed segment's scan only indexes it: a record there that
+		// does not verify is corruption, which reads report.
+		var records int
+		var valid int64
+		for i := range segs {
+			if segs[i].marks, records, valid, err = indexSegment(fsys, segs[i].path); err != nil {
+				return nil, OpenInfo{}, err
+			}
+		}
 		last := segs[len(segs)-1]
-		f, err := fsys.Open(last.path)
-		if err != nil {
-			return nil, OpenInfo{}, err
-		}
-		marks, records, valid, scanErr := indexSegment(f)
-		closeErr := f.Close()
-		if scanErr != nil {
-			return nil, OpenInfo{}, scanErr
-		}
-		if closeErr != nil {
-			return nil, OpenInfo{}, closeErr
-		}
 		st, err := fsys.Stat(last.path)
 		if err != nil {
 			return nil, OpenInfo{}, err
@@ -306,7 +309,6 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 		}
 		l.size = valid
 		l.next = last.first + LSN(records)
-		l.segs[len(l.segs)-1].marks = marks
 		l.tailFirst = l.next
 	}
 	l.synced = l.next - 1 // everything on disk at Open is the durable prefix
@@ -349,12 +351,17 @@ func (l *Log) markLocked(lsn LSN, off int64) {
 	}
 }
 
-// indexSegment scans a segment from its first byte and returns its marks,
-// its record count and the offset just past its last valid record.
-func indexSegment(r io.Reader) (marks []int64, records int, valid int64, err error) {
+// indexSegment scans the segment file at path from its first byte and
+// returns its marks, its record count and the offset just past its last
+// valid record.
+func indexSegment(fsys FS, path string) (marks []int64, records int, valid int64, err error) {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	marks = []int64{0}
 	var off int64
-	valid, _, err = ScanSegment(bufio.NewReaderSize(r, 64<<10), func(payload []byte) error {
+	valid, _, err = ScanSegment(bufio.NewReaderSize(f, 64<<10), func(payload []byte) error {
 		if records > 0 && records%markEvery == 0 {
 			marks = append(marks, off)
 		}
@@ -362,7 +369,13 @@ func indexSegment(r io.Reader) (marks []int64, records int, valid int64, err err
 		off += headerSize + int64(len(payload))
 		return nil
 	})
-	return marks, records, valid, err
+	if closeErr := f.Close(); err == nil {
+		err = closeErr
+	}
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("segment %s: %w", filepath.Base(path), err)
+	}
+	return marks, records, valid, nil
 }
 
 // syncDir flushes a directory's entries (file creations, renames) to
@@ -662,46 +675,6 @@ func (l *Log) drainLocked() error {
 	return nil
 }
 
-// Failed reports the sticky disk error that poisoned the log, or nil.
-func (l *Log) Failed() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.failed
-}
-
-// Sync makes every record accepted so far durable: it drains any staged
-// batch, then flushes the newest segment to stable storage. Sealed
-// segments were synced by their flushes under Options.Fsync; without it
-// they ride the page cache.
-// It honors the poison contract Append does: a poisoned log refuses with
-// an error wrapping ErrFailed and the original cause (a Sync on a failed
-// log must never report success), and a Sync that itself fails records
-// the poison — so every later append fails fast — and surfaces the
-// *IOError.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return ErrClosed
-	}
-	if l.failed != nil {
-		return fmt.Errorf("%w: %w", ErrFailed, l.failed)
-	}
-	if err := l.drainLocked(); err != nil {
-		return err
-	}
-	if l.f == nil {
-		return ErrClosed
-	}
-	path := l.segs[len(l.segs)-1].path
-	if err := l.f.Sync(); err != nil {
-		l.failed = &IOError{Op: "fsync", Path: path, Err: err}
-		l.cond.Broadcast()
-		return l.failed
-	}
-	return nil
-}
-
 // Close makes the log durable and closes it: staged records are flushed, the newest segment synced, and the file closed. Further
 // appends fail with ErrClosed. A dirty close — the log was already
 // poisoned, or the final flush, sync or close itself fails — is recorded
@@ -772,61 +745,30 @@ func (l *Log) Segments() int {
 	return len(l.segs)
 }
 
-// Replay calls fn for every durable record (at or below Synced) with
-// LSN >= from, in order, reading nothing past it: after a failed flush
-// the file may still hold refused or torn records. It fails with
-// ErrCorrupt on a record that does not verify (outside the tail Open
-// already truncated) or on a gap between segments.
+// Replay calls fn for every record with LSN >= from that is durable
+// (at or below Synced) when it starts, in order. It reads the segment
+// files through ReadCommitted's reader, never the in-memory tail, so it
+// sees what a restart would: it fails with ErrTruncated when from
+// precedes the oldest retained segment and with ErrCorrupt when the
+// durable prefix does not verify.
 func (l *Log) Replay(from LSN, fn func(lsn LSN, payload []byte) error) error {
-	l.mu.Lock()
-	segs := append([]segment(nil), l.segs...)
-	upTo := l.synced
-	l.mu.Unlock()
-	for i, seg := range segs {
-		if seg.first > upTo {
-			return nil
-		}
-		if i+1 < len(segs) && segs[i+1].first <= from {
-			continue // every record of this segment is below from
-		}
-		f, err := l.fs.Open(seg.path)
+	end := l.Synced()
+	for from = max(from, 1); from <= end; {
+		frames, _, err := l.readSegments(from, MaxBatchBytes)
 		if err != nil {
 			return err
 		}
-		lsn := seg.first
-		_, torn, err := ScanSegment(f, func(payload []byte) error {
-			this := lsn
-			lsn++
-			if this >= from {
-				if err := fn(this, payload); err != nil {
-					return err
-				}
-			}
-			if this == upTo {
+		if _, _, err := ScanSegment(bytes.NewReader(frames), func(payload []byte) error {
+			if from > end {
 				return errStopScan
 			}
-			return nil
-		})
-		closeErr := f.Close()
-		if errors.Is(err, errStopScan) {
-			return closeErr
-		}
-		if err != nil {
-			// Name the segment so a failed replay diagnoses which file to
-			// inspect, not just which LSN.
-			return fmt.Errorf("segment %s: %w", filepath.Base(seg.path), err)
-		}
-		if closeErr != nil {
-			return closeErr
-		}
-		if torn {
-			return fmt.Errorf("%w: unverifiable record after lsn %d in %s",
-				ErrCorrupt, lsn-1, filepath.Base(seg.path))
-		}
-		if i+1 < len(segs) && segs[i+1].first != lsn {
-			return fmt.Errorf("%w: segment %s ends at lsn %d but %s starts at %d",
-				ErrCorrupt, filepath.Base(seg.path), lsn-1,
-				filepath.Base(segs[i+1].path), segs[i+1].first)
+			from++
+			return fn(from-1, payload)
+		}); err != nil {
+			if errors.Is(err, errStopScan) {
+				return nil
+			}
+			return err
 		}
 	}
 	return nil
