@@ -579,3 +579,44 @@ func BenchmarkServerQuorumIngest(b *testing.B) {
 		post("/v1/votes", "bench-"+strconv.Itoa(i), []byte(`{"worker_id":"w`+strconv.Itoa(i%2)+`","correct":true}`))
 	}
 }
+
+// BenchmarkServerOpen is a restart's boot in process: server.Open on a
+// data directory holding 50,000 journaled keyed single votes and no
+// snapshot, so each boot replays the whole log, decoding and applying
+// every record and re-adding its key to the dedup table.
+func BenchmarkServerOpen(b *testing.B) {
+	const votes = 50_000
+	cfg := server.Config{Alpha: 0.5, Seed: 1, DataDir: b.TempDir()}
+	srv, err := server.Open(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := make([]server.WorkerSpec, 16)
+	for i := range specs {
+		specs[i] = server.WorkerSpec{ID: "w" + strconv.Itoa(i), Quality: 0.8, Cost: 2}
+	}
+	ctx := context.Background()
+	if _, err := srv.Registry().Register(ctx, specs, 0); err != nil {
+		b.Fatal(err)
+	}
+	for i := range votes {
+		ev := []server.VoteEvent{{WorkerID: specs[i%len(specs)].ID, Correct: i%3 != 0}}
+		if _, _, _, err := srv.Registry().IngestKeyed(ctx, ev, "bench-"+strconv.Itoa(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := srv.ClosePersistence(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		srv, err := server.Open(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replayed := srv.PersistenceStatus().Recovery.RecordsReplayed
+		if err := srv.ClosePersistence(); err != nil || replayed != votes+1 {
+			b.Fatalf("boot replayed %d of %d records: %v", replayed, votes+1, err)
+		}
+	}
+}

@@ -2,8 +2,11 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 )
 
 // The data directory. A durable juryd keeps four kinds of file in one
@@ -17,6 +20,33 @@ import (
 // Segments and snapshots are log state (HasState); the other two are
 // node metadata, written whole by Install, and a wiped directory starts
 // without them.
+
+// An lsnFile is a kind of log-state file, named by an LSN written as 16
+// hex digits between a fixed prefix and suffix.
+type lsnFile struct{ prefix, suffix string }
+
+var (
+	segmentFile  = lsnFile{"wal-", ".log"}       // the LSN of its first record
+	snapshotFile = lsnFile{"snapshot-", ".json"} // the last LSN it covers
+)
+
+// name renders the file name of this kind for lsn.
+func (k lsnFile) name(lsn LSN) string {
+	return fmt.Sprintf("%s%016x%s", k.prefix, uint64(lsn), k.suffix)
+}
+
+// parse extracts the LSN from a file name of this kind.
+func (k lsnFile) parse(name string) (LSN, bool) {
+	hex, ok := strings.CutPrefix(name, k.prefix)
+	if !ok {
+		return 0, false
+	}
+	if hex, ok = strings.CutSuffix(hex, k.suffix); !ok || len(hex) != 16 {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(hex, 16, 64)
+	return LSN(n), err == nil
+}
 
 // Install atomically replaces dir/name with data: it writes a temp file,
 // fsyncs and closes it, renames it into place and fsyncs dir. A crash
@@ -74,8 +104,8 @@ func HasState(fsys FS, dir string) (bool, error) {
 		return false, err
 	}
 	for _, e := range entries {
-		_, seg := parseSegmentName(e.Name())
-		_, snap := parseSnapshotName(e.Name())
+		_, seg := segmentFile.parse(e.Name())
+		_, snap := snapshotFile.parse(e.Name())
 		if seg || snap {
 			return true, nil
 		}

@@ -16,7 +16,8 @@ const TailBytes = tailBytes
 // FileRead is ReadCommitted's file path over the log's current segments,
 // whether or not the tail holds from: the read a tail answer must equal.
 func (l *Log) FileRead(from LSN, maxBytes int) ([]byte, int, error) {
-	return l.readSegments(readBounds(from, maxBytes))
+	from, maxBytes = readBounds(from, maxBytes)
+	return l.readSegments(from, maxBytes, nil)
 }
 
 // TailState reports the newest-segment tail: the LSN after its last

@@ -20,7 +20,8 @@ func encodeRecord(payload []byte) []byte {
 // FuzzScanSegment is the WAL decoder's safety net: arbitrary bytes must
 // never panic, and whatever prefix the scanner accepts must be a
 // self-consistent log — rescanning exactly that prefix yields the same
-// records with no torn tail.
+// records with no torn tail. The frames scanVerified hands over, which
+// the segment reader ships as they are, concatenate to that prefix.
 func FuzzScanSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeRecord(nil))
@@ -74,6 +75,15 @@ func FuzzScanSegment(f *testing.F) {
 			if !bytes.Equal(first[i], second[i]) {
 				t.Fatalf("record %d differs between scans", i)
 			}
+		}
+		var frames []byte
+		valid3, torn3, err := scanVerified(bytes.NewReader(data), func(frame []byte) error {
+			frames = append(frames, frame...)
+			return nil
+		})
+		if err != nil || torn3 != torn || valid3 != valid || !bytes.Equal(frames, data[:valid]) {
+			t.Fatalf("scanVerified = (%d, torn %v, err %v) with %d frame bytes, want (%d, %v, nil) and data[:%d]",
+				valid3, torn3, err, len(frames), valid, torn, valid)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -139,6 +140,49 @@ func TestReplayMatchesFullScanOracle(t *testing.T) {
 				classes[checkReplayAgainstOracle(t, l, from, fmt.Sprintf("op %d (%s)", op, step))]++
 			}
 		})
+	}
+}
+
+// TestReplayAllocatesOneBatch: a Replay of a multi-segment log reuses one
+// batch buffer, so it allocates about MaxBatchBytes plus a small reader
+// overhead per segment opened, not a copy of the frames it replays.
+func TestReplayAllocatesOneBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	const records, size = 50_000, 180
+	l, _, err := Open(t.TempDir(), Options{FS: noSyncFS{OSFS()}, SegmentBytes: 2 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := make([]byte, size)
+	for i := range records {
+		binary.LittleEndian.PutUint64(payload, uint64(i))
+		p, err := l.Begin(payload)
+		if err == nil && (i%1000 == 999 || i == records-1) {
+			err = p.Wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := records * (headerSize + size)
+	batches := frames/MaxBatchBytes + 1
+	opens := batches + l.Segments() // each batch opens a segment, plus one per boundary crossed
+	var before, after runtime.MemStats
+	n := 0
+	runtime.ReadMemStats(&before)
+	err = l.Replay(1, func(LSN, []byte) error { n++; return nil })
+	runtime.ReadMemStats(&after)
+	if err != nil || n != records {
+		t.Fatalf("replayed %d of %d records: %v", n, records, err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(MaxBatchBytes + opens*16<<10)
+	t.Logf("Replay of %d frame bytes in %d segments allocated %d bytes (limit %d)", frames, l.Segments(), got, limit)
+	if got > limit {
+		t.Fatalf("Replay of %d frame bytes allocated %d bytes, want at most %d", frames, got, limit)
 	}
 }
 

@@ -142,7 +142,7 @@ func (l *Log) ReadCommitted(from LSN, maxBytes int) ([]byte, int, error) {
 		return out, count, nil
 	}
 	l.mu.Unlock()
-	out, count, err := l.readSegments(from, maxBytes)
+	out, count, err := l.readSegments(from, maxBytes, nil)
 	if count > 0 {
 		l.observeRead(false)
 	}
@@ -203,11 +203,12 @@ func verifyFrames(frames []byte, first LSN) error {
 
 // readSegments is the one reader of the durable prefix in the segment
 // files, behind ReadCommitted and Replay: the records from..Synced(),
-// framed and bounded by maxBytes as ReadCommitted documents. It copies
-// the watermark and the segment list under l.mu, refuses a from below
-// the oldest retained segment with ErrTruncated, and starts each
-// segment's scan at its last mark at or below from.
-func (l *Log) readSegments(from LSN, maxBytes int) ([]byte, int, error) {
+// framed and bounded by maxBytes as ReadCommitted documents, appended
+// to out[:0] as the frames the scan verified. It copies the watermark
+// and the segment list under l.mu, refuses a from below the oldest
+// retained segment with ErrTruncated, and starts each segment's scan at
+// its last mark at or below from.
+func (l *Log) readSegments(from LSN, maxBytes int, out []byte) ([]byte, int, error) {
 	l.mu.Lock()
 	synced := l.synced
 	if from > synced {
@@ -220,7 +221,7 @@ func (l *Log) readSegments(from LSN, maxBytes int) ([]byte, int, error) {
 	}
 	segs := append([]segment(nil), l.segs...)
 	l.mu.Unlock()
-	var out []byte
+	out = out[:0]
 	count := 0
 	for i, seg := range segs {
 		if i+1 < len(segs) && segs[i+1].first <= from {
@@ -245,7 +246,7 @@ func (l *Log) readSegments(from LSN, maxBytes int) ([]byte, int, error) {
 		lsn := seg.first + LSN(k)*markEvery
 		section := io.NewSectionReader(f, seg.marks[k], math.MaxInt64-seg.marks[k])
 		stopped := false
-		_, _, scanErr := ScanSegment(bufio.NewReader(section), func(payload []byte) error {
+		_, _, scanErr := scanVerified(bufio.NewReader(section), func(frame []byte) error {
 			this := lsn
 			lsn++
 			if this > synced {
@@ -255,11 +256,11 @@ func (l *Log) readSegments(from LSN, maxBytes int) ([]byte, int, error) {
 			if this < from {
 				return nil
 			}
-			if count > 0 && len(out)+headerSize+len(payload) > maxBytes {
+			if count > 0 && len(out)+len(frame) > maxBytes {
 				stopped = true
 				return errStopScan
 			}
-			out = appendFrame(out, payload)
+			out = append(out, frame...)
 			count++
 			return nil
 		})
@@ -313,7 +314,7 @@ func InitAtFS(fsys FS, dir string, next LSN) error {
 	if len(segs) > 0 {
 		return fmt.Errorf("wal: init: %s already holds %d segment(s)", dir, len(segs))
 	}
-	path := filepath.Join(dir, segmentName(next))
+	path := filepath.Join(dir, segmentFile.name(next))
 	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return &IOError{Op: "create", Path: path, Err: err}

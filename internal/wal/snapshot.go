@@ -1,11 +1,8 @@
 package wal
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 )
 
 // Snapshots are whole-state JSON documents named snapshot-<lsn>.json,
@@ -15,27 +12,6 @@ import (
 // the previous snapshot intact; once the rename lands, older snapshots
 // (and, via Log.TruncateBefore, fully-covered WAL segments) are garbage
 // and are removed.
-
-// snapshotName renders the file name of the snapshot covering lsn.
-func snapshotName(lsn LSN) string {
-	return fmt.Sprintf("snapshot-%016x.json", uint64(lsn))
-}
-
-// parseSnapshotName extracts the covered LSN from a snapshot file name.
-func parseSnapshotName(name string) (LSN, bool) {
-	if !strings.HasPrefix(name, "snapshot-") || !strings.HasSuffix(name, ".json") {
-		return 0, false
-	}
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, "snapshot-"), ".json")
-	if len(hex) != 16 {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return LSN(n), true
-}
 
 // WriteSnapshotFS installs payload as the snapshot covering records
 // 1..lsn (Install: temp file, fsync, rename, directory fsync) and removes
@@ -49,7 +25,7 @@ func WriteSnapshotFS(fsys FS, dir string, lsn LSN, payload []byte) error {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := Install(fsys, dir, snapshotName(lsn), payload); err != nil {
+	if err := Install(fsys, dir, snapshotFile.name(lsn), payload); err != nil {
 		return err
 	}
 	entries, err := fsys.ReadDir(dir)
@@ -57,7 +33,7 @@ func WriteSnapshotFS(fsys FS, dir string, lsn LSN, payload []byte) error {
 		return err
 	}
 	for _, e := range entries {
-		if old, ok := parseSnapshotName(e.Name()); ok && old < lsn {
+		if old, ok := snapshotFile.parse(e.Name()); ok && old < lsn {
 			// Best-effort: a leftover older snapshot is shadowed by the
 			// newer one either way.
 			fsys.Remove(filepath.Join(dir, e.Name()))
@@ -79,7 +55,7 @@ func LatestSnapshotFS(fsys FS, dir string) (lsn LSN, payload []byte, found bool,
 	best := LSN(0)
 	bestName := ""
 	for _, e := range entries {
-		if l, ok := parseSnapshotName(e.Name()); ok && (bestName == "" || l > best) {
+		if l, ok := snapshotFile.parse(e.Name()); ok && (bestName == "" || l > best) {
 			best, bestName = l, e.Name()
 		}
 	}

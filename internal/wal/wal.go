@@ -18,7 +18,8 @@
 // disk. Appends go to the newest segment and rotate to a fresh one when
 // the configured size is exceeded.
 //
-// Reads. One reader walks the durable prefix in the segment files:
+// Reads. One reader walks the durable prefix in the segment files,
+// checking each record's CRC once and copying the frames it verified:
 // ReadCommitted (the replication stream) and Replay (recovery) both go
 // through it, so both refuse a from below the oldest retained segment
 // with ErrTruncated and a damaged prefix with ErrCorrupt.
@@ -34,7 +35,6 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -43,8 +43,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -207,28 +205,6 @@ type Log struct {
 	tailFirst LSN
 }
 
-// segmentName renders the file name of the segment whose first record has
-// the given LSN.
-func segmentName(first LSN) string {
-	return fmt.Sprintf("wal-%016x.log", uint64(first))
-}
-
-// parseSegmentName extracts the first LSN from a segment file name.
-func parseSegmentName(name string) (LSN, bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-		return 0, false
-	}
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log")
-	if len(hex) != 16 {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return LSN(n), true
-}
-
 // listSegments returns dir's segment files sorted by first LSN.
 func listSegments(fsys FS, dir string) ([]segment, error) {
 	entries, err := fsys.ReadDir(dir)
@@ -240,7 +216,7 @@ func listSegments(fsys FS, dir string) ([]segment, error) {
 		if e.IsDir() {
 			continue
 		}
-		if first, ok := parseSegmentName(e.Name()); ok {
+		if first, ok := segmentFile.parse(e.Name()); ok {
 			segs = append(segs, segment{first: first, path: filepath.Join(dir, e.Name())})
 		}
 	}
@@ -324,7 +300,7 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 // segment, acknowledged records included. Callers hold l.mu (or own the
 // log exclusively).
 func (l *Log) createSegmentLocked(first LSN) error {
-	path := filepath.Join(l.dir, segmentName(first))
+	path := filepath.Join(l.dir, segmentFile.name(first))
 	f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return &IOError{Op: "create", Path: path, Err: err}
@@ -746,29 +722,30 @@ func (l *Log) Segments() int {
 }
 
 // Replay calls fn for every record with LSN >= from that is durable
-// (at or below Synced) when it starts, in order. It reads the segment
-// files through ReadCommitted's reader, never the in-memory tail, so it
-// sees what a restart would: it fails with ErrTruncated when from
-// precedes the oldest retained segment and with ErrCorrupt when the
-// durable prefix does not verify.
+// (at or below Synced) when it starts, in order; the payload is valid
+// only during fn. It reads the segment files through ReadCommitted's
+// reader, never the in-memory tail, so it sees what a restart would: it
+// fails with ErrTruncated when from precedes the oldest retained
+// segment and with ErrCorrupt when the durable prefix does not verify.
+// Each batch is verified whole before fn sees any record of it, and
+// every batch reuses one buffer of MaxBatchBytes.
 func (l *Log) Replay(from LSN, fn func(lsn LSN, payload []byte) error) error {
 	end := l.Synced()
+	var batch []byte
 	for from = max(from, 1); from <= end; {
-		frames, _, err := l.readSegments(from, MaxBatchBytes)
-		if err != nil {
+		if batch == nil {
+			batch = make([]byte, 0, MaxBatchBytes)
+		}
+		var err error
+		if batch, _, err = l.readSegments(from, MaxBatchBytes, batch); err != nil {
 			return err
 		}
-		if _, _, err := ScanSegment(bytes.NewReader(frames), func(payload []byte) error {
-			if from > end {
-				return errStopScan
+		for p := 0; p < len(batch) && from <= end; from++ {
+			q := p + headerSize + int(binary.LittleEndian.Uint32(batch[p:]))
+			if err := fn(from, batch[p+headerSize:q:q]); err != nil {
+				return err
 			}
-			from++
-			return fn(from-1, payload)
-		}); err != nil {
-			if errors.Is(err, errStopScan) {
-				return nil
-			}
-			return err
+			p = q
 		}
 	}
 	return nil
@@ -806,10 +783,17 @@ func (l *Log) TruncateBefore(lsn LSN) (int, error) {
 // or on an unverifiable one (torn). err carries fn failures and reader
 // errors other than running out of bytes; arbitrary input never panics.
 func ScanSegment(r io.Reader, fn func(payload []byte) error) (valid int64, torn bool, err error) {
-	var header [headerSize]byte
-	var buf []byte
+	return scanVerified(r, func(frame []byte) error { return fn(frame[headerSize:]) })
+}
+
+// scanVerified is ScanSegment handing fn each verified frame whole, header
+// and payload in one reused buffer, so the frames it passes concatenate
+// to the first valid bytes of r.
+func scanVerified(r io.Reader, fn func(frame []byte) error) (valid int64, torn bool, err error) {
+	buf := make([]byte, headerSize)
 	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
+		buf = buf[:headerSize]
+		if _, err := io.ReadFull(r, buf); err != nil {
 			if errors.Is(err, io.EOF) {
 				return valid, false, nil
 			}
@@ -818,42 +802,30 @@ func ScanSegment(r io.Reader, fn func(payload []byte) error) (valid int64, torn 
 			}
 			return valid, false, err
 		}
-		length := binary.LittleEndian.Uint32(header[0:4])
+		length := binary.LittleEndian.Uint32(buf)
 		if length > MaxRecordBytes {
 			return valid, true, nil
 		}
-		if cap(buf) < int(length) {
-			// Grow in bounded chunks so a corrupt length claim cannot
-			// force a huge allocation before the short read is noticed.
-			buf = make([]byte, 0, min(int(length), 64<<10))
-		}
-		buf = buf[:0]
-		remaining := int(length)
-		short := false
-		for remaining > 0 {
+		// Grow in bounded chunks so a corrupt length claim cannot force a
+		// huge allocation before the short read is noticed.
+		for remaining := int(length); remaining > 0; {
 			chunk := min(remaining, 64<<10)
 			start := len(buf)
 			buf = append(buf, make([]byte, chunk)...)
-			n, err := io.ReadFull(r, buf[start:])
-			buf = buf[:start+n]
-			if err != nil {
+			if _, err := io.ReadFull(r, buf[start:]); err != nil {
 				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-					short = true
-					break
+					return valid, true, nil
 				}
 				return valid, false, err
 			}
 			remaining -= chunk
 		}
-		if short {
-			return valid, true, nil
-		}
-		if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(header[4:8]) {
+		if crc32.Checksum(buf[headerSize:], castagnoli) != binary.LittleEndian.Uint32(buf[4:]) {
 			return valid, true, nil
 		}
 		if err := fn(buf); err != nil {
 			return valid, false, err
 		}
-		valid += headerSize + int64(length)
+		valid += int64(len(buf))
 	}
 }

@@ -143,7 +143,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 			}
 			appendAll(t, l, "keep-me", "torn-record")
 			l.Close()
-			path := filepath.Join(dir, segmentName(1))
+			path := filepath.Join(dir, segmentFile.name(1))
 			st, err := os.Stat(path)
 			if err != nil {
 				t.Fatal(err)
@@ -181,7 +181,7 @@ func TestCorruptedTailCRCTruncatedOnOpen(t *testing.T) {
 	}
 	appendAll(t, l, "good", "flipped")
 	l.Close()
-	path := filepath.Join(dir, segmentName(1))
+	path := filepath.Join(dir, segmentFile.name(1))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestEmptyTrailingSegment(t *testing.T) {
 	l.Close()
 	// Simulate a crash right after rotation created the next segment but
 	// before any record landed in it.
-	empty := filepath.Join(dir, segmentName(3))
+	empty := filepath.Join(dir, segmentFile.name(3))
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestReplayDetectsMidLogCorruption(t *testing.T) {
 	appendAll(t, l, "seg1", "seg2", "seg3")
 	l.Close()
 	// Corrupt the middle segment: replay must fail loudly, not skip.
-	path := filepath.Join(dir, segmentName(2))
+	path := filepath.Join(dir, segmentFile.name(2))
 	data, _ := os.ReadFile(path)
 	data[len(data)-1] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -303,7 +303,7 @@ func TestSnapshotWriteAndLatest(t *testing.T) {
 		t.Fatalf("LatestSnapshot = (%d, %s), want (9, {\"v\":2})", lsn, payload)
 	}
 	// The older snapshot file is gone.
-	if _, err := os.Stat(filepath.Join(dir, snapshotName(5))); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, snapshotFile.name(5))); !os.IsNotExist(err) {
 		t.Fatalf("old snapshot still present: %v", err)
 	}
 }
@@ -384,7 +384,7 @@ func TestOpenSyncsTornTailCutUnderFsync(t *testing.T) {
 		}
 		appendAll(t, l, "kept")
 		l.Close()
-		f, err := os.OpenFile(filepath.Join(dir, segmentName(1)), os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(filepath.Join(dir, segmentFile.name(1)), os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,9 +456,9 @@ func TestHasState(t *testing.T) {
 		{"unrelated files", []string{"notes.txt", "wal.log.bak"}, false},
 		{"identity and fence", []string{"follower-id", "fence.json"}, false},
 		{"malformed names", []string{"wal-00000001.log", "snapshot-42.json", "snapshot-0000000000000042.json.tmp"}, false},
-		{"wal segment", []string{segmentName(1)}, true},
-		{"snapshot", []string{snapshotName(0x42)}, true},
-		{"both", []string{segmentName(7), snapshotName(6)}, true},
+		{"wal segment", []string{segmentFile.name(1)}, true},
+		{"snapshot", []string{snapshotFile.name(0x42)}, true},
+		{"both", []string{segmentFile.name(7), snapshotFile.name(6)}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -479,6 +479,38 @@ func TestHasState(t *testing.T) {
 			}
 			if got != tc.want {
 				t.Fatalf("HasState(%v) = %v, want %v", tc.files, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestLSNFileNames: both kinds of log-state file round-trip their LSN
+// through name and parse, and parse refuses every near miss — a missing
+// prefix or suffix, the wrong digit count, non-hex digits and the .tmp
+// leftover of an interrupted Install.
+func TestLSNFileNames(t *testing.T) {
+	for _, kind := range []lsnFile{segmentFile, snapshotFile} {
+		t.Run(kind.prefix, func(t *testing.T) {
+			for _, lsn := range []LSN{0, 1, 0x42, 1<<64 - 1} {
+				if got, ok := kind.parse(kind.name(lsn)); !ok || got != lsn {
+					t.Errorf("parse(%q) = (%d, %v), want (%d, true)", kind.name(lsn), got, ok, lsn)
+				}
+			}
+			digits := "0000000000000001"
+			for _, name := range []string{
+				digits + kind.suffix,                                // no prefix
+				kind.prefix + digits,                                // no suffix
+				kind.prefix + digits[1:] + kind.suffix,              // 15 digits
+				kind.prefix + digits + "0" + kind.suffix,            // 17 digits
+				kind.prefix + "000000000000000g" + kind.suffix,      // non-hex digit
+				kind.prefix + "+000000000000001" + kind.suffix,      // sign
+				kind.prefix + digits + kind.suffix + ".tmp",         // Install leftover
+				kind.prefix + kind.prefix + digits + kind.suffix,    // doubled prefix
+				strings.ToUpper(kind.prefix) + digits + kind.suffix, // wrong case
+			} {
+				if lsn, ok := kind.parse(name); ok {
+					t.Errorf("parse(%q) accepted it as lsn %d", name, lsn)
+				}
 			}
 		})
 	}
