@@ -51,9 +51,9 @@ func (j *journal) mutate(ctx context.Context, mu sync.Locker, body func(tx *txn)
 type txn struct {
 	j   *journal
 	ctx context.Context
-	// last is the newest record staged so far; the log is ordered, so
-	// its commit covers every earlier one.
-	last *wal.Pending
+	// last is the LSN of the newest record staged so far (0: none); the
+	// log is ordered, so its commit covers every earlier one.
+	last wal.LSN
 	// dup marks a keyed-ingest retry: nothing is staged, and the ack
 	// waits on the barrier instead.
 	dup     bool
@@ -74,12 +74,12 @@ func (tx *txn) run(rec *Record, prepare func(*Record) (func(), error)) error {
 		if err != nil {
 			return err
 		}
-		pend, err := tx.j.append(tx.ctx, payload)
+		lsn, err := tx.j.append(tx.ctx, payload)
 		if err != nil {
 			tx.refused = err
 			return err
 		}
-		tx.last = pend
+		tx.last = lsn
 	}
 	span := obs.TraceFrom(tx.ctx).Begin(obs.StageApply)
 	apply()
@@ -112,7 +112,7 @@ func (tx *txn) commit() error {
 		return nil
 	}
 	err := tx.refused
-	if err == nil && tx.last != nil {
+	if err == nil && tx.last != 0 {
 		err = j.wait(tx.ctx, tx.last)
 	}
 	j.freeze.RUnlock()
@@ -126,8 +126,8 @@ func (tx *txn) commit() error {
 		return j.restore(err)
 	case tx.dup:
 		return j.s.quorumWait(tx.ctx, j.log.NextLSN()-1)
-	case tx.last != nil:
-		return j.s.quorumWait(tx.ctx, tx.last.LSN())
+	case tx.last != 0:
+		return j.s.quorumWait(tx.ctx, tx.last)
 	}
 	return nil
 }
@@ -151,15 +151,15 @@ func (j *journal) restore(cause error) error {
 // journalNow journals payload before its caller (ApplyReplicated,
 // Promote) applies it, so a WAL failure degrades with nothing to restore.
 func (j *journal) journalNow(ctx context.Context, payload []byte) (wal.LSN, error) {
-	pend, err := j.append(ctx, payload)
+	lsn, err := j.append(ctx, payload)
 	if err == nil {
-		err = j.wait(ctx, pend)
+		err = j.wait(ctx, lsn)
 	}
 	if err != nil {
 		j.s.enterDegraded(err)
 		return 0, fmt.Errorf("%w: %w", ErrDegraded, err)
 	}
-	return pend.LSN(), nil
+	return lsn, nil
 }
 
 // replay applies one journaled record without journaling it, validated by
@@ -190,28 +190,29 @@ func (j *journal) encode(ctx context.Context, rec *Record) ([]byte, error) {
 
 // append stages payload and reserves its LSN inside a wal_append span;
 // the write and any fsync happen in wait.
-func (j *journal) append(ctx context.Context, payload []byte) (*wal.Pending, error) {
+func (j *journal) append(ctx context.Context, payload []byte) (wal.LSN, error) {
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
-	pend, err := j.log.Begin(payload)
+	lsn, err := j.log.Begin(payload)
 	d := time.Since(start)
 	if err != nil {
 		// Error-tagged, so the request that hit the poisoned log stays
 		// visible in /debug/traces.
 		tr.AddErr(obs.StageWALAppend, start, d)
 		j.s.metrics.WALError()
-		return nil, err
+		return 0, err
 	}
 	tr.Add(obs.StageWALAppend, start, d)
-	return pend, nil
+	return lsn, nil
 }
 
-// wait blocks until pend is durable: a wal_flush span over the shared
-// write, plus a wal_fsync span under -fsync.
-func (j *journal) wait(ctx context.Context, pend *wal.Pending) error {
+// wait blocks until record lsn is durable: a wal_flush span over the
+// shared write, plus a wal_fsync span of the sync Log.Wait reports under
+// -fsync.
+func (j *journal) wait(ctx context.Context, lsn wal.LSN) error {
 	tr := obs.TraceFrom(ctx)
 	start := time.Now()
-	err := pend.Wait()
+	fsync, err := j.log.Wait(lsn)
 	d := time.Since(start)
 	if err != nil {
 		tr.AddErr(obs.StageWALFlush, start, d)
@@ -219,7 +220,7 @@ func (j *journal) wait(ctx context.Context, pend *wal.Pending) error {
 		return err
 	}
 	tr.Add(obs.StageWALFlush, start, d)
-	if fsync := pend.FsyncDuration(); fsync > 0 {
+	if fsync > 0 {
 		tr.Add(obs.StageWALFsync, start, fsync)
 	}
 	return nil

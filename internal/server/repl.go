@@ -426,7 +426,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	frames, count, err := s.readBatch(from + 1)
+	frames, count, err := s.readBatch(from+1, nil)
 	switch {
 	case errors.Is(err, wal.ErrTruncated):
 		w.Header().Set(ReplOldestLSNHeader, strconv.FormatUint(uint64(p.log.OldestLSN()), 10))
@@ -478,18 +478,19 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		if synced, err = waiter.Wait(from); err != nil || synced <= from {
 			return // closed, or the stream's context ended
 		}
-		if frames, count, err = s.readBatch(from + 1); err != nil || count == 0 {
+		if frames, count, err = s.readBatch(from+1, frames); err != nil || count == 0 {
 			return // the reconnect gets its 410 or 500
 		}
 	}
 }
 
 // readBatch reads the committed records from `from` on for one stream
-// answer or batch, feeding its time to the repl_read stage: a stream
-// outlives the per-request trace, which stores only the first spans.
-func (s *Server) readBatch(from wal.LSN) ([]byte, int, error) {
+// answer or batch into buf, the buffer of the batch before (nil at
+// first), feeding its time to the repl_read stage: a stream outlives the
+// per-request trace, which stores only the first spans.
+func (s *Server) readBatch(from wal.LSN, buf []byte) ([]byte, int, error) {
 	start := time.Now()
-	frames, count, err := s.persist.log.ReadCommitted(from, 0)
+	frames, count, err := s.persist.log.ReadCommitted(from, 0, buf)
 	s.recorder.ObserveStage(obs.StageReplRead, time.Since(start))
 	return frames, count, err
 }

@@ -432,7 +432,7 @@ func TestApplyReplicatedContiguity(t *testing.T) {
 	tsP := httptest.NewServer(p.Handler())
 	t.Cleanup(tsP.Close)
 	journalSome(t, tsP.URL, 3) // 4 records
-	frames, count, err := p.persist.log.ReadCommitted(1, 0)
+	frames, count, err := p.persist.log.ReadCommitted(1, 0, nil)
 	if err != nil || count != 4 {
 		t.Fatalf("ReadCommitted: %d records, %v", count, err)
 	}

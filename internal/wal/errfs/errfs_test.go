@@ -255,10 +255,10 @@ func TestReadFaultSurfacesFromReadCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	fsys.Add(Fault{Op: OpRead, Path: "wal-", Times: 1})
-	if frames, count, err := l.ReadCommitted(150, 0); !errors.Is(err, ErrInjected) || count != 0 || frames != nil {
+	if frames, count, err := l.ReadCommitted(150, 0, nil); !errors.Is(err, ErrInjected) || count != 0 || frames != nil {
 		t.Fatalf("faulted read = (%d bytes, %d records, %v), want ErrInjected and nothing shipped", len(frames), count, err)
 	}
-	if _, count, err := l.ReadCommitted(150, 0); err != nil || count != 51 {
+	if _, count, err := l.ReadCommitted(150, 0, nil); err != nil || count != 51 {
 		t.Fatalf("read after the fault = (%d records, %v), want 51", count, err)
 	}
 
@@ -270,7 +270,7 @@ func TestReadFaultSurfacesFromReadCommitted(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, entries[0].Name())); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.ReadCommitted(1, 0); !errors.Is(err, wal.ErrTruncated) {
+	if _, _, err := l.ReadCommitted(1, 0, nil); !errors.Is(err, wal.ErrTruncated) {
 		t.Fatalf("read of a removed segment: %v, want ErrTruncated", err)
 	}
 }

@@ -84,11 +84,11 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	lead := make(chan error, 1)
-	go func() { lead <- p1.Wait() }()
+	go func() { _, err := l.Wait(p1); lead <- err }()
 	waitInjected(t, fs, 1) // the leader is inside its gated fsync
 
 	const followers = 8
-	pending := make([]*wal.Pending, followers)
+	pending := make([]wal.LSN, followers)
 	for i := range pending {
 		p, err := l.Begin([]byte(fmt.Sprintf("r%d", i+2)))
 		if err != nil {
@@ -101,7 +101,7 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 		t.Fatalf("leader Wait: %v", err)
 	}
 	for i, p := range pending {
-		if err := p.Wait(); err != nil {
+		if _, err := l.Wait(p); err != nil {
 			t.Fatalf("follower %d Wait: %v", i, err)
 		}
 	}
@@ -145,11 +145,11 @@ func TestGroupCommitLeaderFailureDegradesWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 	lead := make(chan error, 1)
-	go func() { lead <- p1.Wait() }()
+	go func() { _, err := l.Wait(p1); lead <- err }()
 	waitInjected(t, fs, 1)
 
 	const followers = 4
-	pending := make([]*wal.Pending, followers)
+	pending := make([]wal.LSN, followers)
 	for i := range pending {
 		p, err := l.Begin([]byte("staged"))
 		if err != nil {
@@ -168,7 +168,7 @@ func TestGroupCommitLeaderFailureDegradesWaiters(t *testing.T) {
 		t.Fatalf("leader error %v wraps ErrFailed; the first failure must surface the IOError itself", leadErr)
 	}
 	for i, p := range pending {
-		err := p.Wait()
+		_, err := l.Wait(p)
 		if !errors.Is(err, wal.ErrFailed) {
 			t.Fatalf("follower %d error = %v, want ErrFailed wrap", i, err)
 		}
@@ -237,7 +237,8 @@ func TestGroupCommitLayoutMatchesPerRecord(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- pend.Wait()
+			_, err := l.Wait(pend)
+			errs <- err
 		}()
 	}
 	begin(payloads[0])
@@ -415,6 +416,80 @@ func TestCloseCleanReturnsNil(t *testing.T) {
 	}
 }
 
+// TestCloseFlushesBehindHeldFlush: Close on a log whose flush another
+// goroutine holds in a gated fsync, with more records staged behind it,
+// waits out that flush, leads the flush of the staged batch itself, syncs
+// and returns nil only then; a reopen replays every record.
+func TestCloseFlushesBehindHeldFlush(t *testing.T) {
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	passed := make(chan struct{})
+	close(passed)
+	// The first segment fsync is held at gate; every later one passes
+	// through the second rule, so Injected counts the syncs.
+	fs := errfs.New(wal.OSFS(),
+		errfs.Fault{Op: errfs.OpSync, Path: "wal-", Times: 1, Gate: gate},
+		errfs.Fault{Op: errfs.OpSync, Path: "wal-", Gate: passed})
+	rec := &batchRecorder{}
+	l, _, err := wal.Open(dir, wal.Options{Fsync: true, FS: fs, OnFlush: rec.record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(release) // a failed check must not leave the flush held
+
+	first, err := l.Begin([]byte("r1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead := make(chan error, 1)
+	go func() { _, err := l.Wait(first); lead <- err }()
+	waitInjected(t, fs, 1) // the leader is inside its gated fsync
+
+	const staged = 5
+	for i := range staged {
+		if _, err := l.Begin([]byte(fmt.Sprintf("r%d", i+2))); err != nil {
+			t.Fatalf("Begin %d: %v", i+2, err)
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	stillBlocked(t, closed, "Close behind a held flush")
+	release()
+	if err := <-closed; err != nil {
+		t.Fatalf("Close = %v, want nil", err)
+	}
+	if err := <-lead; err != nil {
+		t.Fatalf("leader Wait: %v", err)
+	}
+	if batches := rec.snapshot(); len(batches) != 2 || batches[0] != 1 || batches[1] != staged {
+		t.Fatalf("flush batches = %v, want [1 %d]", batches, staged)
+	}
+	// The held flush's sync, the staged batch's sync and Close's own.
+	if got := fs.Injected(); got != 3 {
+		t.Fatalf("segment syncs = %d, want 3", got)
+	}
+
+	l2, info, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if info.TornBytes != 0 {
+		t.Fatalf("reopen cut %d torn bytes", info.TornBytes)
+	}
+	got := replayPayloads(t, l2)
+	if len(got) != staged+1 {
+		t.Fatalf("reopen replayed %d records, want %d", len(got), staged+1)
+	}
+	for i, p := range got {
+		if want := fmt.Sprintf("r%d", i+1); string(p) != want {
+			t.Fatalf("record %d = %q, want %q", i+1, p, want)
+		}
+	}
+}
+
 // TestWaitDurableBarrier: WaitDurable returns only after every record
 // accepted before the call is on stable storage, and surfaces the poison
 // when the flush that should have covered them failed.
@@ -433,7 +508,7 @@ func TestWaitDurableBarrier(t *testing.T) {
 		t.Fatalf("WaitDurable: %v", err)
 	}
 	// The barrier itself must have led the flush that covered the record.
-	if err := p.Wait(); err != nil {
+	if _, err := l.Wait(p); err != nil {
 		t.Fatalf("Wait after barrier: %v", err)
 	}
 	got := replayPayloads(t, l)

@@ -52,13 +52,13 @@ func TestBeginBackpressureAtStagingCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	lead := make(chan error, 1)
-	go func() { lead <- first.Wait() }()
+	go func() { _, err := l.Wait(first); lead <- err }()
 	waitInjected(t, fs, 1) // the leader is inside its gated fsync
 
 	// Each framed record is its payload plus an 8-byte header, so this
 	// many records fill the staging buffer to at least MaxBatchBytes.
 	staged := wal.MaxBatchBytes/(64<<10+8) + 1
-	pending := []*wal.Pending{first}
+	pending := []wal.LSN{first}
 	for i := 1; i <= staged; i++ {
 		p, err := l.Begin(payload(i))
 		if err != nil {
@@ -66,7 +66,7 @@ func TestBeginBackpressureAtStagingCap(t *testing.T) {
 		}
 		pending = append(pending, p)
 	}
-	last := make(chan *wal.Pending, 1)
+	last := make(chan wal.LSN, 1)
 	done := make(chan error, 1)
 	go func() {
 		p, err := l.Begin(payload(staged + 1))
@@ -81,7 +81,7 @@ func TestBeginBackpressureAtStagingCap(t *testing.T) {
 	// The staged records' waiters lead the next flush, which drains the
 	// buffer and lets the parked Begin through.
 	for i, p := range pending {
-		if err := p.Wait(); err != nil {
+		if _, err := l.Wait(p); err != nil {
 			t.Fatalf("record %d Wait: %v", i+1, err)
 		}
 	}
@@ -89,13 +89,56 @@ func TestBeginBackpressureAtStagingCap(t *testing.T) {
 		t.Fatalf("Begin after the buffer drained: %v", err)
 	}
 	p := <-last
-	if err := p.Wait(); err != nil {
-		t.Fatalf("record %d Wait: %v", p.LSN(), err)
+	if _, err := l.Wait(p); err != nil {
+		t.Fatalf("record %d Wait: %v", p, err)
 	}
 	pending = append(pending, p)
 	got := replayPayloads(t, l) // fails on any LSN out of order
 	if len(got) != len(pending) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(pending))
+	}
+	for i, p := range got {
+		if !bytes.Equal(p, payload(i)) {
+			t.Fatalf("record %d replayed the wrong payload", i+1)
+		}
+	}
+}
+
+// TestBeginBackpressureLeadsFlush: a Begin that finds the staging buffer
+// full leads the flush that drains it, so a lone goroutine that stages
+// past MaxBatchBytes without ever calling Wait still gets through.
+func TestBeginBackpressureLeadsFlush(t *testing.T) {
+	l, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() }) // releases a Begin still parked after a failure
+	const records = 40
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 64<<10) }
+	done := make(chan error, 1)
+	go func() {
+		for i := range records {
+			if _, err := l.Begin(payload(i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Begin: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%d Begins of %d KiB with no Wait did not finish in 5 s (parked at the staging cap)", records, 64)
+	}
+	if err := l.WaitDurable(); err != nil {
+		t.Fatal(err)
+	}
+	got := replayPayloads(t, l)
+	if len(got) != records {
+		t.Fatalf("replayed %d records, want %d", len(got), records)
 	}
 	for i, p := range got {
 		if !bytes.Equal(p, payload(i)) {

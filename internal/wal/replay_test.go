@@ -85,7 +85,7 @@ func TestReplayMatchesFullScanOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { l.Close() }()
-			var staged []*Pending
+			var staged []LSN
 			payload := func() []byte {
 				p := make([]byte, rng.IntN(120))
 				for i := range p {
@@ -116,7 +116,7 @@ func TestReplayMatchesFullScanOracle(t *testing.T) {
 					step = "wait"
 					if len(staged) > 0 {
 						i := rng.IntN(len(staged))
-						if err := staged[i].Wait(); err != nil {
+						if _, err := l.Wait(staged[i]); err != nil {
 							t.Fatal(err)
 						}
 						staged = append(staged[:i], staged[i+1:]...)
@@ -161,7 +161,7 @@ func TestReplayAllocatesOneBatch(t *testing.T) {
 		binary.LittleEndian.PutUint64(payload, uint64(i))
 		p, err := l.Begin(payload)
 		if err == nil && (i%1000 == 999 || i == records-1) {
-			err = p.Wait()
+			_, err = l.Wait(p)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -202,7 +202,7 @@ func BenchmarkOpenReplay(b *testing.B) {
 		binary.LittleEndian.PutUint64(payload, uint64(i))
 		p, err := l.Begin(payload)
 		if err == nil && (i%1000 == 999 || i == records-1) {
-			err = p.Wait() // one flush per thousand records
+			_, err = l.Wait(p) // one flush per thousand records
 		}
 		if err != nil {
 			b.Fatal(err)

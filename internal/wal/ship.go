@@ -30,16 +30,6 @@ var ErrTruncated = errors.New("wal: records truncated")
 // errStopScan stops a ScanSegment early once a reader has all it needs.
 var errStopScan = errors.New("wal: stop scan")
 
-// appendFrame appends one record in the exact on-disk framing
-// ([length][CRC32-C][payload]) to dst.
-func appendFrame(dst, payload []byte) []byte {
-	var header [headerSize]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, header[:]...)
-	return append(dst, payload...)
-}
-
 // Synced returns the durability watermark: every record at or below it is
 // on stable storage (the page cache without Options.Fsync). Only records
 // at or below the watermark may be shipped to followers — anything above
@@ -113,7 +103,9 @@ func (l *Log) OldestLSN() LSN {
 // selects MaxBatchBytes). The bytes use the exact on-disk framing,
 // so a reader can ScanSegment them, verify each CRC for free, and append
 // them verbatim to its own log. count is the number of records returned;
-// the record LSNs are from, from+1, ..., from+count-1.
+// the record LSNs are from, from+1, ..., from+count-1. The bytes are
+// appended to out[:0], so a reader that hands back the slice an earlier
+// read returned reuses its buffer.
 //
 // It returns ErrTruncated when from precedes the oldest retained segment
 // (including losing a race with snapshot truncation mid-read — the caller
@@ -129,11 +121,11 @@ func (l *Log) OldestLSN() LSN {
 // way the result depends only on from, maxBytes, the watermark and the
 // segment bytes: the tail holds the bytes a flush wrote, and marks are
 // positions the log already knows, never a record of earlier reads.
-func (l *Log) ReadCommitted(from LSN, maxBytes int) ([]byte, int, error) {
+func (l *Log) ReadCommitted(from LSN, maxBytes int, out []byte) ([]byte, int, error) {
 	from, maxBytes = readBounds(from, maxBytes)
 	l.mu.Lock()
 	if from >= l.tailFirst && from <= l.synced {
-		out, count := l.copyTailLocked(from, maxBytes)
+		out, count := l.copyTailLocked(from, maxBytes, out)
 		l.mu.Unlock()
 		l.observeRead(true)
 		if err := verifyFrames(out, from); err != nil {
@@ -142,7 +134,7 @@ func (l *Log) ReadCommitted(from LSN, maxBytes int) ([]byte, int, error) {
 		return out, count, nil
 	}
 	l.mu.Unlock()
-	out, count, err := l.readSegments(from, maxBytes, nil)
+	out, count, err := l.readSegments(from, maxBytes, out)
 	if count > 0 {
 		l.observeRead(false)
 	}
@@ -165,10 +157,11 @@ func (l *Log) observeRead(fromTail bool) {
 	}
 }
 
-// copyTailLocked copies records from.. out of the newest-segment tail,
-// bounded by maxBytes but at least one record. The caller holds l.mu
-// and has checked tailFirst <= from <= synced, so the tail holds from.
-func (l *Log) copyTailLocked(from LSN, maxBytes int) ([]byte, int) {
+// copyTailLocked appends records from.. of the newest-segment tail to
+// out[:0], bounded by maxBytes but at least one record. The caller holds
+// l.mu and has checked tailFirst <= from <= synced, so the tail holds
+// from.
+func (l *Log) copyTailLocked(from LSN, maxBytes int, out []byte) ([]byte, int) {
 	i := int(from - l.tailFirst)
 	base := l.tailOffs[0]
 	start := l.tailOffs[i] - base
@@ -184,7 +177,7 @@ func (l *Log) copyTailLocked(from LSN, maxBytes int) ([]byte, int) {
 			stop = l.tailOffs[i+count] - base
 		}
 	}
-	return append([]byte(nil), l.tail[start:stop]...), count
+	return append(out[:0], l.tail[start:stop]...), count
 }
 
 // verifyFrames checks the CRC of every frame in a tail copy, as

@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,7 +49,7 @@ func TestReadCommittedRoundTripAcrossRotation(t *testing.T) {
 	if l.Segments() < 3 {
 		t.Fatalf("expected multiple segments, got %d", l.Segments())
 	}
-	frames, count, err := l.ReadCommitted(1, 1<<20)
+	frames, count, err := l.ReadCommitted(1, 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestReadCommittedRoundTripAcrossRotation(t *testing.T) {
 	}
 
 	// Mid-log start: from 7 ships records 7..20.
-	frames, count, err = l.ReadCommitted(7, 1<<20)
+	frames, count, err = l.ReadCommitted(7, 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestReadCommittedBoundedByMaxBytes(t *testing.T) {
 	var got []string
 	from := LSN(1)
 	for from <= l.Synced() {
-		frames, count, err := l.ReadCommitted(from, 10)
+		frames, count, err := l.ReadCommitted(from, 10, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestReadCommittedBoundedByMaxBytes(t *testing.T) {
 
 	// A budget for ~3 records returns several but not all.
 	rec := headerSize + len(want[0])
-	_, count, err := l.ReadCommitted(1, 3*rec)
+	_, count, err := l.ReadCommitted(1, 3*rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestReadCommittedBeyondWatermark(t *testing.T) {
 	}
 	defer l.Close()
 	appendAll(t, l, "a", "b")
-	frames, count, err := l.ReadCommitted(3, 1<<20)
+	frames, count, err := l.ReadCommitted(3, 1<<20, nil)
 	if err != nil || count != 0 || frames != nil {
 		t.Fatalf("read beyond watermark = (%v, %d, %v), want (nil, 0, nil)", frames, count, err)
 	}
@@ -141,13 +142,13 @@ func TestReadCommittedTruncated(t *testing.T) {
 	if _, err := l.TruncateBefore(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.ReadCommitted(1, 1<<20); !errors.Is(err, ErrTruncated) {
+	if _, _, err := l.ReadCommitted(1, 1<<20, nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("read below horizon: %v, want ErrTruncated", err)
 	}
 	if oldest := l.OldestLSN(); oldest != 3 {
 		t.Fatalf("OldestLSN = %d, want 3", oldest)
 	}
-	frames, count, err := l.ReadCommitted(3, 1<<20)
+	frames, count, err := l.ReadCommitted(3, 1<<20, nil)
 	if err != nil || count != 2 {
 		t.Fatalf("read from horizon = (%d, %v), want 2 records", count, err)
 	}
@@ -169,13 +170,13 @@ func TestReadCommittedGroupCommitServesOnlySynced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, count, err := l.ReadCommitted(1, 1<<20); err != nil || count != 0 {
+	if _, count, err := l.ReadCommitted(1, 1<<20, nil); err != nil || count != 0 {
 		t.Fatalf("staged-but-unflushed shipped: count %d, err %v", count, err)
 	}
-	if err := p.Wait(); err != nil {
+	if _, err := l.Wait(p); err != nil {
 		t.Fatal(err)
 	}
-	frames, count, err := l.ReadCommitted(1, 1<<20)
+	frames, count, err := l.ReadCommitted(1, 1<<20, nil)
 	if err != nil || count != 1 {
 		t.Fatalf("after flush: count %d, err %v", count, err)
 	}
@@ -294,7 +295,7 @@ func TestInitAtFSPositionsNextLSN(t *testing.T) {
 		t.Fatalf("first append = lsn %d, want 42", lsn)
 	}
 	// Records below the bootstrap point are truncated by construction.
-	if _, _, err := l.ReadCommitted(1, 1<<20); !errors.Is(err, ErrTruncated) {
+	if _, _, err := l.ReadCommitted(1, 1<<20, nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("read below bootstrap: %v, want ErrTruncated", err)
 	}
 }
@@ -341,7 +342,7 @@ var frameBytes = headerSize + len(fixedPayload(0))
 func readCounted(t *testing.T, fsys *countingFS, l *Log, from LSN, maxBytes int) (frames []byte, count int, read int64) {
 	t.Helper()
 	before := fsys.read.Load()
-	frames, count, err := l.ReadCommitted(from, maxBytes)
+	frames, count, err := l.ReadCommitted(from, maxBytes, nil)
 	if err != nil {
 		t.Fatalf("ReadCommitted(%d): %v", from, err)
 	}
@@ -484,7 +485,7 @@ func oracleReadCommitted(l *Log, from LSN, maxBytes int) ([]byte, int, error) {
 				stopped = true
 				return errStopScan
 			}
-			out = appendFrame(out, payload)
+			out = append(out, encodeRecord(payload)...)
 			count++
 			return nil
 		})
@@ -523,7 +524,7 @@ func errClass(err error) string {
 // one (from, maxBytes) and returns the error class both produced.
 func checkAgainstOracle(t *testing.T, l *Log, from LSN, maxBytes int, step string) string {
 	t.Helper()
-	got, gotN, gotErr := l.ReadCommitted(from, maxBytes)
+	got, gotN, gotErr := l.ReadCommitted(from, maxBytes, nil)
 	want, wantN, wantErr := oracleReadCommitted(l, from, maxBytes)
 	if errClass(gotErr) != errClass(wantErr) || gotN != wantN || !bytes.Equal(got, want) {
 		t.Fatalf("%s: ReadCommitted(%d, %d) = (%d records, %d bytes, %v), oracle (%d records, %d bytes, %v)",
@@ -561,7 +562,7 @@ func TestReadCommittedMatchesFullScanOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { l.Close() }()
-			var staged []*Pending
+			var staged []LSN
 			payload := func() []byte {
 				p := make([]byte, rng.IntN(120))
 				for i := range p {
@@ -592,7 +593,7 @@ func TestReadCommittedMatchesFullScanOracle(t *testing.T) {
 					step = "wait"
 					if len(staged) > 0 {
 						i := rng.IntN(len(staged))
-						if err := staged[i].Wait(); err != nil {
+						if _, err := l.Wait(staged[i]); err != nil {
 							t.Fatal(err)
 						}
 						staged = append(staged[:i], staged[i+1:]...)
@@ -747,7 +748,7 @@ func concurrentReaders(t *testing.T, opts Options, perWriter int) {
 			defer others.Done()
 			from := start
 			for {
-				frames, count, err := l.ReadCommitted(from, 64+r*512)
+				frames, count, err := l.ReadCommitted(from, 64+r*512, nil)
 				if errors.Is(err, ErrTruncated) {
 					from = max(from, l.OldestLSN())
 					continue
@@ -797,5 +798,54 @@ func concurrentReaders(t *testing.T, opts Options, perWriter int) {
 				t.Fatalf("reader %d: lsn %d shipped %q, appended %q", r, lsn, p, appended[lsn])
 			}
 		}
+	}
+}
+
+// TestReadCommittedReusesBuffer: a file read appends into the slice its
+// caller hands back, so a stream that passes each batch's buffer to the
+// next read allocates only the reader's own small buffers, not a copy of
+// the bytes it returns.
+func TestReadCommittedReusesBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	reads := 0
+	onRead := func(fromTail bool) {
+		if fromTail {
+			t.Error("ReadCommitted(1) was answered from the tail, want the segment files")
+		}
+		reads++
+	}
+	l, _, err := Open(t.TempDir(), Options{OnRead: onRead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := bytes.Repeat([]byte{'r'}, 180)
+	for range 12_000 {
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf, count, err := l.ReadCommitted(1, 0, nil)
+	if err != nil || count == 0 {
+		t.Fatalf("first ReadCommitted: %d records, %v", count, err)
+	}
+	first := append([]byte(nil), buf...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	again, count2, err := l.ReadCommitted(1, 0, buf)
+	runtime.ReadMemStats(&after)
+	if err != nil || count2 != count || !bytes.Equal(again, first) {
+		t.Fatalf("second ReadCommitted = (%d records, %d bytes, %v), want the first read's %d records, %d bytes",
+			count2, len(again), err, count, len(first))
+	}
+	if reads != 2 {
+		t.Fatalf("OnRead saw %d reads, want 2", reads)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a %d-byte file read into a reused buffer allocated %d bytes", len(again), got)
+	if got >= 64<<10 {
+		t.Fatalf("a %d-byte file read into a reused buffer allocated %d bytes, want under %d", len(again), got, 64<<10)
 	}
 }

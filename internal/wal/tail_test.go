@@ -72,7 +72,7 @@ func checkTail(t *testing.T, l *wal.Log, src *readSources, rng *rand.Rand, step 
 		from := first + wal.LSN(rng.Uint64N(uint64(end-first)))
 		maxBytes := []int{0, 1, 40, 500, rng.IntN(3 * wal.TailBytes)}[rng.IntN(5)]
 		before := src.tail.Load()
-		got, gotN, gotErr := l.ReadCommitted(from, maxBytes)
+		got, gotN, gotErr := l.ReadCommitted(from, maxBytes, nil)
 		if src.tail.Load() != before+1 {
 			t.Fatalf("%s: ReadCommitted(%d) inside the tail %d..%d was not answered from it", step, from, first, end-1)
 		}
@@ -132,13 +132,13 @@ func TestReadCommittedTailMatchesFileRead(t *testing.T) {
 					}
 				case r < 75:
 					step = "group commit"
-					var last *wal.Pending
+					var last wal.LSN
 					for n := 1 + rng.IntN(200); n > 0; n-- {
 						if last, err = l.Begin(payload()); err != nil {
 							t.Fatal(err)
 						}
 					}
-					if err := last.Wait(); err != nil {
+					if _, err := l.Wait(last); err != nil {
 						t.Fatal(err)
 					}
 				case r < 92:
@@ -219,7 +219,7 @@ func TestReadCommittedTailAfterFailedFlush(t *testing.T) {
 			}
 			checkTail(t, l, src, rng, "before the fault")
 			fs.Add(tc.fault)
-			var staged []*wal.Pending
+			var staged []wal.LSN
 			for i := range 8 {
 				p, err := l.Begin([]byte(fmt.Sprintf("refused-%d", i)))
 				if err != nil {
@@ -227,14 +227,14 @@ func TestReadCommittedTailAfterFailedFlush(t *testing.T) {
 				}
 				staged = append(staged, p)
 			}
-			if err := staged[0].Wait(); err == nil {
+			if _, err := l.Wait(staged[0]); err == nil {
 				t.Fatal("the faulted flush succeeded")
 			}
 			if got := l.Synced(); got != 40 {
 				t.Fatalf("watermark after the failed flush = %d, want 40", got)
 			}
 			checkTail(t, l, src, rng, "after the failed flush")
-			if frames, n, err := l.ReadCommitted(41, 0); frames != nil || n != 0 || err != nil {
+			if frames, n, err := l.ReadCommitted(41, 0, nil); frames != nil || n != 0 || err != nil {
 				t.Fatalf("read past the watermark after the failed flush = (%d bytes, %d, %v)", len(frames), n, err)
 			}
 		})

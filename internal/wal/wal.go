@@ -18,6 +18,15 @@
 // disk. Appends go to the newest segment and rotate to a fresh one when
 // the configured size is exceeded.
 //
+// Writes. Begin stages a record and reserves its LSN; Wait(lsn) makes it
+// durable. Records staged together are written (and under Fsync synced)
+// as one batch by whichever waiter finds them staged with no flush
+// running; the others park until the durability watermark covers them.
+// Wait, WaitDurable, Close, and Begin when the staging buffer is full or
+// the segment must rotate all wait through that one loop (waitLocked),
+// and all of them refuse with ErrFailed once a disk error has poisoned
+// the log.
+//
 // Reads. One reader walks the durable prefix in the segment files,
 // checking each record's CRC once and copying the frames it verified:
 // ReadCommitted (the replication stream) and Replay (recovery) both go
@@ -55,9 +64,10 @@ type LSN uint64
 // is zero.
 const DefaultSegmentBytes = 4 << 20
 
-// MaxBatchBytes bounds the framed bytes staged ahead of one flush:
-// appenders block (backpressure) while that much is staged, until a flush
-// drains it. It is also ReadCommitted's default read size.
+// MaxBatchBytes bounds the framed bytes staged ahead of one flush: an
+// appender that finds that much staged waits (backpressure) until it is
+// durable, leading the flush if none is running. It is also
+// ReadCommitted's default read size.
 const MaxBatchBytes = 1 << 20
 
 // MaxRecordBytes bounds one record's payload; a decoded length above it is
@@ -381,127 +391,93 @@ func (l *Log) rotateLocked() error {
 	return l.createSegmentLocked(l.next)
 }
 
-// Append writes one record and returns its LSN. The write is a single
-// syscall, so a crash leaves at most one torn record at the tail; with
-// Options.Fsync the record is flushed to stable storage before Append
-// returns. Disk failures surface as *IOError (never a panic) and poison
-// the log: the failing append reports the IOError itself, every later
-// one fails with an error wrapping ErrFailed and the original cause.
-// Callers must treat any append error as "this record is not durable".
+// Append writes one record and returns its LSN: Begin, then Wait. The
+// write is a single syscall, so a crash leaves at most one torn record at
+// the tail; with Options.Fsync the record is flushed to stable storage
+// before Append returns. Disk failures surface as *IOError (never a
+// panic) and poison the log: the failing append reports the IOError
+// itself, every later one fails with an error wrapping ErrFailed and the
+// original cause. Callers must treat any append error as "this record is
+// not durable".
 func (l *Log) Append(payload []byte) (LSN, error) {
-	p, err := l.Begin(payload)
+	lsn, err := l.Begin(payload)
+	if err == nil {
+		_, err = l.Wait(lsn)
+	}
 	if err != nil {
 		return 0, err
 	}
-	if err := p.Wait(); err != nil {
-		return 0, err
-	}
-	return p.lsn, nil
+	return lsn, nil
 }
 
-// Pending is one record accepted by Begin: an LSN reservation awaiting
-// durability. It is intended for a single goroutine.
-type Pending struct {
-	l     *Log
-	lsn   LSN
-	fsync time.Duration
-}
-
-// LSN returns the reserved log sequence number.
-func (p *Pending) LSN() LSN { return p.lsn }
-
-// FsyncDuration is the duration of the sync in the flush that made this
-// record durable, valid after Wait (0 without Options.Fsync).
-func (p *Pending) FsyncDuration() time.Duration { return p.fsync }
-
-// Begin reserves the next LSN for payload and stages the framed record,
-// returning a Pending whose Wait blocks until the record is durable.
-// Begin returns once the record is staged: the batched write (and under
-// Options.Fsync the shared sync) happens under Wait, led by the first
-// waiter, so a caller can reserve its LSN under its own ordering lock and
-// wait for the flush outside it. A failed flush returns every
+// Begin reserves the next LSN for payload, frames the record straight
+// into the staging buffer, and returns the LSN once the record is staged;
+// Wait(lsn) makes it durable. The batched write (and under Options.Fsync
+// the shared sync) happens under a wait, so a caller can reserve its LSN
+// under its own ordering lock and wait for the flush outside it. While
+// MaxBatchBytes are staged, or the staged records must reach the
+// current segment before it rotates, Begin waits for them as Wait does,
+// leading their flush if none is running. A failed flush returns every
 // reservation above the watermark.
-func (l *Log) Begin(payload []byte) (*Pending, error) {
+func (l *Log) Begin(payload []byte) (LSN, error) {
 	if len(payload) > MaxRecordBytes {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
-	rec := appendFrame(make([]byte, 0, headerSize+len(payload)), payload)
+	crc := crc32.Checksum(payload, castagnoli)
+	n := int64(headerSize + len(payload))
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Backpressure: a full staging buffer means flushes are behind; park
-	// until a leader drains it.
 	for {
 		if l.f == nil {
-			return nil, ErrClosed
+			return 0, ErrClosed
 		}
-		if l.failed != nil {
-			return nil, fmt.Errorf("%w: %w", ErrFailed, l.failed)
+		if err := l.poisonLocked(); err != nil {
+			return 0, err
 		}
-		if len(l.buf) < MaxBatchBytes || l.bufRecords == 0 {
-			break
-		}
-		l.cond.Wait()
-	}
-	// Rotate when the flushed plus staged bytes would pass SegmentBytes,
-	// so the segment layout depends only on the record sequence, never on
-	// how records were batched. The staged records must drain into the
-	// old segment first: the LSN-to-segment mapping is positional.
-	for {
+		// Rotate when the flushed plus staged bytes would pass
+		// SegmentBytes, so the segment layout depends only on the record
+		// sequence, never on how records were batched. The staged records
+		// must drain into the old segment first: the LSN-to-segment
+		// mapping is positional.
 		staged := l.size + int64(len(l.buf))
-		if staged == 0 || staged+int64(len(rec)) <= l.opts.SegmentBytes {
-			break
-		}
-		if l.flushing || l.bufRecords > 0 {
-			if err := l.drainLocked(); err != nil {
-				return nil, err
+		rotate := staged > 0 && staged+n > l.opts.SegmentBytes
+		if len(l.buf) >= MaxBatchBytes || rotate && (l.flushing || l.bufRecords > 0) {
+			if err := l.waitLocked(l.next - 1); err != nil {
+				return 0, err
 			}
-			if l.f == nil {
-				return nil, ErrClosed
-			}
-			continue // the drain dropped mu for the I/O; re-evaluate
+			continue // the wait dropped mu; re-evaluate
 		}
-		if err := l.rotateLocked(); err != nil {
-			l.failed = err
-			l.cond.Broadcast()
-			return nil, err
+		if rotate {
+			if err := l.rotateLocked(); err != nil {
+				l.failed = err
+				l.cond.Broadcast()
+				return 0, err
+			}
 		}
 		break
 	}
 	l.markLocked(l.next, l.size+int64(len(l.buf)))
-	l.buf = append(l.buf, rec...)
+	l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(len(payload)))
+	l.buf = binary.LittleEndian.AppendUint32(l.buf, crc)
+	l.buf = append(l.buf, payload...)
 	l.bufRecords++
-	p := &Pending{l: l, lsn: l.next}
 	l.next++
-	return p, nil
+	return l.next - 1, nil
 }
 
-// Wait blocks until the record is durable, leading the batch flush if no
-// one else is. It returns nil once the durability watermark covers the
-// record's LSN; on a flush failure the leader surfaces the *IOError
-// itself and every other waiter gets an error wrapping ErrFailed and the
-// cause, matching Append's poison contract.
-func (p *Pending) Wait() error {
-	l := p.l
+// Wait blocks until record lsn, reserved by Begin, is durable, and
+// returns the duration of the sync in the flush that made it so (0
+// without Options.Fsync). On a flush failure the waiter that led it
+// surfaces the *IOError itself and every other waiter gets an error
+// wrapping ErrFailed and the cause, matching Append's poison contract.
+func (l *Log) Wait(lsn LSN) (fsync time.Duration, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for {
-		switch {
-		case l.synced >= p.lsn:
-			p.fsync = l.lastFsync
-			return nil
-		case l.failed != nil:
-			return fmt.Errorf("%w: %w", ErrFailed, l.failed)
-		case l.f == nil:
-			return ErrClosed
-		case !l.flushing && l.bufRecords > 0:
-			if err := l.flushLocked(); err != nil {
-				return err
-			}
-		default:
-			l.cond.Wait()
-		}
+	if err := l.waitLocked(lsn); err != nil {
+		return 0, err
 	}
+	return l.lastFsync, nil
 }
 
 // WaitDurable blocks until every record accepted before the call is
@@ -513,35 +489,58 @@ func (p *Pending) Wait() error {
 func (l *Log) WaitDurable() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	target := l.next - 1
-	for {
-		if l.f == nil {
+	if l.f == nil {
+		return ErrClosed
+	}
+	if err := l.poisonLocked(); err != nil {
+		return err
+	}
+	return l.waitLocked(l.next - 1)
+}
+
+// waitLocked is the log's one durability wait: it returns once the
+// watermark covers lsn, leading the flush of the staged batch whenever
+// none is running and parking on l.cond otherwise. It fails with the
+// wrapped sticky poison, with ErrClosed, or with the *IOError of a flush
+// it led. Callers hold l.mu, which is dropped while it flushes or parks;
+// lsn must be below l.next, so a record it waits for is staged or in
+// flight.
+func (l *Log) waitLocked(lsn LSN) error {
+	for l.synced < lsn {
+		switch {
+		case l.failed != nil:
+			return l.poisonLocked()
+		case l.f == nil:
 			return ErrClosed
-		}
-		if l.failed != nil {
-			return fmt.Errorf("%w: %w", ErrFailed, l.failed)
-		}
-		if l.synced >= target {
-			return nil
-		}
-		if !l.flushing && l.bufRecords > 0 {
+		case !l.flushing && l.bufRecords > 0:
 			if err := l.flushLocked(); err != nil {
 				return err
 			}
-			continue
+		default:
+			l.cond.Wait()
 		}
-		l.cond.Wait()
 	}
+	return nil
+}
+
+// poisonLocked returns the error every write or wait on a poisoned log
+// fails with, wrapping ErrFailed and the original cause; nil while the
+// log is healthy. Callers hold l.mu.
+func (l *Log) poisonLocked() error {
+	if l.failed == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrFailed, l.failed)
 }
 
 // flushLocked writes the staged batch with one Write and, under Fsync,
 // one Sync, then advances the durability watermark and wakes every
-// waiter. The caller holds l.mu and has checked that no flush is
-// running; the lock is released for the disk I/O and reacquired before
-// returning. On failure the returned *IOError is the caller's to
-// surface while the sticky poison fails every other waiter with
-// ErrFailed, and every reservation above the watermark is returned:
-// NextLSN counts only records that are in the log.
+// waiter. The caller (waitLocked) holds l.mu and has checked that no
+// flush is running; the lock is released for the disk I/O and
+// reacquired before returning. On failure the returned *IOError is the
+// caller's to surface while the sticky poison fails every other waiter
+// with ErrFailed, and every reservation above the watermark is
+// returned: NextLSN counts only records that are in the log.
 func (l *Log) flushLocked() error {
 	batch := l.buf
 	records := l.bufRecords
@@ -630,68 +629,33 @@ func (l *Log) tailAppendLocked(batch []byte, off int64) {
 	l.tailOffs = append(l.tailOffs[:0], l.tailOffs[k:]...)
 }
 
-// drainLocked makes every staged record durable before returning: it
-// waits out an in-flight flush, then leads a flush of whatever is still
-// buffered. Callers hold l.mu; the lock may be dropped while waiting or
-// flushing. Returns the wrapped sticky poison if the log had already
-// failed, or the flush's own *IOError if this drain broke it.
-func (l *Log) drainLocked() error {
-	for l.flushing {
-		l.cond.Wait()
-	}
-	if l.f == nil {
-		return ErrClosed
-	}
-	if l.failed != nil {
-		return fmt.Errorf("%w: %w", ErrFailed, l.failed)
-	}
-	if l.bufRecords > 0 {
-		return l.flushLocked()
-	}
-	return nil
-}
-
-// Close makes the log durable and closes it: staged records are flushed, the newest segment synced, and the file closed. Further
-// appends fail with ErrClosed. A dirty close — the log was already
-// poisoned, or the final flush, sync or close itself fails — is recorded
-// in the sticky poison and returned as an error, so shutdown paths can
-// distinguish "closed clean" from "closed with an unsynced tail"; closing
-// an already-closed dirty log keeps reporting it. A poisoned log's final
+// Close makes the log durable and closes it: staged records are
+// flushed through the wait Wait uses, after any flush in flight, the
+// newest segment synced, and the file closed. Further appends fail
+// with ErrClosed. A dirty close — the log was already poisoned, or the
+// final flush, sync or close itself fails — is recorded in the sticky
+// poison and returned as an error, so shutdown paths can distinguish
+// "closed clean" from "closed with an unsynced tail"; closing an
+// already-closed dirty log keeps reporting it. A poisoned log's final
 // sync is skipped rather than retried: after a failed fsync the kernel
 // may have dropped the dirty pages, and a retry reporting success would
 // be a lie.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.flushing {
-		l.cond.Wait()
+	dirty := l.poisonLocked()
+	if dirty == nil && l.f != nil {
+		dirty = l.waitLocked(l.next - 1)
 	}
-	if l.f == nil {
-		if l.failed != nil {
-			return fmt.Errorf("%w: %w", ErrFailed, l.failed)
-		}
-		return nil
+	if l.f == nil { // closed before, or by a concurrent Close while this one waited
+		return dirty
 	}
 	path := l.segs[len(l.segs)-1].path
-	var dirty error
-	if l.failed != nil {
-		dirty = fmt.Errorf("%w: %w", ErrFailed, l.failed)
-	} else {
-		if l.bufRecords > 0 {
-			if err := l.flushLocked(); err != nil {
-				dirty = err
-			}
+	if dirty == nil {
+		if err := l.f.Sync(); err != nil {
+			l.failed = &IOError{Op: "fsync", Path: path, Err: err}
+			dirty = l.failed
 		}
-		if dirty == nil && l.f != nil {
-			if err := l.f.Sync(); err != nil {
-				l.failed = &IOError{Op: "fsync", Path: path, Err: err}
-				dirty = l.failed
-			}
-		}
-	}
-	if l.f == nil { // a concurrent Close slipped in while we flushed
-		l.cond.Broadcast()
-		return dirty
 	}
 	closeErr := l.f.Close()
 	l.f = nil

@@ -515,3 +515,31 @@ func TestLSNFileNames(t *testing.T) {
 		})
 	}
 }
+
+// TestAppendAllocatesNothing: once the staging buffers have grown, an
+// Append frames its record straight into the staging buffer and waits on
+// the log itself, so a record costs no allocation.
+func TestAppendAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	l, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := bytes.Repeat([]byte{'v'}, 200)
+	for range 1000 {
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Append of a %d-byte record made %v allocations, want 0", len(payload), allocs)
+	}
+}
