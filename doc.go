@@ -25,9 +25,9 @@
 //     jury's canonical (sorted-index) signature, so juries revisited
 //     during a search are answered from the table. Eval results are
 //     bit-identical to the one-shot jq.Estimate on the same subset; the
-//     memo is capped (Options.MemoLimit, default jq.DefaultMemoLimit)
-//     and its effectiveness is observable via Stats().Hits/Misses,
-//     alongside the per-call KeysVisited/KeysPruned counters.
+//     memo holds at most jq.DefaultMemoLimit juries, and its
+//     effectiveness is observable via Stats().Hits/Misses, alongside the
+//     per-call KeysVisited/KeysPruned counters.
 //   - jq.NewMVEvaluator: the Majority Voting closed form with
 //     O(n)-update delta evaluation. A stack of Poisson-binomial DP
 //     snapshots (one per jury prefix) makes adding a worker one O(n) row

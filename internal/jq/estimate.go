@@ -30,9 +30,6 @@ type Options struct {
 	// DisableMemo turns off the Estimator's result memoization. Ignored
 	// by the one-shot Estimate, which never memoizes.
 	DisableMemo bool
-	// MemoLimit caps the number of juries the Estimator memoizes; zero
-	// selects DefaultMemoLimit. Ignored by Estimate.
-	MemoLimit int
 }
 
 // Result carries the estimate and the work counters used by the pruning

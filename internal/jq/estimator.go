@@ -12,7 +12,7 @@ import (
 )
 
 // DefaultMemoLimit caps the Estimator's memo table. At ~80 bytes per
-// entry the default bounds the table near 10 MB, far beyond what one
+// entry it bounds the table near 10 MB, far beyond what one
 // annealing run visits, while keeping a runaway caller from exhausting
 // memory.
 const DefaultMemoLimit = 1 << 17
@@ -147,10 +147,7 @@ func NewEstimator(pool worker.Pool, alpha float64, opts Options) (*Estimator, er
 		e.priorPhi = phiOf(q)
 	}
 	if !opts.DisableMemo {
-		e.memoLimit = opts.MemoLimit
-		if e.memoLimit == 0 {
-			e.memoLimit = DefaultMemoLimit
-		}
+		e.memoLimit = DefaultMemoLimit
 		if e.memo == nil {
 			e.memo = make(map[string]Result)
 		}

@@ -213,10 +213,11 @@ func TestEstimatorMemoization(t *testing.T) {
 
 func TestEstimatorMemoLimit(t *testing.T) {
 	pool := randomPool(rand.New(rand.NewSource(8)), 10)
-	est, err := NewEstimator(pool, 0.5, Options{MemoLimit: 2})
+	est, err := NewEstimator(pool, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	est.memoLimit = 2
 	for i := 0; i < 8; i++ {
 		if _, err := est.Eval([]int{i}); err != nil {
 			t.Fatal(err)

@@ -1,18 +1,20 @@
 // Package repl drives the follower side of juryd's primary → follower
 // WAL log shipping. A Follower opens one long-lived GET /v1/repl/stream
-// from its local applied LSN, applies each batch the primary ships
-// through Server.ApplyReplicated (journal to the local log, then the same
-// Apply paths crash recovery uses — so the replica's state is
-// bit-identical to the primary's at every LSN), and writes its applied
-// LSN up the request body after each batch: the confirmation the
-// primary's quorum-gated acks wait for. It reopens the stream when the
-// primary ends it, and reconnects with jittered exponential backoff on
-// stream loss. Every stream names the follower by the identity its data
-// dir keeps (follower-id, Server.FollowerID), so the primary counts a
-// restarted follower's quorum confirmations once. Bootstrap installs a
-// primary's snapshot into a data directory without log state
-// (wal.HasState) so a brand new (or truncation-stranded) follower can
-// join without replaying the primary's full history.
+// from its local durable LSN and applies each batch the primary ships the
+// way a primary applies a mutation: Server.ApplyReplicated stages and
+// applies each record (through the record dispatch crash recovery uses —
+// so the replica's state is bit-identical to the primary's at every LSN),
+// then one Server.CommitReplicated makes the whole batch durable with one
+// flush. The follower writes the LSN that flush made durable up the
+// request body: the confirmation the primary's quorum-gated acks wait
+// for. It reopens the stream when the primary ends it, and reconnects
+// with jittered exponential backoff on stream loss. Every stream names
+// the follower by the identity its data dir keeps (follower-id,
+// Server.FollowerID), so the primary counts a restarted follower's
+// quorum confirmations once. Bootstrap installs a primary's snapshot
+// into a data directory without log state (wal.HasState) so a brand new
+// (or truncation-stranded) follower can join without replaying the
+// primary's full history.
 package repl
 
 import (
@@ -177,7 +179,7 @@ func (f *Follower) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// stream opens one replication stream from the local applied LSN and
+// stream opens one replication stream from the local durable LSN and
 // applies what it ships until the primary ends it, a Repoint moves the
 // follower elsewhere (checked at every batch, before it is applied), or
 // something fails. advanced reports whether any record was applied. A
@@ -274,9 +276,12 @@ func (f *Follower) stream(ctx context.Context) (advanced bool, err error) {
 
 	// Each batch is [u64 durable watermark][u32 byte length][raw WAL
 	// frames]. ScanSegment verifies each frame's CRC and hands over the
-	// payloads in order; a batch cut short (the connection died mid-
-	// frame) keeps its applied prefix and fails the stream, and the next
-	// one asks for the rest. Each confirmation is one body chunk.
+	// payloads in order, each staged and applied by ApplyReplicated; one
+	// CommitReplicated then makes the batch durable with one flush, and
+	// the LSN it made durable is the confirmation, one body chunk. A
+	// batch cut short (the connection died mid-frame) commits its applied
+	// prefix too and fails the stream, and the next one asks for the rest
+	// from there: every stream opens from the durable watermark.
 	var header [server.ReplBatchHeaderBytes]byte
 	confirm := []byte("8\r\n01234567\r\n")
 	frames := io.LimitedReader{R: resp.Body}
@@ -299,22 +304,23 @@ func (f *Follower) stream(ctx context.Context) (advanced bool, err error) {
 		if f.srv.PrimaryURL() != primary {
 			return advanced, nil // repointed (or promoted): reopen against the current target
 		}
-		// Record the primary's watermark before applying: if the local
-		// apply fails mid-batch, lag must still report how far ahead the
-		// primary is.
 		durable := wal.LSN(binary.LittleEndian.Uint64(header[0:8]))
-		f.srv.ReplObserve(durable, true)
 		n := int64(binary.LittleEndian.Uint32(header[8:12]))
 		frames.N = n
 		valid, torn, err := wal.ScanSegment(&frames, apply)
-		if err != nil {
+		synced, cerr := f.srv.CommitReplicated()
+		// Observed whatever ended the batch: lag must still report how far
+		// ahead the primary is when the local apply or flush failed.
+		f.srv.ReplObserve(durable, true)
+		switch {
+		case cerr != nil:
+			return advanced, cerr
+		case err != nil:
 			return advanced, streamErr(ctx, err)
-		}
-		if torn || valid != n {
+		case torn || valid != n:
 			return advanced, fmt.Errorf("repl: stream batch cut short at byte %d of %d", valid, n)
 		}
-		f.srv.ReplObserve(durable, true)
-		binary.LittleEndian.PutUint64(confirm[3:11], uint64(lsn-1))
+		binary.LittleEndian.PutUint64(confirm[3:11], uint64(synced))
 		if _, err := conn.Write(confirm); err != nil {
 			return advanced, streamErr(ctx, err)
 		}

@@ -218,6 +218,9 @@ type PersistenceStatus struct {
 	// Quorum is the configured total-copies requirement behind each
 	// mutation ack (0 or 1: local durability only).
 	Quorum int `json:"quorum,omitempty"`
+	// QuorumAcks is the highest LSN each follower id has confirmed on
+	// its streams from this node: the table quorum-gated acks count.
+	QuorumAcks map[string]uint64 `json:"quorum_acks,omitempty"`
 	// Fenced reports that a newer primary holds FenceEpoch and this node
 	// refuses all writes (421) until it rejoins as a follower.
 	Fenced bool `json:"fenced,omitempty"`

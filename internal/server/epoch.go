@@ -140,22 +140,29 @@ func (t *epochTable) at(lsn wal.LSN) uint64 {
 	return t.entries[i-1].Epoch
 }
 
-// add appends one promotion. Epochs and start LSNs must be strictly
-// increasing — a violation means the log being replayed was forked.
-func (t *epochTable) add(epoch uint64, start wal.LSN) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// prepareLocked validates a RecEpoch record and returns the step that
+// appends it. Epochs and start LSNs must be strictly increasing — a
+// violation means the log being replayed was forked. Callers hold t.mu.
+func (t *epochTable) prepareLocked(rec *Record) (func(), error) {
 	if len(t.entries) > 0 {
 		last := t.entries[len(t.entries)-1]
-		if epoch <= last.Epoch || uint64(start) <= last.StartLSN {
-			return fmt.Errorf("server: epoch record (%d @ lsn %d) does not advance (%d @ lsn %d)",
-				epoch, start, last.Epoch, last.StartLSN)
+		if rec.Epoch <= last.Epoch || rec.StartLSN <= last.StartLSN {
+			return nil, fmt.Errorf("server: epoch record (%d @ lsn %d) does not advance (%d @ lsn %d)",
+				rec.Epoch, rec.StartLSN, last.Epoch, last.StartLSN)
 		}
-	} else if epoch <= 1 {
-		return fmt.Errorf("server: epoch record %d does not advance the implicit epoch 1", epoch)
+	} else if rec.Epoch <= 1 {
+		return nil, fmt.Errorf("server: epoch record %d does not advance the implicit epoch 1", rec.Epoch)
 	}
-	t.entries = append(t.entries, EpochEntry{Epoch: epoch, StartLSN: uint64(start)})
-	return nil
+	return func() {
+		t.entries = append(t.entries, EpochEntry{Epoch: rec.Epoch, StartLSN: rec.StartLSN})
+	}, nil
+}
+
+// add appends one promotion as boot replay does: through a txn that
+// journals nothing.
+func (t *epochTable) add(epoch uint64, start wal.LSN) error {
+	return (&txn{ctx: context.Background()}).runLocked(&t.mu,
+		&Record{T: RecEpoch, Epoch: epoch, StartLSN: uint64(start)}, t.prepareLocked)
 }
 
 // snapshot copies the table for the snapshot document.
@@ -318,7 +325,7 @@ func (s *Server) Fence(epoch uint64, primary string) error {
 // ---------------------------------------------------------------------------
 // Quorum acks.
 
-// quorumAcks tracks, per follower, the highest applied LSN it has
+// quorumAcks tracks, per follower, the highest durable LSN it has
 // confirmed (on its replication stream: the from it opened with, then
 // one confirmation per batch applied). With Config.Quorum = N, a
 // mutation is acknowledged only once N-1 distinct followers have
@@ -333,7 +340,7 @@ type quorumAcks struct {
 	advanced chan struct{}
 }
 
-// observe records follower id's confirmed applied LSN and wakes the
+// observe records follower id's confirmed durable LSN and wakes the
 // waiters to recount.
 func (q *quorumAcks) observe(id string, lsn uint64) {
 	q.mu.Lock()
@@ -409,10 +416,11 @@ func (q *quorumAcks) snapshot() map[string]uint64 {
 
 // quorumWait gates one mutation ack on the follower quorum inside a
 // quorum_wait span, error-tagged when the quorum timed out; a no-op (and
-// no span) unless Config.Quorum > 1.
+// no span) unless Config.Quorum > 1 and the mutation journaled a record
+// (lsn above 0).
 func (s *Server) quorumWait(ctx context.Context, lsn wal.LSN) error {
 	need := s.cfg.Quorum - 1
-	if need <= 0 {
+	if need <= 0 || lsn == 0 {
 		return nil
 	}
 	timeout := s.cfg.QuorumTimeout
@@ -440,11 +448,12 @@ var fenceClient = &http.Client{Timeout: 2 * time.Second}
 
 // Promote turns this follower into a writable primary under a new epoch:
 // it stops accepting replicated frames, drains in-flight applies (the
-// snapshot freeze doubles as the barrier), journals the RecEpoch record
-// opening epoch N+1 at the next LSN, switches out of follower mode, and
-// best-effort fences the old primary (advertise is the base URL the
-// promoted node should be reached at; it rides along on the fence so
-// clients bounced by the old primary land here). Promoting an
+// snapshot freeze doubles as the barrier), stages and applies the
+// RecEpoch record opening epoch N+1 at the next LSN, makes it durable
+// (a failed flush restores and degrades, as for any write), switches out
+// of follower mode, and best-effort fences the old primary (advertise is
+// the base URL the promoted node should be reached at; it rides along on
+// the fence so clients bounced by the old primary land here). Promoting an
 // already-primary node is an idempotent no-op (AlreadyPrimary).
 func (s *Server) Promote(ctx context.Context, advertise string) (PromoteResponse, error) {
 	rs := s.repl.Load()
@@ -470,8 +479,8 @@ func (s *Server) Promote(ctx context.Context, advertise string) (PromoteResponse
 	}
 	defer s.promoting.Store(false)
 	// The exclusive freeze drains every in-flight ApplyReplicated (each
-	// holds the freeze shared for its whole journal-then-apply section),
-	// so the epoch record lands directly after the last applied frame.
+	// holds the freeze shared while it stages and applies), so the epoch
+	// record lands directly after the last applied frame.
 	p.freeze.Lock()
 	newEpoch := s.epochs.current() + 1
 	// A fenced follower knows a newer primary held the fence epoch; its
@@ -488,16 +497,13 @@ func (s *Server) Promote(ctx context.Context, advertise string) (PromoteResponse
 	}
 	s.fenceMu.Unlock()
 	start := p.log.NextLSN()
-	// Journaled and durable before it is applied, like a replicated
-	// frame, and never quorum-gated: there are no followers yet.
-	payload, err := p.encode(ctx, &Record{T: RecEpoch, Epoch: newEpoch, StartLSN: uint64(start)})
-	if err == nil {
-		_, err = p.journalNow(ctx, payload)
-	}
-	if err == nil {
-		err = s.epochs.add(newEpoch, start)
-	}
+	tx := &txn{j: p.journal, ctx: ctx}
+	err := s.applyRecord(tx, &Record{T: RecEpoch, Epoch: newEpoch, StartLSN: uint64(start)})
 	p.freeze.Unlock()
+	// The durability step, never quorum-gated: there are no followers yet.
+	if serr := tx.settle(); serr != nil {
+		err = serr
+	}
 	if err != nil {
 		return PromoteResponse{}, fmt.Errorf("server: promote: %w", err)
 	}

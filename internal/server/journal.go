@@ -11,48 +11,58 @@ import (
 	"repro/internal/wal"
 )
 
-// journal is the one path every journaled mutation takes. Each store
-// holds it by pointer; it is nil for an in-memory server (and a
-// standalone registry), and mutate then skips every journal step, so the
-// stores run the same code either way. It owns the record encoding and
-// the append with its trace spans, the restore on a failed flush, the
-// quorum-gated commit, the duplicate-ack barrier, and the snapshot freeze.
+// journal is the one path every journaled record takes: a live
+// mutation, a follower's shipped record, and a promotion's epoch record
+// all stage, apply, then flush. Each store holds it by pointer; it is nil
+// for an in-memory server (and a standalone registry), and a txn without
+// one skips every journal step, which is also how boot replay applies the
+// log. It owns the record encoding and the append with its trace spans,
+// the durability step with its restore on a failed flush, the
+// quorum-gated ack, the duplicate-ack barrier, and the snapshot freeze.
 type journal struct {
 	s   *Server
 	log *wal.Log
-	// freeze orders mutations against snapshot capture: a mutation holds
-	// it shared from before it takes its store lock until its records are
-	// durable, and capture holds it exclusively, so a snapshot sees all or
-	// none of each mutation and covers only durable LSNs.
+	// freeze orders writes against snapshot capture: a write holds it
+	// shared from before it takes its store lock until its records are
+	// staged and applied, and capture holds it exclusively, so a snapshot
+	// sees all or none of each write; capture then waits for the log, so
+	// it covers only durable LSNs.
 	freeze   sync.RWMutex
 	restored sync.Once // runs the one restore (restore)
 }
 
 // mutate runs one live mutation: stage, apply, flush, ack. body runs
 // under the snapshot freeze and mu; it validates, and stages and applies
-// each record through tx.run. Once mu is released, mutate waits for the
-// staged records to commit. A commit failure wins over body's own error:
-// whatever body staged was applied and must be settled first.
+// each record through tx.run. Once both are released, mutate commits the
+// staged records. A commit failure wins over body's own error: whatever
+// body staged was applied and must be settled first.
 func (j *journal) mutate(ctx context.Context, mu sync.Locker, body func(tx *txn) error) error {
+	tx := &txn{j: j, ctx: ctx}
 	if j != nil {
 		j.freeze.RLock()
 	}
-	tx := &txn{j: j, ctx: ctx}
 	mu.Lock()
 	err := body(tx)
 	mu.Unlock()
+	if j != nil {
+		j.freeze.RUnlock()
+	}
 	if cerr := tx.commit(); cerr != nil {
 		return cerr
 	}
 	return err
 }
 
-// txn is one mutation in flight on the journaled path.
+// txn is one journaled write in flight, or one record boot replay
+// applies (j nil).
 type txn struct {
 	j   *journal
 	ctx context.Context
+	// shipped is the payload of the record a follower applies, journaled
+	// as the primary wrote it; nil means run encodes its record.
+	shipped []byte
 	// last is the LSN of the newest record staged so far (0: none); the
-	// log is ordered, so its commit covers every earlier one.
+	// log is ordered, so its flush covers every earlier one.
 	last wal.LSN
 	// dup marks a keyed-ingest retry: nothing is staged, and the ack
 	// waits on the barrier instead.
@@ -70,9 +80,11 @@ func (tx *txn) run(rec *Record, prepare func(*Record) (func(), error)) error {
 		return err
 	}
 	if tx.j != nil {
-		payload, err := tx.j.encode(tx.ctx, rec)
-		if err != nil {
-			return err
+		payload := tx.shipped
+		if payload == nil {
+			if payload, err = tx.j.encode(tx.ctx, rec); err != nil {
+				return err
+			}
 		}
 		lsn, err := tx.j.append(tx.ctx, payload)
 		if err != nil {
@@ -85,6 +97,15 @@ func (tx *txn) run(rec *Record, prepare func(*Record) (func(), error)) error {
 	apply()
 	span.End()
 	return nil
+}
+
+// runLocked is run under mu, for a record the log dictates: one a
+// follower applies, a promotion's epoch record, or one boot replay
+// applies. The caller holds the freeze when tx journals.
+func (tx *txn) runLocked(mu sync.Locker, rec *Record, prepare func(*Record) (func(), error)) error {
+	mu.Lock()
+	defer mu.Unlock()
+	return tx.run(rec, prepare)
 }
 
 // duplicate is the keyed-ingest dedup both registries share: a key idem
@@ -101,41 +122,48 @@ func (tx *txn) duplicate(idem *idemTable, key string) bool {
 	return tx.dup
 }
 
-// commit is the ack gate: wait until the staged records are durable,
-// release the freeze (a snapshot may now cover them), then wait for the
-// follower quorum. A duplicate vouches for an original that may still
-// await its flush, so it waits for the whole log, durable and
-// quorum-confirmed. A WAL failure is refused through restore.
-func (tx *txn) commit() error {
-	j := tx.j
-	if j == nil {
-		return nil
-	}
-	err := tx.refused
-	if err == nil && tx.last != 0 {
-		err = j.wait(tx.ctx, tx.last)
-	}
-	j.freeze.RUnlock()
+// settle is the durability step every journaled write takes once it
+// has released the freeze: wait until the records tx staged are
+// durable. A duplicate vouches for an original that may still await its
+// flush, so it waits for the whole log. A WAL failure, a refused stage
+// or a failed flush, is settled through restore.
+func (tx *txn) settle() error {
+	j, err := tx.j, tx.refused
 	if err == nil && tx.dup {
 		if err = j.log.WaitDurable(); err != nil {
 			j.s.metrics.WALError()
 		}
+	} else if err == nil && tx.last != 0 {
+		err = j.wait(tx.ctx, tx.last)
 	}
-	switch {
-	case err != nil:
+	if err != nil {
 		return j.restore(err)
-	case tx.dup:
-		return j.s.quorumWait(tx.ctx, j.log.NextLSN()-1)
-	case tx.last != 0:
-		return j.s.quorumWait(tx.ctx, tx.last)
 	}
 	return nil
 }
 
-// restore refuses a mutation after a WAL failure. The first refusal
-// takes the freeze exclusively (every in-flight mutation has applied),
-// restores the durable prefix, then degrades; later ones wait for it.
-// Callers hold no store lock and no freeze.
+// commit is a client mutation's ack gate: the durability step, then the
+// follower quorum. Only client mutations take the quorum gate: a
+// follower has no followers of its own, and a promotion's epoch record
+// precedes any.
+func (tx *txn) commit() error {
+	if tx.j == nil {
+		return nil
+	}
+	if err := tx.settle(); err != nil {
+		return err
+	}
+	lsn := tx.last
+	if tx.dup {
+		lsn = tx.j.log.NextLSN() - 1
+	}
+	return tx.j.s.quorumWait(tx.ctx, lsn)
+}
+
+// restore refuses a write after a WAL failure. The first refusal takes
+// the freeze exclusively (every in-flight write has applied), restores
+// the durable prefix, then degrades; later ones wait for it. Callers
+// hold no store lock and no freeze.
 func (j *journal) restore(cause error) error {
 	j.restored.Do(func() {
 		j.freeze.Lock()
@@ -146,35 +174,6 @@ func (j *journal) restore(cause error) error {
 		j.s.enterDegraded(cause)
 	})
 	return fmt.Errorf("%w: %w", ErrDegraded, cause)
-}
-
-// journalNow journals payload before its caller (ApplyReplicated,
-// Promote) applies it, so a WAL failure degrades with nothing to restore.
-func (j *journal) journalNow(ctx context.Context, payload []byte) (wal.LSN, error) {
-	lsn, err := j.append(ctx, payload)
-	if err == nil {
-		err = j.wait(ctx, lsn)
-	}
-	if err != nil {
-		j.s.enterDegraded(err)
-		return 0, fmt.Errorf("%w: %w", ErrDegraded, err)
-	}
-	return lsn, nil
-}
-
-// replay applies one journaled record without journaling it, validated by
-// the same prepare step as the live path, so a logically corrupt log
-// fails recovery instead of silently diverging. It never takes the
-// freeze: ApplyReplicated already holds it, and a recursive read lock
-// deadlocks against a waiting snapshot.
-func replay(mu sync.Locker, rec *Record, prepare func(*Record) (func(), error)) error {
-	mu.Lock()
-	defer mu.Unlock()
-	apply, err := prepare(rec)
-	if err == nil && apply != nil {
-		apply()
-	}
-	return err
 }
 
 // encode marshals rec inside a wal_encode span.

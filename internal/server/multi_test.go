@@ -548,7 +548,7 @@ func TestMultiCreateRejectsHugeLabelCounts(t *testing.T) {
 		t.Fatalf("huge labels: %d %s", resp.StatusCode, raw)
 	}
 	r := NewMultiRegistry()
-	if err := r.Apply(&Record{T: RecMultiCreate, Multi: &MultiRecord{
+	if _, err := r.prepareLocked(&Record{T: RecMultiCreate, Multi: &MultiRecord{
 		Pool: "huge", Labels: 50000, Strength: 8,
 	}}); err == nil {
 		t.Fatal("replay accepted a huge label count")

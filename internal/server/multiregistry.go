@@ -323,12 +323,6 @@ func (r *MultiRegistry) IngestKeyed(ctx context.Context, pool string, events []M
 	return updated, sig, duplicate, nil
 }
 
-// Apply replays one journaled multi-registry record without
-// re-journaling it — the recovery path.
-func (r *MultiRegistry) Apply(rec *Record) error {
-	return replay(&r.mu, rec, r.prepareLocked)
-}
-
 // prepareLocked validates one multi-registry record against the current
 // state and returns the step that applies it — the one validation the
 // live mutators and replay share. Callers hold r.mu.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,29 +15,33 @@ import (
 	"repro/internal/wal"
 )
 
-// Durability. With Config.DataDir set, every registry, multi-registry
-// and session mutation takes one journaled path (journal.go) in one
-// order: stage, apply, flush, ack. Under the shared snapshot freeze and
-// the store's own lock, the store's prepareLocked validates the record
-// and returns its apply step; the record then stages and reserves its
-// LSN, so the WAL order and the in-memory order are identical, and only
-// then is it applied. The store lock is released before the commit waits
-// for the flush — that is what lets independent registries, sessions and
-// pools share one write and one fsync — and the handler acknowledges
-// only after the commit (and, with a quorum, the followers) confirm the
-// record. A refused stage changes nothing; a failed flush leaves the
-// mutation applied, so before it answers 503 restoreDurable rebuilds the
+// Durability. With Config.DataDir set, every journaled record takes one
+// path (journal.go) in one order: stage, apply, flush, then ack or
+// confirm. That holds for registry, multi-registry and session
+// mutations, for the records a follower applies (ApplyReplicated) and
+// for a promotion's epoch record (Promote). Under the snapshot freeze
+// and the store's own lock, the store's prepareLocked validates the
+// record and returns its apply step; the record then stages and reserves
+// its LSN, so the WAL order and the in-memory order are identical, and
+// only then is it applied. The store lock and the freeze are released
+// before the durability step waits for the flush — that is what lets
+// independent registries, sessions and pools, or every record of a
+// shipped batch, share one write and one fsync — and the handler
+// acknowledges only after the flush (and, with a quorum, the followers)
+// confirm the record; a follower confirms only what its flush made
+// durable. A refused stage changes nothing; a failed flush leaves the
+// record applied, so before it answers 503 restoreDurable rebuilds the
 // stores from the durable prefix and the server degrades to read-only
-// mode. The freeze is held until the commit, and a
-// snapshot captures under it exclusively and then waits for the log to
-// be durable: every LSN a snapshot covers must be durable, or recovery
-// would find the snapshot ahead of the log. Recovery (Open) loads the
-// newest snapshot and replays the WAL tail through the same
-// prepareLocked steps, then resumes journaling; because replay is
-// deterministic, a recovered registry carries bit-identical posteriors
-// and therefore produces bit-identical pool signatures — the selection
-// cache (which starts empty after a restart) refills under exactly the
-// keys the pre-crash process was using.
+// mode. A snapshot captures under the freeze exclusively and then waits
+// for the log to be durable: every LSN a snapshot covers must be
+// durable, or recovery would find the snapshot ahead of the log.
+// Recovery (Open) loads the newest snapshot and replays the WAL tail
+// through the same prepareLocked steps with a txn that journals nothing,
+// then resumes journaling; because replay is deterministic, a recovered
+// registry carries bit-identical posteriors and therefore produces
+// bit-identical pool signatures — the selection cache (which starts
+// empty after a restart) refills under exactly the keys the pre-crash
+// process was using.
 
 // RecordType tags one WAL record.
 type RecordType string
@@ -270,11 +275,12 @@ func (s *Server) recoverDurable(fsys wal.FS, dir string, log *wal.Log) (Recovery
 		return rs, fmt.Errorf("%w: snapshot covers lsn %d but the log ends at %d", wal.ErrCorrupt, lsn, end)
 	}
 	rs.SnapshotLSN = uint64(lsn)
+	replayed := &txn{ctx: context.Background()} // no journal: the log already holds them
 	err = log.Replay(lsn+1, func(l wal.LSN, payload []byte) error {
 		var rec Record
 		err := json.Unmarshal(payload, &rec)
 		if err == nil {
-			err = s.applyRecord(&rec)
+			err = s.applyRecord(replayed, &rec)
 		}
 		if err != nil {
 			return fmt.Errorf("record at lsn %d: %w", l, err)
@@ -317,18 +323,21 @@ func (s *Server) restoreDurable() error {
 	return err
 }
 
-// applyRecord replays one journaled record — the recovery path shared by
-// WAL replay and (via the walltest harness) reference replays.
-func (s *Server) applyRecord(rec *Record) error {
+// applyRecord runs one record the log dictates through tx, under the
+// lock of the store it names, validated by the same prepare step as the
+// live path, so a logically corrupt log fails instead of silently
+// diverging: boot replay (tx without a journal), a follower's shipped
+// record and a promotion's epoch record (tx journals, under the freeze).
+func (s *Server) applyRecord(tx *txn, rec *Record) error {
 	switch rec.T {
 	case RecRegister, RecUpdate, RecRemove, RecIngest:
-		return s.registry.Apply(rec)
+		return tx.runLocked(&s.registry.mu, rec, s.registry.prepareLocked)
 	case RecSessionOpen, RecSessionVote, RecSessionBudget, RecSessionClose, RecSessionReap:
-		return s.sessions.Apply(rec)
+		return s.sessions.apply(tx, rec)
 	case RecMultiCreate, RecMultiRegister, RecMultiIngest, RecMultiDrop:
-		return s.multi.Apply(rec)
+		return tx.runLocked(&s.multi.mu, rec, s.multi.prepareLocked)
 	case RecEpoch:
-		return s.epochs.add(rec.Epoch, wal.LSN(rec.StartLSN))
+		return tx.runLocked(&s.epochs.mu, rec, s.epochs.prepareLocked)
 	default:
 		return fmt.Errorf("server: unknown record type %q", rec.T)
 	}
@@ -416,6 +425,7 @@ func (s *Server) PersistenceStatus() PersistenceStatus {
 		Repl:             s.ReplStatus(),
 		Epoch:            s.epochs.current(),
 		Quorum:           s.cfg.Quorum,
+		QuorumAcks:       s.quorum.snapshot(),
 		Fenced:           fenced,
 		FenceEpoch:       fenceEpoch,
 		FencePrimary:     fencePrimary,
@@ -424,8 +434,8 @@ func (s *Server) PersistenceStatus() PersistenceStatus {
 
 // captureDurable is the capture step snapshots and follower bootstraps
 // share: the state document and the LSN it covers, taken under the
-// exclusive freeze — which waits out every mutation between reservation
-// and commit, so the watermark is exact — followed by a durability wait.
+// exclusive freeze — which waits out every write between staging and
+// apply, so the watermark is exact — followed by a durability wait.
 // A poisoned log refuses with ErrDegraded: its applied tail may never
 // have reached the disk, and every LSN a snapshot covers must be
 // durable.

@@ -247,15 +247,9 @@ func (r *Registry) IngestKeyed(ctx context.Context, events []VoteEvent, key stri
 	return updated, sig, duplicate, nil
 }
 
-// Apply replays one journaled registry record without re-journaling it —
-// the recovery path.
-func (r *Registry) Apply(rec *Record) error {
-	return replay(&r.mu, rec, r.prepareLocked)
-}
-
 // prepareLocked validates one registry record against the current state
 // and returns the step that applies it — the one validation the live
-// mutators and replay share. Callers hold r.mu.
+// mutators and the log's records share. Callers hold r.mu.
 func (r *Registry) prepareLocked(rec *Record) (func(), error) {
 	switch rec.T {
 	case RecRegister:

@@ -24,14 +24,15 @@ import (
 // log-truncation horizon). A stream is one long-lived full-duplex
 // exchange per follower: once it answers 200 the primary writes a batch
 // of raw WAL frames each time records commit, and the follower writes
-// its applied LSN up the request body after applying each batch — the
+// its durable LSN up the request body after each batch — the
 // confirmation quorum-gated acks wait for. A follower (SetFollower)
-// appends the shipped frames to its own WAL and applies them through the
-// same Apply paths recovery uses, so its state — posteriors, sessions,
-// pool signatures, and therefore selection-cache keys — is bit-identical
-// to the primary's at every applied LSN. Followers serve every read
-// route and reject mutations with 421 plus the primary's address in the
-// X-Juryd-Primary header.
+// stages and applies each shipped record as a live mutation does
+// (ApplyReplicated), through the same applyRecord dispatch recovery
+// uses, and makes each batch durable with one flush (CommitReplicated),
+// so its state — posteriors, sessions, pool signatures, and therefore
+// selection-cache keys — is bit-identical to the primary's at every
+// LSN. Followers serve every read route and reject mutations with 421
+// plus the primary's address in the X-Juryd-Primary header.
 //
 // Only records at or below the primary's durability watermark are ever
 // shipped: a follower can never apply a record that a primary power loss
@@ -58,7 +59,8 @@ const (
 
 // Stream framing. A 200 stream body is a sequence of batches, each
 // [u64 durable watermark][u32 byte length][raw WAL frames]; the request
-// body carries the follower's confirmations, each a u64 applied LSN.
+// body carries the follower's confirmations, each a u64 LSN its flush
+// made durable.
 // Integers are little-endian, like the WAL framing they wrap.
 const (
 	// ReplBatchHeaderBytes is the size of a batch's header.
@@ -153,14 +155,14 @@ func (s *Server) ReplObserve(primaryDurable wal.LSN, connected bool) {
 	}
 }
 
-// AppliedLSN is the LSN of the last record in the local log — on a
-// follower, the last replicated record it has applied. 0 without
-// persistence.
+// AppliedLSN is the local log's durability watermark — on a follower,
+// the last replicated record it has applied and made durable, the most
+// it may confirm. 0 without persistence.
 func (s *Server) AppliedLSN() wal.LSN {
 	if s.persist == nil {
 		return 0
 	}
-	return s.persist.log.NextLSN() - 1
+	return s.persist.log.Synced()
 }
 
 // ReplStatus reports the follower's replication position and lag, nil on
@@ -199,12 +201,14 @@ func (s *Server) ReplStatus() *ReplStatus {
 	return st
 }
 
-// ApplyReplicated journals one shipped record to the local WAL and
-// applies it in memory — the follower's (only) mutation path. lsn must
-// be exactly AppliedLSN()+1: the stream is contiguous, and a gap means
-// the follower and primary have diverged. A local WAL failure degrades
-// the server exactly like a primary's journal failure would: replication
-// stops advancing, reads keep serving the last applied state.
+// ApplyReplicated stages one shipped record in the local WAL, verbatim,
+// and applies it in memory, under the freeze like any mutation — the
+// follower's (only) mutation path. lsn must be exactly the local log's
+// next LSN: the stream is contiguous, and a gap means the follower and
+// primary have diverged. The record is durable only after the next
+// CommitReplicated. A local WAL failure degrades the server exactly like
+// a primary's journal failure would: replication stops advancing, reads
+// keep serving the durable prefix.
 func (s *Server) ApplyReplicated(lsn wal.LSN, payload []byte) error {
 	// A node mid-promotion (or already promoted) must not apply another
 	// shipped frame: its log now continues under its own epoch. The stream
@@ -220,29 +224,44 @@ func (s *Server) ApplyReplicated(lsn wal.LSN, payload []byte) error {
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return fmt.Errorf("server: replicated record at lsn %d: %w", lsn, err)
 	}
-	// The shipped record is journaled verbatim and applied only once it
-	// is durable, under the freeze like any mutation; the apply is replay,
-	// which never takes the freeze itself.
 	p.freeze.RLock()
-	defer p.freeze.RUnlock()
 	if next := p.log.NextLSN(); lsn != next {
+		p.freeze.RUnlock()
 		return fmt.Errorf("server: replication gap: shipped lsn %d, local log expects %d", lsn, next)
 	}
-	ctx := context.TODO() // the stream loop carries no request trace
-	got, err := p.journalNow(ctx, payload)
+	// The stream loop carries no request trace.
+	tx := &txn{j: p.journal, ctx: context.TODO(), shipped: payload}
+	err := s.applyRecord(tx, &rec)
+	p.freeze.RUnlock()
+	if tx.refused != nil {
+		return tx.settle()
+	}
+	if err == nil && tx.last == 0 {
+		err = errors.New("the record changes nothing on this node")
+	}
 	if err != nil {
-		return err
-	}
-	if got != lsn {
-		return fmt.Errorf("server: replication lsn skew: journaled %d, want %d", got, lsn)
-	}
-	if err := s.applyRecord(&rec); err != nil {
-		// The record is in the local log but not in memory: terminal
-		// inconsistency for this process. Degrade so /readyz flags it.
+		// The primary applied this record to the same state, so the two
+		// have diverged: degrade so /readyz flags it.
 		s.enterDegraded(err)
 		return fmt.Errorf("server: replicated apply at lsn %d: %w", lsn, err)
 	}
 	return nil
+}
+
+// CommitReplicated is the follower's durability step, taken once per
+// shipped batch and whenever a stream ends: it makes every record
+// ApplyReplicated staged durable with one flush and returns the LSN it
+// made durable, the one the follower confirms (0 without persistence,
+// where nothing is journaled). A failed flush restores the durable prefix
+// and degrades, as for any write. No quorum gates it: a follower has no
+// followers of its own.
+func (s *Server) CommitReplicated() (wal.LSN, error) {
+	p := s.persist
+	if p == nil {
+		return 0, nil
+	}
+	tx := &txn{j: p.journal, ctx: context.TODO(), last: p.log.NextLSN() - 1}
+	return tx.last, tx.settle()
 }
 
 // writeReplMetrics appends the follower gauges to /metrics; no-op on a
@@ -319,22 +338,22 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// Confirmations come up the request body while batches go down: full
 	// duplex. No answer reads that body to its end, so the connection
-	// closes with the answer, and a past read deadline keeps the server's
-	// drain of the unread body after the handler from blocking; it also
-	// ends readConfirms' blocked read, so no goroutine outlives the
-	// request. A GET without a body confirms only its from.
+	// closes with the answer (the write grace below may outlive the
+	// handler, too), and a past read deadline keeps the server's drain of
+	// the unread body after the handler from blocking; it also ends
+	// readConfirms' blocked read, so no goroutine outlives the request. A
+	// GET without a body confirms only its from: readConfirms finds it
+	// ended at once.
 	rc := http.NewResponseController(w)
-	confirms := r.Body != http.NoBody && rc.EnableFullDuplex() == nil
+	rc.EnableFullDuplex()
+	w.Header().Set("Connection", "close")
 	var confirming chan struct{} // closed when readConfirms returns
-	if confirms {
-		w.Header().Set("Connection", "close")
-		defer func() {
-			rc.SetReadDeadline(time.Now())
-			if confirming != nil {
-				<-confirming
-			}
-		}()
-	}
+	defer func() {
+		rc.SetReadDeadline(time.Now())
+		if confirming != nil {
+			<-confirming
+		}
+	}()
 	q := r.URL.Query()
 	from, err := parseLSNParam(q.Get("from"))
 	if err != nil {
@@ -443,20 +462,15 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set(ReplFirstLSNHeader, strconv.FormatUint(uint64(from+1), 10))
-	// The connection ends with the stream even without a request body:
-	// the write grace below may outlive the handler.
-	h.Set("Connection", "close")
 	w.WriteHeader(http.StatusOK)
 	stopGrace := context.AfterFunc(ctx, func() { rc.SetWriteDeadline(time.Now().Add(streamWriteGrace)) })
 	defer stopGrace()
 	var shipped atomic.Uint64 // the last LSN this stream has shipped
-	if confirms {
-		confirming = make(chan struct{})
-		go func(prev uint64) {
-			defer close(confirming)
-			s.readConfirms(r.Body, id, prev, &shipped, end)
-		}(uint64(from))
-	}
+	confirming = make(chan struct{})
+	go func(prev uint64) {
+		defer close(confirming)
+		s.readConfirms(r.Body, id, prev, &shipped, end)
+	}(uint64(from))
 	var header [ReplBatchHeaderBytes]byte
 	for {
 		from += wal.LSN(count)

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -477,6 +479,148 @@ func TestApplyReplicatedContiguity(t *testing.T) {
 	m.SetFollower(tsP.URL)
 	if err := m.ApplyReplicated(1, payloads[0]); err == nil {
 		t.Fatal("in-memory ApplyReplicated succeeded, want an error")
+	}
+}
+
+// shippedPayloads journals n+1 records on a fresh durable primary and
+// returns their payloads as its stream would ship them, LSN 1 first.
+func shippedPayloads(t *testing.T, n int) [][]byte {
+	t.Helper()
+	p, _ := durable(t)
+	ts := httptest.NewServer(p.Handler())
+	t.Cleanup(ts.Close)
+	journalSome(t, ts.URL, n)
+	frames, _, err := p.persist.log.ReadCommitted(1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payloads [][]byte
+	if _, _, err := wal.ScanSegment(bytes.NewReader(frames), func(p []byte) error {
+		payloads = append(payloads, append([]byte(nil), p...))
+		return nil
+	}); err != nil || len(payloads) != n+1 {
+		t.Fatalf("shipped %d payloads (%v), want %d", len(payloads), err, n+1)
+	}
+	return payloads
+}
+
+// replayedState is the state document of an in-memory server that
+// replayed payloads as boot recovery does.
+func replayedState(t *testing.T, payloads [][]byte) []byte {
+	t.Helper()
+	s := New(Config{Alpha: 0.5, Seed: 1})
+	for _, payload := range payloads {
+		var rec Record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.applyRecord(&txn{ctx: context.Background()}, &rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc, err := s.DebugState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestCommitReplicatedFlushesABatchOnce: ApplyReplicated stages and
+// applies a shipped record without writing it, and one CommitReplicated
+// makes the whole batch durable with one flush, reporting the LSN it
+// made durable: the follower's AppliedLSN and its confirmation.
+func TestCommitReplicatedFlushesABatchOnce(t *testing.T) {
+	payloads := shippedPayloads(t, 5)
+	f, _ := durable(t)
+	f.SetFollower("http://primary.invalid")
+	ts := httptest.NewServer(f.Handler())
+	t.Cleanup(ts.Close)
+	for i, payload := range payloads {
+		if err := f.ApplyReplicated(wal.LSN(i+1), payload); err != nil {
+			t.Fatalf("apply lsn %d: %v", i+1, err)
+		}
+	}
+	if applied := f.AppliedLSN(); applied != 0 {
+		t.Fatalf("AppliedLSN %d before the batch's flush, want 0", applied)
+	}
+	lsn, err := f.CommitReplicated()
+	if err != nil || lsn != wal.LSN(len(payloads)) || f.AppliedLSN() != lsn {
+		t.Fatalf("CommitReplicated = %d, %v; AppliedLSN %d; want %d", lsn, err, f.AppliedLSN(), len(payloads))
+	}
+	m := metricsText(t, ts.URL)
+	for _, want := range []string{"juryd_wal_batch_records_count 1\n", fmt.Sprintf("juryd_wal_batch_records_sum %d\n", len(payloads))} {
+		if !strings.Contains(m, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	if doc, _ := f.DebugState(); !bytes.Equal(doc, replayedState(t, payloads)) {
+		t.Fatalf("follower state differs from a replay of the batch:\n%s", doc)
+	}
+}
+
+// TestCommitReplicatedFailedFlushRestoresDurablePrefix: a batch whose
+// flush fails was applied, so the follower restores its durable prefix
+// before it degrades, as a primary does for a refused mutation: its
+// state, AppliedLSN and every later apply answer for that prefix only.
+func TestCommitReplicatedFailedFlushRestoresDurablePrefix(t *testing.T) {
+	payloads := shippedPayloads(t, 5)
+	fsys := errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpWrite, Path: "wal-", After: 1})
+	f, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(), FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.ClosePersistence() })
+	f.SetFollower("http://primary.invalid")
+	apply := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := f.ApplyReplicated(wal.LSN(i+1), payloads[i]); err != nil {
+				t.Fatalf("apply lsn %d: %v", i+1, err)
+			}
+		}
+	}
+	apply(0, 2)
+	if lsn, err := f.CommitReplicated(); err != nil || lsn != 2 {
+		t.Fatalf("first batch: CommitReplicated = %d, %v, want 2", lsn, err)
+	}
+	apply(2, len(payloads))
+	if lsn, err := f.CommitReplicated(); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("failed flush: CommitReplicated = %d, %v, want ErrDegraded", lsn, err)
+	}
+	if degraded, _ := f.DegradedState(); !degraded || f.AppliedLSN() != 2 {
+		t.Fatalf("after a failed flush: degraded %v, AppliedLSN %d, want degraded at 2", degraded, f.AppliedLSN())
+	}
+	durable := replayedState(t, payloads[:2])
+	if doc, _ := f.DebugState(); !bytes.Equal(doc, durable) {
+		t.Fatalf("degraded follower serves more than its durable prefix:\n%s", doc)
+	}
+	if err := f.ApplyReplicated(3, payloads[2]); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("apply after the failed flush: %v, want ErrDegraded", err)
+	}
+	if doc, _ := f.DebugState(); !bytes.Equal(doc, durable) {
+		t.Fatalf("a refused apply changed the degraded follower:\n%s", doc)
+	}
+}
+
+// TestPromoteFailedFlushRestoresAndDegrades: a promotion stages and
+// applies its epoch record like any write, so when that record's flush
+// fails the node restores its durable prefix (epoch 1) and degrades, and
+// it stays a follower.
+func TestPromoteFailedFlushRestoresAndDegrades(t *testing.T) {
+	fsys := errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpWrite, Path: "wal-"})
+	f, err := Open(Config{Alpha: 0.5, Seed: 1, DataDir: t.TempDir(), FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.ClosePersistence() })
+	f.SetFollower("http://primary.invalid")
+	if _, err := f.Promote(context.Background(), ""); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Promote with a failing WAL: %v, want ErrDegraded", err)
+	}
+	degraded, _ := f.DegradedState()
+	if !degraded || f.CurrentEpoch() != 1 || !f.IsFollower() || f.AppliedLSN() != 0 {
+		t.Fatalf("after a failed promotion: degraded %v, epoch %d, follower %v, applied %d; want degraded follower at epoch 1, lsn 0",
+			degraded, f.CurrentEpoch(), f.IsFollower(), f.AppliedLSN())
 	}
 }
 

@@ -246,21 +246,22 @@ func (st *sessionStore) lookup(id string) (*liveSession, error) {
 	return ls, nil
 }
 
-// Apply replays one journaled session record without re-journaling it —
-// the recovery path. Replay bypasses the session cap and the reaper:
-// which sessions exist is decided by the log, not remade from the clock.
-func (st *sessionStore) Apply(rec *Record) error {
+// apply runs one session record the log dictates through tx, under the
+// lock its live mutator takes (applyRecord). It bypasses the session cap
+// and the reaper: which sessions exist is decided by the log, not remade
+// from the clock.
+func (st *sessionStore) apply(tx *txn, rec *Record) error {
 	if rec.Session == nil {
 		return fmt.Errorf("server: %s record without session payload", rec.T)
 	}
 	if rec.T != RecSessionVote && rec.T != RecSessionBudget {
-		return replay(&st.mu, rec, st.prepareLocked)
+		return tx.runLocked(&st.mu, rec, st.prepareLocked)
 	}
 	ls, err := st.lookup(rec.Session.ID)
 	if err != nil {
 		return err
 	}
-	return replay(&ls.mu, rec, ls.prepareLocked)
+	return tx.runLocked(&ls.mu, rec, ls.prepareLocked)
 }
 
 // prepareLocked validates a session open, close or reap record and

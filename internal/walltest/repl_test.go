@@ -289,13 +289,22 @@ func TestReplFollowerLocalWALFault(t *testing.T) {
 				Ingest(ev("bob", true)),
 				Ingest(ev("ann", true)),
 			}
-			primary.Drive(script)
-
+			// The follower writes each shipped batch with one write, so
+			// it gets the first 4 records in one batch (its first write)
+			// and, its stream paused while the primary commits the rest,
+			// those in a second, whose write fails.
+			primary.Drive(script[:4])
 			fDir := t.TempDir()
 			cfgF := BaseConfig(fDir)
 			cfgF.Fsync = tc.fsync
-			cfgF.FS = errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpWrite, Path: "wal-", After: 4})
+			cfgF.FS = errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpWrite, Path: "wal-", After: 1})
 			f := StartFollower(t, cfgF, primary.HTTP.URL)
+			WaitCaughtUp(t, primary, f)
+			if err := f.StopStream(); err != nil {
+				t.Fatalf("pausing the follower's stream: %v", err)
+			}
+			primary.Drive(script[4:])
+			f.startLoop()
 			if err := f.WaitDone(10 * time.Second); !errors.Is(err, server.ErrDegraded) {
 				t.Fatalf("follower with failing WAL exited with %v, want ErrDegraded", err)
 			}
@@ -330,6 +339,80 @@ func TestReplFollowerLocalWALFault(t *testing.T) {
 			AssertConverged(t, primary, restarted)
 		})
 	}
+}
+
+// TestReplFollowerFlushesOncePerBatch: a follower journals a shipped
+// batch as a primary journals a mutation, staging and applying every
+// record and then making the batch durable with one flush. A follower
+// that catches up on the whole script, shipped as one batch, writes its
+// WAL once.
+func TestReplFollowerFlushesOncePerBatch(t *testing.T) {
+	primary := Start(t, BaseConfig(t.TempDir()))
+	primary.Drive(replScript())
+	n := primary.Srv.PersistenceStatus().DurableLSN
+	f := StartFollower(t, BaseConfig(t.TempDir()), primary.HTTP.URL)
+	AssertConverged(t, primary, f)
+	m := metricsText(t, f.Env)
+	for _, want := range []string{"juryd_wal_batch_records_count 1\n", fmt.Sprintf("juryd_wal_batch_records_sum %d\n", n)} {
+		if !strings.Contains(m, want) {
+			t.Errorf("follower that caught up on %d records in one batch: /metrics lacks %q", n, want)
+		}
+	}
+}
+
+// TestReplFollowerWALFaultNeverConfirmsPastDurable: a follower confirms
+// only what its flush made durable. Its WAL write fails partway through
+// the batch of a -quorum 2 primary's concurrent writes: the primary's
+// quorum table stays at the follower's durable prefix, and every write
+// the follower could not make durable answers 503.
+func TestReplFollowerWALFaultNeverConfirmsPastDurable(t *testing.T) {
+	cfg := BaseConfig(t.TempDir())
+	cfg.Quorum, cfg.QuorumTimeout = 2, time.Second
+	primary := Start(t, cfg)
+	cfgF := BaseConfig(t.TempDir())
+	cfgF.FS = errfs.New(wal.OSFS(), errfs.Fault{Op: errfs.OpWrite, Path: "wal-", After: 1, Short: 6})
+	f := StartFollower(t, cfgF, primary.HTTP.URL)
+	primary.Drive([]Step{Register(w("ann", 0.8, 3), w("bob", 0.7, 2))}) // the follower's first write
+
+	const writes = 6
+	codes := make(chan int, writes)
+	for i := range writes {
+		go func() {
+			resp, err := http.Post(primary.HTTP.URL+"/v1/votes", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"worker_id":"ann","correct":%t}`, i%2 == 0)))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	for range writes {
+		if code := <-codes; code != http.StatusServiceUnavailable {
+			t.Errorf("a write the follower could not make durable answered %d, want 503", code)
+		}
+	}
+	if err := f.WaitDone(10 * time.Second); !errors.Is(err, server.ErrDegraded) {
+		t.Fatalf("follower with failing WAL exited with %v, want ErrDegraded", err)
+	}
+	durable := f.Srv.PersistenceStatus().DurableLSN
+	if durable != 1 || uint64(f.Srv.AppliedLSN()) != durable {
+		t.Fatalf("follower durable %d, applied %d, want both 1", durable, f.Srv.AppliedLSN())
+	}
+	st := primary.Srv.PersistenceStatus()
+	if st.DurableLSN != 1+writes {
+		t.Fatalf("primary durable %d, want %d", st.DurableLSN, 1+writes)
+	}
+	if len(st.QuorumAcks) != 1 {
+		t.Fatalf("primary quorum table %v, want one follower", st.QuorumAcks)
+	}
+	for id, confirmed := range st.QuorumAcks {
+		if confirmed > durable {
+			t.Fatalf("follower %s confirmed lsn %d past its durable prefix %d", id, confirmed, durable)
+		}
+	}
+	AssertRestored(t, f.Env)
 }
 
 // TestReplPrimaryDegradesFollowerHoldsDurable is the power-loss chaos
