@@ -104,11 +104,14 @@
 // every prior key for that pool unconstructible — invalidation is structural,
 // not event-driven, and needs no cross-request coordination. The cost of
 // this design is garbage, not wrongness: superseded entries linger until
-// LRU eviction (bounded by Config.CacheSize). Selections run on immutable
-// pool snapshots outside all locks, so a long annealing search never
-// blocks ingestion; a selection raced by an ingest returns the jury that
-// was optimal for the snapshot it was asked about, tagged with that
-// snapshot's signature. Batch budget sweeps fan out over the bounded
+// LRU eviction (bounded by Config.CacheSize). An entry keeps its jury as
+// 4-byte pool indices, listed again from each hit's snapshot; with
+// ~12-member juries it retains ~360 B (~700 B with copied member rows),
+// so the default 4,096 entries hold ~1.4 MiB of garbage. Selections run
+// on immutable pool snapshots outside all locks, so a long annealing
+// search never blocks ingestion; a selection raced by an ingest returns
+// the jury that was optimal for the snapshot it was asked about, tagged
+// with that snapshot's signature. Batch budget sweeps fan out over the bounded
 // internal/conc pool. BenchmarkServerSelect records the cached-versus-
 // uncached throughput gap; /metrics exposes request counts, per-route
 // latency histograms (juryd_request_duration_seconds), cache hit rate,

@@ -121,6 +121,10 @@ type SelectResponse struct {
 	// Signature identifies the exact candidate-pool state the jury was
 	// computed against.
 	Signature string `json:"signature"`
+	// members is the jury as indices into the pool snapshot Signature
+	// names, in Jury's order: the form the server caches a selection in.
+	// A response the server sends has Jury instead and members nil.
+	members []int32
 }
 
 // BatchSelectRequest solves one selection per budget (a budget–quality

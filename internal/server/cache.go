@@ -5,6 +5,9 @@ import (
 	"math"
 	"strconv"
 	"sync"
+
+	"repro/internal/multichoice"
+	"repro/internal/worker"
 )
 
 // DefaultCacheSize is the selection cache's default entry capacity.
@@ -52,6 +55,12 @@ func (s CacheStats) HitRate() float64 {
 // signature, so entries computed against superseded worker states become
 // unreachable the moment a vote ingest (or any registry mutation) is
 // applied; LRU eviction reclaims them. The cache is safe for concurrent use.
+//
+// The server caches a selection with its jury as pool indices (members),
+// 4 bytes a member rather than a 32-byte row, and lists the members
+// again from the snapshot of each request it answers (served). The key's
+// signature pins that snapshot, so a hit lists the very rows the miss
+// that filled the entry listed.
 type SelectionCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -81,11 +90,7 @@ func NewSelectionCache(capacity int) *SelectionCache {
 
 // Get looks up a binary selection, promoting the entry on hit.
 func (c *SelectionCache) Get(key SelectionKey) (SelectResponse, bool) {
-	v, ok := c.lookup(key.String())
-	if !ok {
-		return SelectResponse{}, false
-	}
-	return v.(SelectResponse), true
+	return lookup[SelectResponse](c, key.String())
 }
 
 // Put stores a completed binary selection.
@@ -93,32 +98,19 @@ func (c *SelectionCache) Put(key SelectionKey, res SelectResponse) {
 	c.store(key.String(), res)
 }
 
-// GetMulti looks up a multi-choice selection, promoting the entry on hit.
-func (c *SelectionCache) GetMulti(key multiSelectionKey) (MultiSelectResponse, bool) {
-	v, ok := c.lookup(key.String())
-	if !ok {
-		return MultiSelectResponse{}, false
-	}
-	return v.(MultiSelectResponse), true
-}
-
-// PutMulti stores a completed multi-choice selection.
-func (c *SelectionCache) PutMulti(key multiSelectionKey, res MultiSelectResponse) {
-	c.store(key.String(), res)
-}
-
 // lookup finds an entry by canonical key string, promoting it on hit.
-func (c *SelectionCache) lookup(k string) (any, bool) {
+func lookup[T SelectResponse | MultiSelectResponse](c *SelectionCache, k string) (T, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
 		c.stats.Misses++
-		return nil, false
+		var zero T
+		return zero, false
 	}
 	c.stats.Hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry).res.(T), true
 }
 
 // store inserts a completed selection, evicting the least recently used
@@ -160,4 +152,39 @@ func (c *SelectionCache) Stats() CacheStats {
 	s.Entries = c.ll.Len()
 	s.Capacity = c.cap
 	return s
+}
+
+// poolIndices converts a selection's pool indices to the cached form.
+func poolIndices(indices []int) []int32 {
+	members := make([]int32, len(indices))
+	for i, idx := range indices {
+		members[i] = int32(idx)
+	}
+	return members
+}
+
+// served returns res as the server sends it: its jury listed from the
+// snapshot (pool, ids) its signature names, and members cleared.
+func (res SelectResponse) served(pool worker.Pool, ids []string) SelectResponse {
+	res.Jury = make([]JuryMember, len(res.members))
+	for i, idx := range res.members {
+		res.Jury[i] = JuryMember{ID: ids[idx], Quality: pool[idx].Quality, Cost: pool[idx].Cost}
+	}
+	res.members = nil
+	return res
+}
+
+// served returns res as the server sends it: its jury listed from the
+// snapshot (pool, ids) its signature names, and members cleared.
+func (res MultiSelectResponse) served(pool multichoice.Pool, ids []string) MultiSelectResponse {
+	res.Jury = make([]MultiJuryMember, len(res.members))
+	for i, idx := range res.members {
+		res.Jury[i] = MultiJuryMember{
+			ID:              ids[idx],
+			Cost:            pool[idx].Cost,
+			Informativeness: multichoice.InformativenessScore(pool[idx].Confusion),
+		}
+	}
+	res.members = nil
+	return res
 }

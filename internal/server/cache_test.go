@@ -7,13 +7,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/conc"
 	"repro/internal/worker"
 )
 
@@ -417,4 +421,303 @@ func serveJSON(h http.Handler, path string, body any) (int, []byte) {
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
 	return w.Code, w.Body.Bytes()
+}
+
+// TestSelectionCacheRetainedBytes bounds what one cached selection keeps
+// on the heap. It fills the cache through the select path with
+// jurybench's select-uncached-N128 stream: a 128-worker pool whose
+// worker of quality rank i draws its quality inside the i-th of 128
+// equal strata of [0.55, 0.95) and costs 1 + 2i mod 5, budgets 5, 10,
+// 15 and 20 in turn, and a fresh 63-bit seed per request, so every
+// select misses and fills one entry that no request hits again.
+func TestSelectionCacheRetainedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	const warm, entries, maxPerEntry = 128, 1024, 450
+	ctx := context.Background()
+	s := New(Config{Alpha: 0.5, Seed: 1, Workers: 2, TraceBuffer: -1})
+	rng := rand.New(rand.NewSource(42))
+	specs := make([]WorkerSpec, 128)
+	for i, slot := range rng.Perm(len(specs)) {
+		specs[slot] = WorkerSpec{
+			ID:      "n128-w" + strconv.Itoa(slot),
+			Quality: 0.55 + 0.4*(float64(i)+rng.Float64())/float64(len(specs)),
+			Cost:    float64(1 + 2*i%5),
+		}
+	}
+	if _, err := s.registry.Register(ctx, specs, 0); err != nil {
+		t.Fatal(err)
+	}
+	budgets := []float64{5, 10, 15, 20}
+	seeds := make([]int64, warm+entries)
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
+	fill := func(from, to int) {
+		conc.ForEach(2, to-from, func(i int) {
+			i += from
+			if _, err := s.selectOne(ctx, SelectRequest{Budget: budgets[i%len(budgets)], Seed: &seeds[i]}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second cycle empties the estimator scratch pools
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// Warm the select path (scratch pools, metrics) before the baseline.
+	fill(0, warm)
+	before := heap()
+	fill(warm, warm+entries)
+	after := heap()
+	if t.Failed() {
+		return
+	}
+	if st := s.CacheStats(); st.Entries != warm+entries {
+		t.Fatalf("cache holds %d entries, want %d", st.Entries, warm+entries)
+	}
+	perEntry := float64(int64(after)-int64(before)) / entries
+	t.Logf("retained %.0f B per cached selection", perEntry)
+	if perEntry > maxPerEntry {
+		t.Fatalf("each cached selection retains %.0f B, want at most %d", perEntry, maxPerEntry)
+	}
+}
+
+// TestCachedSelectionMatchesComputed: a cached selection keeps its jury
+// as pool indices and lists it again from each hit's snapshot, so a hit
+// must answer, byte for byte apart from "cached", what the miss that
+// filled the entry answered. Three requests are checked: a binary
+// full-pool select, a binary subset select whose ids arrive shuffled
+// and with a repeat (in two orders that share one entry), and a
+// multi-choice anneal select. After an ingest each must miss and list
+// its jury from the new snapshot. Then the requests repeat while votes
+// arrive, and every answer must equal every other answer that names
+// the same signature: a hit that listed its members from a snapshot
+// other than the one its signature names reports other rows.
+func TestCachedSelectionMatchesComputed(t *testing.T) {
+	s := New(Config{Alpha: 0.5, Seed: 1})
+	h := s.Handler()
+	post := func(path string, body any) ([]byte, error) {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+		if w.Code != http.StatusOK && w.Code != http.StatusCreated {
+			return nil, fmt.Errorf("%s: %d %s", path, w.Code, w.Body)
+		}
+		return w.Body.Bytes(), nil
+	}
+	specs := make([]WorkerSpec, 12)
+	multiSpecs := make([]MultiWorkerSpec, 6)
+	for i := range specs {
+		specs[i] = WorkerSpec{ID: fmt.Sprintf("w%d", i), Quality: 0.55 + 0.035*float64(i), Cost: 1 + float64(i%4)}
+	}
+	for i := range multiSpecs {
+		multiSpecs[i] = MultiWorkerSpec{ID: fmt.Sprintf("m%d", i), Quality: fp(0.5 + 0.07*float64(i)), Cost: 1 + float64(i%3)}
+	}
+	if _, err := post("/v1/workers", RegisterRequest{Workers: specs}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := post("/v1/multi/pools", MultiCreateRequest{Name: "p", Labels: 3, Workers: multiSpecs}); err != nil {
+		t.Fatal(err)
+	}
+	type selectCase struct {
+		name, path, list string
+		bodies           []any // equivalent requests: all share one cache entry
+		ingest           func(i int) error
+	}
+	binaryVote := func(i int) error {
+		_, err := post("/v1/votes/batch", IngestRequest{Events: []VoteEvent{{WorkerID: specs[i%len(specs)].ID, Correct: i%3 != 0}}})
+		return err
+	}
+	cases := []selectCase{
+		{"binary", "/v1/select", "/v1/workers", []any{SelectRequest{Budget: 9}}, binaryVote},
+		{"binary-subset", "/v1/select", "/v1/workers", []any{
+			SelectRequest{Budget: 7, WorkerIDs: []string{"w9", "w2", "w11", "w4", "w2", "w7", "w0"}},
+			SelectRequest{Budget: 7, WorkerIDs: []string{"w0", "w11", "w7", "w7", "w4", "w9", "w2"}},
+		}, binaryVote},
+		{"multi-anneal", "/v1/multi/pools/p/select", "/v1/multi/pools/p", []any{MultiSelectRequest{Budget: 5, Strategy: "anneal"}},
+			func(i int) error {
+				_, err := post("/v1/multi/pools/p/votes", MultiIngestRequest{Events: []MultiVoteEvent{
+					{WorkerID: multiSpecs[i%len(multiSpecs)].ID, Truth: i % 3, Vote: (i + i/3) % 3}}})
+				return err
+			}},
+	}
+	type answer struct {
+		Cached    bool             `json:"cached"`
+		Signature string           `json:"signature"`
+		Jury      []map[string]any `json:"jury"`
+		raw       []byte           // the body with "cached" set false
+	}
+	// listsPoolRows checks that every member of a reply carries its
+	// worker's fields as the pool listing at path reports them now.
+	listsPoolRows := func(path string, a answer) error {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		var list struct {
+			Signature string           `json:"signature"`
+			Workers   []map[string]any `json:"workers"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &list); err != nil {
+			return err
+		}
+		if a.Signature != list.Signature && !strings.HasPrefix(a.Signature, list.Signature+"-") {
+			return fmt.Errorf("reply names signature %s, the pool is at %s", a.Signature, list.Signature)
+		}
+		for _, m := range a.Jury {
+			i := slices.IndexFunc(list.Workers, func(row map[string]any) bool { return row["id"] == m["id"] })
+			if i < 0 {
+				return fmt.Errorf("member %v is not in the pool", m["id"])
+			}
+			for field, v := range m {
+				if list.Workers[i][field] != v {
+					return fmt.Errorf("member %v has %s %v, the pool %v", m["id"], field, v, list.Workers[i][field])
+				}
+			}
+		}
+		return nil
+	}
+	parse := func(raw []byte) (answer, error) {
+		var a answer
+		if err := json.Unmarshal(raw, &a); err != nil {
+			return a, err
+		}
+		if len(a.Jury) == 0 {
+			return a, fmt.Errorf("empty jury: %s", raw)
+		}
+		a.raw = bytes.Replace(raw, []byte(`"cached":true`), []byte(`"cached":false`), 1)
+		return a, nil
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// answers[sig] is the body every answer naming sig must equal.
+			answers := map[string][]byte{}
+			check := func(a answer, wantCached bool) {
+				t.Helper()
+				if a.Cached != wantCached {
+					t.Fatalf("cached = %v, want %v: %s", a.Cached, wantCached, a.raw)
+				}
+				if want, ok := answers[a.Signature]; ok && !bytes.Equal(a.raw, want) {
+					t.Fatalf("answers at signature %s differ:\n%s\n%s", a.Signature, a.raw, want)
+				}
+				answers[a.Signature] = a.raw
+			}
+			for round := range 2 {
+				for i, body := range c.bodies {
+					for _, cached := range []bool{i > 0, true} {
+						raw, err := post(c.path, body)
+						if err != nil {
+							t.Fatal(err)
+						}
+						a, err := parse(raw)
+						if err == nil {
+							err = listsPoolRows(c.list, a)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						check(a, cached)
+					}
+				}
+				if round == 0 {
+					if err := c.ingest(0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if len(answers) != 2 {
+				t.Fatalf("%d signatures across one ingest, want 2", len(answers))
+			}
+
+			// The same requests, hits among them, while votes arrive. After
+			// each vote the voter waits for 3 selects per selector to end:
+			// at most one per selector began before the vote, so some
+			// selector runs two after it, and the second of those hits.
+			const votes, selectors = 30, 2
+			var (
+				mu      sync.Mutex
+				ended   = sync.NewCond(&mu)
+				selects int  // selects ended, under mu
+				stopped bool // under mu
+				wg      sync.WaitGroup
+			)
+			stop := func() {
+				mu.Lock()
+				stopped = true
+				mu.Unlock()
+				ended.Broadcast()
+			}
+			results := make([][]answer, selectors)
+			for g := range selectors {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := g; ; i++ {
+						raw, err := post(c.path, c.bodies[i%len(c.bodies)])
+						var a answer
+						if err == nil {
+							a, err = parse(raw)
+						}
+						if err != nil {
+							t.Error(err)
+							stop()
+							return
+						}
+						results[g] = append(results[g], a)
+						mu.Lock()
+						selects++
+						done := stopped
+						mu.Unlock()
+						ended.Broadcast()
+						if done {
+							return
+						}
+					}
+				}()
+			}
+			for i := 1; i <= votes; i++ {
+				if err := c.ingest(i); err != nil {
+					t.Error(err)
+					break
+				}
+				mu.Lock()
+				for target := selects + 3*selectors; selects < target && !stopped; {
+					ended.Wait()
+				}
+				mu.Unlock()
+			}
+			stop()
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			// Misses first: each signature's miss filled the entry its
+			// hits read.
+			all := slices.Concat(results...)
+			hits := 0
+			for _, cached := range []bool{false, true} {
+				for _, a := range all {
+					if a.Cached != cached {
+						continue
+					}
+					if cached {
+						hits++
+						if _, ok := answers[a.Signature]; !ok {
+							t.Fatalf("hit at signature %s, which no miss answered", a.Signature)
+						}
+					}
+					check(a, cached)
+				}
+			}
+			if hits == 0 {
+				t.Fatalf("none of %d selects under ingest was a hit", len(all))
+			}
+		})
+	}
 }

@@ -160,6 +160,10 @@ type MultiSelectResponse struct {
 	// Signature identifies the exact pool state the jury was computed
 	// against.
 	Signature string `json:"signature"`
+	// members is the jury as indices into the pool snapshot Signature
+	// names, in Jury's order: the form the server caches a selection in.
+	// A response the server sends has Jury instead and members nil.
+	members []int32
 }
 
 // MultiJQRequest asks for the Jury Quality of an explicit jury drawn

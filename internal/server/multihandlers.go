@@ -209,14 +209,14 @@ func (s *Server) selectMulti(ctx context.Context, poolName string, req MultiSele
 	key := multiSelectionKey{
 		Pool: poolName, Signature: sig, Strategy: strategyName,
 		Budget: req.Budget, Buckets: req.Buckets, Seed: keySeed, Prior: prior,
-	}
+	}.String()
 	tr := obs.TraceFrom(ctx)
 	cacheSpan := tr.Begin(obs.StageCache)
-	res, hit := s.cache.GetMulti(key)
+	res, hit := lookup[MultiSelectResponse](s.cache, key)
 	cacheSpan.End()
 	if hit {
 		res.Cached = true
-		return res, nil
+		return res.served(pool, ids), nil
 	}
 	obj := multichoice.EstimateObjective(req.Buckets)
 	start := time.Now()
@@ -237,7 +237,6 @@ func (s *Server) selectMulti(ctx context.Context, poolName string, req MultiSele
 	res = MultiSelectResponse{
 		Pool:        poolName,
 		Labels:      labels,
-		Jury:        make([]MultiJuryMember, len(result.Indices)),
 		JQ:          result.JQ,
 		Cost:        result.Cost,
 		Budget:      req.Budget,
@@ -245,16 +244,10 @@ func (s *Server) selectMulti(ctx context.Context, poolName string, req MultiSele
 		Strategy:    strategyName,
 		Evaluations: result.Evaluations,
 		Signature:   sig,
+		members:     poolIndices(result.Indices),
 	}
-	for i, idx := range result.Indices {
-		res.Jury[i] = MultiJuryMember{
-			ID:              ids[idx],
-			Cost:            pool[idx].Cost,
-			Informativeness: multichoice.InformativenessScore(pool[idx].Confusion),
-		}
-	}
-	s.cache.PutMulti(key, res)
-	return res, nil
+	s.cache.store(key, res)
+	return res.served(pool, ids), nil
 }
 
 func (s *Server) handleMultiSelect(w http.ResponseWriter, r *http.Request) {

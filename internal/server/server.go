@@ -710,13 +710,13 @@ func (s *Server) selectOne(ctx context.Context, req SelectRequest) (SelectRespon
 		keySeed = 0
 	}
 	tr := obs.TraceFrom(ctx)
-	key := SelectionKey{Signature: sig, Strategy: strategyName, Budget: req.Budget, Alpha: alpha, Seed: keySeed}
+	key := SelectionKey{Signature: sig, Strategy: strategyName, Budget: req.Budget, Alpha: alpha, Seed: keySeed}.String()
 	cacheSpan := tr.Begin(obs.StageCache)
-	res, hit := s.cache.Get(key)
+	res, hit := lookup[SelectResponse](s.cache, key)
 	cacheSpan.End()
 	if hit {
 		res.Cached = true
-		return res, nil
+		return res.served(pool, ids), nil
 	}
 	start := time.Now()
 	result, err := sel.Select(pool, req.Budget, alpha)
@@ -726,7 +726,6 @@ func (s *Server) selectOne(ctx context.Context, req SelectRequest) (SelectRespon
 	tr.Add(obs.StageEval, start, time.Since(start))
 	s.metrics.SelectionComputed(time.Since(start), result.Evaluations)
 	res = SelectResponse{
-		Jury:        make([]JuryMember, len(result.Indices)),
 		JQ:          result.JQ,
 		Cost:        result.Cost,
 		Budget:      req.Budget,
@@ -734,12 +733,10 @@ func (s *Server) selectOne(ctx context.Context, req SelectRequest) (SelectRespon
 		Strategy:    strategyName,
 		Evaluations: result.Evaluations,
 		Signature:   sig,
+		members:     poolIndices(result.Indices),
 	}
-	for i, idx := range result.Indices {
-		res.Jury[i] = JuryMember{ID: ids[idx], Quality: pool[idx].Quality, Cost: pool[idx].Cost}
-	}
-	s.cache.Put(key, res)
-	return res, nil
+	s.cache.store(key, res)
+	return res.served(pool, ids), nil
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
